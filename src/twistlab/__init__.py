@@ -9,14 +9,11 @@ for concurrent use.
 __version__ = "0.1.0"
 
 from .word import Word, boundary_word, commutator
-from .magnus import TruncatedSeries, magnus_expand, series_mul, lcs_depth
+from .magnus import TruncatedSeries, magnus_expand
 from .mcg import (
     FreeAutomorphism,
     builtin_table,
     evaluate,
-    compose,
-    apply_auto,
-    auto_equal,
     is_central,
     validate_relations,
     parse_mcw,
@@ -37,7 +34,6 @@ from .jfilt import (
     in_Mk,
     johnson_depth,
     commutator_depth,
-    commutator_in_Mk,
     ijf,
     classify_pair,
     johnson_leading_term,

@@ -4,8 +4,8 @@ Subcommands: validate, pair, corollary, scan, foxcheck.  Every command
 is deterministic given its flags (scans additionally require a seed)
 and emits JSON (schema 1) or CSV; outputs embed the full configuration
 so a report is reproducible from its own header.  Exit codes: 0 on
-success, 1 when a property violation is found, 2 on usage or parse
-errors.
+success, 1 when a property violation is found, 2 on usage, parse or
+budget errors.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import io
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .curve import CurveSpec, parse_curve_spec
 from .errors import (
+    ConsistencyViolation,
     PreconditionError,
     SpecParseError,
+    UnknownTwistName,
     UnsupportedGenus,
     WordLengthLimit,
     WordParseError,
@@ -43,10 +44,9 @@ from .jfilt import (
     classify_pair,
     commutator_depth,
     in_Mk,
-    morita_check,
 )
 from .mcg import builtin_table, commutator_auto, evaluate, validate_relations
-from .word import Word, commutator
+from .word import Word
 
 SCHEMA = 1
 
@@ -72,7 +72,7 @@ def _emit(doc, fmt, path, csv_rows=None):
         buf = io.StringIO()
         rows = csv_rows if csv_rows is not None else [doc]
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=sorted(rows[0]))
+            writer = csv.DictWriter(buf, fieldnames=sorted(set().union(*rows)))
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
@@ -143,9 +143,11 @@ def _corollary_rows(genus, cap):
     w_m is never the identity while the bracket calculus pushes it into
     M(2m+2); each row records the certified level at the working cap.
 
-    The nested elements are never materialized: each w_m is kept as the
-    pair (t_a * w_{m-1}, w_{m-1} * t_a) whose actions are compared, so
-    word growth stays quadratic instead of doubling per level.
+    Each w_m is built as an automorphism, but its depth is read by
+    comparing the actions of t_a * w_{m-1} and w_{m-1} * t_a, so the
+    commutator [t_a, w_m] itself is never formed.  When an image passes
+    the letter cap, the row of that level is marked as not tested (with
+    a note) and the rows stop there.
     """
     t_a = evaluate((("Sep1", 1),), genus)
     t_b = evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus)
@@ -154,42 +156,42 @@ def _corollary_rows(genus, cap):
     for m in range(1, cap // 2 + 1):
         expected = 2 * m + 2
         level = min(expected, cap)
+        row = {
+            "m": m,
+            "element": "[t_a, t_b]" if m == 1 else f"[t_a, w_{m-1}]",
+            "expected_min_level": expected,
+            "tested_level": level,
+        }
         try:
+            if m > 1:
+                w = commutator_auto(t_a, w)
             depth = commutator_depth(t_a, w, cap)
-            nontrivial = depth.kind != "identity"
-            certified = None
-            exact = None
-            if depth.kind == "exact":
-                certified = exact = depth.level
-            elif depth.kind == "at_least":
-                certified = depth.level
-            elif depth.kind == "not_in_m1":
-                certified = 0
-        except WordLengthLimit:
-            rows.append(
-                {
-                    "m": m,
-                    "element": f"nested commutator depth {m}",
-                    "note": "image length cap reached; level not tested",
-                }
+        except WordLengthLimit as exc:
+            row.update(
+                in_tested_level=False,
+                certified_level=None,
+                exact_depth=None,
+                is_identity=None,
+                acts_trivially_up_to_cap=False,
+                note=f"level not tested: {exc}",
             )
+            rows.append(row)
             break
-        rows.append(
-            {
-                "m": m,
-                "element": "[t_a, t_b]" if m == 1 else f"[t_a, w_{m-1}]",
-                "expected_min_level": expected,
-                "tested_level": level,
-                "in_tested_level": certified is not None and certified >= level,
-                "certified_level": certified,
-                "exact_depth": exact,
-                "is_identity": not nontrivial,
-                "acts_trivially_up_to_cap": certified is not None
-                and certified >= cap,
-            }
+        certified = exact = None
+        if depth.kind == "exact":
+            certified = exact = depth.level
+        elif depth.kind == "at_least":
+            certified = depth.level
+        elif depth.kind == "not_in_m1":
+            certified = 0
+        row.update(
+            in_tested_level=certified is not None and certified >= level,
+            certified_level=certified,
+            exact_depth=exact,
+            is_identity=depth.kind == "identity",
+            acts_trivially_up_to_cap=certified is not None and certified >= cap,
         )
-        if m + 1 <= cap // 2:
-            w = commutator_auto(t_a, w)
+        rows.append(row)
     return rows
 
 
@@ -210,22 +212,30 @@ def cmd_corollary(args):
         _emit(doc, args.format, args.output, csv_rows=[])
         return 0
     rows = _corollary_rows(args.genus, args.cap)
-    ok = all(r["in_tested_level"] and not r["is_identity"] for r in rows)
+    stopped = "note" in rows[-1]
+    tested = rows[:-1] if stopped else rows
+    ok = all(r["in_tested_level"] and not r["is_identity"] for r in tested)
     summary = {
-        "all_rows_certified": ok,
+        "all_rows_certified": ok and not stopped,
         "curves": {"a": "Sep1", "b": "Sep1 @ [C3]"},
         # finite-level blindness: the depth-cap action misses a
         # nontrivial class, so no level below the cap separates it
         # from the identity.
         "finite_level_nondetection": {
             "level": min(4, args.cap),
-            "commutator_in_level_kernel": rows[0]["certified_level"] >= 4,
+            "commutator_in_level_kernel": rows[0]["in_tested_level"],
             "commutator_is_identity": rows[0]["is_identity"],
         },
     }
     doc = _envelope("corollary", config, rows, summary=summary)
     _emit(doc, args.format, args.output, csv_rows=[_flatten(r) for r in rows])
-    return 0 if ok else 1
+    if not ok:
+        return 1
+    if stopped:
+        print(f"error: corollary row m={rows[-1]['m']}: {rows[-1]['note']}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def _random_spec(rng, genus, table, max_len):
@@ -249,30 +259,16 @@ def cmd_scan(args):
         for _ in range(args.samples)
     ]
 
-    def work(pair):
-        c1, c2 = pair
+    rows, violations, histogram = [], [], {}
+    for idx, (c1, c2) in enumerate(pairs):
         report = classify_pair(c1, c2, args.cap, check=False)
         try:
             check_consistency(report)
-            violation = None
-        except Exception as exc:  # ConsistencyViolation
-            violation = str(exc)
-        return report, violation
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(work, pairs))
-    else:
-        outcomes = [work(p) for p in pairs]
-
-    rows, violations, histogram = [], [], {}
-    for idx, (report, violation) in enumerate(outcomes):
-        row = {"index": idx, **report.as_dict()}
-        rows.append(row)
+        except ConsistencyViolation as exc:
+            violations.append({"index": idx, "error": str(exc)})
+        rows.append({"index": idx, **report.as_dict()})
         label = report.ijf.label()
         histogram[label] = histogram.get(label, 0) + 1
-        if violation:
-            violations.append({"index": idx, "error": violation})
 
     config = {
         "genus": args.genus,
@@ -293,6 +289,7 @@ def cmd_scan(args):
 
 def cmd_foxcheck(args):
     genus = args.genus
+    table = builtin_table(genus)  # unsupported genera exit 2 before sampling
     rng = random.Random(args.seed)
     n = 2 * genus
 
@@ -337,7 +334,6 @@ def cmd_foxcheck(args):
         )
         # homologically trivial sample pool: conjugated separating
         # twists and short products of them
-        table = builtin_table(genus)
         names = table.chain_names + table.sep_names
         torelli = [sep, sep.inverse()]
         while len(torelli) < 8:
@@ -391,6 +387,13 @@ def cmd_foxcheck(args):
 # -- parser --------------------------------------------------------------
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twistlab",
@@ -434,8 +437,7 @@ def build_parser():
     p.add_argument("--cap", type=int, default=3)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-conjugator-len", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-conjugator-len", type=_nonnegative_int, default=4)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("foxcheck", help="free-derivative identity checks")
@@ -457,7 +459,12 @@ def main(argv=None):
     except (SpecParseError, WordParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedGenus, PreconditionError) as exc:
+    except (
+        UnsupportedGenus,
+        UnknownTwistName,
+        PreconditionError,
+        WordLengthLimit,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,10 +15,7 @@ like (2g)^D, which callers must be able to see.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GenusMismatch
-from .word import Word
 
 
 def _gen_binom(m, j):
@@ -100,7 +97,7 @@ class TruncatedSeries:
         return tuple(reversed(digits))
 
     def mul(self, other):
-        """Truncated product; see series_mul."""
+        """Truncated product of two series with equal caps."""
         self._check_compat(other)
         out = TruncatedSeries(self.genus, self.cap)
         base = 2 * self.genus
@@ -155,11 +152,6 @@ class TruncatedSeries:
         return f"{body} + O(deg {self.cap + 1})"
 
 
-def series_mul(s, t):
-    """Truncated product of two series with equal caps."""
-    return s.mul(t)
-
-
 def magnus_expand(w, cap):
     """Expand a word at the given degree cap.
 
@@ -198,40 +190,3 @@ def magnus_expand(w, cap):
                         del target[nk]
         out = TruncatedSeries(genus, cap, new)
     return out
-
-
-@dataclass(frozen=True)
-class DepthResult:
-    """Lower-central-series depth of a word, up to a cap.
-
-    kind is one of "identity", "exact", "at_least".  For "exact" the
-    word lies in term `level` and not in term `level`+1; "at_least"
-    means every degree <= cap vanished, so level == cap + 1 is a lower
-    bound only.
-    """
-
-    kind: str
-    level: int | None = None
-
-    def lower_bound(self):
-        if self.kind == "identity":
-            return None
-        return self.level
-
-    def __str__(self):
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "exact":
-            return f"exact({self.level})"
-        return f"at_least({self.level})"
-
-
-def lcs_depth(w, cap):
-    """Where w sits in the lower central series, certified up to cap."""
-    if w.is_identity():
-        return DepthResult("identity")
-    s = magnus_expand(w, cap)
-    d = s.lowest_nonzero_degree()
-    if d is None:
-        return DepthResult("at_least", cap + 1)
-    return DepthResult("exact", d)

@@ -105,9 +105,6 @@ class FreeAutomorphism:
                 )
         return Word(self.genus, tuple(out))
 
-    def _apply_inverse(self, w):
-        return self.inverse()(w)
-
     def inverse(self):
         return FreeAutomorphism(
             self.genus, self.inverse_images, self.images, _check=False
@@ -154,20 +151,6 @@ class FreeAutomorphism:
     def __repr__(self):
         imgs = ", ".join(f"x{i}->{w}" for i, w in enumerate(self.images, 1))
         return f"<auto g={self.genus}: {imgs}>"
-
-
-def apply_auto(f, w):
-    return f(w)
-
-
-def compose(f, g):
-    return f.compose(g)
-
-
-def auto_equal(f, g):
-    if f.genus != g.genus:
-        raise GenusMismatch("automorphisms of different genus")
-    return f == g
 
 
 def commutes(f, g):

@@ -177,34 +177,13 @@ class Word:
         return min(core, alt, key=key)
 
 
-# -- free-function forms used throughout the package -----------------
-
-
-def reduce_word(genus, letters):
-    """Freely reduce a raw signed-letter sequence."""
-    return Word(genus, tuple(letters))
-
-
-def multiply(u, v):
-    return u * v
-
-
-def invert(u):
-    return u.inverse()
-
-
-def conjugate(u, g):
-    return u.conjugate(g)
+# -- free functions ---------------------------------------------------
 
 
 def commutator(u, v):
     """[u, v] = u v u^-1 v^-1, freely reduced."""
     u._check_genus(v)
     return u * v * u.inverse() * v.inverse()
-
-
-def cyclically_reduce(u):
-    return u.cyclic_reduce()
 
 
 def boundary_word(genus):

@@ -1,8 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
 
-from twistlab import __version__
+from twistlab import __version__, mcg
 from twistlab.cli import main
 
 
@@ -123,13 +125,6 @@ def test_scan_summary_fields(capsys):
     assert [r["index"] for r in doc["results"]] == list(range(10))
 
 
-def test_scan_with_jobs_matches_sequential(capsys):
-    base = ["scan", "--genus", "2", "--cap", "2", "--samples", "10", "--seed", "3"]
-    _, seq = run(capsys, *base)
-    _, par = run(capsys, *base, "--jobs", "4")
-    assert seq == par
-
-
 def test_foxcheck(capsys):
     rc, doc = run_json(
         capsys, "foxcheck", "--genus", "2", "--samples", "25",
@@ -169,3 +164,75 @@ def test_json_output_to_file(capsys, tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["command"] == "validate"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--genus", "2", "--c1", "Foo", "--c2", "C1"],
+        ["pair", "--genus", "2", "--c1", "Delta", "--c2", "C1"],
+        ["pair", "--genus", "2", "--c1", "C1 @ [Foo]", "--c2", "C1"],
+        ["scan", "--genus", "2", "--samples", "2", "--seed", "1",
+         "--max-conjugator-len", "-1"],
+        ["scan", "--genus", "2", "--samples", "2", "--seed", "1",
+         "--jobs", "2"],
+        ["foxcheck", "--genus", "0", "--samples", "1"],
+    ],
+)
+def test_bad_input_exits_2_without_traceback(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # rejected by argparse
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert "error:" in err.splitlines()[-1]
+
+
+COROLLARY_ROW_KEYS = {
+    "m", "element", "expected_min_level", "tested_level", "in_tested_level",
+    "certified_level", "exact_depth", "is_identity",
+    "acts_trivially_up_to_cap",
+}
+
+
+# At cap 4, a 40-letter image cap stops row 1 inside the depth comparison;
+# a 400-letter cap certifies row 1 and stops while w_1 = [t_a, t_b] is
+# built for row 2.
+@pytest.mark.parametrize("limit, rows_out", [(40, 1), (400, 2)])
+def test_corollary_budget_stop_exits_2_with_full_rows(
+    capsys, monkeypatch, limit, rows_out
+):
+    monkeypatch.setattr(mcg, "MAX_IMAGE_LETTERS", limit)
+    rc = main(["corollary", "--genus", "2", "--cap", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    doc = json.loads(captured.out)
+    rows = doc["results"]
+    assert [r["m"] for r in rows] == list(range(1, rows_out + 1))
+    for row in rows[:-1]:
+        assert set(row) == COROLLARY_ROW_KEYS
+        assert row["in_tested_level"] is True
+    stopped = rows[-1]
+    assert set(stopped) == COROLLARY_ROW_KEYS | {"note"}
+    assert stopped["in_tested_level"] is False
+    assert stopped["certified_level"] is None
+    assert stopped["exact_depth"] is None
+    assert f"{limit} letters" in stopped["note"]
+    assert doc["summary"]["all_rows_certified"] is False
+    nd = doc["summary"]["finite_level_nondetection"]
+    assert nd["commutator_in_level_kernel"] is (rows_out > 1)
+
+
+def test_corollary_budget_stop_csv_keeps_every_column(capsys, monkeypatch):
+    monkeypatch.setattr(mcg, "MAX_IMAGE_LETTERS", 400)
+    rc = main(["corollary", "--genus", "2", "--cap", "4", "--format", "csv"])
+    assert rc == 2
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["m"] for r in rows] == ["1", "2"]
+    assert set(rows[0]) == COROLLARY_ROW_KEYS | {"note"}
+    assert rows[0]["note"] == ""
+    assert "not tested" in rows[1]["note"]

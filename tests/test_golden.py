@@ -1,0 +1,53 @@
+"""Byte-for-byte pins of the CLI's stdout for fixed flags.
+
+Each file under ``tests/golden/`` is the exact stdout of one command.
+A change that alters any of them changes a published report, so a
+mismatch here is a behaviour change, not a formatting detail.  When a
+change of output is intended, regenerate the file from the repository
+root with the command's argv, for example::
+
+    PYTHONPATH=src python -m twistlab.cli corollary --genus 2 --cap 4 \\
+        > tests/golden/corollary_g2_cap4.json
+
+and review the diff before committing it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from twistlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "scan_g2_cap3_s20_seed7.json": [
+        "scan", "--genus", "2", "--cap", "3", "--samples", "20", "--seed", "7",
+    ],
+    "scan_g2_cap3_s20_seed7.csv": [
+        "scan", "--genus", "2", "--cap", "3", "--samples", "20", "--seed", "7",
+        "--format", "csv",
+    ],
+    "scan_g3_cap3_s10_seed1.json": [
+        "scan", "--genus", "3", "--cap", "3", "--samples", "10", "--seed", "1",
+    ],
+    "corollary_g2_cap4.json": ["corollary", "--genus", "2", "--cap", "4"],
+    "corollary_g2_cap5.json": ["corollary", "--genus", "2", "--cap", "5"],
+    "foxcheck_g2_s25_t6_seed1_b3.json": [
+        "foxcheck", "--genus", "2", "--samples", "25", "--torelli-pairs", "6",
+        "--seed", "1", "--suzuki-budget", "3",
+    ],
+    "pair_g2_sep1_conj_cap5.json": [
+        "pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3]",
+        "--cap", "5",
+    ],
+    "validate_g3.json": ["validate", "--genus", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden_file(name, capsys):
+    rc = main(CASES[name])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -10,7 +10,6 @@ from twistlab.jfilt import (
     check_consistency,
     classify_pair,
     commutator_depth,
-    commutator_in_Mk,
     distinguishing_witness,
     enumerate_curve_specs,
     fact5_instance,

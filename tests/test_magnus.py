@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twistlab.magnus import TruncatedSeries, lcs_depth, magnus_expand, series_mul
+from twistlab.magnus import TruncatedSeries, magnus_expand
 from twistlab.word import Word, commutator
 
 
@@ -94,13 +94,13 @@ def test_inverse_pair_mul():
     one = TruncatedSeries.one(1, 2)
     x = magnus_expand(Word.generator(1, 1), 2)
     xinv = magnus_expand(Word.generator(1, 1, -1), 2)
-    assert series_mul(x, xinv) == one
-    assert series_mul(one, x) == x
+    assert x.mul(xinv) == one
+    assert one.mul(x) == x
 
 
 def test_mul_cap_mismatch():
     with pytest.raises(ValueError):
-        series_mul(TruncatedSeries.one(1, 2), TruncatedSeries.one(1, 3))
+        TruncatedSeries.one(1, 2).mul(TruncatedSeries.one(1, 3))
 
 
 def test_series_mul_against_dense_convolution():
@@ -108,7 +108,7 @@ def test_series_mul_against_dense_convolution():
     for _ in range(60):
         u = random_word(rng, 1, 8)
         v = random_word(rng, 1, 8)
-        left = series_mul(magnus_expand(u, 3), magnus_expand(v, 3))
+        left = magnus_expand(u, 3).mul(magnus_expand(v, 3))
         dense = dense_expand(u, 3).times(dense_expand(v, 3))
         assert as_dense_dict(left) == dense.coeffs
 
@@ -126,26 +126,28 @@ def test_multiplicativity(cap):
     for _ in range(40):
         u = random_word(rng, 2, 8)
         v = random_word(rng, 2, 8)
-        assert magnus_expand(u * v, cap) == series_mul(
-            magnus_expand(u, cap), magnus_expand(v, cap)
+        assert magnus_expand(u * v, cap) == magnus_expand(u, cap).mul(
+            magnus_expand(v, cap)
         )
 
 
 # -- lower central series depth ----------------------------------------
 
 
+def lowest(w, cap):
+    return magnus_expand(w, cap).lowest_nonzero_degree()
+
+
 def test_depth_examples():
     x1 = Word.generator(1, 1)
     x2 = Word.generator(1, 2)
-    assert lcs_depth(x1, 3).kind == "exact"
-    assert lcs_depth(x1, 3).level == 1
+    assert lowest(x1, 3) == 1
     c = commutator(x1, x2)
-    assert lcs_depth(c, 3) == lcs_depth(c, 2)
-    assert lcs_depth(c, 2).level == 2
+    assert lowest(c, 3) == lowest(c, 2)
+    assert lowest(c, 2) == 2
     cc = commutator(c, x1)
-    d = lcs_depth(cc, 3)
-    assert (d.kind, d.level) == ("exact", 3)
-    assert lcs_depth(Word.identity(1), 4).kind == "identity"
+    assert lowest(cc, 3) == 3
+    assert magnus_expand(Word.identity(1), 4).is_one()
 
 
 def test_depth_atleast_when_cap_exhausted():
@@ -153,12 +155,15 @@ def test_depth_atleast_when_cap_exhausted():
         commutator(Word.generator(1, 1), Word.generator(1, 2)),
         Word.generator(1, 1),
     )
-    d = lcs_depth(c, 2)
-    assert (d.kind, d.level) == ("at_least", 3)
+    assert not c.is_identity()
+    assert lowest(c, 2) is None  # in the 3rd lower central term, at least
 
 
-def depth_bound(result):
-    return result.lower_bound()
+def depth_bound(w, cap):
+    """Lower-central level of a nontrivial w certified at cap: the lowest
+    nonzero degree of its expansion, or cap + 1 when all vanish."""
+    d = lowest(w, cap)
+    return cap + 1 if d is None else d
 
 
 def test_filtration_property_of_commutators():
@@ -167,15 +172,13 @@ def test_filtration_property_of_commutators():
     for _ in range(120):
         u = random_word(rng, 2, 6)
         v = random_word(rng, 2, 6)
-        du = lcs_depth(u, cap)
-        dv = lcs_depth(v, cap)
-        if du.kind == "identity" or dv.kind == "identity":
+        if u.is_identity() or v.is_identity():
             continue
-        dc = lcs_depth(commutator(u, v), cap)
-        if dc.kind == "identity":
+        c = commutator(u, v)
+        if c.is_identity():
             continue
-        expected = min(du.lower_bound() + dv.lower_bound(), cap + 1)
-        assert dc.lower_bound() >= expected
+        expected = min(depth_bound(u, cap) + depth_bound(v, cap), cap + 1)
+        assert depth_bound(c, cap) >= expected
 
 
 def test_depth_invariant_under_conjugation():
@@ -183,9 +186,9 @@ def test_depth_invariant_under_conjugation():
     for _ in range(80):
         w = random_word(rng, 2, 8)
         g = random_word(rng, 2, 6)
-        a = lcs_depth(w, 3)
-        b = lcs_depth(w.conjugate(g), 3)
-        assert (a.kind, a.level) == (b.kind, b.level)
+        conj = w.conjugate(g)
+        assert w.is_identity() == conj.is_identity()
+        assert lowest(w, 3) == lowest(conj, 3)
 
 
 def test_coefficient_growth_bound():

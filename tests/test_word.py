@@ -3,13 +3,7 @@ import random
 import pytest
 
 from twistlab.errors import GenusMismatch, WordParseError
-from twistlab.word import (
-    Word,
-    boundary_word,
-    commutator,
-    cyclically_reduce,
-    reduce_word,
-)
+from twistlab.word import Word, boundary_word, commutator
 
 
 def naive_reduce(letters):
@@ -31,11 +25,11 @@ def random_letters(rng, genus, n):
 
 
 def test_cancellation_to_identity():
-    assert reduce_word(1, [1, -1]).is_identity()
+    assert Word(1, (1, -1)).is_identity()
 
 
 def test_inner_cancellation():
-    assert reduce_word(1, [1, 2, -2, 1]).letters == (1, 1)
+    assert Word(1, (1, 2, -2, 1)).letters == (1, 1)
 
 
 def test_word_times_formal_inverse_is_identity():
@@ -46,7 +40,7 @@ def test_word_times_formal_inverse_is_identity():
         assert (w * w.inverse()).is_identity()
         # raw concatenation with the formal inverse also reduces to nothing
         raw = letters + [-l for l in reversed(letters)]
-        assert reduce_word(2, raw).is_identity()
+        assert Word(2, tuple(raw)).is_identity()
 
 
 def test_reduce_matches_naive_oracle():
@@ -117,7 +111,7 @@ def test_inverse_antihomomorphism():
 
 def test_cyclic_reduce_simple():
     u = Word(1, (1, 2, -1))
-    core, conj = cyclically_reduce(u)
+    core, conj = u.cyclic_reduce()
     assert core.letters == (2,)
     assert conj.letters == (1,)
     assert conj * core * conj.inverse() == u
@@ -125,7 +119,7 @@ def test_cyclic_reduce_simple():
 
 def test_cyclic_reduce_already_reduced():
     u = Word(2, (1, 2))
-    core, conj = cyclically_reduce(u)
+    core, conj = u.cyclic_reduce()
     assert core == u
     assert conj.is_identity()
 
@@ -145,7 +139,7 @@ def test_cyclic_reduce_nested_conjugation():
         g = Word(2, tuple(random_letters(rng, 2, rng.randrange(0, 6))))
         h = Word(2, tuple(random_letters(rng, 2, rng.randrange(0, 6))))
         nested = g * (h * u * h.inverse()) * g.inverse()
-        core, conj = cyclically_reduce(nested)
+        core, conj = nested.cyclic_reduce()
         assert conj * core * conj.inverse() == nested
         assert len(core) <= len(nested)
         # the core is a rotation of the fully end-stripped word
