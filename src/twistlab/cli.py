@@ -456,6 +456,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConsistencyViolation as exc:
+        print(f"violation: {exc}", file=sys.stderr)
+        return 1
     except (SpecParseError, WordParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,11 @@ the two twists sinks into the filtration:
   * k+1 -- the commutator lies in M(k) but not M(k+1);
   * at-least values when the degree cap is exhausted.
 
-The braid-relation flag reported for pairs is the standard
-intersection-once criterion; it is used as a heuristic label only and
-never enters an exactness claim.
+The braid flag reported for pairs is exact: for twists along two
+curves, t1 t2 t1 = t2 t1 t2 holds iff the curves are equal or meet
+exactly once (Farb-Margalit, Primer, ch. 3).  Commuting twists satisfy
+it iff they are equal; crossing twists only if |algebraic| = 1, and
+only for those pairs are the products t1 t2 t1 and t2 t1 t2 compared.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 from .curve import (
     CurveSpec,
-    algebraic_intersection,
     curves_equal,
     resolve,
+    symplectic_pairing,
 )
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import magnus_expand
@@ -145,10 +147,13 @@ def commutator_depth(f, g, cap):
     keeps word lengths near the product of the input sizes, where the
     commutator itself would square them.
     """
+    return _products_depth(f.compose(g), g.compose(f), cap)
+
+
+def _products_depth(fg, gf, cap):
+    """Depth of [f, g] read from the two products fg and gf."""
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
-    fg = f.compose(g)
-    gf = g.compose(f)
     if fg == gf:
         return JFDepth("identity")
     lowest = None
@@ -171,7 +176,11 @@ def ijf(c1, c2, cap):
     """
     if c1.genus != c2.genus:
         raise GenusMismatch("curve specs of different genus")
-    depth = commutator_depth(resolve(c1).twist, resolve(c2).twist, cap)
+    return _pair_value(commutator_depth(resolve(c1).twist, resolve(c2).twist, cap))
+
+
+def _pair_value(depth):
+    """Pair depth of a curve pair from the depth of its twist commutator."""
     if depth.kind == "identity":
         return JFValue("zero")
     if depth.kind == "not_in_m1":
@@ -233,16 +242,29 @@ def classify_pair(c1, c2, cap, check=True):
     """Classify a pair; with check=True the consistency laws are enforced."""
     if c1.genus != c2.genus:
         raise GenusMismatch("curve specs of different genus")
-    t1 = resolve(c1).twist
-    t2 = resolve(c2).twist
+    d1, d2 = resolve(c1), resolve(c2)
+    t1, t2 = d1.twist, d2.twist
+    fg = t1.compose(t2)
+    gf = t2.compose(t1)
+    commuting = fg == gf
+    algebraic = symplectic_pairing(d1.homology, d2.homology)
+    # Commuting twists braid iff equal (t1^2 t2 = t2^2 t1 forces
+    # t1 = t2); crossing twists braid only along curves meeting once,
+    # which forces |algebraic| = 1.
+    if commuting:
+        braid = t1 == t2
+    elif abs(algebraic) != 1:
+        braid = False
+    else:
+        braid = fg.compose(t1) == gf.compose(t2)
     report = PairReport(
         genus=c1.genus,
         c1=c1.to_text(),
         c2=c2.to_text(),
-        commuting=commutes(t1, t2),
-        braid=t1.compose(t2).compose(t1) == t2.compose(t1).compose(t2),
-        algebraic=algebraic_intersection(c1, c2),
-        ijf=ijf(c1, c2, cap),
+        commuting=commuting,
+        braid=braid,
+        algebraic=algebraic,
+        ijf=_pair_value(_products_depth(fg, gf, cap)),
         depth_cap=cap,
     )
     if check:

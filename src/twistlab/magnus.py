@@ -158,35 +158,37 @@ def magnus_expand(w, cap):
     Multiplicative: magnus_expand(u*v) == magnus_expand(u).mul(...(v)).
     Runs of a single generator are folded into one sparse product with
     binomial coefficients, so cost scales with the run count.
+
+    Each run right-multiplies the series by (1 + X_i)^m in place, from
+    the top degree down: degree d gains terms from degrees below d only,
+    and those are still unchanged when d is updated.  The constant term
+    is never touched, and the top degree is only ever a target.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    genus = w.genus
-    base = 2 * genus
-    out = TruncatedSeries.one(genus, cap)
+    base = 2 * w.genus
+    out = TruncatedSeries.one(w.genus, cap)
+    degrees = out.degrees
+    shifts = [base**j for j in range(cap + 1)]
     for i, m in _runs(w.letters):
-        coeffs = [_gen_binom(m, j) for j in range(cap + 1)]
-        # packed digits of X_i^j appended on the right
-        reps = [0] * (cap + 1)
+        # C(m, j) X_i^j for j >= 1, with the packed digits of X_i^j
+        factors = []
+        rep = 0
         for j in range(1, cap + 1):
-            reps[j] = reps[j - 1] * base + (i - 1)
-        new = [dict() for _ in range(cap + 1)]
-        for d, terms in enumerate(out.degrees):
-            if not terms:
-                continue
-            for j in range(0, cap - d + 1):
-                cj = coeffs[j]
-                if cj == 0:
-                    continue
-                shift = base**j
-                rep = reps[j]
-                target = new[d + j]
-                for key, c in terms.items():
+            rep = rep * base + (i - 1)
+            cj = _gen_binom(m, j)
+            if cj:
+                factors.append((j, cj, shifts[j], rep))
+        for d in range(cap, 0, -1):
+            target = degrees[d]
+            for j, cj, shift, rep in factors:
+                if j > d:
+                    break
+                for key, c in degrees[d - j].items():
                     nk = key * shift + rep
                     nc = target.get(nk, 0) + c * cj
                     if nc:
                         target[nk] = nc
-                    elif nk in target:
+                    else:
                         del target[nk]
-        out = TruncatedSeries(genus, cap, new)
     return out

@@ -46,23 +46,35 @@ class FreeAutomorphism:
 
     Stored as the images of the generators under the map and under its
     inverse; construction verifies both round trips, which guarantees
-    the endomorphism is an automorphism.  Instances are immutable.
+    the endomorphism is an automorphism.  A product made by compose
+    keeps its two factors instead and builds its inverse images from
+    them on first access, so products that are only compared never pay
+    for their inverse.  Instances are immutable.
     """
 
-    __slots__ = ("genus", "images", "inverse_images", "_letter_images", "_hash")
+    __slots__ = (
+        "genus", "images", "_inverse_images", "_factors", "_letter_images",
+        "_hash",
+    )
 
-    def __init__(self, genus, images, inverse_images, _check=True):
+    def __init__(self, genus, images, inverse_images, _check=True, _factors=None):
+        # inverse_images is None exactly when _factors holds the pair
+        # (f, g) this automorphism is the product f.compose(g) of
         images = tuple(images)
-        inverse_images = tuple(inverse_images)
+        words = images
+        if _factors is None:
+            inverse_images = tuple(inverse_images)
+            words += inverse_images
         n = 2 * genus
-        if len(images) != n or len(inverse_images) != n:
+        if len(images) != n or len(words) != (n if _factors else 2 * n):
             raise ValueError(f"expected {n} generator images")
-        for w in images + inverse_images:
+        for w in words:
             if w.genus != genus:
                 raise GenusMismatch("image word of wrong genus")
         self.genus = genus
         self.images = images
-        self.inverse_images = inverse_images
+        self._inverse_images = inverse_images
+        self._factors = _factors
         # letter -> image letters, for +-1..+-2g
         table = {}
         for i, w in enumerate(images, start=1):
@@ -110,14 +122,43 @@ class FreeAutomorphism:
             self.genus, self.inverse_images, self.images, _check=False
         )
 
+    @property
+    def inverse_images(self):
+        if self._inverse_images is None:
+            self._build_inverse_images()
+        return self._inverse_images
+
+    def _build_inverse_images(self):
+        # (f g)^-1 = g^-1 f^-1, so the inverse images of a product are
+        # g^-1 applied to the inverse images of f.  Products nest as
+        # deep as a mapping class word is long, so the pending factors
+        # are ordered on an explicit stack (factors before products)
+        # instead of by recursion.
+        order, stack, done = [], [(self, False)], set()
+        while stack:
+            f, factors_queued = stack.pop()
+            if f._inverse_images is not None or id(f) in done:
+                continue
+            if factors_queued:
+                done.add(id(f))
+                order.append(f)
+            else:
+                stack.append((f, True))
+                stack.extend((g, False) for g in f._factors)
+        for f in order:
+            left, right = f._factors
+            right_inv = right.inverse()
+            f._inverse_images = tuple(right_inv(w) for w in left.inverse_images)
+            f._factors = None
+
     def compose(self, other):
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if other.genus != self.genus:
             raise GenusMismatch("automorphisms of different genus")
         images = tuple(self(w) for w in other.images)
-        other_inv = other.inverse()
-        inverse_images = tuple(other_inv(w) for w in self.inverse_images)
-        return FreeAutomorphism(self.genus, images, inverse_images, _check=False)
+        return FreeAutomorphism(
+            self.genus, images, None, _check=False, _factors=(self, other)
+        )
 
     def power(self, k):
         if k < 0:

@@ -35,6 +35,27 @@ def _letter_key(ell):
     return (abs(ell), ell < 0)
 
 
+def _least_rotation(keys):
+    """First start index of the least rotation of a sequence, in O(n).
+
+    Duval's Lyndon factorization run over the doubled sequence: the
+    least rotation starts at the last Lyndon factor that begins in the
+    first copy (Duval, J. Algorithms 4, 1983).
+    """
+    s = keys + keys
+    n = len(keys)
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
+
+
 @dataclass(frozen=True)
 class Word:
     """A freely reduced word; the empty word is the identity."""
@@ -144,23 +165,19 @@ class Word:
         """Split self = conjugator * core * conjugator^-1.
 
         The core is cyclically reduced and rotated to the
-        lexicographically least of its rotations, so the decomposition
-        is deterministic.
+        lexicographically least of its rotations (the first one, when
+        the core is periodic), so the decomposition is deterministic.
+        Linear in the length of the word.
         """
-        core = list(self.letters)
-        conj = []
-        while len(core) >= 2 and core[0] == -core[-1]:
-            conj.append(core.pop(0))
-            core.pop()
-        if core:
-            keyed = [
-                tuple(_letter_key(ell) for ell in core[r:] + core[:r])
-                for r in range(len(core))
-            ]
-            r = keyed.index(min(keyed))
-            conj.extend(core[:r])
-            core = core[r:] + core[:r]
-        return Word(self.genus, tuple(core)), Word(self.genus, tuple(conj))
+        letters = self.letters
+        lo, hi = 0, len(letters)
+        while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+            lo += 1
+            hi -= 1
+        core = letters[lo:hi]
+        r = _least_rotation([_letter_key(ell) for ell in core])
+        conj = letters[:lo] + core[:r]
+        return Word(self.genus, core[r:] + core[:r]), Word(self.genus, conj)
 
     def canonical_cyclic(self, up_to_inversion=True):
         """Canonical representative of the cyclic word (conjugacy class).

@@ -236,3 +236,22 @@ def test_corollary_budget_stop_csv_keeps_every_column(capsys, monkeypatch):
     assert set(rows[0]) == COROLLARY_ROW_KEYS | {"note"}
     assert rows[0]["note"] == ""
     assert "not tested" in rows[1]["note"]
+
+
+def test_pair_consistency_violation_exits_1_without_traceback(
+    capsys, monkeypatch
+):
+    from twistlab import jfilt
+    from twistlab.errors import ConsistencyViolation
+
+    def broken(report):
+        raise ConsistencyViolation(f"commuting <-> depth zero violated: {report}")
+
+    monkeypatch.setattr(jfilt, "check_consistency", broken)
+    rc = main(["pair", "--genus", "2", "--c1", "C1", "--c2", "C3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("violation: commuting <-> depth zero")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -186,6 +187,39 @@ def test_random_pair_reports_consistent():
                       tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
                             for _ in range(rng.randrange(4))))
         classify_pair(a, b, 3)  # raises on any law violation
+
+
+def test_braid_label_matches_full_braid_products():
+    # every genus-2 spec with at most one conjugating factor, so equal
+    # curves under different specs (C1 and C1 @ [C3]) are included
+    specs = list(itertools.takewhile(
+        lambda c: len(c.conjugator) <= 1, enumerate_curve_specs(2)
+    ))
+    equal = 0
+    for a, b in itertools.combinations_with_replacement(specs, 2):
+        t1, t2 = resolve(a).twist, resolve(b).twist
+        full = t1.compose(t2).compose(t1) == t2.compose(t1).compose(t2)
+        assert classify_pair(a, b, 1).braid == full, (a, b)
+        equal += t1 == t2
+    assert equal > len(specs)
+    r = classify_pair(spec(2, "C1"), spec(2, "C1 @ [C3]"), 3)
+    assert (r.commuting, r.braid, r.algebraic) == (True, True, 0)
+
+
+@pytest.mark.parametrize("genus, a, b, commuting, algebraic, label", [
+    # both once stopped by the image-length cap or a 5 s deadline while
+    # forming t1 t2 t1 and t2 t1 t2
+    (3, "C7 @ [C1^-2 C5^-1 C4 Sep2^-2]", "Sep2 @ [C5 C7^2 Sep2^2 C5^2]",
+     True, 0, "0"),
+    (2, "C1 @ [C5 C1^-2 C2^-2 Sep1^2]", "C3 @ [C3^-2 Sep1^-2]",
+     False, 2, "1"),
+])
+def test_formerly_failing_pairs_classify(genus, a, b, commuting, algebraic, label):
+    r = classify_pair(spec(genus, a), spec(genus, b), 3)  # checks the laws
+    assert r.commuting is commuting
+    assert r.braid is False
+    assert abs(r.algebraic) == algebraic
+    assert r.ijf.label() == label
 
 
 # -- leading terms -----------------------------------------------------------

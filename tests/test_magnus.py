@@ -131,6 +131,48 @@ def test_multiplicativity(cap):
         )
 
 
+def letter_series(genus, cap, ell):
+    """1 + X_i for x_i, and 1 - X_i + X_i^2 - ... for x_i^-1, built by hand."""
+    s = TruncatedSeries.one(genus, cap)
+    i = abs(ell)
+    key = 0
+    for d in range(1, cap + 1 if ell < 0 else 2):
+        key = key * 2 * genus + (i - 1)
+        s.degrees[d][key] = (-1) ** d if ell < 0 else 1
+    return s
+
+
+def letter_by_letter(w, cap):
+    acc = TruncatedSeries.one(w.genus, cap)
+    for ell in w.letters:
+        acc = acc.mul(letter_series(w.genus, cap, ell))
+    return acc
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_expand_matches_letter_by_letter_product(genus):
+    rng = random.Random(200 + genus)
+    n = 2 * genus
+    words = [
+        Word.identity(genus),
+        Word.generator(genus, n, 40),
+        Word.generator(genus, 1, -25),
+        # long runs of one generator, of both signs, side by side
+        Word(genus, (1,) * 9 + (-n,) * 11 + (1,) * 6 + (n,) * 3),
+        Word(genus, (-1,) * 8 + (n,) * 12 + (-1,) * 5),
+    ]
+    for _ in range(4):
+        letters = []
+        for _ in range(rng.randrange(1, 7)):
+            i = rng.randrange(1, n + 1) * rng.choice((1, -1))
+            letters.extend([i] * rng.randrange(1, 5))
+        words.append(Word(genus, tuple(letters)))
+        words.append(random_word(rng, genus, 12))
+    for cap in range(1, 6):
+        for w in words:
+            assert magnus_expand(w, cap) == letter_by_letter(w, cap), (w, cap)
+
+
 # -- lower central series depth ----------------------------------------
 
 

@@ -195,6 +195,31 @@ def test_compose_with_identity():
     assert FreeAutomorphism.identity(2).compose(f) == f
 
 
+def test_product_inverse_images_invert_the_product():
+    # products keep their factors and build inverse images on demand;
+    # constructing with _check verifies both round trips
+    rng = random.Random(43)
+    table = builtin_table(2)
+    names = table.names()
+    for _ in range(20):
+        f = FreeAutomorphism.identity(2)
+        for _ in range(rng.randrange(1, 5)):
+            f = f.compose(table.twist(rng.choice(names)).power(rng.choice((-3, 2))))
+        f = f.compose(f) if rng.random() < 0.5 else f  # a shared factor
+        FreeAutomorphism(2, f.images, f.inverse_images)
+        assert f.compose(f.inverse()).is_identity()
+
+
+def test_inverse_of_a_deep_product_chain():
+    # one product per factor, nested far deeper than the recursion limit
+    t = builtin_table(1).twist("C1")
+    t_inv = t.inverse()
+    f = FreeAutomorphism.identity(1)
+    for _ in range(3000):
+        f = f.compose(t).compose(t_inv)
+    assert f.inverse().is_identity()
+
+
 def test_apply_matches_letterwise_substitution():
     rng = random.Random(37)
     f = evaluate((("C2", 1), ("C3", 1)), 2)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twistlab.errors import GenusMismatch, WordParseError
-from twistlab.word import Word, boundary_word, commutator
+from twistlab.word import Word, _letter_key, boundary_word, commutator
 
 
 def naive_reduce(letters):
@@ -150,6 +150,51 @@ def test_cyclic_reduce_nested_conjugation():
             doubled[r : r + len(stripped)] == core.letters
             for r in range(len(stripped))
         )
+
+
+def rotation_search_cyclic_reduce(w):
+    """Reference: strip the ends, then compare every rotation's key tuple.
+
+    Quadratic; kept as the oracle for the linear Word.cyclic_reduce.
+    """
+    core = list(w.letters)
+    conj = []
+    while len(core) >= 2 and core[0] == -core[-1]:
+        conj.append(core.pop(0))
+        core.pop()
+    if core:
+        keyed = [
+            tuple(_letter_key(ell) for ell in core[r:] + core[:r])
+            for r in range(len(core))
+        ]
+        r = keyed.index(min(keyed))
+        conj.extend(core[:r])
+        core = core[r:] + core[:r]
+    return Word(w.genus, tuple(core)), Word(w.genus, tuple(conj))
+
+
+def test_cyclic_reduce_matches_rotation_search():
+    rng = random.Random(5)
+    words = [
+        Word(2, (1, 2) * 3),  # (x1 x2)^3: the first minimal rotation is 0
+        Word(2, (2, 1) * 3),  # ... and here it is 1
+        Word(2, (-1, 3, -1, 3)),
+        Word(1, (1,) * 7),
+        Word(3, (2, -5, 2, -5, 2)),
+    ]
+    for _ in range(400):
+        genus = rng.randrange(1, 4)
+        # small alphabets make ties between rotations common
+        size = rng.randrange(1, 2 * genus + 1)
+        u = Word(genus, tuple(
+            rng.choice((1, -1)) * rng.randrange(1, size + 1)
+            for _ in range(rng.randrange(0, 9))
+        ))
+        g = Word(genus, tuple(random_letters(rng, genus, rng.randrange(0, 4))))
+        words.append(u.conjugate(g))
+        words.append((u ** rng.randrange(2, 5)).conjugate(g))
+    for w in words:
+        assert w.cyclic_reduce() == rotation_search_cyclic_reduce(w), w
 
 
 def test_canonical_cyclic_rotation_deterministic():
