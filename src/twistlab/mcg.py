@@ -124,7 +124,7 @@ class FreeAutomorphism:
 
     @property
     def inverse_images(self):
-        if self._inverse_images is None:
+        if self._factors is not None:
             self._build_inverse_images()
         return self._inverse_images
 
@@ -134,19 +134,21 @@ class FreeAutomorphism:
         # deep as a mapping class word is long, so the pending factors
         # are ordered on an explicit stack (factors before products)
         # instead of by recursion.
+        # Each step reads _factors once and sets _inverse_images before
+        # clearing it, so a concurrent first access only repeats work.
         order, stack, done = [], [(self, False)], set()
         while stack:
             f, factors_queued = stack.pop()
-            if f._inverse_images is not None or id(f) in done:
+            factors = f._factors
+            if factors is None or id(f) in done:
                 continue
             if factors_queued:
                 done.add(id(f))
-                order.append(f)
+                order.append((f, factors))
             else:
                 stack.append((f, True))
-                stack.extend((g, False) for g in f._factors)
-        for f in order:
-            left, right = f._factors
+                stack.extend((g, False) for g in factors)
+        for f, (left, right) in order:
             right_inv = right.inverse()
             f._inverse_images = tuple(right_inv(w) for w in left.inverse_images)
             f._factors = None
