@@ -467,6 +467,7 @@ def main(argv=None):
         UnknownTwistName,
         PreconditionError,
         WordLengthLimit,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

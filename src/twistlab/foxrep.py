@@ -240,8 +240,6 @@ def suzuki_scan(genus, budget):
             comm = commutator_auto(ta, tb)
             if comm.is_identity():
                 continue
-            if not in_Mk(comm, 1):
-                continue  # cannot happen for separating pairs; safety net
             if rep_equal(magnus_rep(comm), identity):
                 hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
     return hits

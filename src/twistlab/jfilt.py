@@ -1,8 +1,18 @@
 """Johnson filtration membership and the intersection depth of curve pairs.
 
 M(k) is the kernel of the mapping class action on the free group modulo
-the (k+1)-st lower central term; membership is decided exactly through
-the Magnus expansion of the generator displacements f(x_i) x_i^{-1}.
+the (k+1)-st lower central term.  Every depth here, of one class or of
+a twist commutator, is the lowest degree at which two automorphisms (f
+and the identity, or fg and gf) act differently, and one routine reads
+it.  Degree 1 of the Magnus expansion of a word is its exponent-sum
+vector (Magnus-Karrass-Solitar, Combinatorial Group Theory, ch. 5), so
+for one class, and for a commutator at cap 1, degree 1 is decided by
+comparing the homology actions.  The higher degrees come from the
+expansions of the differing generator images only, and once a
+difference in degree d is found the remaining images are expanded
+through degree d-1 only.  A commutator at a cap of 2 or more reads
+degree 1 from those expansions too.
+
 The depth function on a curve pair measures how far the commutator of
 the two twists sinks into the filtration:
 
@@ -28,16 +38,17 @@ from dataclasses import dataclass
 from .curve import (
     CurveSpec,
     curves_equal,
+    homology_action,
     resolve,
     symplectic_pairing,
 )
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import magnus_expand
 from .mcg import (
+    FreeAutomorphism,
     builtin_table,
     commutes,
 )
-from .word import Word
 
 
 @dataclass(frozen=True)
@@ -80,62 +91,56 @@ class JFValue:
         return self.label()
 
 
-def _displacements(f):
-    for i, img in enumerate(f.images, start=1):
-        yield img * Word.generator(f.genus, i, -1)
+def _depth(f, g, cap, first=2):
+    """Filtration depth of g^-1 f, read from the actions of f and g.
+
+    g^-1 f lies in M(k) iff f and g agree on the free group mod its
+    (k+1)-st term, i.e. iff the expansions of f(x_i) and g(x_i) agree
+    through degree k.  Degrees from `first` (1 or 2) up are compared on
+    the expansions of the images that differ; once a difference in
+    degree d is found, the remaining images are expanded through degree
+    d-1 only.  Degree 1 of an expansion is the word's exponent sum: with
+    first=2, and always at cap 1, it is read from the homology actions
+    instead, so at cap 1 nothing is expanded.
+    """
+    if cap < 1:
+        raise PreconditionError("cap must be >= 1")
+    if f == g:
+        return JFDepth("identity")
+    if cap == 1:
+        first = 2
+    if first == 2 and homology_action(f) != homology_action(g):
+        return JFDepth("not_in_m1")
+    lowest = cap + 1
+    for p, q in zip(f.images, g.images):
+        if lowest <= first:
+            break
+        if p == q:
+            continue
+        sp, sq = magnus_expand(p, lowest - 1), magnus_expand(q, lowest - 1)
+        for d in range(first, lowest):
+            if sp.degrees[d] != sq.degrees[d]:
+                lowest = d
+                break
+    if lowest == 1:
+        return JFDepth("not_in_m1")
+    if lowest > cap:
+        return JFDepth("at_least", cap)
+    # the actions first differ in degree `lowest`:
+    # the class is in M(lowest - 1) and not in M(lowest)
+    return JFDepth("exact", lowest - 1)
 
 
 def in_Mk(f, k):
     """Does f act trivially on the free group mod its (k+1)-st term?"""
     if k < 1:
         raise PreconditionError("filtration level must be >= 1")
-    for w in _displacements(f):
-        if w.is_identity():
-            continue
-        s = magnus_expand(w, k)
-        if s.lowest_nonzero_degree() is not None:
-            return False
-    return True
-
-
-def _depth_from_lowest(lowest, cap):
-    if lowest == 1:
-        return JFDepth("not_in_m1")
-    if lowest is None:
-        return JFDepth("at_least", cap)
-    # the action first deviates in degree `lowest`:
-    # the class is in M(lowest - 1) and not in M(lowest)
-    return JFDepth("exact", lowest - 1)
+    return johnson_depth(f, k).kind in ("identity", "at_least")
 
 
 def johnson_depth(f, cap):
     """Certified filtration depth of f using degree-cap expansions."""
-    if cap < 1:
-        raise PreconditionError("cap must be >= 1")
-    if f.is_identity():
-        return JFDepth("identity")
-    lowest = None
-    for w in _displacements(f):
-        if w.is_identity():
-            continue
-        d = magnus_expand(w, cap).lowest_nonzero_degree()
-        if d is not None and (lowest is None or d < lowest):
-            lowest = d
-            if lowest == 1:
-                break
-    return _depth_from_lowest(lowest, cap)
-
-
-def _series_difference_degree(p, q, cap):
-    """Lowest degree where the expansions of two words disagree."""
-    sp = magnus_expand(p, cap) if not p.is_identity() else None
-    sq = magnus_expand(q, cap) if not q.is_identity() else None
-    for d in range(1, cap + 1):
-        tp = sp.degrees[d] if sp is not None else {}
-        tq = sq.degrees[d] if sq is not None else {}
-        if tp != tq:
-            return d
-    return None
+    return _depth(f, FreeAutomorphism.identity(f.genus), cap)
 
 
 def commutator_depth(f, g, cap):
@@ -145,27 +150,10 @@ def commutator_depth(f, g, cap):
     class-(k) nilpotent quotient, i.e. iff the expansions of their
     generator images agree up to degree k.  Working with fg and gf
     keeps word lengths near the product of the input sizes, where the
-    commutator itself would square them.
+    commutator itself would square them.  Degree 1 is read from the
+    expansions of fg and gf together with the higher degrees.
     """
-    return _products_depth(f.compose(g), g.compose(f), cap)
-
-
-def _products_depth(fg, gf, cap):
-    """Depth of [f, g] read from the two products fg and gf."""
-    if cap < 1:
-        raise PreconditionError("cap must be >= 1")
-    if fg == gf:
-        return JFDepth("identity")
-    lowest = None
-    for p, q in zip(fg.images, gf.images):
-        if p == q:
-            continue
-        d = _series_difference_degree(p, q, cap)
-        if d is not None and (lowest is None or d < lowest):
-            lowest = d
-            if lowest == 1:
-                break
-    return _depth_from_lowest(lowest, cap)
+    return _depth(f.compose(g), g.compose(f), cap, first=1)
 
 
 def ijf(c1, c2, cap):
@@ -264,7 +252,7 @@ def classify_pair(c1, c2, cap, check=True):
         commuting=commuting,
         braid=braid,
         algebraic=algebraic,
-        ijf=_pair_value(_products_depth(fg, gf, cap)),
+        ijf=_pair_value(_depth(fg, gf, cap, first=1)),
         depth_cap=cap,
     )
     if check:
@@ -276,18 +264,13 @@ def johnson_leading_term(f, k):
     """Degree-(k+1) parts of the generator displacements of f in M(k).
 
     Returns one {monomial tuple: coefficient} table per generator; all
-    tables are zero iff f also lies in M(k+1).
+    tables are zero iff f also lies in M(k+1).  With d_i = f(x_i) x_i^-1,
+    M(f(x_i)) = M(d_i)(1 + X_i) and M(d_i) - 1 starts in degree k+1 >= 2,
+    so the degree-(k+1) part of M(f(x_i)) is that of M(d_i).
     """
     if not in_Mk(f, k):
         raise PreconditionError(f"automorphism is not in M({k})")
-    tables = []
-    for w in _displacements(f):
-        if w.is_identity():
-            tables.append({})
-            continue
-        s = magnus_expand(w, k + 1)
-        tables.append(s.homogeneous_part(k + 1))
-    return tables
+    return [magnus_expand(w, k + 1).homogeneous_part(k + 1) for w in f.images]
 
 
 def morita_check(f, g, kf, kg, cap):

@@ -149,10 +149,7 @@ class Word:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = Word.identity(self.genus)
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.genus, self.letters * k)
 
     def conjugate(self, g):
         """g * self * g^-1."""

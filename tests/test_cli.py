@@ -177,6 +177,7 @@ def test_json_output_to_file(capsys, tmp_path):
         ["scan", "--genus", "2", "--samples", "2", "--seed", "1",
          "--jobs", "2"],
         ["foxcheck", "--genus", "0", "--samples", "1"],
+        ["validate", "--genus", "1", "--output", "/nonexistent/x.json"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):

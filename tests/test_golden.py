@@ -28,6 +28,12 @@ CASES = {
         "scan", "--genus", "2", "--cap", "3", "--samples", "20", "--seed", "7",
         "--format", "csv",
     ],
+    "scan_g2_cap1_s25_seed3.json": [
+        "scan", "--genus", "2", "--cap", "1", "--samples", "25", "--seed", "3",
+    ],
+    "scan_g3_cap2_s25_seed3.json": [
+        "scan", "--genus", "3", "--cap", "2", "--samples", "25", "--seed", "3",
+    ],
     "scan_g3_cap3_s10_seed1.json": [
         "scan", "--genus", "3", "--cap", "3", "--samples", "10", "--seed", "1",
     ],

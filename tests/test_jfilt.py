@@ -7,6 +7,7 @@ from twistlab.curve import CurveSpec, parse_curve_spec, resolve
 from twistlab.errors import ConsistencyViolation, PreconditionError
 from twistlab.jfilt import (
     Fact5Verdict,
+    JFDepth,
     JFValue,
     check_consistency,
     classify_pair,
@@ -20,12 +21,14 @@ from twistlab.jfilt import (
     johnson_leading_term,
     morita_check,
 )
+from twistlab.magnus import magnus_expand
 from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
     commutator_auto,
     evaluate,
 )
+from twistlab.word import Word
 
 
 def spec(genus, text):
@@ -348,3 +351,184 @@ def test_enumeration_is_deterministic_and_separating_only_filter():
     assert first == second
     for _, s in zip(range(12), enumerate_curve_specs(2, separating_only=True)):
         assert s.base == "Sep1"
+
+
+# -- differential test: the depth routine against full expansions ------------
+#
+# The reference reads the definitions directly: expand every displacement
+# f(x_i) x_i^-1, or both images fg(x_i) and gf(x_i), in full at the top cap
+# and compare degree by degree from 1, with no homology step and no
+# shrinking degree bound.  Truncation commutes with expansion, so the
+# answers at lower caps are read from the same top-cap expansions.
+
+TOP_CAP = 5
+
+
+def _displacements(f):
+    return [
+        img * Word.generator(f.genus, i, -1)
+        for i, img in enumerate(f.images, start=1)
+    ]
+
+
+def _first_difference(p, q):
+    """Lowest degree >= 1 where the top-cap expansions of p and q differ."""
+    sp, sq = magnus_expand(p, TOP_CAP), magnus_expand(q, TOP_CAP)
+    for d in range(1, TOP_CAP + 1):
+        if sp.degrees[d] != sq.degrees[d]:
+            return d
+    return None
+
+
+def _reference_depths(pairs, identical):
+    """JFDepth at every cap 1..TOP_CAP from full expansions of word pairs."""
+    found = [d for d in (_first_difference(p, q) for p, q in pairs) if d]
+    lowest = min(found, default=None)
+    out = {}
+    for cap in range(1, TOP_CAP + 1):
+        if identical:
+            out[cap] = JFDepth("identity")
+        elif lowest == 1:
+            out[cap] = JFDepth("not_in_m1")
+        elif lowest is None or lowest > cap:
+            out[cap] = JFDepth("at_least", cap)
+        else:
+            out[cap] = JFDepth("exact", lowest - 1)
+    return out
+
+
+def _random_class(rng, genus, length):
+    table = builtin_table(genus)
+    names = table.chain_names + table.sep_names
+    return evaluate(
+        tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(length)),
+        genus,
+    )
+
+
+def _corollary_twists(genus):
+    """t_a and t_b of the corollary, whose commutator is its w_1."""
+    return (
+        evaluate((("Sep1", 1),), genus),
+        evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus),
+    )
+
+
+def _shear(genus, moves):
+    """The automorphism x_i -> x_i w_i for i in moves, fixing the rest.
+
+    Each w_i is a word in the generators that are not moved, so
+    x_i -> x_i w_i^-1 is the inverse.
+    """
+    images, inverse = [], []
+    for i in range(1, 2 * genus + 1):
+        x = Word.generator(genus, i)
+        w = Word.from_text(genus, moves.get(i, ""))
+        images.append(x * w)
+        inverse.append(x * w.inverse())
+    return FreeAutomorphism(genus, images, inverse)
+
+
+# Images that differ in a lower degree after one that differs one degree
+# higher: x1 is displaced in degree 3 and x2 in degree 2; for the pair,
+# the images of x1 differ in degree 2 and those of x2 in degree 1.
+SHEAR_CLASS = {1: "x3 x4 x3^-1 x4^-1 x3 x4 x3 x4^-1 x3^-1 x3^-1", 2: "x3 x4 x3^-1 x4^-1"}
+SHEAR_PAIR = ({1: "x3 x4 x3^-1 x4^-1", 2: "x4"}, {4: "x2"})
+
+
+def _single_classes(genus, rng):
+    """Random classes, conjugated separating twists and their products,
+    the corollary's w_1, and a shear (see above)."""
+    out = [FreeAutomorphism.identity(genus)]
+    out += [_random_class(rng, genus, rng.randrange(1, 4)) for _ in range(6)]
+    if genus == 1:
+        # no separating curves: the boundary twist is the Torelli sample
+        delta = evaluate((("Delta", 1),), 1)
+        out += [delta, delta.inverse(), delta.compose(out[1])]
+        return out
+    out += sample_torelli_words(rng, genus, 6)
+    out.append(commutator_auto(*_corollary_twists(genus)))
+    out.append(_shear(genus, SHEAR_CLASS))
+    return out
+
+
+def _random_curve_twist(rng, genus):
+    table = builtin_table(genus)
+    names = table.chain_names + table.sep_names
+    conj = tuple((rng.choice(names), rng.choice((-1, 1)))
+                 for _ in range(rng.randrange(3)))
+    return resolve(CurveSpec(genus, rng.choice(table.essential_base_names()), conj)).twist
+
+
+def _class_pairs(genus, rng):
+    out = [(_random_class(rng, genus, rng.randrange(1, 3)),
+            _random_class(rng, genus, rng.randrange(1, 3))) for _ in range(5)]
+    out += [(_random_curve_twist(rng, genus), _random_curve_twist(rng, genus))
+            for _ in range(12)]
+    if genus > 1:
+        s, t, u, v = sample_torelli_words(rng, genus, 4)
+        out += [(sep_twist(genus), s), (sep_twist(genus), t), (u, v)]
+        out.append((u, _random_class(rng, genus, 1)))
+        out.append(_corollary_twists(genus))
+        out.append(tuple(_shear(genus, m) for m in SHEAR_PAIR))
+    return out
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_single_class_depths_match_full_expansions(genus):
+    rng = random.Random(97 + genus)
+    ident = Word.identity(genus)
+    for f in _single_classes(genus, rng):
+        disp = _displacements(f)
+        ref = _reference_depths([(w, ident) for w in disp], f.is_identity())
+        for cap in range(1, TOP_CAP + 1):
+            assert johnson_depth(f, cap) == ref[cap], (f, cap)
+        for k in range(1, 5):
+            assert in_Mk(f, k) == (ref[k].kind in ("identity", "at_least")), (f, k)
+        for k in range(1, 4):
+            if ref[k].kind not in ("identity", "at_least"):
+                with pytest.raises(PreconditionError):
+                    johnson_leading_term(f, k)
+                continue
+            full = [magnus_expand(w, TOP_CAP).homogeneous_part(k + 1) for w in disp]
+            assert johnson_leading_term(f, k) == full, (f, k)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_commutator_depths_match_full_expansions(genus):
+    rng = random.Random(101 + genus)
+    kinds = set()
+    for f, g in _class_pairs(genus, rng):
+        fg, gf = f.compose(g), g.compose(f)
+        ref = _reference_depths(zip(fg.images, gf.images), fg == gf)
+        for cap in range(1, TOP_CAP + 1):
+            assert commutator_depth(f, g, cap) == ref[cap], (f, g, cap)
+            kinds.add(ref[cap].kind)
+    assert "not_in_m1" in kinds
+    if genus > 1:
+        assert {"exact", "at_least"} <= kinds
+
+
+def test_degree_one_is_read_without_expanding(monkeypatch):
+    # at cap 1, and for the Torelli test in_Mk(f, 1), the homology
+    # actions decide everything
+    from twistlab import jfilt
+
+    caps = []
+
+    def recording_expand(w, cap):
+        caps.append(cap)
+        return magnus_expand(w, cap)
+
+    monkeypatch.setattr(jfilt, "magnus_expand", recording_expand)
+    rng = random.Random(103)
+    for f in _single_classes(2, rng):
+        in_Mk(f, 1)
+        johnson_depth(f, 1)
+    for f, g in _class_pairs(2, rng):
+        commutator_depth(f, g, 1)
+    classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 1)
+    assert caps == []
+    # the degrees that are left are still expanded
+    assert johnson_depth(sep_twist(), 3) == JFDepth("exact", 2)
+    assert caps and min(caps) >= 2
