@@ -78,8 +78,11 @@ def _emit(doc, fmt, path, csv_rows=None):
                 writer.writerow(row)
         text = buf.getvalue()
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -467,7 +470,6 @@ def main(argv=None):
         UnknownTwistName,
         PreconditionError,
         WordLengthLimit,
-        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

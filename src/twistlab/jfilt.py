@@ -6,12 +6,10 @@ a twist commutator, is the lowest degree at which two automorphisms (f
 and the identity, or fg and gf) act differently, and one routine reads
 it.  Degree 1 of the Magnus expansion of a word is its exponent-sum
 vector (Magnus-Karrass-Solitar, Combinatorial Group Theory, ch. 5), so
-for one class, and for a commutator at cap 1, degree 1 is decided by
-comparing the homology actions.  The higher degrees come from the
-expansions of the differing generator images only, and once a
-difference in degree d is found the remaining images are expanded
-through degree d-1 only.  A commutator at a cap of 2 or more reads
-degree 1 from those expansions too.
+at cap 1 a depth is decided by comparing the homology actions, with no
+expansion.  At higher caps the degrees come from the expansions of the
+differing generator images only, and once a difference in degree d is
+found the remaining images are expanded through degree d-1 only.
 
 The depth function on a curve pair measures how far the commutator of
 the two twists sinks into the filtration:
@@ -91,37 +89,35 @@ class JFValue:
         return self.label()
 
 
-def _depth(f, g, cap, first=2):
+def _depth(f, g, cap):
     """Filtration depth of g^-1 f, read from the actions of f and g.
 
     g^-1 f lies in M(k) iff f and g agree on the free group mod its
     (k+1)-st term, i.e. iff the expansions of f(x_i) and g(x_i) agree
-    through degree k.  Degrees from `first` (1 or 2) up are compared on
-    the expansions of the images that differ; once a difference in
-    degree d is found, the remaining images are expanded through degree
-    d-1 only.  Degree 1 of an expansion is the word's exponent sum: with
-    first=2, and always at cap 1, it is read from the homology actions
-    instead, so at cap 1 nothing is expanded.
+    through degree k.  Degree 1 of an expansion is the word's exponent
+    sum, so at cap 1 the homology actions decide and nothing is
+    expanded.  At higher caps the expansions of the images that differ
+    are compared from degree 1; once a difference in degree d is found,
+    the remaining images are expanded through degree d-1 only.
     """
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
     if f == g:
         return JFDepth("identity")
     if cap == 1:
-        first = 2
-    if first == 2 and homology_action(f) != homology_action(g):
-        return JFDepth("not_in_m1")
-    lowest = cap + 1
-    for p, q in zip(f.images, g.images):
-        if lowest <= first:
-            break
-        if p == q:
-            continue
-        sp, sq = magnus_expand(p, lowest - 1), magnus_expand(q, lowest - 1)
-        for d in range(first, lowest):
-            if sp.degrees[d] != sq.degrees[d]:
-                lowest = d
+        lowest = 1 if homology_action(f) != homology_action(g) else 2
+    else:
+        lowest = cap + 1
+        for p, q in zip(f.images, g.images):
+            if lowest == 1:
                 break
+            if p == q:
+                continue
+            sp, sq = magnus_expand(p, lowest - 1), magnus_expand(q, lowest - 1)
+            for d in range(1, lowest):
+                if sp.degrees[d] != sq.degrees[d]:
+                    lowest = d
+                    break
     if lowest == 1:
         return JFDepth("not_in_m1")
     if lowest > cap:
@@ -135,7 +131,8 @@ def in_Mk(f, k):
     """Does f act trivially on the free group mod its (k+1)-st term?"""
     if k < 1:
         raise PreconditionError("filtration level must be >= 1")
-    return johnson_depth(f, k).kind in ("identity", "at_least")
+    depth = _depth(f, FreeAutomorphism.identity(f.genus), k)
+    return depth.kind in ("identity", "at_least")
 
 
 def johnson_depth(f, cap):
@@ -150,10 +147,9 @@ def commutator_depth(f, g, cap):
     class-(k) nilpotent quotient, i.e. iff the expansions of their
     generator images agree up to degree k.  Working with fg and gf
     keeps word lengths near the product of the input sizes, where the
-    commutator itself would square them.  Degree 1 is read from the
-    expansions of fg and gf together with the higher degrees.
+    commutator itself would square them.
     """
-    return _depth(f.compose(g), g.compose(f), cap, first=1)
+    return _depth(f.compose(g), g.compose(f), cap)
 
 
 def ijf(c1, c2, cap):
@@ -252,7 +248,7 @@ def classify_pair(c1, c2, cap, check=True):
         commuting=commuting,
         braid=braid,
         algebraic=algebraic,
-        ijf=_pair_value(_depth(fg, gf, cap, first=1)),
+        ijf=_pair_value(_depth(fg, gf, cap)),
         depth_cap=cap,
     )
     if check:
