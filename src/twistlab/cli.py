@@ -30,7 +30,6 @@ from .errors import (
 )
 from .foxrep import (
     LaurentPoly,
-    abelianized,
     fox_derivative,
     magnus_rep,
     rep_equal,
@@ -46,7 +45,7 @@ from .jfilt import (
     in_Mk,
 )
 from .mcg import builtin_table, commutator_auto, evaluate, validate_relations
-from .word import Word
+from .word import Word, abelianized
 
 SCHEMA = 1
 

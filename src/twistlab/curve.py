@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .errors import GenusMismatch, SpecParseError, UnknownTwistName
 from .mcg import FreeAutomorphism, builtin_table, evaluate, format_mcw
-from .word import Word
+from .word import Word, abelianized
 
 
 @dataclass(frozen=True)
@@ -139,14 +139,7 @@ def resolve(spec):
 
 def homology_action(f):
     """Matrix of f on first homology; column j is the image of e_j."""
-    n = 2 * f.genus
-    cols = []
-    for w in f.images:
-        v = [0] * n
-        for ell in w.letters:
-            v[abs(ell) - 1] += 1 if ell > 0 else -1
-        cols.append(v)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*(abelianized(w) for w in f.images)))
 
 
 def identity_matrix(genus):

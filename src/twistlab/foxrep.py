@@ -7,15 +7,23 @@ mapping class acting trivially on homology the matrix of derivatives
 of generator images is multiplicative, which is the representation
 exercised here.  Only this abelianized version is implemented; full
 group-ring coefficients are never needed.
+
+Multiplicativity is what the kernel-element scan rests on: for Torelli
+classes f and g, r([f, g]) = r(fg) r(gf)^-1, so the commutator has
+identity matrix iff r(fg) == r(gf).  A hit of suzuki_scan is a pair of
+separating twists with fg != gf (the twists do not commute, so the
+curves cross) and r(fg) == r(gf) (the representation does not see it),
+the phenomenon Suzuki exhibited for the Magnus representation of the
+Torelli group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .curve import resolve
 from .errors import GenusMismatch, PreconditionError
 from .jfilt import enumerate_curve_specs, in_Mk
-from .mcg import commutator_auto
 
 
 class LaurentPoly:
@@ -110,14 +118,6 @@ class LaurentPoly:
         ]
 
 
-def abelianized(w):
-    """Exponent vector of a word in the abelianization."""
-    v = [0] * (2 * w.genus)
-    for ell in w.letters:
-        v[abs(ell) - 1] += 1 if ell > 0 else -1
-    return tuple(v)
-
-
 def fox_derivative(w, i):
     """Abelianized free derivative of w with respect to x_i."""
     genus = w.genus
@@ -204,18 +204,26 @@ class SuzukiHit:
 
 
 def suzuki_scan(genus, budget):
-    """Enumerate separating curve pairs hunting for nontrivial classes
-    with identity Magnus matrix.
+    """Enumerate separating curve pairs hunting for twists that cross
+    while their Magnus matrices commute.
 
-    Best effort within the pair budget; every hit is re-verified
-    (commutator nontrivial as an automorphism, Torelli, identity
-    matrix).  An empty result is not a disproof.
+    For each pair of distinct separating twists f, g the products fg and
+    gf are built once.  The pair is skipped when fg == gf: the twists
+    commute exactly when their commutator is the identity.  It is a hit
+    when magnus_rep(fg) == magnus_rep(gf).  Both products lie in the
+    Torelli group, where magnus_rep is multiplicative, so
+    r([f, g]) = r(fg) r(gf)^-1, and a hit certifies a nontrivial
+    commutator [f, g] with identity Magnus matrix.  The commutator
+    itself, a product of four twists, is never formed: its images can
+    pass the letter cap while those of fg and gf stay short.
+
+    Best effort within the pair budget; an empty result is not a
+    disproof.
     """
     if genus < 2:
         raise PreconditionError("separating curves require genus >= 2")
     if budget <= 0:
         return []
-    from .curve import resolve  # local import to keep module load light
 
     specs = []
     gen = enumerate_curve_specs(genus, separating_only=True)
@@ -230,16 +238,15 @@ def suzuki_scan(genus, budget):
 
     hits = []
     tested = 0
-    identity = rep_identity(genus)
     for a in range(len(specs)):
         for b in range(a + 1, len(specs)):
             if tested >= budget:
                 return hits
             tested += 1
             (da, ta), (db, tb) = specs[a], specs[b]
-            comm = commutator_auto(ta, tb)
-            if comm.is_identity():
+            fg, gf = ta.compose(tb), tb.compose(ta)
+            if fg == gf:
                 continue
-            if rep_equal(magnus_rep(comm), identity):
+            if rep_equal(magnus_rep(fg), magnus_rep(gf)):
                 hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
     return hits

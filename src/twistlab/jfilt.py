@@ -345,21 +345,20 @@ class Fact5Verdict:
         return self.moved is None
 
 
-def fact5_instance(f, budget, genus=None):
+def fact5_instance(f, budget):
     """Look for a separating curve moved by f.
 
     Central classes fix every curve, so the verdict for them is always
     FixesAllSampled; for non-central classes a moved separating curve
     exists and the sampler reports the first one found within budget.
     """
-    genus = genus if genus is not None else f.genus
-    if genus < 2:
+    if f.genus < 2:
         raise PreconditionError(
             "no essential separating curves exist at genus 1"
         )
     seen = set()
     tested = 0
-    for d in enumerate_curve_specs(genus, separating_only=True):
+    for d in enumerate_curve_specs(f.genus, separating_only=True):
         if tested >= budget:
             break
         td = resolve(d).twist

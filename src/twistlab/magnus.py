@@ -15,30 +15,9 @@ like (2g)^D, which callers must be able to see.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import GenusMismatch
-
-
-def _gen_binom(m, j):
-    """Generalized binomial C(m, j) for integer m (negative allowed)."""
-    num = 1
-    for t in range(j):
-        num *= m - t
-    for t in range(2, j + 1):
-        num //= t
-    return num
-
-
-def _runs(letters):
-    out = []
-    for ell in letters:
-        i, s = abs(ell), (1 if ell > 0 else -1)
-        if out and out[-1][0] == i:
-            out[-1][1] += s
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([i, s])
-    return out
 
 
 class TruncatedSeries:
@@ -170,15 +149,22 @@ def magnus_expand(w, cap):
     out = TruncatedSeries.one(w.genus, cap)
     degrees = out.degrees
     shifts = [base**j for j in range(cap + 1)]
-    for i, m in _runs(w.letters):
-        # C(m, j) X_i^j for j >= 1, with the packed digits of X_i^j
+    # a Word is freely reduced, so a run repeats one signed letter
+    for ell, run in groupby(w.letters):
+        i, m = abs(ell), len(list(run))
+        if ell < 0:
+            m = -m
+        # C(m, j) X_i^j for j >= 1, with the packed digits of X_i^j;
+        # C(m, j) is stepped from C(m, j - 1) and, for m > 0, is zero
+        # from j = m + 1 on
         factors = []
-        rep = 0
+        rep, cj = 0, 1
         for j in range(1, cap + 1):
+            cj = cj * (m - j + 1) // j
+            if not cj:
+                break
             rep = rep * base + (i - 1)
-            cj = _gen_binom(m, j)
-            if cj:
-                factors.append((j, cj, shifts[j], rep))
+            factors.append((j, cj, shifts[j], rep))
         for d in range(cap, 0, -1):
             target = degrees[d]
             for j, cj, shift, rep in factors:

@@ -383,7 +383,7 @@ def evaluate(mcw, genus):
     return _evaluate_cached(genus, mcw)
 
 
-def is_central(f, table=None):
+def is_central(f):
     """Centrality test: commutes with every chain twist.
 
     Sufficient as well as necessary: an automorphism commuting with the
@@ -391,7 +391,7 @@ def is_central(f, table=None):
     chain fills the surface, so by the Alexander method the class is a
     power of the boundary twist.
     """
-    table = table or builtin_table(f.genus)
+    table = builtin_table(f.genus)
     return all(commutes(f, table.twist(n)) for n in table.chain_names)
 
 
@@ -487,17 +487,13 @@ def validate_relations(genus):
                 )
             )
 
-    rel = _chain_relation_spec(genus)
-    if rel is not None:
-        names_c, power = rel
-        prod = FreeAutomorphism.identity(genus)
-        for n in names_c:
-            prod = prod.compose(table.twist(n))
-        ok = prod.power(power) == table.twist("Delta")
-        desc = "(" + " ".join(
-            f"t_{n}" for n in names_c
-        ) + f")^{power} = t_Delta"
-        checks.append(RelationCheck("chain", desc, ok))
+    names_c, power = _chain_relation_spec(genus)
+    prod = FreeAutomorphism.identity(genus)
+    for n in names_c:
+        prod = prod.compose(table.twist(n))
+    ok = prod.power(power) == table.twist("Delta")
+    desc = "(" + " ".join(f"t_{n}" for n in names_c) + f")^{power} = t_Delta"
+    checks.append(RelationCheck("chain", desc, ok))
 
     delta = table.twist("Delta")
     ok = all(commutes(delta, table.twist(n)) for n in table.names() if n != "Delta")

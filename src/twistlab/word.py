@@ -176,15 +176,15 @@ class Word:
         conj = letters[:lo] + core[:r]
         return Word(self.genus, core[r:] + core[:r]), Word(self.genus, conj)
 
-    def canonical_cyclic(self, up_to_inversion=True):
-        """Canonical representative of the cyclic word (conjugacy class).
+    def canonical_cyclic(self):
+        """Canonical representative of the cyclic word up to inversion.
 
-        With up_to_inversion the orientation of the underlying loop is
-        forgotten as well, which is the right notion for an unoriented
+        The orientation of the underlying loop is forgotten as well as
+        the base point, which is the right notion for an unoriented
         curve class.
         """
         core, _ = self.cyclic_reduce()
-        if not up_to_inversion or core.is_identity():
+        if core.is_identity():
             return core
         alt, _ = core.inverse().cyclic_reduce()
         key = lambda w: tuple(_letter_key(ell) for ell in w.letters)
@@ -198,6 +198,14 @@ def commutator(u, v):
     """[u, v] = u v u^-1 v^-1, freely reduced."""
     u._check_genus(v)
     return u * v * u.inverse() * v.inverse()
+
+
+def abelianized(w):
+    """Exponent vector of a word in the abelianization."""
+    v = [0] * (2 * w.genus)
+    for ell in w.letters:
+        v[abs(ell) - 1] += 1 if ell > 0 else -1
+    return tuple(v)
 
 
 def boundary_word(genus):

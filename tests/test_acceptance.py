@@ -17,7 +17,6 @@ from twistlab.curve import CurveSpec, parse_curve_spec, resolve
 from twistlab.errors import ConsistencyViolation
 from twistlab.foxrep import (
     LaurentPoly,
-    abelianized,
     fox_derivative,
     magnus_rep,
     rep_equal,
@@ -41,7 +40,7 @@ from twistlab.mcg import (
     is_central,
     validate_relations,
 )
-from twistlab.word import Word
+from twistlab.word import Word, abelianized
 
 
 class Timer:

@@ -145,6 +145,17 @@ def test_foxcheck_with_suzuki_budget(capsys):
     assert isinstance(doc["results"]["suzuki_hits"], list)
 
 
+def test_foxcheck_suzuki_scan_stays_under_the_letter_cap(capsys):
+    # pair Sep1 @ [C3] / Sep1 @ [Sep1 C3^-1] has a commutator past the
+    # 10^6-letter image cap, while its fg and gf stay short
+    rc, doc = run_json(
+        capsys, "foxcheck", "--genus", "2", "--samples", "5",
+        "--torelli-pairs", "2", "--seed", "1", "--suzuki-budget", "30",
+    )
+    assert rc == 0
+    assert isinstance(doc["results"]["suzuki_hits"], list)
+
+
 def test_csv_output(capsys, tmp_path):
     out = tmp_path / "report.csv"
     rc = main([

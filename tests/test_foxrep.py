@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
+from twistlab.curve import resolve
 from twistlab.errors import PreconditionError
 from twistlab.foxrep import (
     LaurentPoly,
-    abelianized,
+    SuzukiHit,
     fox_derivative,
     magnus_rep,
     rep_as_json,
@@ -14,9 +16,9 @@ from twistlab.foxrep import (
     rep_mul,
     suzuki_scan,
 )
-from twistlab.jfilt import in_Mk
+from twistlab.jfilt import enumerate_curve_specs, in_Mk
 from twistlab.mcg import builtin_table, commutator_auto, evaluate
-from twistlab.word import Word
+from twistlab.word import Word, abelianized
 
 
 def random_word(rng, genus, max_len=10):
@@ -191,3 +193,33 @@ def test_suzuki_scan_small_budget_runs_clean():
         comm = commutator_auto(t1, t2)
         assert not comm.is_identity()
         assert rep_equal(magnus_rep(comm), rep_identity(2))
+
+
+def _scan_pairs(genus, budget):
+    """The separating pairs suzuki_scan(genus, budget) tests, in order."""
+    specs, seen = [], set()
+    for d in enumerate_curve_specs(genus, separating_only=True):
+        if len(specs) == max(3, budget // 2):
+            break
+        t = resolve(d).twist
+        if t not in seen:
+            seen.add(t)
+            specs.append((d, t))
+    pairs = itertools.combinations(specs, 2)
+    return list(itertools.islice(pairs, budget))
+
+
+@pytest.mark.parametrize("genus,budget", [(2, 20), (3, 10)])
+def test_suzuki_scan_matches_the_commutator_rule(genus, budget):
+    # the scan compares fg with gf; the reference forms [f, g] = fg f^-1 g^-1
+    identity = rep_identity(genus)
+    expected = []
+    for (da, ta), (db, tb) in _scan_pairs(genus, budget):
+        fg, gf = ta.compose(tb), tb.compose(ta)
+        comm = commutator_auto(ta, tb)
+        assert (fg == gf) == comm.is_identity()
+        same_matrix = rep_equal(magnus_rep(fg), magnus_rep(gf))
+        assert same_matrix == rep_equal(magnus_rep(comm), identity)
+        if not comm.is_identity() and same_matrix:
+            expected.append(SuzukiHit(da.to_text(), db.to_text()))
+    assert suzuki_scan(genus, budget) == expected

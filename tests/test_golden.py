@@ -43,6 +43,10 @@ CASES = {
         "foxcheck", "--genus", "2", "--samples", "25", "--torelli-pairs", "6",
         "--seed", "1", "--suzuki-budget", "3",
     ],
+    "foxcheck_g2_s25_t6_seed1_b29.json": [
+        "foxcheck", "--genus", "2", "--samples", "25", "--torelli-pairs", "6",
+        "--seed", "1", "--suzuki-budget", "29",
+    ],
     "pair_g2_sep1_conj_cap5.json": [
         "pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3]",
         "--cap", "5",

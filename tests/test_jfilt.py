@@ -342,7 +342,7 @@ def test_fact5_twist_moves_a_separating_curve():
 
 def test_fact5_rejects_genus1():
     with pytest.raises(PreconditionError):
-        fact5_instance(evaluate((("C1", 1),), 1), 10, genus=1)
+        fact5_instance(evaluate((("C1", 1),), 1), 10)
 
 
 def test_enumeration_is_deterministic_and_separating_only_filter():
