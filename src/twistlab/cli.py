@@ -437,17 +437,17 @@ def build_parser():
     p = sub.add_parser("scan", help="randomized pair scan with law checking")
     common(p)
     p.add_argument("--cap", type=int, default=3)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_nonnegative_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-conjugator-len", type=_nonnegative_int, default=4)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("foxcheck", help="free-derivative identity checks")
     common(p)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--torelli-pairs", type=int, default=20)
+    p.add_argument("--samples", type=_nonnegative_int, default=100)
+    p.add_argument("--torelli-pairs", type=_nonnegative_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--suzuki-budget", type=int, default=0)
+    p.add_argument("--suzuki-budget", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_foxcheck)
 
     return parser

@@ -24,8 +24,13 @@ the two twists sinks into the filtration:
 The braid flag reported for pairs is exact: for twists along two
 curves, t1 t2 t1 = t2 t1 t2 holds iff the curves are equal or meet
 exactly once (Farb-Margalit, Primer, ch. 3).  Commuting twists satisfy
-it iff they are equal; crossing twists only if |algebraic| = 1, and
-only for those pairs are the products t1 t2 t1 and t2 t1 t2 compared.
+it iff they are equal; crossing twists only if |algebraic| = 1.  For
+those, the relation reads (t1 t2) t1 (t1 t2)^-1 = t2, that is, the twist
+along t1 t2 (c1) is the twist along c2.  Twists along essential curves
+are equal iff the curves are isotopic (Primer, ch. 3), and freely
+homotopic essential simple closed curves are isotopic (Epstein, Acta
+Math. 115, 1966), so the flag holds iff t1 t2 maps the free homotopy
+class of c1 to that of c2.
 """
 
 from __future__ import annotations
@@ -227,20 +232,24 @@ def classify_pair(c1, c2, cap, check=True):
     if c1.genus != c2.genus:
         raise GenusMismatch("curve specs of different genus")
     d1, d2 = resolve(c1), resolve(c2)
-    t1, t2 = d1.twist, d2.twist
-    fg = t1.compose(t2)
-    gf = t2.compose(t1)
+    f, g = d1.twist, d2.twist
+    fg = f.compose(g)
+    gf = g.compose(f)
     commuting = fg == gf
     algebraic = symplectic_pairing(d1.homology, d2.homology)
-    # Commuting twists braid iff equal (t1^2 t2 = t2^2 t1 forces
-    # t1 = t2); crossing twists braid only along curves meeting once,
-    # which forces |algebraic| = 1.
+    # Commuting twists braid iff equal (f^2 g = g^2 f forces f = g);
+    # crossing twists braid only along curves meeting once, which forces
+    # |algebraic| = 1.  That shortcut is needed as well as fast: for
+    # C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2] and Sep1, with algebraic 0,
+    # the image of the class of c1 under fg passes the letter cap.
+    # Otherwise fgf = gfg iff fg f (fg)^-1 = g, which holds iff fg maps
+    # the class of c1 to that of c2 (see the module docstring).
     if commuting:
-        braid = t1 == t2
+        braid = f == g
     elif abs(algebraic) != 1:
         braid = False
     else:
-        braid = fg.compose(t1) == gf.compose(t2)
+        braid = fg(d1.pi1_class).canonical_cyclic() == d2.pi1_class
     report = PairReport(
         genus=c1.genus,
         c1=c1.to_text(),

@@ -189,6 +189,10 @@ def test_json_output_to_file(capsys, tmp_path):
          "--jobs", "2"],
         ["foxcheck", "--genus", "0", "--samples", "1"],
         ["validate", "--genus", "1", "--output", "/nonexistent/x.json"],
+        ["scan", "--genus", "2", "--seed", "1", "--samples", "-3"],
+        ["foxcheck", "--genus", "2", "--samples", "-1"],
+        ["foxcheck", "--genus", "2", "--torelli-pairs", "-1"],
+        ["foxcheck", "--genus", "2", "--suzuki-budget", "-1"],
     ],
 )
 def test_bad_input_exits_2_without_traceback(capsys, argv):
@@ -199,7 +203,8 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert rc == 2
     assert "Traceback" not in err
-    assert "error:" in err.splitlines()[-1]
+    lines = err.splitlines()
+    assert [ln for ln in lines if "error:" in ln] == lines[-1:]
 
 
 COROLLARY_ROW_KEYS = {

@@ -31,6 +31,9 @@ CASES = {
     "scan_g2_cap1_s25_seed3.json": [
         "scan", "--genus", "2", "--cap", "1", "--samples", "25", "--seed", "3",
     ],
+    "scan_g2_cap3_s40_seed5.json": [
+        "scan", "--genus", "2", "--cap", "3", "--samples", "40", "--seed", "5",
+    ],
     "scan_g3_cap2_s25_seed3.json": [
         "scan", "--genus", "3", "--cap", "2", "--samples", "25", "--seed", "3",
     ],

@@ -3,8 +3,13 @@ import random
 
 import pytest
 
+from twistlab.cli import _random_spec
 from twistlab.curve import CurveSpec, parse_curve_spec, resolve
-from twistlab.errors import ConsistencyViolation, PreconditionError
+from twistlab.errors import (
+    ConsistencyViolation,
+    PreconditionError,
+    WordLengthLimit,
+)
 from twistlab.jfilt import (
     Fact5Verdict,
     JFDepth,
@@ -192,6 +197,11 @@ def test_random_pair_reports_consistent():
         classify_pair(a, b, 3)  # raises on any law violation
 
 
+def _full_braid(t1, t2):
+    """The braid relation t1 t2 t1 = t2 t1 t2, decided on the products."""
+    return t1.compose(t2).compose(t1) == t2.compose(t1).compose(t2)
+
+
 def test_braid_label_matches_full_braid_products():
     # every genus-2 spec with at most one conjugating factor, so equal
     # curves under different specs (C1 and C1 @ [C3]) are included
@@ -201,21 +211,50 @@ def test_braid_label_matches_full_braid_products():
     equal = 0
     for a, b in itertools.combinations_with_replacement(specs, 2):
         t1, t2 = resolve(a).twist, resolve(b).twist
-        full = t1.compose(t2).compose(t1) == t2.compose(t1).compose(t2)
-        assert classify_pair(a, b, 1).braid == full, (a, b)
+        assert classify_pair(a, b, 1).braid == _full_braid(t1, t2), (a, b)
         equal += t1 == t2
     assert equal > len(specs)
     r = classify_pair(spec(2, "C1"), spec(2, "C1 @ [C3]"), 3)
     assert (r.commuting, r.braid, r.algebraic) == (True, True, 0)
+    # crossing pairs with |algebraic| = 1 drawn the way `scan` draws
+    # them, the only pairs whose label is decided on the curve; a pair
+    # whose products pass the letter cap has no reference and is counted
+    verdicts = []
+    excluded = 0
+    for genus, seeds in ((2, range(1, 6)), (3, range(1, 3))):
+        table = builtin_table(genus)
+        for seed in seeds:
+            rng = random.Random(seed)
+            for _ in range(40):
+                a = _random_spec(rng, genus, table, 4)
+                b = _random_spec(rng, genus, table, 4)
+                r = classify_pair(a, b, 1)
+                if r.commuting or abs(r.algebraic) != 1:
+                    continue
+                try:
+                    full = _full_braid(resolve(a).twist, resolve(b).twist)
+                except WordLengthLimit:
+                    excluded += 1
+                    continue
+                assert r.braid == full, (a, b)
+                verdicts.append(full)
+    assert len(verdicts) >= 60
+    assert excluded == 1  # the third pair of the test below
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("genus, a, b, commuting, algebraic, label", [
-    # both once stopped by the image-length cap or a 5 s deadline while
+    # each once stopped by the image-length cap or a 5 s deadline while
     # forming t1 t2 t1 and t2 t1 t2
     (3, "C7 @ [C1^-2 C5^-1 C4 Sep2^-2]", "Sep2 @ [C5 C7^2 Sep2^2 C5^2]",
      True, 0, "0"),
     (2, "C1 @ [C5 C1^-2 C2^-2 Sep1^2]", "C3 @ [C3^-2 Sep1^-2]",
      False, 2, "1"),
+    (2, "C3 @ [C5^-1 C3^2 C4^2 C2^2]", "C3 @ [Sep1^2 C4^-1 C5]",
+     False, 1, "1"),
+    # the image of the class of c1 under t1 t2 passes the cap, so only
+    # the |algebraic| != 1 shortcut decides the braid flag here
+    (2, "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]", "Sep1", False, 0, "3"),
 ])
 def test_formerly_failing_pairs_classify(genus, a, b, commuting, algebraic, label):
     r = classify_pair(spec(genus, a), spec(genus, b), 3)  # checks the laws
