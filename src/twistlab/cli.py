@@ -22,6 +22,7 @@ from .curve import CurveSpec, parse_curve_spec
 from .errors import (
     ConsistencyViolation,
     PreconditionError,
+    SeriesTermLimit,
     SpecParseError,
     UnknownTwistName,
     UnsupportedGenus,
@@ -41,10 +42,11 @@ from .foxrep import (
 from .jfilt import (
     check_consistency,
     classify_pair,
-    commutator_depth,
     in_Mk,
+    nested_commutators,
 )
-from .mcg import builtin_table, commutator_auto, evaluate, validate_relations
+from .mcg import builtin_table, evaluate, validate_relations
+from .perm import NestedCommutatorAction
 from .word import Word, abelianized
 
 SCHEMA = 1
@@ -145,16 +147,19 @@ def _corollary_rows(genus, cap):
     w_m is never the identity while the bracket calculus pushes it into
     M(2m+2); each row records the certified level at the working cap.
 
-    Each w_m is built as an automorphism, but its depth is read by
-    comparing the actions of t_a * w_{m-1} and w_{m-1} * t_a, so the
-    commutator [t_a, w_m] itself is never formed.  When an image passes
-    the letter cap, the row of that level is marked as not tested (with
-    a note) and the rows stop there.
+    Each w_m is carried as its truncated action at the cap
+    (jfilt.nested_commutators), so its depth costs what the series'
+    terms cost, not what its words would.  Truncation cannot tell w_m
+    from the identity: a depth within the cap proves w_m != 1, and
+    otherwise a point of Hom(F_2g, S3) that w_m moves does.  A row with neither
+    proof, or one whose series pass the term cap, keeps every column,
+    adds a note, and ends the rows.
     """
     t_a = evaluate((("Sep1", 1),), genus)
     t_b = evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus)
+    depths = nested_commutators(t_a, t_b, cap)
+    certificate = NestedCommutatorAction(t_a, t_b)
     rows = []
-    w = t_b
     for m in range(1, cap // 2 + 1):
         expected = 2 * m + 2
         level = min(expected, cap)
@@ -165,10 +170,8 @@ def _corollary_rows(genus, cap):
             "tested_level": level,
         }
         try:
-            if m > 1:
-                w = commutator_auto(t_a, w)
-            depth = commutator_depth(t_a, w, cap)
-        except WordLengthLimit as exc:
+            depth, _, _ = next(depths)
+        except SeriesTermLimit as exc:
             row.update(
                 in_tested_level=False,
                 certified_level=None,
@@ -186,14 +189,24 @@ def _corollary_rows(genus, cap):
             certified = depth.level
         elif depth.kind == "not_in_m1":
             certified = 0
+        # a depth within the cap proves w_m != 1; past it, a moved point
+        proved = (
+            depth.kind != "at_least" or certificate.moved_point(m) is not None
+        )
         row.update(
             in_tested_level=certified is not None and certified >= level,
             certified_level=certified,
             exact_depth=exact,
-            is_identity=depth.kind == "identity",
+            is_identity=False if proved else None,
             acts_trivially_up_to_cap=certified is not None and certified >= cap,
         )
         rows.append(row)
+        if not proved:
+            row["note"] = (
+                "identity not decided: the series agree through the cap "
+                "and w_m moves no point of Hom(F, S3)"
+            )
+            break
     return rows
 
 

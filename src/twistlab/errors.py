@@ -31,6 +31,10 @@ class WordLengthLimit(RuntimeError):
     """An automorphism image exceeded the configured letter cap."""
 
 
+class SeriesTermLimit(RuntimeError):
+    """A series of a truncated action exceeded the configured term cap."""
+
+
 class PreconditionError(ValueError):
     """An operation was called outside its stated precondition."""
 

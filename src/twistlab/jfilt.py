@@ -46,7 +46,7 @@ from .curve import (
     symplectic_pairing,
 )
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
-from .magnus import magnus_expand
+from .magnus import TruncatedAction, magnus_expand
 from .mcg import (
     FreeAutomorphism,
     builtin_table,
@@ -94,6 +94,36 @@ class JFValue:
         return self.label()
 
 
+def _first_difference(pairs, cap, expand):
+    """Depth read from paired generator images, compared degree by degree.
+
+    `pairs` holds one (p, q) per generator, and expand(p, top) gives the
+    expansion of p through degree top.  Equal pairs are skipped; the
+    others are compared from degree 1, and once a difference in degree d
+    is found, later pairs are expanded through degree d-1 only.  Equal
+    expansions through the cap give at_least(cap): truncation never
+    proves the identity.
+    """
+    lowest = cap + 1
+    for p, q in pairs:
+        if lowest == 1:
+            break
+        if p == q:
+            continue
+        sp, sq = expand(p, lowest - 1), expand(q, lowest - 1)
+        for d in range(1, lowest):
+            if sp.degrees[d] != sq.degrees[d]:
+                lowest = d
+                break
+    if lowest == 1:
+        return JFDepth("not_in_m1")
+    if lowest > cap:
+        return JFDepth("at_least", cap)
+    # the actions first differ in degree `lowest`:
+    # the class is in M(lowest - 1) and not in M(lowest)
+    return JFDepth("exact", lowest - 1)
+
+
 def _depth(f, g, cap):
     """Filtration depth of g^-1 f, read from the actions of f and g.
 
@@ -102,34 +132,56 @@ def _depth(f, g, cap):
     through degree k.  Degree 1 of an expansion is the word's exponent
     sum, so at cap 1 the homology actions decide and nothing is
     expanded.  At higher caps the expansions of the images that differ
-    are compared from degree 1; once a difference in degree d is found,
-    the remaining images are expanded through degree d-1 only.
+    are compared by _first_difference.
     """
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
     if f == g:
         return JFDepth("identity")
     if cap == 1:
-        lowest = 1 if homology_action(f) != homology_action(g) else 2
-    else:
-        lowest = cap + 1
-        for p, q in zip(f.images, g.images):
-            if lowest == 1:
-                break
-            if p == q:
-                continue
-            sp, sq = magnus_expand(p, lowest - 1), magnus_expand(q, lowest - 1)
-            for d in range(1, lowest):
-                if sp.degrees[d] != sq.degrees[d]:
-                    lowest = d
-                    break
-    if lowest == 1:
-        return JFDepth("not_in_m1")
-    if lowest > cap:
-        return JFDepth("at_least", cap)
-    # the actions first differ in degree `lowest`:
-    # the class is in M(lowest - 1) and not in M(lowest)
-    return JFDepth("exact", lowest - 1)
+        if homology_action(f) != homology_action(g):
+            return JFDepth("not_in_m1")
+        return JFDepth("at_least", 1)
+    return _first_difference(zip(f.images, g.images), cap, magnus_expand)
+
+
+def action_depth(f, g):
+    """Filtration depth of g^-1 f from two TruncatedActions.
+
+    The series are already expanded through the cap, so they are
+    compared as they are.  Equal actions give at_least(cap), never
+    identity.
+    """
+    if f.cap != g.cap:
+        raise PreconditionError(f"cap mismatch: {f.cap} vs {g.cap}")
+    return _first_difference(
+        zip(f.series, g.series), f.cap, lambda s, top: s
+    )
+
+
+def nested_commutators(a, b, cap):
+    """Depths of w_m = [a, w_{m-1}], w_0 = b, for m = 1, 2, ...
+
+    Works on TruncatedActions at the cap.  Yields, for w = w_0, w_1,
+    ..., the triple (depth of [a, w], action of w, action of w^-1).
+    The depth compares a w with w a, and the next w is built only when
+    the next triple is asked for, from the same two products:
+    [a, w] = ((a w) a^-1) w^-1 and [a, w]^-1 = [w, a] = ((w a) w^-1) a^-1.
+    So no commutator word and no inverse series is ever formed.  A
+    composition costs about what the terms of its right factor cost, so
+    this grouping keeps the large actions on the left where it can.
+    Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
+    """
+    act_a = TruncatedAction.of(a, cap)
+    act_a_inv = TruncatedAction.of(a.inverse(), cap)
+    w, w_inv = TruncatedAction.of(b, cap), TruncatedAction.of(b.inverse(), cap)
+    while True:
+        aw, wa = act_a.compose(w), w.compose(act_a)
+        yield action_depth(aw, wa), w, w_inv
+        w, w_inv = (
+            aw.compose(act_a_inv).compose(w_inv),
+            wa.compose(w_inv).compose(act_a_inv),
+        )
 
 
 def in_Mk(f, k):

@@ -17,7 +17,48 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .errors import GenusMismatch
+from .errors import GenusMismatch, SeriesTermLimit
+
+#: Hard cap on the terms in one degree of a series of a TruncatedAction;
+#: building or composing an action past it aborts.
+MAX_SERIES_TERMS = 50_000
+
+
+def _nonzero(terms):
+    return {key: c for key, c in terms.items() if c}
+
+
+def _term_limit(limit, what):
+    return SeriesTermLimit(
+        f"a series degree exceeded {limit} terms; {what} aborted"
+    )
+
+
+def _mul_into(out, a, b, base, limit=None):
+    """Add the product of two series, given as degree-indexed dicts of
+    packed keys, to `out`, truncated above degree len(out) - 1.
+
+    Zero coefficients are left in place.  With a limit, a degree of `out`
+    holding more terms than that raises SeriesTermLimit.  It is checked
+    after each term of `a`, and the terms one term of `a` adds to a degree
+    are all distinct, so the work done before the check fires is bounded.
+    """
+    top = len(out) - 1
+    for da, terms_a in enumerate(a[: top + 1]):
+        if not terms_a:
+            continue
+        for db, terms_b in enumerate(b[: top - da + 1]):
+            if not terms_b:
+                continue
+            shift = base**db
+            target = out[da + db]
+            for ka, ca in terms_a.items():
+                kbase = ka * shift
+                for kb, cb in terms_b.items():
+                    key = kbase + kb
+                    target[key] = target.get(key, 0) + ca * cb
+                if limit is not None and len(target) > limit:
+                    raise _term_limit(limit, "composition")
 
 
 class TruncatedSeries:
@@ -79,25 +120,8 @@ class TruncatedSeries:
         """Truncated product of two series with equal caps."""
         self._check_compat(other)
         out = TruncatedSeries(self.genus, self.cap)
-        base = 2 * self.genus
-        for da, terms_a in enumerate(self.degrees):
-            if not terms_a:
-                continue
-            for db in range(0, self.cap - da + 1):
-                terms_b = other.degrees[db]
-                if not terms_b:
-                    continue
-                shift = base**db
-                target = out.degrees[da + db]
-                for ka, ca in terms_a.items():
-                    kbase = ka * shift
-                    for kb, cb in terms_b.items():
-                        key = kbase + kb
-                        c = target.get(key, 0) + ca * cb
-                        if c:
-                            target[key] = c
-                        elif key in target:
-                            del target[key]
+        _mul_into(out.degrees, self.degrees, other.degrees, 2 * self.genus)
+        out.degrees = [_nonzero(d) for d in out.degrees]
         return out
 
     def __eq__(self, other):
@@ -178,3 +202,105 @@ def magnus_expand(w, cap):
                     else:
                         del target[nk]
     return out
+
+
+def _substitute(degrees, subs, top, base, limit):
+    """The series `degrees` at X_j = subs[j], through degree `top`.
+
+    `degrees` and each subs[j] are degree-indexed dicts of packed keys;
+    no subs[j] has a constant term.  Horner along the first letter: the
+    terms X_j P_j contribute subs[j] * P_j(subs), and since subs[j]
+    starts in degree 1, P_j is needed through degree top - 1 only.
+    """
+    out = [dict() for _ in range(top + 1)]
+    if degrees[0]:
+        out[0][0] = degrees[0][0]
+    tails = {}
+    for d in range(1, min(top, len(degrees) - 1) + 1):
+        shift = base ** (d - 1)
+        for key, c in degrees[d].items():
+            j, rest = divmod(key, shift)
+            tail = tails.get(j)
+            if tail is None:
+                tail = tails[j] = [dict() for _ in range(top)]
+            tail[d - 1][rest] = c
+    for j, tail in tails.items():
+        value = _substitute(tail, subs, top - 1, base, limit)
+        _mul_into(out, subs[j], value, base, limit)
+    return [_nonzero(d) for d in out]
+
+
+class TruncatedAction:
+    """The action of a free-group automorphism f on Z<<X>> / (deg > cap).
+
+    Holds the 2g series M(f(x_i)) - 1, none with a constant term.  Two
+    automorphisms act alike on the free group modulo its (k+1)-st lower
+    central term iff their series agree through degree k (Magnus), so
+    this is all of f that filtration depths up to the cap can see.
+    Actions compose by substitution, at a cost set by their numbers of
+    terms rather than by the lengths of the words they come from.
+    """
+
+    __slots__ = ("genus", "cap", "series")
+
+    def __init__(self, genus, cap, series):
+        self.genus = genus
+        self.cap = cap
+        self.series = tuple(series)
+
+    @classmethod
+    def of(cls, f, cap):
+        """The action of a FreeAutomorphism, from its image expansions.
+
+        Each image is expanded at caps 1, 2, ..., cap, and each new top
+        degree is checked against MAX_SERIES_TERMS.  Expansion cost grows
+        geometrically with the cap, so this costs a bounded multiple of
+        the last expansion, and an image far past the budget stops at
+        the first degree that passes it instead of at the cap.
+        """
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
+        limit = MAX_SERIES_TERMS
+        series = []
+        for w in f.images:
+            for c in range(1, cap + 1):
+                s = magnus_expand(w, c)
+                if len(s.degrees[c]) > limit:
+                    raise _term_limit(limit, "expansion")
+            del s.degrees[0][0]
+            series.append(s)
+        return cls(f.genus, cap, series)
+
+    def compose(self, other):
+        """self after other: each series of other at X_j = series j of self.
+
+        M(f(g(x_i))) is M(g(x_i)) with every X_j replaced by
+        M(f(x_j)) - 1, because the expansion is a ring homomorphism.
+        """
+        if other.genus != self.genus:
+            raise GenusMismatch("actions of different genus")
+        if other.cap != self.cap:
+            raise ValueError(f"cap mismatch: {self.cap} vs {other.cap}")
+        subs = [s.degrees for s in self.series]
+        base, limit = 2 * self.genus, MAX_SERIES_TERMS
+        return TruncatedAction(
+            self.genus,
+            self.cap,
+            (
+                TruncatedSeries(
+                    self.genus,
+                    self.cap,
+                    _substitute(s.degrees, subs, self.cap, base, limit),
+                )
+                for s in other.series
+            ),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedAction):
+            return NotImplemented
+        return (
+            self.genus == other.genus
+            and self.cap == other.cap
+            and self.series == other.series
+        )

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from twistlab import __version__, mcg
+from twistlab import __version__, magnus
 from twistlab.cli import main
 
 
@@ -214,15 +215,15 @@ COROLLARY_ROW_KEYS = {
 }
 
 
-# At cap 4, a 40-letter image cap stops row 1 inside the depth comparison;
-# a 400-letter cap certifies row 1 and stops while w_1 = [t_a, t_b] is
-# built for row 2.
-@pytest.mark.parametrize("limit, rows_out", [(40, 1), (400, 2)])
+# At cap 6, a cap of 720 terms per series degree stops row 1 inside the
+# depth comparison; a cap of 800 certifies row 1 and stops while
+# w_1 = [t_a, t_b] is built for row 2.
+@pytest.mark.parametrize("limit, rows_out", [(720, 1), (800, 2)])
 def test_corollary_budget_stop_exits_2_with_full_rows(
     capsys, monkeypatch, limit, rows_out
 ):
-    monkeypatch.setattr(mcg, "MAX_IMAGE_LETTERS", limit)
-    rc = main(["corollary", "--genus", "2", "--cap", "4"])
+    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", limit)
+    rc = main(["corollary", "--genus", "2", "--cap", "6"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.err.startswith("error:")
@@ -238,21 +239,72 @@ def test_corollary_budget_stop_exits_2_with_full_rows(
     assert stopped["in_tested_level"] is False
     assert stopped["certified_level"] is None
     assert stopped["exact_depth"] is None
-    assert f"{limit} letters" in stopped["note"]
+    assert f"{limit} terms" in stopped["note"]
     assert doc["summary"]["all_rows_certified"] is False
     nd = doc["summary"]["finite_level_nondetection"]
     assert nd["commutator_in_level_kernel"] is (rows_out > 1)
 
 
 def test_corollary_budget_stop_csv_keeps_every_column(capsys, monkeypatch):
-    monkeypatch.setattr(mcg, "MAX_IMAGE_LETTERS", 400)
-    rc = main(["corollary", "--genus", "2", "--cap", "4", "--format", "csv"])
+    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", 800)
+    rc = main(["corollary", "--genus", "2", "--cap", "6", "--format", "csv"])
     assert rc == 2
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [r["m"] for r in rows] == ["1", "2"]
     assert set(rows[0]) == COROLLARY_ROW_KEYS | {"note"}
     assert rows[0]["note"] == ""
     assert "not tested" in rows[1]["note"]
+
+
+def test_corollary_past_the_term_cap_stops_fast_with_a_note_row(capsys):
+    # at cap 12 the expansions of t_b pass the term cap while t_a and
+    # t_b are expanded, long before a series is composed
+    start = time.process_time()
+    rc = main(["corollary", "--genus", "3", "--cap", "12"])
+    spent = time.process_time() - start
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: corollary row m=1:")
+    assert captured.err.count("\n") == 1
+    [row] = json.loads(captured.out)["results"]
+    assert set(row) == COROLLARY_ROW_KEYS | {"note"}
+    assert row["in_tested_level"] is False
+    assert row["is_identity"] is None
+    assert spent < 10
+
+
+def test_corollary_uncertified_identity_is_a_note_row(capsys, monkeypatch):
+    # with t_b forged to equal t_a, w_1 = [t_a, t_a] is the identity:
+    # its truncated actions agree and it moves no point of Hom(F, S3),
+    # so the row must not read is_identity: false
+    from twistlab import cli
+
+    real = cli.evaluate
+    monkeypatch.setattr(
+        cli, "evaluate", lambda mcw, genus: real((("Sep1", 1),), genus)
+    )
+    rc = main(["corollary", "--genus", "2", "--cap", "4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: corollary row m=1:")
+    assert captured.err.count("\n") == 1
+    doc = json.loads(captured.out)
+    [row] = doc["results"]
+    assert set(row) == COROLLARY_ROW_KEYS | {"note"}
+    assert row["is_identity"] is None
+    assert row["certified_level"] == 4
+    assert doc["summary"]["all_rows_certified"] is False
+    assert doc["summary"]["finite_level_nondetection"][
+        "commutator_is_identity"
+    ] is None
+
+
+def test_corollary_cap7_reaches_exact_depth_6(capsys):
+    rc, doc = run_json(capsys, "corollary", "--genus", "2", "--cap", "7")
+    assert rc == 0
+    assert doc["summary"]["all_rows_certified"] is True
+    assert [r["exact_depth"] for r in doc["results"]] == [4, 6, None]
+    assert all(r["is_identity"] is False for r in doc["results"])
 
 
 def test_pair_consistency_violation_exits_1_without_traceback(

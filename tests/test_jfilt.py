@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from twistlab.jfilt import (
     Fact5Verdict,
     JFDepth,
     JFValue,
+    action_depth,
     check_consistency,
     classify_pair,
     commutator_depth,
@@ -25,8 +28,9 @@ from twistlab.jfilt import (
     johnson_depth,
     johnson_leading_term,
     morita_check,
+    nested_commutators,
 )
-from twistlab.magnus import magnus_expand
+from twistlab.magnus import TruncatedAction, TruncatedSeries, magnus_expand
 from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
@@ -571,3 +575,97 @@ def test_degree_one_is_read_without_expanding(monkeypatch):
     # the degrees that are left are still expanded
     assert johnson_depth(sep_twist(), 3) == JFDepth("exact", 2)
     assert caps and min(caps) >= 2
+
+
+# -- differential test: truncated actions against expansions of words --------
+#
+# A composed action is checked against the expansion of the composed
+# automorphism's images, and a depth read from actions against the word
+# path of commutator_depth.  Truncation cannot prove the identity, so
+# where the word path reads "identity" the actions read at_least(cap).
+
+
+def _reference_action(f, cap):
+    """The action of f at the cap, from one full expansion per image."""
+    series = [magnus_expand(w, cap) for w in f.images]
+    for sr in series:
+        sr.degrees[0].clear()
+    return TruncatedAction(f.genus, cap, series)
+
+
+def _truncated(action, cap):
+    return TruncatedAction(
+        action.genus,
+        cap,
+        (TruncatedSeries(action.genus, cap, sr.degrees[: cap + 1])
+         for sr in action.series),
+    )
+
+
+def _assert_actions_match_words(f, g, top):
+    """At every cap up to top: substitution gives the expansions of fg
+    and gf, and their depth is the word path's."""
+    ref_f, ref_g = _reference_action(f, top), _reference_action(g, top)
+    assert TruncatedAction.of(f, top) == ref_f
+    assert TruncatedAction.of(g, top) == ref_g
+    ref_fg = _reference_action(f.compose(g), top)
+    ref_gf = _reference_action(g.compose(f), top)
+    for cap in range(1, top + 1):
+        af, ag = _truncated(ref_f, cap), _truncated(ref_g, cap)
+        afg, agf = af.compose(ag), ag.compose(af)
+        assert afg == _truncated(ref_fg, cap), (f, g, cap)
+        assert agf == _truncated(ref_gf, cap), (f, g, cap)
+        words = commutator_depth(f, g, cap)
+        if words.kind == "identity":
+            words = JFDepth("at_least", cap)
+        assert action_depth(afg, agf) == words, (f, g, cap)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_composed_actions_match_expansions_of_products(genus):
+    # random classes, curve twists, Torelli products, the corollary's
+    # t_a and t_b, and its w_1 against t_a
+    rng = random.Random(107 + genus)
+    pairs = _class_pairs(genus, rng)
+    if genus > 1:
+        t_a, t_b = _corollary_twists(genus)
+        pairs.append((t_a, commutator_auto(t_a, t_b)))
+    for f, g in pairs:
+        _assert_actions_match_words(f, g, TOP_CAP)
+
+
+def test_composed_actions_match_words_on_scan_golden_pairs():
+    for path in sorted((Path(__file__).parent / "golden").glob("scan_*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        genus, cap = doc["config"]["genus"], doc["config"]["cap"]
+        for row in doc["results"]:
+            f = resolve(spec(genus, row["c1"])).twist
+            g = resolve(spec(genus, row["c2"])).twist
+            _assert_actions_match_words(f, g, cap)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_nested_commutator_depths_match_words_where_they_fit(genus):
+    # rows m = 1, 2 of the corollary: [t_a, t_b] and [t_a, w_1]; the
+    # words of w_2 pass a million letters
+    t_a, t_b = _corollary_twists(genus)
+    w_1 = commutator_auto(t_a, t_b)
+    for cap in range(2, 7):
+        rows = nested_commutators(t_a, t_b, cap)
+        for w in (t_b, w_1):
+            depth, _, _ = next(rows)
+            assert depth == commutator_depth(t_a, w, cap), (genus, cap, w)
+
+
+def test_nested_commutators_track_each_inverse():
+    # w_0 = t_b and w_1 against their words; w_2 lies in M(6), so at
+    # cap 5 its action is the identity's and would show no error
+    t_a, t_b = _corollary_twists(2)
+    cap = 5
+    one = TruncatedAction.of(FreeAutomorphism.identity(2), cap)
+    rows = nested_commutators(t_a, t_b, cap)
+    for m, w in enumerate((t_b, commutator_auto(t_a, t_b))):
+        _, act, act_inv = next(rows)
+        assert act == TruncatedAction.of(w, cap), m
+        assert act_inv == TruncatedAction.of(w.inverse(), cap), m
+        assert act.compose(act_inv) == one, m
