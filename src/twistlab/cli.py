@@ -482,6 +482,7 @@ def main(argv=None):
         UnknownTwistName,
         PreconditionError,
         WordLengthLimit,
+        SeriesTermLimit,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

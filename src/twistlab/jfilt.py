@@ -3,13 +3,18 @@
 M(k) is the kernel of the mapping class action on the free group modulo
 the (k+1)-st lower central term.  Every depth here, of one class or of
 a twist commutator, is the lowest degree at which two automorphisms (f
-and the identity, or fg and gf) act differently, and one routine reads
-it.  Degree 1 of the Magnus expansion of a word is its exponent-sum
-vector (Magnus-Karrass-Solitar, Combinatorial Group Theory, ch. 5), so
-at cap 1 a depth is decided by comparing the homology actions, with no
-expansion.  At higher caps the degrees come from the expansions of the
-differing generator images only, and once a difference in degree d is
-found the remaining images are expanded through degree d-1 only.
+and the identity, or fg and gf) act differently, and one comparison
+loop reads it.  Degree 1 of the Magnus expansion of a word is its
+exponent-sum vector (Magnus-Karrass-Solitar, Combinatorial Group
+Theory, ch. 5), so at cap 1 a depth is decided by comparing the
+homology actions, with no expansion.  At higher caps the depth of one
+class comes from the expansions of its differing generator images only,
+and once a difference in degree d is found the remaining images are
+expanded through degree d-1 only.  The depth of a commutator [f, g]
+comes from the truncated actions of f and g (magnus.TruncatedAction),
+composed both ways at caps 1, 2, ... up to the first cap where fg and
+gf differ; the images of fg and gf, about as long as the products of
+the lengths of those of f and g, are never expanded.
 
 The depth function on a curve pair measures how far the commutator of
 the two twists sinks into the filtration:
@@ -197,16 +202,40 @@ def johnson_depth(f, cap):
     return _depth(f, FreeAutomorphism.identity(f.genus), cap)
 
 
+def _commutator_depth(f, g, fg, gf, cap):
+    """Filtration depth of [f, g], given fg = f.compose(g) and gf.
+
+    Equal products give the identity, and at cap 1 the homology actions
+    decide, as in _depth.  Otherwise the truncated actions of f and g
+    are composed both ways at caps c = 1, 2, ..., stopping at the first
+    cap where fg and gf act differently.  The degree-d part of an
+    action does not depend on the cap above d, and substitution is
+    exact modulo degree > c, so that first difference lies in degree c
+    and the depth is exact(c - 1), or not_in_m1 at c = 1.  The work at
+    a cap grows geometrically with it, so the loop costs a small
+    multiple of the work at the cap it stops at, and neither product's
+    images are ever expanded.
+    """
+    if fg == gf or cap <= 1:
+        return _depth(fg, gf, cap)
+    for c in range(1, cap + 1):
+        a, b = TruncatedAction.of(f, c), TruncatedAction.of(g, c)
+        depth = action_depth(a.compose(b), b.compose(a))
+        if depth.kind != "at_least":
+            return depth
+    return depth
+
+
 def commutator_depth(f, g, cap):
     """Filtration depth of [f, g] without forming the commutator.
 
     [f,g] lies in M(k) iff fg and gf induce the same action on the
-    class-(k) nilpotent quotient, i.e. iff the expansions of their
-    generator images agree up to degree k.  Working with fg and gf
-    keeps word lengths near the product of the input sizes, where the
-    commutator itself would square them.
+    class-(k) nilpotent quotient, i.e. iff their truncated actions on
+    Z<<X>> / (deg > k) agree (Magnus).  Those actions are composed from
+    the actions of f and g, one cap at a time (_commutator_depth).
+    Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
     """
-    return _depth(f.compose(g), g.compose(f), cap)
+    return _commutator_depth(f, g, f.compose(g), g.compose(f), cap)
 
 
 def ijf(c1, c2, cap):
@@ -309,7 +338,7 @@ def classify_pair(c1, c2, cap, check=True):
         commuting=commuting,
         braid=braid,
         algebraic=algebraic,
-        ijf=_pair_value(_depth(fg, gf, cap)),
+        ijf=_pair_value(_commutator_depth(f, g, fg, gf, cap)),
         depth_cap=cap,
     )
     if check:

@@ -252,18 +252,23 @@ class TruncatedAction:
     def of(cls, f, cap):
         """The action of a FreeAutomorphism, from its image expansions.
 
-        Each image is expanded at caps 1, 2, ..., cap, and each new top
-        degree is checked against MAX_SERIES_TERMS.  Expansion cost grows
-        geometrically with the cap, so this costs a bounded multiple of
-        the last expansion, and an image far past the budget stops at
-        the first degree that passes it instead of at the cap.
+        Each image is expanded at caps start, start + 1, ..., cap, and
+        each new top degree is checked against MAX_SERIES_TERMS.  A
+        degree-d part holds at most (2g)^d terms, so no degree up to the
+        largest `start` with (2g)^start within the budget can pass it;
+        at g <= 3 and cap <= 6 that is one expansion per image.  Above
+        it, expansion cost grows geometrically with the cap, so this
+        costs a bounded multiple of the last expansion, and an image far
+        past the budget stops at the first degree that passes it instead
+        of at the cap.
         """
         if cap < 1:
             raise ValueError("cap must be >= 1")
-        limit = MAX_SERIES_TERMS
+        limit, base = MAX_SERIES_TERMS, 2 * f.genus
+        start = max((c for c in range(1, cap + 1) if base**c <= limit), default=1)
         series = []
         for w in f.images:
-            for c in range(1, cap + 1):
+            for c in range(start, cap + 1):
                 s = magnus_expand(w, c)
                 if len(s.degrees[c]) > limit:
                     raise _term_limit(limit, "expansion")

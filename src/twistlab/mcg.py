@@ -115,7 +115,9 @@ class FreeAutomorphism:
                 raise WordLengthLimit(
                     f"image exceeded {limit} letters; composition aborted"
                 )
-        return Word(self.genus, tuple(out))
+        # `out` is freely reduced as it is built, and its letters come
+        # from images that were checked when the table was made
+        return Word._trusted(self.genus, tuple(out))
 
     def inverse(self):
         return FreeAutomorphism(

@@ -79,6 +79,15 @@ class Word:
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _trusted(cls, genus, letters):
+        """A Word from a tuple of letters already in range and freely
+        reduced, without the range check and reduction of __post_init__."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "genus", genus)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def identity(cls, genus):
         return cls(genus, ())
 

@@ -208,6 +208,28 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
     assert [ln for ln in lines if "error:" in ln] == lines[-1:]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3]",
+         "--cap", "4"],
+        ["scan", "--genus", "2", "--cap", "4", "--samples", "20",
+         "--seed", "3"],
+    ],
+    ids=["pair", "scan"],
+)
+def test_pair_depth_past_the_term_cap_exits_2_with_one_error_line(
+    capsys, monkeypatch, argv
+):
+    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", 10)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: a series degree exceeded 10 terms")
+    assert captured.err.count("\n") == 1
+
+
 COROLLARY_ROW_KEYS = {
     "m", "element", "expected_min_level", "tested_level", "in_tested_level",
     "certified_level", "exact_depth", "is_identity",

@@ -40,6 +40,12 @@ CASES = {
     "scan_g3_cap3_s10_seed1.json": [
         "scan", "--genus", "3", "--cap", "3", "--samples", "10", "--seed", "1",
     ],
+    "scan_g2_cap6_s20_seed3.json": [
+        "scan", "--genus", "2", "--cap", "6", "--samples", "20", "--seed", "3",
+    ],
+    "scan_g3_cap5_s20_seed6.json": [
+        "scan", "--genus", "3", "--cap", "5", "--samples", "20", "--seed", "6",
+    ],
     "corollary_g2_cap4.json": ["corollary", "--genus", "2", "--cap", "4"],
     "corollary_g2_cap5.json": ["corollary", "--genus", "2", "--cap", "5"],
     "corollary_g2_cap6.json": ["corollary", "--genus", "2", "--cap", "6"],

@@ -29,6 +29,7 @@ from twistlab.jfilt import (
     johnson_leading_term,
     morita_check,
     nested_commutators,
+    _depth,
 )
 from twistlab.magnus import TruncatedAction, TruncatedSeries, magnus_expand
 from twistlab.mcg import (
@@ -577,12 +578,35 @@ def test_degree_one_is_read_without_expanding(monkeypatch):
     assert caps and min(caps) >= 2
 
 
+def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
+    # the actions of the two twists are composed at caps 1, 2, ... and
+    # the loop stops at the first cap where fg and gf differ
+    from twistlab import jfilt, magnus
+
+    caps = []
+
+    def recording_expand(w, cap):
+        caps.append(cap)
+        return magnus_expand(w, cap)
+
+    monkeypatch.setattr(magnus, "magnus_expand", recording_expand)
+    monkeypatch.setattr(jfilt, "magnus_expand", recording_expand)
+    report = classify_pair(spec(2, "C1"), spec(2, "C2 @ [C3]"), 5)
+    assert report.ijf == JFValue("one")
+    assert set(caps) == {1}
+    caps.clear()
+    report = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 5)
+    assert report.ijf == JFValue("exact", 3)
+    assert max(caps) == 3
+
+
 # -- differential test: truncated actions against expansions of words --------
 #
 # A composed action is checked against the expansion of the composed
 # automorphism's images, and a depth read from actions against the word
-# path of commutator_depth.  Truncation cannot prove the identity, so
-# where the word path reads "identity" the actions read at_least(cap).
+# path _depth(fg, gf, cap): commutator_depth itself reads actions.
+# Truncation cannot prove the identity, so where the word path reads
+# "identity" the actions read at_least(cap).
 
 
 def _reference_action(f, cap):
@@ -615,7 +639,7 @@ def _assert_actions_match_words(f, g, top):
         afg, agf = af.compose(ag), ag.compose(af)
         assert afg == _truncated(ref_fg, cap), (f, g, cap)
         assert agf == _truncated(ref_gf, cap), (f, g, cap)
-        words = commutator_depth(f, g, cap)
+        words = _depth(f.compose(g), g.compose(f), cap)
         if words.kind == "identity":
             words = JFDepth("at_least", cap)
         assert action_depth(afg, agf) == words, (f, g, cap)
@@ -654,7 +678,8 @@ def test_nested_commutator_depths_match_words_where_they_fit(genus):
         rows = nested_commutators(t_a, t_b, cap)
         for w in (t_b, w_1):
             depth, _, _ = next(rows)
-            assert depth == commutator_depth(t_a, w, cap), (genus, cap, w)
+            words = _depth(t_a.compose(w), w.compose(t_a), cap)
+            assert depth == words, (genus, cap, w)
 
 
 def test_nested_commutators_track_each_inverse():

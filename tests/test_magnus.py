@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from twistlab.magnus import TruncatedSeries, magnus_expand
+from twistlab import magnus
+from twistlab.errors import SeriesTermLimit
+from twistlab.magnus import TruncatedAction, TruncatedSeries, magnus_expand
+from twistlab.mcg import builtin_table, evaluate
 from twistlab.word import Word, commutator
 
 
@@ -256,3 +259,58 @@ def test_stable_text_form():
     w = commutator(Word.generator(1, 1), Word.generator(1, 2))
     s = magnus_expand(w, 2)
     assert str(s) == "1 + 1·X1X2 - 1·X2X1 + O(deg 3)"
+
+
+# -- the term budget of TruncatedAction.of ------------------------------
+
+
+def _first_term_limit(f, cap, limit):
+    """(image, degree) where a budget loop over caps 1..cap first meets
+    a top degree of more than `limit` terms, or None."""
+    for w in f.images:
+        for c in range(1, cap + 1):
+            if len(magnus_expand(w, c).degrees[c]) > limit:
+                return w, c
+    return None
+
+
+@pytest.mark.parametrize(
+    "genus, limit", [(1, 1), (2, 3), (2, 20), (2, 100), (3, 40)]
+)
+def test_action_budget_stops_where_a_loop_from_cap_1_stops(
+    monkeypatch, genus, limit
+):
+    # TruncatedAction.of skips the degrees whose (2g)^d possible terms
+    # fit the budget; it must still stop at the same image and degree
+    rng = random.Random(59 + limit + genus)
+    table = builtin_table(genus)
+    names = table.chain_names + table.sep_names
+    classes = [
+        evaluate(tuple((rng.choice(names), rng.choice((-1, 1)))
+                       for _ in range(rng.randrange(1, 4))), genus)
+        for _ in range(8)
+    ]
+    calls = []
+
+    def recording_expand(w, cap):
+        calls.append((w, cap))
+        return magnus_expand(w, cap)
+
+    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", limit)
+    monkeypatch.setattr(magnus, "magnus_expand", recording_expand)
+    stopped = set()
+    for f in classes:
+        for cap in range(1, 7):
+            expected = _first_term_limit(f, cap, limit)
+            calls.clear()
+            if expected is None:
+                TruncatedAction.of(f, cap)
+            else:
+                with pytest.raises(
+                    SeriesTermLimit,
+                    match=f"exceeded {limit} terms; expansion aborted",
+                ):
+                    TruncatedAction.of(f, cap)
+                assert calls[-1] == expected, (f, cap)
+            stopped.add(expected is not None)
+    assert stopped == {True, False}

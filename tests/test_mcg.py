@@ -235,6 +235,31 @@ def test_apply_matches_letterwise_substitution():
         assert f(w) == expect
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_images_need_no_reduction_or_range_check(genus):
+    # __call__ builds its Word without the checks of Word(...): they
+    # must leave its letters as they are
+    rng = random.Random(41 + genus)
+    names = builtin_table(genus).names()
+    n = 2 * genus
+    for _ in range(20):
+        f = evaluate(
+            tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
+                  for _ in range(rng.randrange(4))),
+            genus,
+        )
+        for _ in range(5):
+            w = Word(genus, tuple(
+                rng.choice((1, -1)) * rng.randrange(1, n + 1)
+                for _ in range(rng.randrange(12))
+            ))
+            image = f(w)
+            checked = Word(genus, image.letters)
+            assert checked == image
+            assert checked.letters == image.letters
+            assert hash(checked) == hash(image)
+
+
 def test_mcw_parse_and_format():
     mcw = parse_mcw("C1 C2^-3 Sep1 Delta^2")
     assert mcw == (("C1", 1), ("C2", -3), ("Sep1", 1), ("Delta", 2))
