@@ -52,12 +52,19 @@ from .word import Word, abelianized
 SCHEMA = 1
 
 
-def _envelope(command, config, results, summary=None):
+def _envelope(args, results, summary=None):
+    """The report document; its config is every parsed option but the
+    command and where and how the report is written."""
+    config = {
+        k: v
+        for k, v in vars(args).items()
+        if k not in ("command", "func", "format", "output")
+    }
     doc = {
         "schema": SCHEMA,
         "tool": "twistlab",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         "results": results,
     }
@@ -111,8 +118,7 @@ def cmd_validate(args):
         for c in report.checks
     ]
     doc = _envelope(
-        "validate",
-        {"genus": args.genus},
+        args,
         rows,
         summary={
             "checks": len(rows),
@@ -129,11 +135,7 @@ def cmd_pair(args):
     c2 = parse_curve_spec(args.genus, args.c2)
     report = classify_pair(c1, c2, args.cap)
     row = report.as_dict()
-    doc = _envelope(
-        "pair",
-        {"genus": args.genus, "cap": args.cap, "c1": args.c1, "c2": args.c2},
-        row,
-    )
+    doc = _envelope(args, row)
     _emit(doc, args.format, args.output, csv_rows=[_flatten(row)])
     return 0
 
@@ -213,11 +215,9 @@ def _corollary_rows(genus, cap):
 def cmd_corollary(args):
     if args.genus < 2:
         raise UnsupportedGenus("the construction needs a separating curve: genus >= 2")
-    config = {"genus": args.genus, "cap": args.cap}
     if args.cap < 4:
         doc = _envelope(
-            "corollary",
-            config,
+            args,
             [],
             summary={
                 "note": "cap too small: certifying the base commutator "
@@ -242,7 +242,7 @@ def cmd_corollary(args):
             "commutator_is_identity": rows[0]["is_identity"],
         },
     }
-    doc = _envelope("corollary", config, rows, summary=summary)
+    doc = _envelope(args, rows, summary=summary)
     _emit(doc, args.format, args.output, csv_rows=[_flatten(r) for r in rows])
     if not ok:
         return 1
@@ -285,19 +285,12 @@ def cmd_scan(args):
         label = report.ijf.label()
         histogram[label] = histogram.get(label, 0) + 1
 
-    config = {
-        "genus": args.genus,
-        "cap": args.cap,
-        "samples": args.samples,
-        "seed": args.seed,
-        "max_conjugator_len": args.max_conjugator_len,
-    }
     summary = {
         "violations": len(violations),
         "violation_details": violations,
         "ijf_histogram": dict(sorted(histogram.items())),
     }
-    doc = _envelope("scan", config, rows, summary=summary)
+    doc = _envelope(args, rows, summary=summary)
     _emit(doc, args.format, args.output, csv_rows=[_flatten(r) for r in rows])
     return 1 if violations else 0
 
@@ -384,17 +377,8 @@ def cmd_foxcheck(args):
     else:
         results["suzuki_hits"] = "skipped"
 
-    config = {
-        "genus": genus,
-        "samples": args.samples,
-        "torelli_pairs": args.torelli_pairs,
-        "seed": args.seed,
-        "suzuki_budget": args.suzuki_budget,
-    }
     passed = all(v for k, v in checks.items())
-    doc = _envelope(
-        "foxcheck", config, results, summary={"all_passed": passed}
-    )
+    doc = _envelope(args, results, summary={"all_passed": passed})
     _emit(doc, args.format, args.output, csv_rows=[_flatten(dict(checks))])
     return 0 if passed else 1
 

@@ -119,11 +119,12 @@ def _resolve_cached(spec):
         )
     f = evaluate(spec.conjugator, spec.genus)
     twist = f.compose(entry.twist).compose(f.inverse())
-    pi1 = f(entry.base_word).canonical_cyclic()
-    hom = _mat_vec(homology_action(f), entry.homology)
+    moved = f(entry.base_word)
+    # not from the canonical class, whose orientation may be reversed
+    hom = abelianized(moved)
     return CurveData(
         twist=twist,
-        pi1_class=pi1,
+        pi1_class=moved.canonical_cyclic(),
         homology=hom,
         separating=all(c == 0 for c in hom),
     )
@@ -155,11 +156,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def _mat_vec(m, v):
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
 def symplectic_pairing(u, v):

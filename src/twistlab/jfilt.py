@@ -3,18 +3,18 @@
 M(k) is the kernel of the mapping class action on the free group modulo
 the (k+1)-st lower central term.  Every depth here, of one class or of
 a twist commutator, is the lowest degree at which two automorphisms (f
-and the identity, or fg and gf) act differently, and one comparison
-loop reads it.  Degree 1 of the Magnus expansion of a word is its
-exponent-sum vector (Magnus-Karrass-Solitar, Combinatorial Group
-Theory, ch. 5), so at cap 1 a depth is decided by comparing the
-homology actions, with no expansion.  At higher caps the depth of one
-class comes from the expansions of its differing generator images only,
-and once a difference in degree d is found the remaining images are
-expanded through degree d-1 only.  The depth of a commutator [f, g]
-comes from the truncated actions of f and g (magnus.TruncatedAction),
-composed both ways at caps 1, 2, ... up to the first cap where fg and
-gf differ; the images of fg and gf, about as long as the products of
-the lengths of those of f and g, are never expanded.
+and the identity, or fg and gf) act differently on Z<<X>> / (deg > cap)
+(Magnus-Karrass-Solitar, Combinatorial Group Theory, ch. 5), and one
+comparison, action_depth, reads it from their truncated actions
+(magnus.TruncatedAction).  Degree 1 of the Magnus expansion of a word is
+its exponent-sum vector, so the depth of one class, and a pair depth at
+cap 1, decide degree 1 by comparing homology actions, with no
+expansion; above it the action of the class at the cap is compared
+with the identity's.  The depth of a commutator [f, g] comes from the
+truncated actions of f and g, composed both ways at caps 1, 2, ... up
+to the first cap where fg and gf differ; the images of fg and gf, about
+as long as the products of the lengths of those of f and g, are never
+expanded.
 
 The depth function on a curve pair measures how far the commutator of
 the two twists sinks into the filtration:
@@ -51,7 +51,7 @@ from .curve import (
     symplectic_pairing,
 )
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
-from .magnus import TruncatedAction, magnus_expand
+from .magnus import TruncatedAction
 from .mcg import (
     FreeAutomorphism,
     builtin_table,
@@ -99,69 +99,43 @@ class JFValue:
         return self.label()
 
 
-def _first_difference(pairs, cap, expand):
-    """Depth read from paired generator images, compared degree by degree.
-
-    `pairs` holds one (p, q) per generator, and expand(p, top) gives the
-    expansion of p through degree top.  Equal pairs are skipped; the
-    others are compared from degree 1, and once a difference in degree d
-    is found, later pairs are expanded through degree d-1 only.  Equal
-    expansions through the cap give at_least(cap): truncation never
-    proves the identity.
-    """
-    lowest = cap + 1
-    for p, q in pairs:
-        if lowest == 1:
-            break
-        if p == q:
-            continue
-        sp, sq = expand(p, lowest - 1), expand(q, lowest - 1)
-        for d in range(1, lowest):
-            if sp.degrees[d] != sq.degrees[d]:
-                lowest = d
-                break
-    if lowest == 1:
-        return JFDepth("not_in_m1")
-    if lowest > cap:
-        return JFDepth("at_least", cap)
-    # the actions first differ in degree `lowest`:
-    # the class is in M(lowest - 1) and not in M(lowest)
-    return JFDepth("exact", lowest - 1)
-
-
 def _depth(f, g, cap):
     """Filtration depth of g^-1 f, read from the actions of f and g.
 
     g^-1 f lies in M(k) iff f and g agree on the free group mod its
     (k+1)-st term, i.e. iff the expansions of f(x_i) and g(x_i) agree
     through degree k.  Degree 1 of an expansion is the word's exponent
-    sum, so at cap 1 the homology actions decide and nothing is
-    expanded.  At higher caps the expansions of the images that differ
-    are compared by _first_difference.
+    sum, so the homology actions decide degree 1 at every cap with
+    nothing expanded; above it the truncated actions of f and g at the
+    cap are compared by action_depth.  Raises SeriesTermLimit when a
+    series passes MAX_SERIES_TERMS.
     """
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
     if f == g:
         return JFDepth("identity")
+    if homology_action(f) != homology_action(g):
+        return JFDepth("not_in_m1")
     if cap == 1:
-        if homology_action(f) != homology_action(g):
-            return JFDepth("not_in_m1")
         return JFDepth("at_least", 1)
-    return _first_difference(zip(f.images, g.images), cap, magnus_expand)
+    return action_depth(TruncatedAction.of(f, cap), TruncatedAction.of(g, cap))
 
 
 def action_depth(f, g):
     """Filtration depth of g^-1 f from two TruncatedActions.
 
-    The series are already expanded through the cap, so they are
-    compared as they are.  Equal actions give at_least(cap), never
-    identity.
+    The series are compared degree by degree from 1, and the first
+    degree d where any pair differs gives exact(d - 1), or not_in_m1 at
+    d = 1.  Equal actions give at_least(cap): truncation never proves
+    the identity.
     """
     if f.cap != g.cap:
         raise PreconditionError(f"cap mismatch: {f.cap} vs {g.cap}")
-    return _first_difference(
-        zip(f.series, g.series), f.cap, lambda s, top: s
-    )
+    for d in range(1, f.cap + 1):
+        if any(s.degrees[d] != t.degrees[d] for s, t in zip(f.series, g.series)):
+            # in M(d - 1) and not in M(d)
+            return JFDepth("not_in_m1") if d == 1 else JFDepth("exact", d - 1)
+    return JFDepth("at_least", f.cap)
 
 
 def nested_commutators(a, b, cap):
@@ -352,11 +326,15 @@ def johnson_leading_term(f, k):
     Returns one {monomial tuple: coefficient} table per generator; all
     tables are zero iff f also lies in M(k+1).  With d_i = f(x_i) x_i^-1,
     M(f(x_i)) = M(d_i)(1 + X_i) and M(d_i) - 1 starts in degree k+1 >= 2,
-    so the degree-(k+1) part of M(f(x_i)) is that of M(d_i).
+    so the degree-(k+1) part of M(f(x_i)) is that of M(d_i).  The parts
+    are read from the action of f at cap k + 1, which raises
+    SeriesTermLimit when a series passes MAX_SERIES_TERMS.
     """
     if not in_Mk(f, k):
         raise PreconditionError(f"automorphism is not in M({k})")
-    return [magnus_expand(w, k + 1).homogeneous_part(k + 1) for w in f.images]
+    return [
+        s.homogeneous_part(k + 1) for s in TruncatedAction.of(f, k + 1).series
+    ]
 
 
 def morita_check(f, g, kf, kg, cap):

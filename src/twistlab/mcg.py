@@ -219,7 +219,6 @@ class TableEntry:
     index: int  # chain position, or J for SepJ; 0 for Delta
     twist: FreeAutomorphism
     base_word: Word
-    homology: tuple[int, ...]
     separating: bool
     essential: bool
 
@@ -277,7 +276,6 @@ def _parse_table_text(genus, text):
                 index=index,
                 twist=twist,
                 base_word=meta["base"],
-                homology=tuple(meta["homology"]),
                 separating=role in ("sep", "boundary"),
                 essential=role != "boundary",
             )
@@ -306,8 +304,6 @@ def _parse_table_text(genus, text):
             meta["role"] = (kind, int(idx) if idx else 0)
         elif head == "base":
             meta["base"] = Word.from_text(genus, rest)
-        elif head == "homology":
-            meta["homology"] = [int(t) for t in rest.split()]
         elif head in ("image", "inverse"):
             lhs, _, rhs = rest.partition("=")
             m = re.match(r"x(\d+)$", lhs.strip())

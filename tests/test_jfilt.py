@@ -6,10 +6,17 @@ from pathlib import Path
 import pytest
 
 from twistlab.cli import _random_spec
-from twistlab.curve import CurveSpec, parse_curve_spec, resolve
+from twistlab.curve import (
+    CurveSpec,
+    homology_action,
+    identity_matrix,
+    parse_curve_spec,
+    resolve,
+)
 from twistlab.errors import (
     ConsistencyViolation,
     PreconditionError,
+    SeriesTermLimit,
     WordLengthLimit,
 )
 from twistlab.jfilt import (
@@ -401,9 +408,9 @@ def test_enumeration_is_deterministic_and_separating_only_filter():
 #
 # The reference reads the definitions directly: expand every displacement
 # f(x_i) x_i^-1, or both images fg(x_i) and gf(x_i), in full at the top cap
-# and compare degree by degree from 1, with no homology step and no
-# shrinking degree bound.  Truncation commutes with expansion, so the
-# answers at lower caps are read from the same top-cap expansions.
+# and compare degree by degree from 1, with no homology step.  Truncation
+# commutes with expansion, so the answers at lower caps are read from the
+# same top-cap expansions.
 
 TOP_CAP = 5
 
@@ -556,7 +563,7 @@ def test_commutator_depths_match_full_expansions(genus):
 def test_degree_one_is_read_without_expanding(monkeypatch):
     # at cap 1, and for the Torelli test in_Mk(f, 1), the homology
     # actions decide everything
-    from twistlab import jfilt
+    from twistlab import magnus
 
     caps = []
 
@@ -564,7 +571,7 @@ def test_degree_one_is_read_without_expanding(monkeypatch):
         caps.append(cap)
         return magnus_expand(w, cap)
 
-    monkeypatch.setattr(jfilt, "magnus_expand", recording_expand)
+    monkeypatch.setattr(magnus, "magnus_expand", recording_expand)
     rng = random.Random(103)
     for f in _single_classes(2, rng):
         in_Mk(f, 1)
@@ -581,7 +588,7 @@ def test_degree_one_is_read_without_expanding(monkeypatch):
 def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     # the actions of the two twists are composed at caps 1, 2, ... and
     # the loop stops at the first cap where fg and gf differ
-    from twistlab import jfilt, magnus
+    from twistlab import magnus
 
     caps = []
 
@@ -590,7 +597,6 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
         return magnus_expand(w, cap)
 
     monkeypatch.setattr(magnus, "magnus_expand", recording_expand)
-    monkeypatch.setattr(jfilt, "magnus_expand", recording_expand)
     report = classify_pair(spec(2, "C1"), spec(2, "C2 @ [C3]"), 5)
     assert report.ijf == JFValue("one")
     assert set(caps) == {1}
@@ -600,13 +606,67 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     assert max(caps) == 3
 
 
+def test_non_torelli_classes_are_decided_on_homology_at_every_cap(monkeypatch):
+    # every expansion starts from TruncatedSeries.one, whichever module
+    # it is called through
+    expansions = []
+    one = TruncatedSeries.one
+
+    def recording_one(genus, cap):
+        expansions.append(cap)
+        return one(genus, cap)
+
+    monkeypatch.setattr(TruncatedSeries, "one", staticmethod(recording_one))
+    rng = random.Random(113)
+    f = _random_class(rng, 2, 3)
+    while homology_action(f) == identity_matrix(2):
+        f = _random_class(rng, 2, 3)
+    for g in (evaluate((("C1", 1),), 2), f):
+        for cap in range(2, 6):
+            assert johnson_depth(g, cap) == JFDepth("not_in_m1"), (g, cap)
+    assert expansions == []
+
+
+SEP1_CONJUGATORS = (
+    (),
+    (("C3", 1),),
+    (("C2", -1), ("C4", 1)),
+    (("C1", 1), ("C3", -1), ("C2", 1)),
+)
+
+
+def test_single_class_depths_stop_at_the_term_budget(monkeypatch):
+    # a single-class depth at cap >= 2 reads the class's action built by
+    # TruncatedAction.of, so it passes the term budget exactly when
+    # building that action does; the Torelli test expands nothing
+    from twistlab import magnus
+
+    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", 20)
+    outcomes = set()
+    for conj in SEP1_CONJUGATORS:
+        f = resolve(CurveSpec(2, "Sep1", conj)).twist
+        for cap in range(2, 7):
+            try:
+                TruncatedAction.of(f, cap)
+            except SeriesTermLimit:
+                outcomes.add("raised")
+                with pytest.raises(SeriesTermLimit):
+                    johnson_depth(f, cap)
+            else:
+                outcomes.add("read")
+                johnson_depth(f, cap)
+        assert in_Mk(f, 1)
+    assert outcomes == {"raised", "read"}
+
+
 # -- differential test: truncated actions against expansions of words --------
 #
 # A composed action is checked against the expansion of the composed
-# automorphism's images, and a depth read from actions against the word
-# path _depth(fg, gf, cap): commutator_depth itself reads actions.
-# Truncation cannot prove the identity, so where the word path reads
-# "identity" the actions read at_least(cap).
+# automorphism's images, and a depth read from composed actions against
+# _depth(fg, gf, cap), which reads the expansions of fg's and gf's own
+# images through TruncatedAction.of, not substitution: commutator_depth
+# itself composes actions.  Truncation cannot prove the identity, so
+# where _depth reads "identity" the actions read at_least(cap).
 
 
 def _reference_action(f, cap):
@@ -628,7 +688,7 @@ def _truncated(action, cap):
 
 def _assert_actions_match_words(f, g, top):
     """At every cap up to top: substitution gives the expansions of fg
-    and gf, and their depth is the word path's."""
+    and gf, and their depth is the one _depth reads from fg and gf."""
     ref_f, ref_g = _reference_action(f, top), _reference_action(g, top)
     assert TruncatedAction.of(f, top) == ref_f
     assert TruncatedAction.of(g, top) == ref_g

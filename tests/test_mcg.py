@@ -19,7 +19,7 @@ from twistlab.mcg import (
     parse_mcw,
     validate_relations,
 )
-from twistlab.word import Word, boundary_word
+from twistlab.word import Word, abelianized, boundary_word
 
 
 def test_identity_automorphism():
@@ -84,7 +84,7 @@ def test_uniform_transvection_law(genus):
     n = 2 * genus
     for name in table.names():
         entry = table.entry(name)
-        v = entry.homology
+        v = abelianized(entry.base_word)
         m = homology_action(entry.twist)
         for j in range(n):
             e = [1 if t == j else 0 for t in range(n)]
