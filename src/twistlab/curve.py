@@ -8,6 +8,16 @@ class of a curve is canonical up to loop orientation, and algebraic
 intersection numbers consequently carry a global sign ambiguity;
 consumers use absolute values or zero tests only.
 
+The same law gives a resolved curve its truncated Magnus action
+(magnus.TruncatedAction) without expanding the twist's images.  The
+expansion is a ring homomorphism (Magnus-Karrass-Solitar, ch. 5), so
+the action of t_{h(c)} = h t_c h^-1 is the action of h composed with
+those of t_c and h^-1.  The images of h t_c h^-1 grow with the
+conjugator h, while the cost of composing actions follows their numbers
+of terms, so CurveData.action composes when the twist's images hold more
+than COMPOSE_MULTIPLE times the letters of the images of h and h^-1,
+and expands the twist's images otherwise.
+
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
 """
 
@@ -18,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import GenusMismatch, SpecParseError, UnknownTwistName
+from .magnus import TruncatedAction
 from .mcg import FreeAutomorphism, builtin_table, evaluate, format_mcw
 from .word import Word, abelianized
 
@@ -37,14 +48,62 @@ class CurveSpec:
         return self.to_text()
 
 
+#: CurveData.action composes the actions of h, t_c and h^-1 when the
+#: images of t_{h(c)} hold more than this many times the letters of the
+#: images of h and h^-1, and expands the twist's images otherwise.
+#: Composing costs three expansions and two substitutions at each cap of
+#: a pair's depth loop whatever the words, so on short twists expanding
+#: is cheaper.  Measured on classify_pair at cap 3 over the benchmark's
+#: pair-scan lists of seeds 3 and 11 (curves resolved beforehand, one
+#: process, medians of 5 interleaved repetitions), against expanding
+#: every twist: composing every twist raised the 90th-percentile pair
+#: time by 43-50%, a multiple of 1 by 2-26%, while multiples 2, 4 and 8
+#: kept it between -15% and +3% and cut the total by 45-58%.
+COMPOSE_MULTIPLE = 4
+
+
+def _letters(words):
+    return sum(len(w) for w in words)
+
+
 @dataclass(frozen=True)
 class CurveData:
-    """Resolved curve: its twist, class, homology and separating flag."""
+    """Resolved curve h(c): its twist, class, homology and separating
+    flag, with the conjugator h and the base twist t_c the twist
+    h t_c h^-1 was built from."""
 
     twist: FreeAutomorphism
     pi1_class: Word
     homology: tuple[int, ...]
     separating: bool
+    conjugator: FreeAutomorphism
+    base_twist: FreeAutomorphism
+
+    def composes_action(self):
+        """Does action() compose instead of expanding the twist's images?"""
+        h = self.conjugator
+        return _letters(self.twist.images) > COMPOSE_MULTIPLE * (
+            _letters(h.images) + _letters(h.inverse_images)
+        )
+
+    def action(self, cap):
+        """The TruncatedAction of the twist at the cap.
+
+        Equal to TruncatedAction.of(self.twist, cap).  When the twist's
+        images are long against those of h (composes_action), it is the
+        action of h composed with those of t_c and h^-1, which the
+        expansion's being a ring homomorphism makes exact, and whose cost
+        does not grow with the twist's images.  Raises SeriesTermLimit
+        when a series passes MAX_SERIES_TERMS.
+        """
+        if not self.composes_action():
+            return TruncatedAction.of(self.twist, cap)
+        h = self.conjugator
+        return (
+            TruncatedAction.of(h, cap)
+            .compose(TruncatedAction.of(self.base_twist, cap))
+            .compose(TruncatedAction.of(h.inverse(), cap))
+        )
 
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -127,6 +186,8 @@ def _resolve_cached(spec):
         pi1_class=moved.canonical_cyclic(),
         homology=hom,
         separating=all(c == 0 for c in hom),
+        conjugator=f,
+        base_twist=entry.twist,
     )
 
 

@@ -14,7 +14,11 @@ with the identity's.  The depth of a commutator [f, g] comes from the
 truncated actions of f and g, composed both ways at caps 1, 2, ... up
 to the first cap where fg and gf differ; the images of fg and gf, about
 as long as the products of the lengths of those of f and g, are never
-expanded.
+expanded.  For a curve twist t_{h(c)} = h t_c h^-1 whose images are
+long against those of h, the action itself is composed from the actions
+of h, t_c and h^-1, exactly, since the expansion is a ring homomorphism
+(CurveData.action; curve.COMPOSE_MULTIPLE sets how long is long, because
+composing costs more than expanding a short twist's images).
 
 The depth function on a curve pair measures how far the commutator of
 the two twists sinks into the filtration:
@@ -176,24 +180,28 @@ def johnson_depth(f, cap):
     return _depth(f, FreeAutomorphism.identity(f.genus), cap)
 
 
-def _commutator_depth(f, g, fg, gf, cap):
+def _commutator_depth(act_f, act_g, fg, gf, cap):
     """Filtration depth of [f, g], given fg = f.compose(g) and gf.
 
-    Equal products give the identity, and at cap 1 the homology actions
-    decide, as in _depth.  Otherwise the truncated actions of f and g
-    are composed both ways at caps c = 1, 2, ..., stopping at the first
-    cap where fg and gf act differently.  The degree-d part of an
-    action does not depend on the cap above d, and substitution is
-    exact modulo degree > c, so that first difference lies in degree c
-    and the depth is exact(c - 1), or not_in_m1 at c = 1.  The work at
-    a cap grows geometrically with it, so the loop costs a small
-    multiple of the work at the cap it stops at, and neither product's
-    images are ever expanded.
+    act_f and act_g map a cap c to the TruncatedAction of f and of g at
+    c: TruncatedAction.of for plain automorphisms, CurveData.action for
+    curve twists, which composes the actions of h, t_c and h^-1 for a
+    twist h t_c h^-1 with long images (see the curve module).  Equal
+    products give the identity, and at cap 1 the homology actions
+    decide, as in _depth.  Otherwise the actions of f and g are composed
+    both ways at caps c = 1, 2, ..., stopping at the first cap where fg
+    and gf act differently.  The degree-d part of an action does not
+    depend on the cap above d, and substitution is exact modulo
+    degree > c, so that first difference lies in degree c and the depth
+    is exact(c - 1), or not_in_m1 at c = 1.  The work at a cap grows
+    geometrically with it, so the loop costs a small multiple of the
+    work at the cap it stops at, and neither product's images are ever
+    expanded.
     """
     if fg == gf or cap <= 1:
         return _depth(fg, gf, cap)
     for c in range(1, cap + 1):
-        a, b = TruncatedAction.of(f, c), TruncatedAction.of(g, c)
+        a, b = act_f(c), act_g(c)
         depth = action_depth(a.compose(b), b.compose(a))
         if depth.kind != "at_least":
             return depth
@@ -209,7 +217,13 @@ def commutator_depth(f, g, cap):
     the actions of f and g, one cap at a time (_commutator_depth).
     Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
     """
-    return _commutator_depth(f, g, f.compose(g), g.compose(f), cap)
+    return _commutator_depth(
+        lambda c: TruncatedAction.of(f, c),
+        lambda c: TruncatedAction.of(g, c),
+        f.compose(g),
+        g.compose(f),
+        cap,
+    )
 
 
 def ijf(c1, c2, cap):
@@ -220,7 +234,11 @@ def ijf(c1, c2, cap):
     """
     if c1.genus != c2.genus:
         raise GenusMismatch("curve specs of different genus")
-    return _pair_value(commutator_depth(resolve(c1).twist, resolve(c2).twist, cap))
+    d1, d2 = resolve(c1), resolve(c2)
+    f, g = d1.twist, d2.twist
+    return _pair_value(
+        _commutator_depth(d1.action, d2.action, f.compose(g), g.compose(f), cap)
+    )
 
 
 def _pair_value(depth):
@@ -246,6 +264,10 @@ class PairReport:
     algebraic: int
     ijf: JFValue
     depth_cap: int
+    # read by the separating-pair law of check_consistency; as_dict
+    # leaves them out, so the JSON reports do not depend on them
+    c1_separating: bool
+    c2_separating: bool
 
     def as_dict(self):
         return {
@@ -280,6 +302,18 @@ def check_consistency(report):
         raise ConsistencyViolation(
             f"braid pair must have depth one: {r}"
         )
+    # separating twists lie in M(2) and [M(2), M(2)] lies in M(4)
+    # (Morita), so two crossing separating curves have pair depth >= 5
+    if (
+        r.c1_separating
+        and r.c2_separating
+        and not r.commuting
+        and r.ijf.kind != "at_least"
+        and not (r.ijf.kind == "exact" and r.ijf.value >= 5)
+    ):
+        raise ConsistencyViolation(
+            f"crossing separating pair must have depth >= 5: {r}"
+        )
 
 
 def classify_pair(c1, c2, cap, check=True):
@@ -312,8 +346,10 @@ def classify_pair(c1, c2, cap, check=True):
         commuting=commuting,
         braid=braid,
         algebraic=algebraic,
-        ijf=_pair_value(_commutator_depth(f, g, fg, gf, cap)),
+        ijf=_pair_value(_commutator_depth(d1.action, d2.action, fg, gf, cap)),
         depth_cap=cap,
+        c1_separating=d1.separating,
+        c2_separating=d2.separating,
     )
     if check:
         check_consistency(report)

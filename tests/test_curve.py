@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
     algebraic_intersection,
@@ -15,6 +16,7 @@ from twistlab.curve import (
     symplectic_pairing,
 )
 from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
+from twistlab.magnus import TruncatedAction
 from twistlab.mcg import builtin_table, evaluate
 
 
@@ -220,3 +222,33 @@ def test_disjoint_twist_fixes_curve():
     # C4 is disjoint from C1's curve, so conjugating does nothing
     assert curves_equal(spec(2, "C1 @ [C4]"), spec(2, "C1"))
     assert not curves_equal(spec(2, "C1 @ [C2]"), spec(2, "C1"))
+
+
+# -- truncated actions ------------------------------------------------------
+
+
+def test_curve_actions_match_expansions_of_the_twist():
+    # action() composes the actions of h, t_c and h^-1 for twists with
+    # long images and expands the twist's images otherwise; both must
+    # equal the expansion of h t_c h^-1 itself
+    branches = set()
+    for genus in (2, 3):
+        rng = random.Random(41 + genus)
+        table = builtin_table(genus)
+        for _ in range(40):
+            data = resolve(_random_spec(rng, genus, table, 4))
+            branches.add(data.composes_action())
+            for cap in range(1, 5):
+                assert data.action(cap) == TruncatedAction.of(data.twist, cap), (
+                    data, cap,
+                )
+    # the twists of the two heaviest pairs of the benchmark's pair pool
+    for text in (
+        "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]",
+        "Sep1 @ [C3^2 Sep1^-2 C3^-1]",
+    ):
+        data = resolve(spec(2, text))
+        assert data.composes_action()
+        for cap in (3, 4):
+            assert data.action(cap) == TruncatedAction.of(data.twist, cap), text
+    assert branches == {False, True}

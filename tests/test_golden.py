@@ -62,6 +62,10 @@ CASES = {
         "pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3]",
         "--cap", "5",
     ],
+    "pair_g2_c3_heavy_sep1_cap3.json": [
+        "pair", "--genus", "2", "--c1", "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]",
+        "--c2", "Sep1", "--cap", "3",
+    ],
     "validate_g3.json": ["validate", "--genus", "3"],
 }
 

@@ -194,6 +194,25 @@ def test_consistency_checker_rejects_bad_report():
         check_consistency(broken)
 
 
+def test_consistency_checker_rejects_shallow_separating_crossing_pair():
+    # separating twists lie in M(2) and [M(2), M(2)] in M(4), so two
+    # crossing separating curves have pair depth >= 5
+    r = classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 5)
+    assert r.c1_separating and r.c2_separating
+    assert r.ijf == JFValue("exact", 5)
+    check_consistency(r)
+    check_consistency(type(r)(**{**r.__dict__, "ijf": JFValue("at_least", 3)}))
+    for forged in (JFValue("exact", 4), JFValue("exact", 2)):
+        broken = type(r)(**{**r.__dict__, "ijf": forged})
+        with pytest.raises(ConsistencyViolation, match="separating"):
+            check_consistency(broken)
+    # the same depth is lawful when one curve is not separating
+    check_consistency(
+        type(r)(**{**r.__dict__, "ijf": JFValue("exact", 4), "c2_separating": False})
+    )
+    assert "c1_separating" not in r.as_dict()
+
+
 def test_random_pair_reports_consistent():
     rng = random.Random(83)
     table = builtin_table(2)
@@ -602,6 +621,14 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     assert set(caps) == {1}
     caps.clear()
     report = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 5)
+    assert report.ijf == JFValue("exact", 3)
+    assert max(caps) == 3
+    # the first curve's action is composed from those of its conjugator
+    # and base twist (CurveData.action), and that loop stops at cap 3 too
+    caps.clear()
+    c1 = spec(2, "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]")
+    assert resolve(c1).composes_action()
+    report = classify_pair(c1, spec(2, "Sep1"), 5)
     assert report.ijf == JFValue("exact", 3)
     assert max(caps) == 3
 
