@@ -43,10 +43,9 @@ from .jfilt import (
     check_consistency,
     classify_pair,
     in_Mk,
-    nested_commutators,
+    nested_leading_terms,
 )
 from .mcg import builtin_table, evaluate, validate_relations
-from .perm import NestedCommutatorAction
 from .word import Word, abelianized
 
 SCHEMA = 1
@@ -149,18 +148,18 @@ def _corollary_rows(genus, cap):
     w_m is never the identity while the bracket calculus pushes it into
     M(2m+2); each row records the certified level at the working cap.
 
-    Each w_m is carried as its truncated action at the cap
-    (jfilt.nested_commutators), so its depth costs what the series'
-    terms cost, not what its words would.  Truncation cannot tell w_m
-    from the identity: a depth within the cap proves w_m != 1, and
-    otherwise a point of Hom(F_2g, S3) that w_m moves does.  A row with neither
-    proof, or one whose series pass the term cap, keeps every column,
-    adds a note, and ends the rows.
+    Each w_m is carried as its leading term only
+    (jfilt.nested_leading_terms): the bracket chain D_{w_m} =
+    [D_a, D_{w_{m-1}}], whose degree is w_m's level.  A nonzero bracket
+    proves w_m != 1 at that exact level, reported clipped at the cap as
+    a depth read at the cap would be: exact below it, at least the cap
+    from it on.  A zero bracket proves only the level above; that row,
+    or one whose bracket passes the term cap, keeps every column, adds a
+    note, and ends the rows.
     """
     t_a = evaluate((("Sep1", 1),), genus)
     t_b = evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus)
-    depths = nested_commutators(t_a, t_b, cap)
-    certificate = NestedCommutatorAction(t_a, t_b)
+    leads = nested_leading_terms(t_a, t_b)
     rows = []
     for m in range(1, cap // 2 + 1):
         expected = 2 * m + 2
@@ -172,7 +171,7 @@ def _corollary_rows(genus, cap):
             "tested_level": level,
         }
         try:
-            depth, _, _ = next(depths)
+            lead = next(leads)
         except SeriesTermLimit as exc:
             row.update(
                 in_tested_level=False,
@@ -184,29 +183,20 @@ def _corollary_rows(genus, cap):
             )
             rows.append(row)
             break
-        certified = exact = None
-        if depth.kind == "exact":
-            certified = exact = depth.level
-        elif depth.kind == "at_least":
-            certified = depth.level
-        elif depth.kind == "not_in_m1":
-            certified = 0
-        # a depth within the cap proves w_m != 1; past it, a moved point
-        proved = (
-            depth.kind != "at_least" or certificate.moved_point(m) is not None
-        )
+        proved = bool(lead)
+        certified = min(lead.degree if proved else lead.degree + 1, cap)
         row.update(
-            in_tested_level=certified is not None and certified >= level,
+            in_tested_level=certified >= level,
             certified_level=certified,
-            exact_depth=exact,
+            exact_depth=lead.degree if proved and lead.degree < cap else None,
             is_identity=False if proved else None,
-            acts_trivially_up_to_cap=certified is not None and certified >= cap,
+            acts_trivially_up_to_cap=certified >= cap,
         )
         rows.append(row)
         if not proved:
             row["note"] = (
-                "identity not decided: the series agree through the cap "
-                "and w_m moves no point of Hom(F, S3)"
+                "identity not decided: the leading term of w_m is zero, "
+                "which proves only the level above"
             )
             break
     return rows

@@ -18,7 +18,12 @@ expanded.  For a curve twist t_{h(c)} = h t_c h^-1 whose images are
 long against those of h, the action itself is composed from the actions
 of h, t_c and h^-1, exactly, since the expansion is a ring homomorphism
 (CurveData.action; curve.COMPOSE_MULTIPLE sets how long is long, because
-composing costs more than expanding a short twist's images).
+composing costs more than expanding a short twist's images).  Nested
+commutators, whose actions pass the term budget at high caps, are read
+from leading terms instead: the leading term of a class in M(k) is a
+derivation (magnus.Derivation, also behind johnson_leading_term), and
+the leading term of [f, g] is the bracket of those of f and g (Morita),
+so nested_leading_terms gives exact levels from actions at cap 3 alone.
 
 The depth function on a curve pair measures how far the commutator of
 the two twists sinks into the filtration:
@@ -55,7 +60,7 @@ from .curve import (
     symplectic_pairing,
 )
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
-from .magnus import TruncatedAction
+from .magnus import Derivation, TruncatedAction
 from .mcg import (
     FreeAutomorphism,
     builtin_table,
@@ -142,29 +147,31 @@ def action_depth(f, g):
     return JFDepth("at_least", f.cap)
 
 
-def nested_commutators(a, b, cap):
-    """Depths of w_m = [a, w_{m-1}], w_0 = b, for m = 1, 2, ...
+def nested_leading_terms(a, b):
+    """Leading terms D_{w_1}, D_{w_2}, ... of w_m = [a, w_{m-1}], w_0 = b.
 
-    Works on TruncatedActions at the cap.  Yields, for w = w_0, w_1,
-    ..., the triple (depth of [a, w], action of w, action of w^-1).
-    The depth compares a w with w a, and the next w is built only when
-    the next triple is asked for, from the same two products:
-    [a, w] = ((a w) a^-1) w^-1 and [a, w]^-1 = [w, a] = ((w a) w^-1) a^-1.
-    So no commutator word and no inverse series is ever formed.  A
-    composition costs about what the terms of its right factor cost, so
-    this grouping keeps the large actions on the left where it can.
-    Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
+    a and b must lie in M(2) and not M(3), which their actions at cap 3
+    decide; otherwise ConsistencyViolation is raised.  For f in M(k) and
+    g in M(l), the degree-(k+l+1) part of [f, g] is [D_f, D_g]
+    (magnus.Derivation), so w_m lies in M(2m+2) and D_{w_m} =
+    [D_a, D_{w_{m-1}}] is its degree-(2m+2) leading term.  A nonzero one
+    proves that w_m is not in M(2m+3), so not the identity; a zero one
+    proves w_m in M(2m+3) and no more.  Raises SeriesTermLimit when a
+    bracket passes MAX_SERIES_TERMS.
     """
-    act_a = TruncatedAction.of(a, cap)
-    act_a_inv = TruncatedAction.of(a.inverse(), cap)
-    w, w_inv = TruncatedAction.of(b, cap), TruncatedAction.of(b.inverse(), cap)
+    one = TruncatedAction.of(FreeAutomorphism.identity(a.genus), 3)
+    leads = []
+    for t in (a, b):
+        action = TruncatedAction.of(t, 3)
+        if action_depth(action, one) != JFDepth("exact", 2):
+            raise ConsistencyViolation(
+                "a nested commutator factor is not at exact level 2"
+            )
+        leads.append(Derivation.leading(action))
+    lead_a, lead = leads
     while True:
-        aw, wa = act_a.compose(w), w.compose(act_a)
-        yield action_depth(aw, wa), w, w_inv
-        w, w_inv = (
-            aw.compose(act_a_inv).compose(w_inv),
-            wa.compose(w_inv).compose(act_a_inv),
-        )
+        lead = lead_a.bracket(lead)
+        yield lead
 
 
 def in_Mk(f, k):
@@ -362,15 +369,14 @@ def johnson_leading_term(f, k):
     Returns one {monomial tuple: coefficient} table per generator; all
     tables are zero iff f also lies in M(k+1).  With d_i = f(x_i) x_i^-1,
     M(f(x_i)) = M(d_i)(1 + X_i) and M(d_i) - 1 starts in degree k+1 >= 2,
-    so the degree-(k+1) part of M(f(x_i)) is that of M(d_i).  The parts
-    are read from the action of f at cap k + 1, which raises
-    SeriesTermLimit when a series passes MAX_SERIES_TERMS.
+    so the degree-(k+1) part of M(f(x_i)) is that of M(d_i): the value
+    D_f(X_i) of the leading term of f (magnus.Derivation), read from the
+    action of f at cap k + 1, which raises SeriesTermLimit when a series
+    passes MAX_SERIES_TERMS.
     """
     if not in_Mk(f, k):
         raise PreconditionError(f"automorphism is not in M({k})")
-    return [
-        s.homogeneous_part(k + 1) for s in TruncatedAction.of(f, k + 1).series
-    ]
+    return Derivation.leading(TruncatedAction.of(f, k + 1)).parts()
 
 
 def morita_check(f, g, kf, kg, cap):

@@ -34,6 +34,15 @@ def _term_limit(limit, what):
     )
 
 
+def _unpack(key, d, base):
+    """The letters (1-based) of a packed degree-d monomial."""
+    digits = []
+    for _ in range(d):
+        key, digit = divmod(key, base)
+        digits.append(digit + 1)
+    return tuple(reversed(digits))
+
+
 def _mul_into(out, a, b, base, limit=None):
     """Add the product of two series, given as degree-indexed dicts of
     packed keys, to `out`, truncated above degree len(out) - 1.
@@ -106,15 +115,8 @@ class TruncatedSeries:
 
     def homogeneous_part(self, d):
         """Degree-d terms as {unpacked monomial tuple: coefficient}."""
-        return {self._unpack(key, d): c for key, c in self.degrees[d].items()}
-
-    def _unpack(self, key, d):
         base = 2 * self.genus
-        digits = []
-        for _ in range(d):
-            digits.append(key % base + 1)
-            key //= base
-        return tuple(reversed(digits))
+        return {_unpack(key, d, base): c for key, c in self.degrees[d].items()}
 
     def mul(self, other):
         """Truncated product of two series with equal caps."""
@@ -138,7 +140,7 @@ class TruncatedSeries:
         for d, terms in enumerate(self.degrees):
             for key in sorted(terms):
                 c = terms[key]
-                mono = "".join(f"X{i}" for i in self._unpack(key, d))
+                mono = "".join(f"X{i}" for i in _unpack(key, d, 2 * self.genus))
                 if d == 0:
                     parts.append((("+ " if c > 0 else "- "), f"{abs(c)}"))
                 else:
@@ -308,4 +310,99 @@ class TruncatedAction:
             self.genus == other.genus
             and self.cap == other.cap
             and self.series == other.series
+        )
+
+
+class Derivation:
+    """The leading term of a class in M(k), as a derivation of Z<X>.
+
+    For f in M(k), M(f(x_i)) = 1 + X_i + D(X_i) + (degree > k + 1), and
+    since the expansion is a ring homomorphism, the part of its action
+    that raises degrees by exactly k is a derivation D_f: it is held by
+    its 2g values D_f(X_i), degree-(k+1) dicts of packed keys.  For f in
+    M(k) and g in M(l), the degree-(k+l+1) part of [f, g] = f g f^-1 g^-1
+    is [D_f, D_g] = D_f D_g - D_g D_f, and D_f = 0 iff f lies in M(k+1)
+    (Morita, Duke Math. J. 70, 1993).  So a chain of brackets reads exact
+    filtration levels from leading terms alone, whose terms are a small
+    share of those of the actions through the same degree.
+    """
+
+    __slots__ = ("genus", "degree", "values")
+
+    def __init__(self, genus, degree, values):
+        self.genus = genus
+        self.degree = degree
+        self.values = tuple(values)
+
+    @classmethod
+    def leading(cls, action):
+        """D_f from the action of f at cap k + 1, for f in M(k)."""
+        top = action.cap
+        return cls(action.genus, top - 1, (s.degrees[top] for s in action.series))
+
+    def __bool__(self):
+        return any(self.values)
+
+    def parts(self):
+        """The values D(X_i) as {unpacked monomial tuple: coefficient}."""
+        base, d = 2 * self.genus, self.degree + 1
+        return [
+            {_unpack(key, d, base): c for key, c in v.items()}
+            for v in self.values
+        ]
+
+    def _apply_into(self, out, poly, n, sign):
+        """Add sign * D(poly) to `out`, for poly homogeneous of degree n.
+
+        D replaces each letter of a monomial in turn by its value.  With
+        p letters after the replaced one, the value is shifted p digits
+        left, so the shifted values are built once per (p, letter).
+        Zero coefficients are left in place.
+        """
+        base, e = 2 * self.genus, self.degree + 1
+        shifted = [
+            [[(kv * base**p, cv) for kv, cv in v.items()] for v in self.values]
+            for p in range(n)
+        ]
+        highs = [base ** (e + p) for p in range(n)]
+        for key, c in poly.items():
+            c *= sign
+            head, tail, low = key, 0, 1
+            for p in range(n):
+                head, j = divmod(head, base)
+                terms = shifted[p][j]
+                if terms:
+                    hk = head * highs[p] + tail
+                    for kv, cv in terms:
+                        nk = hk + kv
+                        out[nk] = out.get(nk, 0) + c * cv
+                tail += j * low
+                low *= base
+
+    def bracket(self, other):
+        """[self, other] = self other - other self, of degree k + l.
+
+        A value holding more than MAX_SERIES_TERMS nonzero terms raises
+        SeriesTermLimit.  The two products share most of their terms and
+        cancel, so the limit is checked on each finished value, not on
+        the terms touched; a value costs at most its inputs' terms times
+        their degree and their values' terms, so it is finite either way.
+        """
+        if other.genus != self.genus:
+            raise GenusMismatch("derivations of different genus")
+        limit, values = MAX_SERIES_TERMS, []
+        for u, v in zip(self.values, other.values):
+            out = {}
+            self._apply_into(out, v, other.degree + 1, 1)
+            other._apply_into(out, u, self.degree + 1, -1)
+            out = _nonzero(out)
+            if len(out) > limit:
+                raise _term_limit(limit, "bracket")
+            values.append(out)
+        return Derivation(self.genus, self.degree + other.degree, values)
+
+    def __eq__(self, other):
+        return isinstance(other, Derivation) and (
+            (self.genus, self.degree, self.values)
+            == (other.genus, other.degree, other.values)
         )

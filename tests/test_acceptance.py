@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Every tolerance here is exact (integer equality);
-the runtime limits are part of the criteria.
+the runtime limits, in CPU seconds of the test process, are part of the
+criteria.
 """
 
 import itertools
@@ -44,15 +45,18 @@ from twistlab.word import Word, abelianized
 
 
 class Timer:
+    """Process CPU time, which other load on the host does not inflate
+    the way it does wall-clock time."""
+
     def __init__(self, limit_s):
         self.limit = limit_s
 
     def __enter__(self):
-        self.t0 = time.monotonic()
+        self.t0 = time.process_time()
         return self
 
     def __exit__(self, *exc):
-        self.elapsed = time.monotonic() - self.t0
+        self.elapsed = time.process_time() - self.t0
         return False
 
     def report(self, number, text):

@@ -237,10 +237,11 @@ COROLLARY_ROW_KEYS = {
 }
 
 
-# At cap 6, a cap of 720 terms per series degree stops row 1 inside the
-# depth comparison; a cap of 800 certifies row 1 and stops while
-# w_1 = [t_a, t_b] is built for row 2.
-@pytest.mark.parametrize("limit, rows_out", [(720, 1), (800, 2)])
+# At genus 2 the leading terms of t_a and t_b hold at most 12 terms per
+# value, and the brackets of w_1 and w_2 at most 45 and 178.  So a cap of
+# 40 terms per value stops row 1 while w_1's bracket is formed, and a cap
+# of 150 certifies row 1 and stops row 2 at w_2's bracket.
+@pytest.mark.parametrize("limit, rows_out", [(40, 1), (150, 2)])
 def test_corollary_budget_stop_exits_2_with_full_rows(
     capsys, monkeypatch, limit, rows_out
 ):
@@ -268,7 +269,7 @@ def test_corollary_budget_stop_exits_2_with_full_rows(
 
 
 def test_corollary_budget_stop_csv_keeps_every_column(capsys, monkeypatch):
-    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", 800)
+    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", 150)
     rc = main(["corollary", "--genus", "2", "--cap", "6", "--format", "csv"])
     assert rc == 2
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
@@ -279,16 +280,18 @@ def test_corollary_budget_stop_csv_keeps_every_column(capsys, monkeypatch):
 
 
 def test_corollary_past_the_term_cap_stops_fast_with_a_note_row(capsys):
-    # at cap 12 the expansions of t_b pass the term cap while t_a and
-    # t_b are expanded, long before a series is composed
+    # at genus 2 the bracket of w_8 passes 50,000 terms in a value (w_7's
+    # hold at most 49,536), so the rows stop at m = 8 of the 500 asked for
     start = time.process_time()
-    rc = main(["corollary", "--genus", "3", "--cap", "12"])
+    rc = main(["corollary", "--genus", "2", "--cap", "1000"])
     spent = time.process_time() - start
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error: corollary row m=1:")
+    assert captured.err.startswith("error: corollary row m=8:")
     assert captured.err.count("\n") == 1
-    [row] = json.loads(captured.out)["results"]
+    rows = json.loads(captured.out)["results"]
+    assert [r["m"] for r in rows] == list(range(1, 9))
+    row = rows[-1]
     assert set(row) == COROLLARY_ROW_KEYS | {"note"}
     assert row["in_tested_level"] is False
     assert row["is_identity"] is None
@@ -297,7 +300,7 @@ def test_corollary_past_the_term_cap_stops_fast_with_a_note_row(capsys):
 
 def test_corollary_uncertified_identity_is_a_note_row(capsys, monkeypatch):
     # with t_b forged to equal t_a, w_1 = [t_a, t_a] is the identity:
-    # its truncated actions agree and it moves no point of Hom(F, S3),
+    # its leading term [D_a, D_a] is zero, which proves only w_1 in M(5),
     # so the row must not read is_identity: false
     from twistlab import cli
 
@@ -319,6 +322,38 @@ def test_corollary_uncertified_identity_is_a_note_row(capsys, monkeypatch):
     assert doc["summary"]["finite_level_nondetection"][
         "commutator_is_identity"
     ] is None
+
+
+def test_corollary_factor_outside_level_two_is_a_violation(capsys, monkeypatch):
+    # C1 is disjoint from Sep1, so [t_a, C1] = 1, but C1 acts nontrivially
+    # on homology: the bracket calculus does not apply and no row is read
+    from twistlab import cli
+
+    real = cli.evaluate
+
+    def forged(mcw, genus):  # t_a stays Sep1, t_b becomes C1
+        return real(mcw if mcw == (("Sep1", 1),) else (("C1", 1),), genus)
+
+    monkeypatch.setattr(cli, "evaluate", forged)
+    rc = main(["corollary", "--genus", "2", "--cap", "6"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("violation: a nested commutator factor")
+    assert captured.err.count("\n") == 1
+
+
+def test_corollary_cap15_reads_every_level_from_brackets(capsys):
+    start = time.process_time()
+    rc, doc = run_json(capsys, "corollary", "--genus", "2", "--cap", "15")
+    spent = time.process_time() - start
+    assert rc == 0
+    rows = doc["results"]
+    assert [r["exact_depth"] for r in rows] == [4, 6, 8, 10, 12, 14, None]
+    assert rows[-1]["certified_level"] == 15
+    assert all(r["is_identity"] is False for r in rows)
+    assert doc["summary"]["all_rows_certified"] is True
+    assert spent < 5
 
 
 def test_corollary_cap7_reaches_exact_depth_6(capsys):

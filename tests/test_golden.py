@@ -49,6 +49,8 @@ CASES = {
     "corollary_g2_cap4.json": ["corollary", "--genus", "2", "--cap", "4"],
     "corollary_g2_cap5.json": ["corollary", "--genus", "2", "--cap", "5"],
     "corollary_g2_cap6.json": ["corollary", "--genus", "2", "--cap", "6"],
+    "corollary_g2_cap7.json": ["corollary", "--genus", "2", "--cap", "7"],
+    "corollary_g2_cap9.json": ["corollary", "--genus", "2", "--cap", "9"],
     "corollary_g3_cap5.json": ["corollary", "--genus", "3", "--cap", "5"],
     "foxcheck_g2_s25_t6_seed1_b3.json": [
         "foxcheck", "--genus", "2", "--samples", "25", "--torelli-pairs", "6",

@@ -35,14 +35,20 @@ from twistlab.jfilt import (
     johnson_depth,
     johnson_leading_term,
     morita_check,
-    nested_commutators,
+    nested_leading_terms,
     _depth,
 )
-from twistlab.magnus import TruncatedAction, TruncatedSeries, magnus_expand
+from twistlab.magnus import (
+    Derivation,
+    TruncatedAction,
+    TruncatedSeries,
+    magnus_expand,
+)
 from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
     commutator_auto,
+    commutes,
     evaluate,
 )
 from twistlab.word import Word
@@ -755,6 +761,34 @@ def test_composed_actions_match_words_on_scan_golden_pairs():
             _assert_actions_match_words(f, g, cap)
 
 
+# -- differential test: leading-term brackets against composed actions -------
+#
+# nested_commutators is the action route the corollary's rows were once read
+# from: it carries w_m and w_m^-1 as truncated actions at the cap and
+# composes them.  It is checked against words below, and the bracket chain
+# of nested_leading_terms is checked against it.
+
+
+def nested_commutators(a, b, cap):
+    """Depths of w_m = [a, w_{m-1}], w_0 = b, for m = 1, 2, ...
+
+    Yields, for w = w_0, w_1, ..., the triple (depth of [a, w], action
+    of w, action of w^-1) at the cap.  The depth compares a w with w a,
+    and the next w is built from the same two products:
+    [a, w] = ((a w) a^-1) w^-1 and [a, w]^-1 = [w, a] = ((w a) w^-1) a^-1.
+    """
+    act_a = TruncatedAction.of(a, cap)
+    act_a_inv = TruncatedAction.of(a.inverse(), cap)
+    w, w_inv = TruncatedAction.of(b, cap), TruncatedAction.of(b.inverse(), cap)
+    while True:
+        aw, wa = act_a.compose(w), w.compose(act_a)
+        yield action_depth(aw, wa), w, w_inv
+        w, w_inv = (
+            aw.compose(act_a_inv).compose(w_inv),
+            wa.compose(w_inv).compose(act_a_inv),
+        )
+
+
 @pytest.mark.parametrize("genus", [2, 3])
 def test_nested_commutator_depths_match_words_where_they_fit(genus):
     # rows m = 1, 2 of the corollary: [t_a, t_b] and [t_a, w_1]; the
@@ -781,3 +815,72 @@ def test_nested_commutators_track_each_inverse():
         assert act == TruncatedAction.of(w, cap), m
         assert act_inv == TruncatedAction.of(w.inverse(), cap), m
         assert act.compose(act_inv) == one, m
+
+
+@pytest.mark.parametrize("genus, caps", [(2, range(4, 9)), (3, range(4, 7))])
+def test_bracket_levels_match_action_depths(genus, caps):
+    # rows m = 1, 2, 3; a level at or past the cap reads at_least(cap)
+    t_a, t_b = _corollary_twists(genus)
+    for cap in caps:
+        rows = nested_commutators(t_a, t_b, cap)
+        leads = nested_leading_terms(t_a, t_b)
+        for m in range(1, 4):
+            depth, _, _ = next(rows)
+            lead = next(leads)
+            assert lead and lead.degree == 2 * m + 2, (genus, cap, m)
+            if lead.degree < cap:
+                assert depth == JFDepth("exact", lead.degree), (genus, cap, m)
+            else:
+                assert depth == JFDepth("at_least", cap), (genus, cap, m)
+
+
+@pytest.mark.parametrize("genus, cap, count", [(2, 7, 2), (3, 5, 1)])
+def test_brackets_are_the_leading_parts_of_the_actions(genus, cap, count):
+    # the action of w_m agrees with the identity's through degree 2m + 2,
+    # and its degree-(2m + 3) part is the bracket, term for term
+    t_a, t_b = _corollary_twists(genus)
+    rows = nested_commutators(t_a, t_b, cap)
+    next(rows)
+    leads = nested_leading_terms(t_a, t_b)
+    for m in range(1, count + 1):
+        _, action, _ = next(rows)
+        lead = next(leads)
+        top = _truncated(action, lead.degree + 1)
+        one = TruncatedAction.of(FreeAutomorphism.identity(genus), top.cap)
+        assert action_depth(top, one) == JFDepth("exact", lead.degree), m
+        assert lead == Derivation.leading(top), (genus, m)
+
+
+def test_zero_brackets_certify_nothing():
+    t_a, _ = _corollary_twists(2)
+    assert not next(nested_leading_terms(t_a, t_a))
+    # Sep1 and Sep2 bound nested subsurfaces at genus 3, so their twists
+    # commute; both lie in M(2) and not M(3)
+    s1, s2 = evaluate((("Sep1", 1),), 3), evaluate((("Sep2", 1),), 3)
+    assert commutes(s1, s2)
+    assert not next(nested_leading_terms(s1, s2))
+    # C1 is disjoint from Sep1 but outside M(2): no leading term is read
+    c1 = evaluate((("C1", 1),), 2)
+    assert commutes(t_a, c1)
+    with pytest.raises(ConsistencyViolation):
+        next(nested_leading_terms(t_a, c1))
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus):
+    # f, g in M(2): the action of [f, g] at cap 5 has the bracket of their
+    # degree-3 parts as its degree-5 part, zero or not, and nothing between
+    rng = random.Random(113 + genus)
+    classes = sample_torelli_words(rng, genus, 3) + list(_corollary_twists(genus))
+    one = TruncatedAction.of(FreeAutomorphism.identity(genus), 5)
+    kinds = set()
+    for f, g in itertools.combinations(classes, 2):
+        lead_f = Derivation.leading(TruncatedAction.of(f, 3))
+        lead_g = Derivation.leading(TruncatedAction.of(g, 3))
+        bracket = lead_f.bracket(lead_g)
+        comm = TruncatedAction.of(commutator_auto(f, g), 5)
+        assert bracket == Derivation.leading(comm), (f, g)
+        depth = action_depth(_truncated(comm, 4), _truncated(one, 4))
+        assert depth.kind == "at_least", (f, g)
+        kinds.add(bool(bracket))
+    assert kinds == {True, False}
