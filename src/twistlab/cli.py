@@ -383,6 +383,13 @@ def _nonnegative_int(text):
     return value
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="twistlab",
@@ -410,7 +417,7 @@ def build_parser():
     common(p)
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", required=True)
-    p.add_argument("--cap", type=int, default=3)
+    p.add_argument("--cap", type=_positive_int, default=3)
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser(
@@ -418,12 +425,12 @@ def build_parser():
         help="nested separating-twist commutators deep in the filtration",
     )
     common(p, genus_default=2)
-    p.add_argument("--cap", type=int, default=4)
+    p.add_argument("--cap", type=_positive_int, default=4)
     p.set_defaults(func=cmd_corollary)
 
     p = sub.add_parser("scan", help="randomized pair scan with law checking")
     common(p)
-    p.add_argument("--cap", type=int, default=3)
+    p.add_argument("--cap", type=_positive_int, default=3)
     p.add_argument("--samples", type=_nonnegative_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-conjugator-len", type=_nonnegative_int, default=4)

@@ -177,7 +177,9 @@ def _resolve_cached(spec):
             f"{spec.base} is boundary-parallel and cannot serve as a curve base"
         )
     f = evaluate(spec.conjugator, spec.genus)
-    twist = f.compose(entry.twist).compose(f.inverse())
+    # inside out: t_c's short images substitute into those of f^-1
+    # first, so only the outer compose applies a long map
+    twist = f.compose(entry.twist.compose(f.inverse()))
     moved = f(entry.base_word)
     # not from the canonical class, whose orientation may be reversed
     hom = abelianized(moved)

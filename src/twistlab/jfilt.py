@@ -10,13 +10,17 @@ comparison, action_depth, reads it from their truncated actions
 its exponent-sum vector, so the depth of one class, and a pair depth at
 cap 1, decide degree 1 by comparing homology actions, with no
 expansion; above it the action of the class at the cap is compared
-with the identity's.  The depth of a commutator [f, g] comes from the
-truncated actions of f and g, composed both ways at caps 1, 2, ... up
-to the first cap where fg and gf differ; the images of fg and gf, about
-as long as the products of the lengths of those of f and g, are never
-expanded.  For a curve twist t_{h(c)} = h t_c h^-1 whose images are
-long against those of h, the action itself is composed from the actions
-of h, t_c and h^-1, exactly, since the expansion is a ring homomorphism
+with the identity's.  Whether f and g commute is decided first and
+exactly, by mcg.commutes, which compares f(g(x_i)) with g(f(x_i)) one
+generator at a time and composes neither product.  The depth of a
+commutator [f, g] that is not the identity comes from the truncated
+actions of f and g, composed both ways at caps 1, 2, ... up to the
+first cap where fg and gf differ; the images of fg and gf, about as
+long as the products of the lengths of those of f and g, are composed
+only for the homology comparison at cap 1, and never expanded.  For a
+curve twist t_{h(c)} = h t_c h^-1 whose images are long against those
+of h, the action itself is composed from the actions of h, t_c and
+h^-1, exactly, since the expansion is a ring homomorphism
 (CurveData.action; curve.COMPOSE_MULTIPLE sets how long is long, because
 composing costs more than expanding a short twist's images).  Nested
 commutators, whose actions pass the term budget at high caps, are read
@@ -187,26 +191,29 @@ def johnson_depth(f, cap):
     return _depth(f, FreeAutomorphism.identity(f.genus), cap)
 
 
-def _commutator_depth(act_f, act_g, fg, gf, cap):
-    """Filtration depth of [f, g], given fg = f.compose(g) and gf.
+def _commutator_depth(f, g, commuting, act_f, act_g, cap):
+    """Filtration depth of [f, g], given whether f and g commute.
 
     act_f and act_g map a cap c to the TruncatedAction of f and of g at
     c: TruncatedAction.of for plain automorphisms, CurveData.action for
     curve twists, which composes the actions of h, t_c and h^-1 for a
-    twist h t_c h^-1 with long images (see the curve module).  Equal
-    products give the identity, and at cap 1 the homology actions
-    decide, as in _depth.  Otherwise the actions of f and g are composed
-    both ways at caps c = 1, 2, ..., stopping at the first cap where fg
-    and gf act differently.  The degree-d part of an action does not
-    depend on the cap above d, and substitution is exact modulo
+    twist h t_c h^-1 with long images (see the curve module).  Commuting
+    classes give the identity, and at cap 1 the homology actions of fg
+    and gf decide, as in _depth.  Otherwise the actions of f and g are
+    composed both ways at caps c = 1, 2, ..., stopping at the first cap
+    where fg and gf act differently.  The degree-d part of an action
+    does not depend on the cap above d, and substitution is exact modulo
     degree > c, so that first difference lies in degree c and the depth
     is exact(c - 1), or not_in_m1 at c = 1.  The work at a cap grows
     geometrically with it, so the loop costs a small multiple of the
-    work at the cap it stops at, and neither product's images are ever
-    expanded.
+    work at the cap it stops at, and neither product is built.
     """
-    if fg == gf or cap <= 1:
-        return _depth(fg, gf, cap)
+    if cap < 1:
+        raise PreconditionError("cap must be >= 1")
+    if commuting:
+        return JFDepth("identity")
+    if cap == 1:
+        return _depth(f.compose(g), g.compose(f), cap)
     for c in range(1, cap + 1):
         a, b = act_f(c), act_g(c)
         depth = action_depth(a.compose(b), b.compose(a))
@@ -225,10 +232,11 @@ def commutator_depth(f, g, cap):
     Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
     """
     return _commutator_depth(
+        f,
+        g,
+        commutes(f, g),
         lambda c: TruncatedAction.of(f, c),
         lambda c: TruncatedAction.of(g, c),
-        f.compose(g),
-        g.compose(f),
         cap,
     )
 
@@ -244,7 +252,7 @@ def ijf(c1, c2, cap):
     d1, d2 = resolve(c1), resolve(c2)
     f, g = d1.twist, d2.twist
     return _pair_value(
-        _commutator_depth(d1.action, d2.action, f.compose(g), g.compose(f), cap)
+        _commutator_depth(f, g, commutes(f, g), d1.action, d2.action, cap)
     )
 
 
@@ -329,23 +337,22 @@ def classify_pair(c1, c2, cap, check=True):
         raise GenusMismatch("curve specs of different genus")
     d1, d2 = resolve(c1), resolve(c2)
     f, g = d1.twist, d2.twist
-    fg = f.compose(g)
-    gf = g.compose(f)
-    commuting = fg == gf
+    commuting = commutes(f, g)
     algebraic = symplectic_pairing(d1.homology, d2.homology)
     # Commuting twists braid iff equal (f^2 g = g^2 f forces f = g);
     # crossing twists braid only along curves meeting once, which forces
-    # |algebraic| = 1.  That shortcut is needed as well as fast: for
-    # C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2] and Sep1, with algebraic 0,
-    # the image of the class of c1 under fg passes the letter cap.
-    # Otherwise fgf = gfg iff fg f (fg)^-1 = g, which holds iff fg maps
-    # the class of c1 to that of c2 (see the module docstring).
+    # |algebraic| = 1, so fg is composed only for those.  That shortcut
+    # is needed as well as fast: for C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]
+    # and Sep1, with algebraic 0, the image of the class of c1 under fg
+    # passes the letter cap.  Otherwise fgf = gfg iff fg f (fg)^-1 = g,
+    # which holds iff fg maps the class of c1 to that of c2 (see the
+    # module docstring).
     if commuting:
         braid = f == g
     elif abs(algebraic) != 1:
         braid = False
     else:
-        braid = fg(d1.pi1_class).canonical_cyclic() == d2.pi1_class
+        braid = f.compose(g)(d1.pi1_class).canonical_cyclic() == d2.pi1_class
     report = PairReport(
         genus=c1.genus,
         c1=c1.to_text(),
@@ -353,7 +360,9 @@ def classify_pair(c1, c2, cap, check=True):
         commuting=commuting,
         braid=braid,
         algebraic=algebraic,
-        ijf=_pair_value(_commutator_depth(d1.action, d2.action, fg, gf, cap)),
+        ijf=_pair_value(
+            _commutator_depth(f, g, commuting, d1.action, d2.action, cap)
+        ),
         depth_cap=cap,
         c1_separating=d1.separating,
         c2_separating=d2.separating,

@@ -48,8 +48,9 @@ class FreeAutomorphism:
     inverse; construction verifies both round trips, which guarantees
     the endomorphism is an automorphism.  A product made by compose
     keeps its two factors instead and builds its inverse images from
-    them on first access, so products that are only compared never pay
-    for their inverse.  Instances are immutable.
+    them on first access, and the letter table that applying the map
+    reads is built on the first call, so products that are only
+    compared pay for neither.  Instances are immutable.
     """
 
     __slots__ = (
@@ -75,12 +76,7 @@ class FreeAutomorphism:
         self.images = images
         self._inverse_images = inverse_images
         self._factors = _factors
-        # letter -> image letters, for +-1..+-2g
-        table = {}
-        for i, w in enumerate(images, start=1):
-            table[i] = w.letters
-            table[-i] = tuple(-ell for ell in reversed(w.letters))
-        self._letter_images = table
+        self._letter_images = None
         self._hash = None
         if _check:
             inv = self.inverse()
@@ -104,6 +100,13 @@ class FreeAutomorphism:
             raise GenusMismatch("word of wrong genus")
         out = []
         table = self._letter_images
+        if table is None:
+            # letter -> image letters, for +-1..+-2g
+            table = {}
+            for i, img in enumerate(self.images, start=1):
+                table[i] = img.letters
+                table[-i] = tuple(-ell for ell in reversed(img.letters))
+            self._letter_images = table
         limit = MAX_IMAGE_LETTERS
         for ell in w.letters:
             for img in table[ell]:
@@ -132,10 +135,11 @@ class FreeAutomorphism:
 
     def _build_inverse_images(self):
         # (f g)^-1 = g^-1 f^-1, so the inverse images of a product are
-        # g^-1 applied to the inverse images of f.  Products nest as
-        # deep as a mapping class word is long, so the pending factors
-        # are ordered on an explicit stack (factors before products)
-        # instead of by recursion.
+        # g^-1 applied to the inverse images of f.  A chain of compose
+        # calls (a power, or a caller's own fold) nests products as deep
+        # as it is long, so the pending factors are ordered on an
+        # explicit stack (factors before products) instead of by
+        # recursion.
         # Each step reads _factors once and sets _inverse_images before
         # clearing it, so a concurrent first access only repeats work.
         order, stack, done = [], [(self, False)], set()
@@ -199,7 +203,16 @@ class FreeAutomorphism:
 
 
 def commutes(f, g):
-    return f.compose(g) == g.compose(f)
+    """Does f g = g f?
+
+    Compares f(g(x_i)) with g(f(x_i)) one generator at a time and stops
+    at the first difference; neither product is built as an automorphism.
+    """
+    if f.genus != g.genus:
+        raise GenusMismatch("automorphisms of different genus")
+    return all(
+        f(u).letters == g(v).letters for u, v in zip(g.images, f.images)
+    )
 
 
 def commutator_auto(f, g):
@@ -358,20 +371,44 @@ def format_mcw(mcw):
     return " ".join(n if k == 1 else f"{n}^{k}" for n, k in mcw)
 
 
+# bounded: a genus has at most 10 names, but exponents are unbounded
+@lru_cache(maxsize=1024)
+def _twist_power(genus, name, k):
+    return builtin_table(genus).twist(name).power(k)
+
+
+def _apply_factors(genus, factors):
+    """Images of the generators under the product of `factors`, leftmost
+    applied last, built from the inside out: each factor's short images
+    substitute into the images built so far."""
+    images = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
+    for name, k in reversed(factors):
+        p = _twist_power(genus, name, k)
+        images = tuple(p(w) for w in images)
+    return images
+
+
 @lru_cache(maxsize=8192)
 def _evaluate_cached(genus, mcw):
-    table = builtin_table(genus)
-    acc = FreeAutomorphism.identity(genus)
-    for name, k in mcw:
-        t = table.twist(name)
-        acc = acc.compose(t.power(k))
-    return acc
+    inverse_factors = tuple((name, -k) for name, k in reversed(mcw))
+    return FreeAutomorphism(
+        genus,
+        _apply_factors(genus, mcw),
+        _apply_factors(genus, inverse_factors),
+        _check=False,
+    )
 
 
 def evaluate(mcw, genus):
     """Composite of named twists, leftmost applied last.
 
-    evaluate(((A,1),(B,1))) sends w to t_A(t_B(w)).
+    evaluate(((A,1),(B,1))) sends w to t_A(t_B(w)).  The images are
+    built from the inside out, by applying each table-twist power to the
+    images of the factors right of it, and the inverse images the same
+    way from the inverse factors in reverse order.  A table twist's
+    images are short, so every step substitutes short words into long
+    ones, and the result is one flat automorphism with no pending
+    factors.
     """
     mcw = tuple((str(n), int(k)) for n, k in mcw)
     for name, k in mcw:

@@ -94,6 +94,25 @@ def test_corollary_cap_too_small(capsys):
     assert "cap too small" in doc["summary"]["note"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--genus", "2", "--c1", "C1", "--c2", "C2"],
+        ["scan", "--genus", "2", "--samples", "2", "--seed", "1"],
+        ["corollary", "--genus", "2"],
+    ],
+    ids=["pair", "scan", "corollary"],
+)
+def test_cap_below_one_exits_2(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", cap])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --cap: must be >= 1" in captured.err
+
+
 def test_corollary_needs_genus_at_least_2(capsys):
     rc = main(["corollary", "--genus", "1", "--cap", "4"])
     assert rc == 2

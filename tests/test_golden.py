@@ -68,6 +68,17 @@ CASES = {
         "pair", "--genus", "2", "--c1", "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]",
         "--c2", "Sep1", "--cap", "3",
     ],
+    # a commuting pair with long twist images: commutation compares
+    # every generator image
+    "pair_g3_c7_heavy_commuting_cap3.json": [
+        "pair", "--genus", "3", "--c1", "C7 @ [C1^-2 C5^-1 C4 Sep2^-2]",
+        "--c2", "Sep2 @ [C5 C7^2 Sep2^2 C5^2]", "--cap", "3",
+    ],
+    # algebraic -1: the braid label is read from fg
+    "pair_g3_c4_braid_cap3.json": [
+        "pair", "--genus", "3", "--c1", "C4 @ [C3^-2]",
+        "--c2", "C2 @ [Sep1^2 C3^-1 C2 C4^2]", "--cap", "3",
+    ],
     "validate_g3.json": ["validate", "--genus", "3"],
 }
 

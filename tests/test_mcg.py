@@ -210,6 +210,68 @@ def test_product_inverse_images_invert_the_product():
         assert f.compose(f.inverse()).is_identity()
 
 
+def _left_fold_evaluate(mcw, genus):
+    # the reference evaluate: fold the word from the left, composing the
+    # product so far with each factor's power
+    table = builtin_table(genus)
+    acc = FreeAutomorphism.identity(genus)
+    for name, k in mcw:
+        acc = acc.compose(table.twist(name).power(k))
+    return acc
+
+
+def _random_mcw(rng, names):
+    mcw = []
+    for _ in range(rng.randrange(7)):
+        # repeat the previous name now and then, so factors can cancel
+        name = mcw[-1][0] if mcw and rng.random() < 0.3 else rng.choice(names)
+        mcw.append((name, rng.choice((-3, -2, -1, 1, 2, 3))))
+    return tuple(mcw)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_inside_out_evaluate_matches_the_left_fold(genus):
+    rng = random.Random(53 + genus)
+    names = builtin_table(genus).names()
+    words = [(), (("C1", 2), ("C1", -1), ("C1", 3)), (("C2", 40), ("C1", -1))]
+    words += [_random_mcw(rng, names) for _ in range(25)]
+    n = 2 * genus
+    for mcw in words:
+        h = evaluate(mcw, genus)
+        ref = _left_fold_evaluate(mcw, genus)
+        assert h.images == ref.images, mcw
+        assert h.inverse_images == ref.inverse_images, mcw
+        h_inv = h.inverse()
+        for i in range(1, n + 1):
+            x = Word.generator(genus, i)
+            assert h(h_inv(x)) == x == h_inv(h(x)), mcw
+
+
+def _conjugated_twist(genus, rng):
+    table = builtin_table(genus)
+    h = evaluate(_random_mcw(rng, table.names()), genus)
+    base = table.twist(rng.choice(table.essential_base_names()))
+    return h.compose(base).compose(h.inverse())
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_commutes_matches_comparing_the_products(genus):
+    table = builtin_table(genus)
+    twists = [table.twist(n) for n in table.names()]
+    pairs = [(f, g) for f in twists for g in twists]  # relation-suite pairs
+    delta = table.twist("Delta")
+    rng = random.Random(59 + genus)
+    for _ in range(20):
+        f, g = _conjugated_twist(genus, rng), _conjugated_twist(genus, rng)
+        pairs += [(f, g), (delta, f), (f, rng.choice(twists))]
+    outcomes = set()
+    for f, g in pairs:
+        expected = f.compose(g) == g.compose(f)
+        assert commutes(f, g) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_inverse_of_a_deep_product_chain():
     # one product per factor, nested far deeper than the recursion limit
     t = builtin_table(1).twist("C1")
