@@ -24,7 +24,6 @@ from .curve import (
     parse_curve_spec,
     resolve,
     homology_action,
-    algebraic_intersection,
     curves_equal,
 )
 from .jfilt import (

@@ -18,7 +18,7 @@ import random
 import sys
 
 from . import __version__
-from .curve import CurveSpec, parse_curve_spec
+from .curve import CurveSpec, parse_curve_spec, resolve
 from .errors import (
     ConsistencyViolation,
     PreconditionError,
@@ -339,10 +339,9 @@ def cmd_foxcheck(args):
                 (rng.choice(names), rng.choice((-1, 1)))
                 for _ in range(rng.randrange(3))
             )
-            g = evaluate(conj, genus)
-            f = g.compose(evaluate((("Sep1", rng.choice((-1, 1))),), genus)).compose(
-                g.inverse()
-            )
+            f = resolve(CurveSpec(genus, "Sep1", conj)).twist
+            if rng.choice((-1, 1)) < 0:
+                f = f.inverse()
             if rng.random() < 0.5:
                 f = f.compose(rng.choice(torelli))
             if not f.is_identity() and in_Mk(f, 1):

@@ -229,31 +229,12 @@ def symplectic_pairing(u, v):
     return total
 
 
-def standard_form_matrix(genus):
-    n = 2 * genus
-    j = [[0] * n for _ in range(n)]
-    for i in range(0, n, 2):
-        j[i][i + 1] = 1
-        j[i + 1][i] = -1
-    return tuple(tuple(row) for row in j)
-
-
 # -- pairings and equality ---------------------------------------------
 
 
 def _check_same_genus(c1, c2):
     if c1.genus != c2.genus:
         raise GenusMismatch("curve specs of different genus")
-
-
-def algebraic_intersection(c1, c2):
-    """Symplectic pairing of the two homology classes.
-
-    The sign depends on the orientations baked into the canonical
-    classes; use abs() or a zero test.
-    """
-    _check_same_genus(c1, c2)
-    return symplectic_pairing(resolve(c1).homology, resolve(c2).homology)
 
 
 def curves_equal(c1, c2):

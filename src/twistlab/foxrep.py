@@ -11,10 +11,9 @@ group-ring coefficients are never needed.
 Multiplicativity is what the kernel-element scan rests on: for Torelli
 classes f and g, r([f, g]) = r(fg) r(gf)^-1, so the commutator has
 identity matrix iff r(fg) == r(gf).  A hit of suzuki_scan is a pair of
-separating twists with fg != gf (the twists do not commute, so the
-curves cross) and r(fg) == r(gf) (the representation does not see it),
-the phenomenon Suzuki exhibited for the Magnus representation of the
-Torelli group.
+separating twists that do not commute (so the curves cross) with
+r(fg) == r(gf) (the representation does not see it), the phenomenon
+Suzuki exhibited for the Magnus representation of the Torelli group.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from .curve import resolve
 from .errors import GenusMismatch, PreconditionError
 from .jfilt import enumerate_curve_specs, in_Mk
+from .mcg import commutes
 
 
 class LaurentPoly:
@@ -57,9 +57,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_one(self):
-        return self.terms == {(0,) * (2 * self.genus): 1}
 
     def _check(self, other):
         if self.genus != other.genus:
@@ -207,11 +204,11 @@ def suzuki_scan(genus, budget):
     """Enumerate separating curve pairs hunting for twists that cross
     while their Magnus matrices commute.
 
-    For each pair of distinct separating twists f, g the products fg and
-    gf are built once.  The pair is skipped when fg == gf: the twists
-    commute exactly when their commutator is the identity.  It is a hit
-    when magnus_rep(fg) == magnus_rep(gf).  Both products lie in the
-    Torelli group, where magnus_rep is multiplicative, so
+    A pair of distinct separating twists f, g is skipped when
+    mcg.commutes(f, g) holds, which builds neither product.  Otherwise
+    the products fg and gf are built once, and the pair is a hit when
+    magnus_rep(fg) == magnus_rep(gf).  Both products lie in the Torelli
+    group, where magnus_rep is multiplicative, so
     r([f, g]) = r(fg) r(gf)^-1, and a hit certifies a nontrivial
     commutator [f, g] with identity Magnus matrix.  The commutator
     itself, a product of four twists, is never formed: its images can
@@ -244,9 +241,9 @@ def suzuki_scan(genus, budget):
                 return hits
             tested += 1
             (da, ta), (db, tb) = specs[a], specs[b]
-            fg, gf = ta.compose(tb), tb.compose(ta)
-            if fg == gf:
+            if commutes(ta, tb):
                 continue
+            fg, gf = ta.compose(tb), tb.compose(ta)
             if rep_equal(magnus_rep(fg), magnus_rep(gf)):
                 hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
     return hits

@@ -15,19 +15,20 @@ exactly, by mcg.commutes, which compares f(g(x_i)) with g(f(x_i)) one
 generator at a time and composes neither product.  The depth of a
 commutator [f, g] that is not the identity comes from the truncated
 actions of f and g, composed both ways at caps 1, 2, ... up to the
-first cap where fg and gf differ; the images of fg and gf, about as
-long as the products of the lengths of those of f and g, are composed
-only for the homology comparison at cap 1, and never expanded.  For a
-curve twist t_{h(c)} = h t_c h^-1 whose images are long against those
-of h, the action itself is composed from the actions of h, t_c and
-h^-1, exactly, since the expansion is a ring homomorphism
-(CurveData.action; curve.COMPOSE_MULTIPLE sets how long is long, because
-composing costs more than expanding a short twist's images).  Nested
-commutators, whose actions pass the term budget at high caps, are read
-from leading terms instead: the leading term of a class in M(k) is a
-derivation (magnus.Derivation, also behind johnson_leading_term), and
-the leading term of [f, g] is the bracket of those of f and g (Morita),
-so nested_leading_terms gives exact levels from actions at cap 3 alone.
+first cap where fg and gf differ, or at cap 1 from the products of
+the homology matrices of f and g.  So the images of fg and gf, about as
+long as the products of the lengths of those of f and g, are never
+composed for a depth.  For a curve twist t_{h(c)} = h t_c h^-1 whose
+images are long against those of h, the action itself is composed from
+the actions of h, t_c and h^-1, exactly, since the expansion is a ring
+homomorphism (CurveData.action; curve.COMPOSE_MULTIPLE sets how long is
+long, because composing costs more than expanding a short twist's
+images).  Nested commutators, whose actions pass the term budget at
+high caps, are read from leading terms instead: the leading term of a
+class in M(k) is a derivation (magnus.Derivation, also behind
+johnson_leading_term), and the leading term of [f, g] is the bracket of
+those of f and g (Morita), so nested_leading_terms gives exact levels
+from actions at cap 3 alone.
 
 The depth function on a curve pair measures how far the commutator of
 the two twists sinks into the filtration:
@@ -60,6 +61,7 @@ from .curve import (
     CurveSpec,
     curves_equal,
     homology_action,
+    mat_mul,
     resolve,
     symplectic_pairing,
 )
@@ -198,22 +200,26 @@ def _commutator_depth(f, g, commuting, act_f, act_g, cap):
     c: TruncatedAction.of for plain automorphisms, CurveData.action for
     curve twists, which composes the actions of h, t_c and h^-1 for a
     twist h t_c h^-1 with long images (see the curve module).  Commuting
-    classes give the identity, and at cap 1 the homology actions of fg
-    and gf decide, as in _depth.  Otherwise the actions of f and g are
-    composed both ways at caps c = 1, 2, ..., stopping at the first cap
-    where fg and gf act differently.  The degree-d part of an action
-    does not depend on the cap above d, and substitution is exact modulo
-    degree > c, so that first difference lies in degree c and the depth
-    is exact(c - 1), or not_in_m1 at c = 1.  The work at a cap grows
-    geometrically with it, so the loop costs a small multiple of the
-    work at the cap it stops at, and neither product is built.
+    classes give the identity.  At cap 1 the homology actions of fg and
+    gf decide, as in _depth, each read as the product of the matrices of
+    f and g.  Otherwise the actions of f and g are composed both ways at
+    caps c = 1, 2, ..., stopping at the first cap where fg and gf act
+    differently.  The degree-d part of an action does not depend on the
+    cap above d, and substitution is exact modulo degree > c, so that
+    first difference lies in degree c and the depth is exact(c - 1), or
+    not_in_m1 at c = 1.  The work at a cap grows geometrically with it,
+    so the loop costs a small multiple of the work at the cap it stops
+    at, and neither product is built.
     """
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
     if commuting:
         return JFDepth("identity")
     if cap == 1:
-        return _depth(f.compose(g), g.compose(f), cap)
+        hf, hg = homology_action(f), homology_action(g)
+        if mat_mul(hf, hg) != mat_mul(hg, hf):
+            return JFDepth("not_in_m1")
+        return JFDepth("at_least", 1)
     for c in range(1, cap + 1):
         a, b = act_f(c), act_g(c)
         depth = action_depth(a.compose(b), b.compose(a))

@@ -43,14 +43,14 @@ def _unpack(key, d, base):
     return tuple(reversed(digits))
 
 
-def _mul_into(out, a, b, base, limit=None):
+def _mul_into(out, a, b, base, limit):
     """Add the product of two series, given as degree-indexed dicts of
     packed keys, to `out`, truncated above degree len(out) - 1.
 
-    Zero coefficients are left in place.  With a limit, a degree of `out`
-    holding more terms than that raises SeriesTermLimit.  It is checked
-    after each term of `a`, and the terms one term of `a` adds to a degree
-    are all distinct, so the work done before the check fires is bounded.
+    Zero coefficients are left in place.  A degree of `out` holding more
+    than `limit` terms raises SeriesTermLimit.  It is checked after each
+    term of `a`, and the terms one term of `a` adds to a degree are all
+    distinct, so the work done before the check fires is bounded.
     """
     top = len(out) - 1
     for da, terms_a in enumerate(a[: top + 1]):
@@ -66,7 +66,7 @@ def _mul_into(out, a, b, base, limit=None):
                 for kb, cb in terms_b.items():
                     key = kbase + kb
                     target[key] = target.get(key, 0) + ca * cb
-                if limit is not None and len(target) > limit:
+                if len(target) > limit:
                     raise _term_limit(limit, "composition")
 
 
@@ -90,41 +90,10 @@ class TruncatedSeries:
         s.degrees[0][0] = 1
         return s
 
-    def _check_compat(self, other):
-        if self.genus != other.genus:
-            raise GenusMismatch("series of different genus")
-        if self.cap != other.cap:
-            raise ValueError(
-                f"cap mismatch: {self.cap} vs {other.cap}"
-            )
-
-    def constant_term(self):
-        return self.degrees[0].get(0, 0)
-
-    def is_one(self):
-        if self.constant_term() != 1:
-            return False
-        return all(not d for d in self.degrees[1:])
-
-    def lowest_nonzero_degree(self):
-        """Smallest d >= 1 with a nonzero degree-d term, else None."""
-        for d in range(1, self.cap + 1):
-            if self.degrees[d]:
-                return d
-        return None
-
     def homogeneous_part(self, d):
         """Degree-d terms as {unpacked monomial tuple: coefficient}."""
         base = 2 * self.genus
         return {_unpack(key, d, base): c for key, c in self.degrees[d].items()}
-
-    def mul(self, other):
-        """Truncated product of two series with equal caps."""
-        self._check_compat(other)
-        out = TruncatedSeries(self.genus, self.cap)
-        _mul_into(out.degrees, self.degrees, other.degrees, 2 * self.genus)
-        out.degrees = [_nonzero(d) for d in out.degrees]
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -160,9 +129,10 @@ class TruncatedSeries:
 def magnus_expand(w, cap):
     """Expand a word at the given degree cap.
 
-    Multiplicative: magnus_expand(u*v) == magnus_expand(u).mul(...(v)).
-    Runs of a single generator are folded into one sparse product with
-    binomial coefficients, so cost scales with the run count.
+    Multiplicative: the expansion of u*v is the truncated product of
+    those of u and v.  Runs of a single generator are folded into one
+    sparse product with binomial coefficients, so cost scales with the
+    run count.
 
     Each run right-multiplies the series by (1 + X_i)^m in place, from
     the top degree down: degree d gains terms from degrees below d only,

@@ -36,12 +36,13 @@ from twistlab.jfilt import (
 from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
-    commutator_auto,
     evaluate,
     is_central,
     validate_relations,
 )
 from twistlab.word import Word, abelianized
+
+from references import commutator_auto
 
 
 class Timer:

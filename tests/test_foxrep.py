@@ -17,8 +17,10 @@ from twistlab.foxrep import (
     suzuki_scan,
 )
 from twistlab.jfilt import enumerate_curve_specs, in_Mk
-from twistlab.mcg import builtin_table, commutator_auto, evaluate
+from twistlab.mcg import FreeAutomorphism, builtin_table, commutes, evaluate
 from twistlab.word import Word, abelianized
+
+from references import commutator_auto
 
 
 def random_word(rng, genus, max_len=10):
@@ -210,16 +212,29 @@ def _scan_pairs(genus, budget):
 
 
 @pytest.mark.parametrize("genus,budget", [(2, 20), (3, 10)])
-def test_suzuki_scan_matches_the_commutator_rule(genus, budget):
-    # the scan compares fg with gf; the reference forms [f, g] = fg f^-1 g^-1
+def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
+    # the scan skips commuting pairs and compares r(fg) with r(gf); the
+    # reference forms [f, g] = fg f^-1 g^-1
     identity = rep_identity(genus)
-    expected = []
+    expected, crossing = [], set()
     for (da, ta), (db, tb) in _scan_pairs(genus, budget):
         fg, gf = ta.compose(tb), tb.compose(ta)
         comm = commutator_auto(ta, tb)
-        assert (fg == gf) == comm.is_identity()
+        assert (fg == gf) == comm.is_identity() == commutes(ta, tb)
         same_matrix = rep_equal(magnus_rep(fg), magnus_rep(gf))
         assert same_matrix == rep_equal(magnus_rep(comm), identity)
-        if not comm.is_identity() and same_matrix:
-            expected.append(SuzukiHit(da.to_text(), db.to_text()))
+        if not comm.is_identity():
+            crossing |= {(id(ta), id(tb)), (id(tb), id(ta))}
+            if same_matrix:
+                expected.append(SuzukiHit(da.to_text(), db.to_text()))
+    # fg and gf are composed for the crossing pairs only
+    composed = []
+    compose = FreeAutomorphism.compose
+
+    def recording_compose(f, g):
+        composed.append((id(f), id(g)))
+        return compose(f, g)
+
+    monkeypatch.setattr(FreeAutomorphism, "compose", recording_compose)
     assert suzuki_scan(genus, budget) == expected
+    assert crossing and set(composed) == crossing

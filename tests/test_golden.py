@@ -79,6 +79,12 @@ CASES = {
         "pair", "--genus", "3", "--c1", "C4 @ [C3^-2]",
         "--c2", "C2 @ [Sep1^2 C3^-1 C2 C4^2]", "--cap", "3",
     ],
+    # cap 1 of a crossing pair with long twist images: the depth is read
+    # from the twists' homology matrices, and fg, gf are not composed
+    "pair_g2_c3_sep1_cap1.json": [
+        "pair", "--genus", "2", "--c1", "C3 @ [C3^-3 Sep1^-3]",
+        "--c2", "Sep1 @ [C3^-3 C5^-4 Sep1^4]", "--cap", "1",
+    ],
     "validate_g3.json": ["validate", "--genus", "3"],
 }
 

@@ -47,11 +47,12 @@ from twistlab.magnus import (
 from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
-    commutator_auto,
     commutes,
     evaluate,
 )
 from twistlab.word import Word
+
+from references import commutator_auto
 
 
 def spec(genus, text):
@@ -585,6 +586,16 @@ def test_commutator_depths_match_full_expansions(genus):
         assert {"exact", "at_least"} <= kinds
 
 
+# genus-2 crossing pairs whose twists have long images (the first has
+# 83,787 characters of them), so that composing fg and gf in full costs
+# several times a whole classification at cap 2
+LONG_CAP_ONE_PAIRS = (
+    ("C3 @ [C3^-3 Sep1^-3]", "Sep1 @ [C3^-3 C5^-4 Sep1^4]"),
+    ("Sep1 @ [C3^-4]", "C3 @ [C4^3 C3^4 C4^3]"),
+    ("Sep1 @ [C4^-4 C3^2]", "Sep1 @ [C5^-3 C3^4 C3^4]"),
+)
+
+
 def test_degree_one_is_read_without_expanding(monkeypatch):
     # at cap 1, and for the Torelli test in_Mk(f, 1), the homology
     # actions decide everything
@@ -604,6 +615,8 @@ def test_degree_one_is_read_without_expanding(monkeypatch):
     for f, g in _class_pairs(2, rng):
         commutator_depth(f, g, 1)
     classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 1)
+    for c1, c2 in LONG_CAP_ONE_PAIRS:
+        classify_pair(spec(2, c1), spec(2, c2), 1)
     assert caps == []
     # the degrees that are left are still expanded
     assert johnson_depth(sep_twist(), 3) == JFDepth("exact", 2)
@@ -759,6 +772,27 @@ def test_composed_actions_match_words_on_scan_golden_pairs():
             f = resolve(spec(genus, row["c1"])).twist
             g = resolve(spec(genus, row["c2"])).twist
             _assert_actions_match_words(f, g, cap)
+
+
+def test_cap_one_pair_depth_matches_the_composed_products():
+    # at cap 1 the depth is read from the products of the twists'
+    # homology matrices; the reference compares the homology of fg and gf
+    pairs = [(2, c1, c2) for c1, c2 in LONG_CAP_ONE_PAIRS]
+    for path in sorted((Path(__file__).parent / "golden").glob("scan_*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        pairs += [
+            (doc["config"]["genus"], row["c1"], row["c2"])
+            for row in doc["results"]
+            if not row["commuting"]
+        ]
+    kinds = set()
+    for genus, c1, c2 in pairs:
+        f = resolve(spec(genus, c1)).twist
+        g = resolve(spec(genus, c2)).twist
+        expected = _depth(f.compose(g), g.compose(f), 1)
+        assert commutator_depth(f, g, 1) == expected
+        kinds.add(expected.kind)
+    assert kinds == {"not_in_m1", "at_least"}
 
 
 # -- differential test: leading-term brackets against composed actions -------

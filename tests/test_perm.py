@@ -20,7 +20,9 @@ from functools import lru_cache
 import pytest
 
 from twistlab.jfilt import nested_leading_terms
-from twistlab.mcg import FreeAutomorphism, commutator_auto, evaluate
+from twistlab.mcg import FreeAutomorphism, evaluate
+
+from references import commutator_auto
 
 
 @lru_cache(maxsize=None)
