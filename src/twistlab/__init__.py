@@ -28,12 +28,10 @@ from .curve import (
 )
 from .jfilt import (
     JFDepth,
-    JFValue,
     PairReport,
     in_Mk,
     johnson_depth,
     commutator_depth,
-    ijf,
     classify_pair,
     johnson_leading_term,
     morita_check,

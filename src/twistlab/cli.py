@@ -272,7 +272,7 @@ def cmd_scan(args):
         except ConsistencyViolation as exc:
             violations.append({"index": idx, "error": str(exc)})
         rows.append({"index": idx, **report.as_dict()})
-        label = report.ijf.label()
+        label = rows[-1]["ijf_label"]
         histogram[label] = histogram.get(label, 0) + 1
 
     summary = {

@@ -213,14 +213,6 @@ def identity_matrix(genus):
     )
 
 
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def symplectic_pairing(u, v):
     """Standard form with <e_{2i-1}, e_{2i}> = 1 on homology vectors."""
     total = 0

@@ -18,12 +18,11 @@ Suzuki exhibited for the Magnus representation of the Torelli group.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .curve import resolve
 from .errors import GenusMismatch, PreconditionError
-from .jfilt import enumerate_curve_specs, in_Mk
-from .mcg import commutes
+from .jfilt import distinct_separating_curves, in_Mk
 
 
 class LaurentPoly:
@@ -204,13 +203,12 @@ def suzuki_scan(genus, budget):
     """Enumerate separating curve pairs hunting for twists that cross
     while their Magnus matrices commute.
 
-    A pair of distinct separating twists f, g is skipped when
-    mcg.commutes(f, g) holds, which builds neither product.  Otherwise
-    the products fg and gf are built once, and the pair is a hit when
-    magnus_rep(fg) == magnus_rep(gf).  Both products lie in the Torelli
-    group, where magnus_rep is multiplicative, so
-    r([f, g]) = r(fg) r(gf)^-1, and a hit certifies a nontrivial
-    commutator [f, g] with identity Magnus matrix.  The commutator
+    For each pair of distinct separating twists f, g the products fg and
+    gf are built once.  The pair is skipped when fg == gf (the twists
+    commute), and is a hit when magnus_rep(fg) == magnus_rep(gf).  Both
+    products lie in the Torelli group, where magnus_rep is
+    multiplicative, so r([f, g]) = r(fg) r(gf)^-1, and a hit certifies
+    a nontrivial commutator [f, g] with identity Magnus matrix.  The commutator
     itself, a product of four twists, is never formed: its images can
     pass the letter cap while those of fg and gf stay short.
 
@@ -222,28 +220,16 @@ def suzuki_scan(genus, budget):
     if budget <= 0:
         return []
 
-    specs = []
-    gen = enumerate_curve_specs(genus, separating_only=True)
-    seen = set()
-    while len(specs) < max(3, budget // 2):
-        d = next(gen)
-        t = resolve(d).twist
-        if t in seen:
-            continue
-        seen.add(t)
-        specs.append((d, t))
+    specs = list(
+        itertools.islice(
+            distinct_separating_curves(genus), max(3, budget // 2)
+        )
+    )
 
     hits = []
-    tested = 0
-    for a in range(len(specs)):
-        for b in range(a + 1, len(specs)):
-            if tested >= budget:
-                return hits
-            tested += 1
-            (da, ta), (db, tb) = specs[a], specs[b]
-            if commutes(ta, tb):
-                continue
-            fg, gf = ta.compose(tb), tb.compose(ta)
-            if rep_equal(magnus_rep(fg), magnus_rep(gf)):
-                hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
+    pairs = itertools.islice(itertools.combinations(specs, 2), budget)
+    for (da, ta), (db, tb) in pairs:
+        fg, gf = ta.compose(tb), tb.compose(ta)
+        if fg != gf and rep_equal(magnus_rep(fg), magnus_rep(gf)):
+            hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
     return hits

@@ -1,44 +1,48 @@
 """Johnson filtration membership and the intersection depth of curve pairs.
 
 M(k) is the kernel of the mapping class action on the free group modulo
-the (k+1)-st lower central term.  Every depth here, of one class or of
-a twist commutator, is the lowest degree at which two automorphisms (f
-and the identity, or fg and gf) act differently on Z<<X>> / (deg > cap)
-(Magnus-Karrass-Solitar, Combinatorial Group Theory, ch. 5), and one
-comparison, action_depth, reads it from their truncated actions
-(magnus.TruncatedAction).  Degree 1 of the Magnus expansion of a word is
-its exponent-sum vector, so the depth of one class, and a pair depth at
-cap 1, decide degree 1 by comparing homology actions, with no
-expansion; above it the action of the class at the cap is compared
-with the identity's.  Whether f and g commute is decided first and
-exactly, by mcg.commutes, which compares f(g(x_i)) with g(f(x_i)) one
-generator at a time and composes neither product.  The depth of a
-commutator [f, g] that is not the identity comes from the truncated
-actions of f and g, composed both ways at caps 1, 2, ... up to the
-first cap where fg and gf differ, or at cap 1 from the products of
-the homology matrices of f and g.  So the images of fg and gf, about as
-long as the products of the lengths of those of f and g, are never
-composed for a depth.  For a curve twist t_{h(c)} = h t_c h^-1 whose
-images are long against those of h, the action itself is composed from
-the actions of h, t_c and h^-1, exactly, since the expansion is a ring
-homomorphism (CurveData.action; curve.COMPOSE_MULTIPLE sets how long is
-long, because composing costs more than expanding a short twist's
-images).  Nested commutators, whose actions pass the term budget at
-high caps, are read from leading terms instead: the leading term of a
-class in M(k) is a derivation (magnus.Derivation, also behind
+the (k+1)-st lower central term.  Every depth here is a JFDepth:
+identity, not_in_m1, exact(k) (in M(k) and not in M(k+1)), or
+at_least(k) when the cap runs out.  The depth of one class f, or of the
+commutator [f, g] of two classes, is the lowest degree at which two
+automorphisms (f and the identity, or fg and gf) act differently on
+Z<<X>> / (deg > cap) (Magnus-Karrass-Solitar, Combinatorial Group
+Theory, ch. 5).  One loop, _depth, reads every depth: it compares two
+truncated actions (magnus.TruncatedAction) with action_depth at caps
+c = 1, 2, ... and returns at the first cap where they differ, so no
+depth expands above the cap it stops at.  For one class the loop starts
+at cap 2, because degree 1 of the Magnus expansion of a word is its
+exponent-sum vector, so the homology action decides degree 1 with
+nothing expanded (in_Mk(f, 1) expands nothing).  For a commutator it
+starts at cap 1, with the same step as at every other cap.  Whether f
+and g commute is decided first and exactly, by mcg.commutes, which
+compares f(g(x_i)) with g(f(x_i)) one generator at a time and composes
+neither product; commuting classes get the identity.  Otherwise the
+actions of fg and gf at each cap are composed from those of f and g,
+so the images of fg and gf, about as long as the products of the
+lengths of those of f and g, are never composed for a depth.  For a
+curve twist t_{h(c)} = h t_c h^-1 whose images are long against those
+of h, the action itself is composed from the actions of h, t_c and
+h^-1, exactly, since the expansion is a ring homomorphism
+(CurveData.action; curve.COMPOSE_MULTIPLE sets how long is long,
+because composing costs more than expanding a short twist's images).
+Nested commutators, whose actions pass the term budget at high caps,
+are read from leading terms instead: the leading term of a class in
+M(k) is a derivation (magnus.Derivation, also behind
 johnson_leading_term), and the leading term of [f, g] is the bracket of
 those of f and g (Morita), so nested_leading_terms gives exact levels
 from actions at cap 3 alone.
 
-The depth function on a curve pair measures how far the commutator of
-the two twists sinks into the filtration:
+The depth of a curve pair is the depth of the commutator of the two
+twists (PairReport.depth).  The JSON reports write it as the pair's
+ijf value, one above the level:
 
-  * 0   -- the twists commute (decided exactly: the only class lying in
-           every M(k) is the identity);
-  * 1   -- the commutator acts nontrivially on homology, equivalently
-           the algebraic intersection number is nonzero;
-  * k+1 -- the commutator lies in M(k) but not M(k+1);
-  * at-least values when the degree cap is exhausted.
+  * 0     -- identity: the twists commute (decided exactly: the only
+             class lying in every M(k) is the identity);
+  * 1     -- not_in_m1: the commutator acts nontrivially on homology,
+             equivalently the algebraic intersection number is nonzero;
+  * k+1   -- exact(k): the commutator lies in M(k) but not M(k+1);
+  * >=k+1 -- at_least(k): the degree cap is exhausted.
 
 The braid flag reported for pairs is exact: for twists along two
 curves, t1 t2 t1 = t2 t1 t2 holds iff the curves are equal or meet
@@ -61,7 +65,7 @@ from .curve import (
     CurveSpec,
     curves_equal,
     homology_action,
-    mat_mul,
+    identity_matrix,
     resolve,
     symplectic_pairing,
 )
@@ -76,7 +80,7 @@ from .mcg import (
 
 @dataclass(frozen=True)
 class JFDepth:
-    """Filtration depth of a single mapping class, up to a cap.
+    """Filtration depth of a mapping class, or of a commutator, up to a cap.
 
     kind: "identity" | "not_in_m1" | "exact" | "at_least".
     exact(k): in M(k) and not in M(k+1); at_least(k): in M(k), cap hit.
@@ -89,51 +93,6 @@ class JFDepth:
         if self.kind in ("identity", "not_in_m1"):
             return self.kind
         return f"{self.kind}({self.level})"
-
-
-@dataclass(frozen=True)
-class JFValue:
-    """Depth of a curve pair: zero | one | exact(k>=2) | at_least(k)."""
-
-    kind: str
-    value: int | None = None
-
-    def label(self):
-        if self.kind == "zero":
-            return "0"
-        if self.kind == "one":
-            return "1"
-        if self.kind == "exact":
-            return str(self.value)
-        return f">={self.value}"
-
-    def at_least_two(self):
-        return self.kind in ("exact", "at_least")
-
-    def __str__(self):
-        return self.label()
-
-
-def _depth(f, g, cap):
-    """Filtration depth of g^-1 f, read from the actions of f and g.
-
-    g^-1 f lies in M(k) iff f and g agree on the free group mod its
-    (k+1)-st term, i.e. iff the expansions of f(x_i) and g(x_i) agree
-    through degree k.  Degree 1 of an expansion is the word's exponent
-    sum, so the homology actions decide degree 1 at every cap with
-    nothing expanded; above it the truncated actions of f and g at the
-    cap are compared by action_depth.  Raises SeriesTermLimit when a
-    series passes MAX_SERIES_TERMS.
-    """
-    if cap < 1:
-        raise PreconditionError("cap must be >= 1")
-    if f == g:
-        return JFDepth("identity")
-    if homology_action(f) != homology_action(g):
-        return JFDepth("not_in_m1")
-    if cap == 1:
-        return JFDepth("at_least", 1)
-    return action_depth(TruncatedAction.of(f, cap), TruncatedAction.of(g, cap))
 
 
 def action_depth(f, g):
@@ -184,48 +143,70 @@ def in_Mk(f, k):
     """Does f act trivially on the free group mod its (k+1)-st term?"""
     if k < 1:
         raise PreconditionError("filtration level must be >= 1")
-    depth = _depth(f, FreeAutomorphism.identity(f.genus), k)
-    return depth.kind in ("identity", "at_least")
+    return _class_depth(f, k).kind in ("identity", "at_least")
+
+
+def _depth(actions, start, cap):
+    """Filtration depth read from pairs of actions at caps start..cap.
+
+    actions(c) returns two TruncatedActions at cap c that agree below
+    degree start.  The degree-d part of an action does not depend on the
+    cap above d, and substitution is exact modulo degree > c, so the
+    first cap c at which action_depth finds a difference finds it in
+    degree c, and the depth is exact(c - 1), or not_in_m1 at c = 1.  No
+    difference through the cap gives at_least(cap).  The work at a cap
+    grows geometrically with it, so the loop costs a small multiple of
+    the work at the cap it stops at.
+    """
+    for c in range(start, cap + 1):
+        depth = action_depth(*actions(c))
+        if depth.kind != "at_least":
+            return depth
+    return JFDepth("at_least", cap)
 
 
 def johnson_depth(f, cap):
-    """Certified filtration depth of f using degree-cap expansions."""
-    return _depth(f, FreeAutomorphism.identity(f.genus), cap)
+    """Certified filtration depth of f using degree-cap expansions.
+
+    f lies in M(k) iff the expansions of f(x_i) and x_i agree through
+    degree k.  Degree 1 of an expansion is the word's exponent sum, so
+    the homology action decides degree 1 with nothing expanded, and the
+    actions of f and the identity are compared from cap 2 (_depth).
+    Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
+    """
+    if cap < 1:
+        raise PreconditionError("cap must be >= 1")
+    return _class_depth(f, cap)
 
 
-def _commutator_depth(f, g, commuting, act_f, act_g, cap):
-    """Filtration depth of [f, g], given whether f and g commute.
+def _class_depth(f, cap):
+    # johnson_depth after its cap check; in_Mk checks k and calls this
+    if f.is_identity():
+        return JFDepth("identity")
+    if homology_action(f) != identity_matrix(f.genus):
+        return JFDepth("not_in_m1")
+    one = FreeAutomorphism.identity(f.genus)
+    return _depth(
+        lambda c: (TruncatedAction.of(f, c), TruncatedAction.of(one, c)), 2, cap
+    )
+
+
+def _commutator_depth(act_f, act_g, cap):
+    """Filtration depth of [f, g] for classes f and g that do not commute.
 
     act_f and act_g map a cap c to the TruncatedAction of f and of g at
     c: TruncatedAction.of for plain automorphisms, CurveData.action for
     curve twists, which composes the actions of h, t_c and h^-1 for a
-    twist h t_c h^-1 with long images (see the curve module).  Commuting
-    classes give the identity.  At cap 1 the homology actions of fg and
-    gf decide, as in _depth, each read as the product of the matrices of
-    f and g.  Otherwise the actions of f and g are composed both ways at
-    caps c = 1, 2, ..., stopping at the first cap where fg and gf act
-    differently.  The degree-d part of an action does not depend on the
-    cap above d, and substitution is exact modulo degree > c, so that
-    first difference lies in degree c and the depth is exact(c - 1), or
-    not_in_m1 at c = 1.  The work at a cap grows geometrically with it,
-    so the loop costs a small multiple of the work at the cap it stops
-    at, and neither product is built.
+    twist h t_c h^-1 with long images (see the curve module).  The
+    actions are composed both ways at caps 1, 2, ... (_depth), so
+    neither fg nor gf is built.
     """
-    if cap < 1:
-        raise PreconditionError("cap must be >= 1")
-    if commuting:
-        return JFDepth("identity")
-    if cap == 1:
-        hf, hg = homology_action(f), homology_action(g)
-        if mat_mul(hf, hg) != mat_mul(hg, hf):
-            return JFDepth("not_in_m1")
-        return JFDepth("at_least", 1)
-    for c in range(1, cap + 1):
+
+    def products(c):
         a, b = act_f(c), act_g(c)
-        depth = action_depth(a.compose(b), b.compose(a))
-        if depth.kind != "at_least":
-            return depth
-    return depth
+        return a.compose(b), b.compose(a)
+
+    return _depth(products, 1, cap)
 
 
 def commutator_depth(f, g, cap):
@@ -233,49 +214,28 @@ def commutator_depth(f, g, cap):
 
     [f,g] lies in M(k) iff fg and gf induce the same action on the
     class-(k) nilpotent quotient, i.e. iff their truncated actions on
-    Z<<X>> / (deg > k) agree (Magnus).  Those actions are composed from
-    the actions of f and g, one cap at a time (_commutator_depth).
-    Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
+    Z<<X>> / (deg > k) agree (Magnus).  Commuting classes give the
+    identity, decided exactly by mcg.commutes; otherwise the actions are
+    composed from those of f and g, one cap at a time
+    (_commutator_depth).  Raises SeriesTermLimit when a series passes
+    MAX_SERIES_TERMS.
     """
+    if cap < 1:
+        raise PreconditionError("cap must be >= 1")
+    if commutes(f, g):
+        return JFDepth("identity")
     return _commutator_depth(
-        f,
-        g,
-        commutes(f, g),
-        lambda c: TruncatedAction.of(f, c),
-        lambda c: TruncatedAction.of(g, c),
-        cap,
+        lambda c: TruncatedAction.of(f, c), lambda c: TruncatedAction.of(g, c), cap
     )
-
-
-def ijf(c1, c2, cap):
-    """Filtration depth of the twist commutator of a curve pair.
-
-    Zero is decided exactly via automorphism triviality, never by cap
-    exhaustion.
-    """
-    if c1.genus != c2.genus:
-        raise GenusMismatch("curve specs of different genus")
-    d1, d2 = resolve(c1), resolve(c2)
-    f, g = d1.twist, d2.twist
-    return _pair_value(
-        _commutator_depth(f, g, commutes(f, g), d1.action, d2.action, cap)
-    )
-
-
-def _pair_value(depth):
-    """Pair depth of a curve pair from the depth of its twist commutator."""
-    if depth.kind == "identity":
-        return JFValue("zero")
-    if depth.kind == "not_in_m1":
-        return JFValue("one")
-    if depth.kind == "exact":
-        return JFValue("exact", depth.level + 1)
-    return JFValue("at_least", depth.level + 1)
 
 
 @dataclass(frozen=True)
 class PairReport:
-    """Full classification of a curve pair at a given depth cap."""
+    """Full classification of a curve pair at a given depth cap.
+
+    depth is the depth of the twist commutator; as_dict writes it as the
+    pair's ijf value, one above its level (see the module docstring).
+    """
 
     genus: int
     c1: str
@@ -283,7 +243,7 @@ class PairReport:
     commuting: bool
     braid: bool
     algebraic: int
-    ijf: JFValue
+    depth: JFDepth
     depth_cap: int
     # read by the separating-pair law of check_consistency; as_dict
     # leaves them out, so the JSON reports do not depend on them
@@ -291,6 +251,14 @@ class PairReport:
     c2_separating: bool
 
     def as_dict(self):
+        kind, level = self.depth.kind, self.depth.level
+        value = None if level is None else level + 1
+        if kind == "identity":
+            kind, label = "zero", "0"
+        elif kind == "not_in_m1":
+            kind, label = "one", "1"
+        else:
+            label = str(value) if kind == "exact" else f">={value}"
         return {
             "genus": self.genus,
             "c1": self.c1,
@@ -298,8 +266,8 @@ class PairReport:
             "commuting": self.commuting,
             "braid": self.braid,
             "algebraic": self.algebraic,
-            "ijf": {"kind": self.ijf.kind, "value": self.ijf.value},
-            "ijf_label": self.ijf.label(),
+            "ijf": {"kind": kind, "value": value},
+            "ijf_label": label,
             "depth_cap": self.depth_cap,
         }
 
@@ -307,33 +275,35 @@ class PairReport:
 def check_consistency(report):
     """Raise unless the report satisfies the exact cross-detector laws."""
     r = report
-    if r.commuting != (r.ijf.kind == "zero"):
+    kind = r.depth.kind
+    if r.commuting != (kind == "identity"):
         raise ConsistencyViolation(
-            f"commuting <-> depth zero violated: {r}"
+            f"commuting <-> identity commutator violated: {r}"
         )
-    if r.ijf.at_least_two() != ((not r.commuting) and r.algebraic == 0):
+    if (kind in ("exact", "at_least")) != ((not r.commuting) and r.algebraic == 0):
         raise ConsistencyViolation(
-            f"depth >= 2 <-> (crossing with zero algebraic) violated: {r}"
+            f"commutator in M(1) <-> (crossing with zero algebraic) violated: {r}"
         )
-    if (r.ijf.kind == "one") != (r.algebraic != 0):
+    if (kind == "not_in_m1") != (r.algebraic != 0):
         raise ConsistencyViolation(
-            f"depth one <-> nonzero algebraic violated: {r}"
+            f"commutator not in M(1) <-> nonzero algebraic violated: {r}"
         )
-    if r.braid and not r.commuting and r.ijf.kind != "one":
+    if r.braid and not r.commuting and kind != "not_in_m1":
         raise ConsistencyViolation(
-            f"braid pair must have depth one: {r}"
+            f"braid pair must have commutator not in M(1): {r}"
         )
     # separating twists lie in M(2) and [M(2), M(2)] lies in M(4)
-    # (Morita), so two crossing separating curves have pair depth >= 5
+    # (Morita), so the commutator of two crossing separating twists has
+    # level >= 4
     if (
         r.c1_separating
         and r.c2_separating
         and not r.commuting
-        and r.ijf.kind != "at_least"
-        and not (r.ijf.kind == "exact" and r.ijf.value >= 5)
+        and kind != "at_least"
+        and not (kind == "exact" and r.depth.level >= 4)
     ):
         raise ConsistencyViolation(
-            f"crossing separating pair must have depth >= 5: {r}"
+            f"crossing separating pair must have commutator in M(4): {r}"
         )
 
 
@@ -341,6 +311,8 @@ def classify_pair(c1, c2, cap, check=True):
     """Classify a pair; with check=True the consistency laws are enforced."""
     if c1.genus != c2.genus:
         raise GenusMismatch("curve specs of different genus")
+    if cap < 1:
+        raise PreconditionError("cap must be >= 1")
     d1, d2 = resolve(c1), resolve(c2)
     f, g = d1.twist, d2.twist
     commuting = commutes(f, g)
@@ -354,11 +326,13 @@ def classify_pair(c1, c2, cap, check=True):
     # which holds iff fg maps the class of c1 to that of c2 (see the
     # module docstring).
     if commuting:
-        braid = f == g
-    elif abs(algebraic) != 1:
-        braid = False
+        braid, depth = f == g, JFDepth("identity")
     else:
-        braid = f.compose(g)(d1.pi1_class).canonical_cyclic() == d2.pi1_class
+        braid = (
+            abs(algebraic) == 1
+            and f.compose(g)(d1.pi1_class).canonical_cyclic() == d2.pi1_class
+        )
+        depth = _commutator_depth(d1.action, d2.action, cap)
     report = PairReport(
         genus=c1.genus,
         c1=c1.to_text(),
@@ -366,9 +340,7 @@ def classify_pair(c1, c2, cap, check=True):
         commuting=commuting,
         braid=braid,
         algebraic=algebraic,
-        ijf=_pair_value(
-            _commutator_depth(f, g, commuting, d1.action, d2.action, cap)
-        ),
+        depth=depth,
         depth_cap=cap,
         c1_separating=d1.separating,
         c2_separating=d2.separating,
@@ -432,6 +404,21 @@ def enumerate_curve_specs(genus, separating_only=False):
         length += 1
 
 
+def distinct_separating_curves(genus):
+    """The separating specs of enumerate_curve_specs, one per curve.
+
+    Yields (spec, twist) for each spec whose twist no earlier spec had:
+    twists are equal iff the curves are isotopic, so a curve reached
+    again by a different word is skipped.
+    """
+    seen = set()
+    for d in enumerate_curve_specs(genus, separating_only=True):
+        t = resolve(d).twist
+        if t not in seen:
+            seen.add(t)
+            yield d, t
+
+
 def distinguishing_witness(c1, c2, budget):
     """Search for a curve meeting exactly one of two distinct curves.
 
@@ -481,16 +468,7 @@ def fact5_instance(f, budget):
         raise PreconditionError(
             "no essential separating curves exist at genus 1"
         )
-    seen = set()
-    tested = 0
-    for d in enumerate_curve_specs(f.genus, separating_only=True):
-        if tested >= budget:
-            break
-        td = resolve(d).twist
-        if td in seen:
-            continue  # same curve reached by a different word
-        seen.add(td)
-        tested += 1
+    for d, td in itertools.islice(distinct_separating_curves(f.genus), budget):
         # f moves the curve iff f t_d f^-1 != t_d iff they fail to commute
         if not commutes(f, td):
             return Fact5Verdict(moved=d)

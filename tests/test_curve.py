@@ -8,7 +8,6 @@ from twistlab.curve import (
     curves_equal,
     homology_action,
     identity_matrix,
-    mat_mul,
     parse_curve_spec,
     resolve,
     symplectic_pairing,
@@ -16,6 +15,8 @@ from twistlab.curve import (
 from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
 from twistlab.magnus import TruncatedAction
 from twistlab.mcg import builtin_table, evaluate
+
+from references import mat_mul
 
 
 def spec(genus, text):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from twistlab import foxrep, jfilt, mcg
 from twistlab.curve import resolve
 from twistlab.errors import PreconditionError
 from twistlab.foxrep import (
@@ -213,21 +214,21 @@ def _scan_pairs(genus, budget):
 
 @pytest.mark.parametrize("genus,budget", [(2, 20), (3, 10)])
 def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
-    # the scan skips commuting pairs and compares r(fg) with r(gf); the
-    # reference forms [f, g] = fg f^-1 g^-1
+    # the scan skips pairs with fg == gf and compares r(fg) with r(gf);
+    # the reference forms [f, g] = fg f^-1 g^-1
     identity = rep_identity(genus)
-    expected, crossing = [], set()
+    expected, tested = [], set()
     for (da, ta), (db, tb) in _scan_pairs(genus, budget):
+        tested |= {(id(ta), id(tb)), (id(tb), id(ta))}
         fg, gf = ta.compose(tb), tb.compose(ta)
         comm = commutator_auto(ta, tb)
         assert (fg == gf) == comm.is_identity() == commutes(ta, tb)
         same_matrix = rep_equal(magnus_rep(fg), magnus_rep(gf))
         assert same_matrix == rep_equal(magnus_rep(comm), identity)
-        if not comm.is_identity():
-            crossing |= {(id(ta), id(tb)), (id(tb), id(ta))}
-            if same_matrix:
-                expected.append(SuzukiHit(da.to_text(), db.to_text()))
-    # fg and gf are composed for the crossing pairs only
+        if not comm.is_identity() and same_matrix:
+            expected.append(SuzukiHit(da.to_text(), db.to_text()))
+    # fg and gf are composed once for every tested pair, and commutation
+    # is read from them: mcg.commutes is not called
     composed = []
     compose = FreeAutomorphism.compose
 
@@ -235,6 +236,11 @@ def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
         composed.append((id(f), id(g)))
         return compose(f, g)
 
+    def no_commutes(f, g):
+        raise AssertionError("suzuki_scan called mcg.commutes")
+
     monkeypatch.setattr(FreeAutomorphism, "compose", recording_compose)
+    for module in (mcg, jfilt, foxrep):
+        monkeypatch.setattr(module, "commutes", no_commutes, raising=False)
     assert suzuki_scan(genus, budget) == expected
-    assert crossing and set(composed) == crossing
+    assert sorted(composed) == sorted(tested)

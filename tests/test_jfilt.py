@@ -22,21 +22,19 @@ from twistlab.errors import (
 from twistlab.jfilt import (
     Fact5Verdict,
     JFDepth,
-    JFValue,
     action_depth,
     check_consistency,
     classify_pair,
     commutator_depth,
+    distinct_separating_curves,
     distinguishing_witness,
     enumerate_curve_specs,
     fact5_instance,
-    ijf,
     in_Mk,
     johnson_depth,
     johnson_leading_term,
     morita_check,
     nested_leading_terms,
-    _depth,
 )
 from twistlab.magnus import (
     Derivation,
@@ -50,13 +48,18 @@ from twistlab.mcg import (
     commutes,
     evaluate,
 )
-from twistlab.word import Word
+from twistlab.word import Word, commutator
 
-from references import commutator_auto
+from references import commutator_auto, two_class_depth
 
 
 def spec(genus, text):
     return parse_curve_spec(genus, text)
+
+
+def pair_depth(c1, c2, cap):
+    """Depth of the twist commutator of a curve pair, from classify_pair."""
+    return classify_pair(c1, c2, cap).depth
 
 
 def sep_twist(genus=2):
@@ -125,22 +128,22 @@ def test_commutator_depth_matches_direct_computation():
 
 
 def test_ijf_disjoint_chain_curves_is_zero():
-    assert ijf(spec(2, "C1"), spec(2, "C3"), 3) == JFValue("zero")
+    assert pair_depth(spec(2, "C1"), spec(2, "C3"), 3) == JFDepth("identity")
 
 
 def test_ijf_adjacent_chain_curves_is_one():
-    assert ijf(spec(1, "C1"), spec(1, "C2"), 3) == JFValue("one")
+    assert pair_depth(spec(1, "C1"), spec(1, "C2"), 3) == JFDepth("not_in_m1")
 
 
 def test_ijf_separating_pair_at_least_five():
-    v = ijf(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 4)
-    assert v == JFValue("at_least", 5)
+    v = pair_depth(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 4)
+    assert v == JFDepth("at_least", 4)
 
 
 def test_ijf_separating_pair_exactly_five():
-    # at cap 5 the commutator is certified to leave M(5): depth exactly 4
-    v = ijf(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 5)
-    assert v == JFValue("exact", 5)
+    # at cap 5 the commutator is certified to leave M(5): level exactly 4
+    v = pair_depth(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 5)
+    assert v == JFDepth("exact", 4)
 
 
 def test_ijf_symmetric():
@@ -151,7 +154,8 @@ def test_ijf_symmetric():
         ("C2", "C3 @ [C4]"),
     ]
     for a, b in pairs:
-        assert ijf(spec(2, a), spec(2, b), 3) == ijf(spec(2, b), spec(2, a), 3)
+        ab = pair_depth(spec(2, a), spec(2, b), 3)
+        assert ab == pair_depth(spec(2, b), spec(2, a), 3)
 
 
 def test_ijf_invariant_under_simultaneous_conjugation():
@@ -161,12 +165,12 @@ def test_ijf_invariant_under_simultaneous_conjugation():
     base_pairs = [("C1", "C2"), ("C1", "C3"), ("Sep1", "Sep1 @ [C3]")]
     for a, b in base_pairs:
         sa, sb = spec(2, a), spec(2, b)
-        v0 = ijf(sa, sb, 3)
+        v0 = pair_depth(sa, sb, 3)
         for _ in range(4):
             g = tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(2))
             ca = CurveSpec(2, sa.base, g + sa.conjugator)
             cb = CurveSpec(2, sb.base, g + sb.conjugator)
-            assert ijf(ca, cb, 3) == v0
+            assert pair_depth(ca, cb, 3) == v0
 
 
 # -- pair classification ----------------------------------------------------
@@ -177,21 +181,21 @@ def test_classify_adjacent_genus1():
     assert not r.commuting
     assert r.braid
     assert abs(r.algebraic) == 1
-    assert r.ijf == JFValue("one")
+    assert r.depth == JFDepth("not_in_m1")
 
 
 def test_classify_disjoint_genus2():
     r = classify_pair(spec(2, "C1"), spec(2, "C3"), 3)
     assert r.commuting
     assert r.algebraic == 0
-    assert r.ijf == JFValue("zero")
+    assert r.depth == JFDepth("identity")
 
 
 def test_classify_separating_pair():
     r = classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 4)
     assert not r.commuting
     assert r.algebraic == 0
-    assert r.ijf == JFValue("at_least", 5)
+    assert r.depth == JFDepth("at_least", 4)
 
 
 def test_consistency_checker_rejects_bad_report():
@@ -201,21 +205,46 @@ def test_consistency_checker_rejects_bad_report():
         check_consistency(broken)
 
 
+def test_consistency_messages_name_each_law_in_levels():
+    # one forged report per law, each breaking that law alone
+    disjoint = classify_pair(spec(2, "C1"), spec(2, "C3"), 3)
+    crossing = classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 5)
+    assert disjoint.commuting and not crossing.commuting
+    forged = [
+        (disjoint, {"commuting": False},
+         "commuting <-> identity commutator violated: "),
+        (crossing, {"depth": JFDepth("not_in_m1")},
+         "commutator in M(1) <-> (crossing with zero algebraic) violated: "),
+        (disjoint, {"algebraic": 1},
+         "commutator not in M(1) <-> nonzero algebraic violated: "),
+        (crossing, {"braid": True},
+         "braid pair must have commutator not in M(1): "),
+        (crossing, {"depth": JFDepth("exact", 3)},
+         "crossing separating pair must have commutator in M(4): "),
+    ]
+    for r, fields, message in forged:
+        broken = type(r)(**{**r.__dict__, **fields})
+        with pytest.raises(ConsistencyViolation) as caught:
+            check_consistency(broken)
+        assert str(caught.value) == message + repr(broken)
+        assert "depth=JFDepth(" in str(caught.value)
+
+
 def test_consistency_checker_rejects_shallow_separating_crossing_pair():
-    # separating twists lie in M(2) and [M(2), M(2)] in M(4), so two
-    # crossing separating curves have pair depth >= 5
+    # separating twists lie in M(2) and [M(2), M(2)] in M(4), so the
+    # commutator of two crossing separating twists has level >= 4
     r = classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 5)
     assert r.c1_separating and r.c2_separating
-    assert r.ijf == JFValue("exact", 5)
+    assert r.depth == JFDepth("exact", 4)
     check_consistency(r)
-    check_consistency(type(r)(**{**r.__dict__, "ijf": JFValue("at_least", 3)}))
-    for forged in (JFValue("exact", 4), JFValue("exact", 2)):
-        broken = type(r)(**{**r.__dict__, "ijf": forged})
+    check_consistency(type(r)(**{**r.__dict__, "depth": JFDepth("at_least", 2)}))
+    for forged in (JFDepth("exact", 3), JFDepth("exact", 1)):
+        broken = type(r)(**{**r.__dict__, "depth": forged})
         with pytest.raises(ConsistencyViolation, match="separating"):
             check_consistency(broken)
     # the same depth is lawful when one curve is not separating
     check_consistency(
-        type(r)(**{**r.__dict__, "ijf": JFValue("exact", 4), "c2_separating": False})
+        type(r)(**{**r.__dict__, "depth": JFDepth("exact", 3), "c2_separating": False})
     )
     assert "c1_separating" not in r.as_dict()
 
@@ -299,7 +328,7 @@ def test_formerly_failing_pairs_classify(genus, a, b, commuting, algebraic, labe
     assert r.commuting is commuting
     assert r.braid is False
     assert abs(r.algebraic) == algebraic
-    assert r.ijf.label() == label
+    assert r.as_dict()["ijf_label"] == label
 
 
 # -- leading terms -----------------------------------------------------------
@@ -428,6 +457,23 @@ def test_enumeration_is_deterministic_and_separating_only_filter():
     assert first == second
     for _, s in zip(range(12), enumerate_curve_specs(2, separating_only=True)):
         assert s.base == "Sep1"
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_distinct_separating_curves_keep_the_first_spec_of_each_curve(genus):
+    # reference: the seen-set loop, written out
+    specs = enumerate_curve_specs(genus, separating_only=True)
+    expected, seen, drawn = [], set(), 0
+    while len(expected) < 30:
+        d = next(specs)
+        drawn += 1
+        t = resolve(d).twist
+        if t not in seen:
+            seen.add(t)
+            expected.append((d, t))
+    assert drawn > len(expected)  # some curves are reached twice
+    got = list(itertools.islice(distinct_separating_curves(genus), 30))
+    assert got == expected
 
 
 # -- differential test: the depth routine against full expansions ------------
@@ -571,6 +617,48 @@ def test_single_class_depths_match_full_expansions(genus):
             assert johnson_leading_term(f, k) == full, (f, k)
 
 
+def _deep_shear(genus):
+    """x1 -> x1 w with w = [x3, [x3, [x3, [x3, [x3, [x3, x4]]]]]].
+
+    w lies in the 7th lower central term and not the 8th, so the shear
+    is at exact level 6, the level of the corollary's w_2.
+    """
+    x3, w = Word.generator(genus, 3), Word.generator(genus, 4)
+    for _ in range(6):
+        w = commutator(x3, w)
+    return _shear(genus, {1: str(w)})
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_johnson_depth_matches_the_two_class_reader(genus):
+    # the depth loop, from cap 2 after the homology step, against the
+    # reader that compares the whole actions of f and the identity at
+    # the cap, at caps 1-7
+    rng = random.Random(97 + genus)
+    one = FreeAutomorphism.identity(genus)
+    classes = _single_classes(genus, rng)
+    if genus > 1:
+        classes.append(_deep_shear(genus))
+    kinds = set()
+    for f in classes:
+        for cap in range(1, 8):
+            ref = two_class_depth(f, one, cap)
+            assert johnson_depth(f, cap) == ref, (f, cap)
+            kinds.add(ref)
+    if genus > 1:
+        # w_1, exact 4, and the deep shear, exact 6
+        assert {JFDepth("exact", 4), JFDepth("exact", 6)} <= kinds
+
+
+def test_johnson_depth_stops_at_the_first_difference(monkeypatch):
+    # w_1 is at exact level 4, so its actions first differ from the
+    # identity's in degree 5: a depth at cap 7 expands at caps 2-5 only
+    w_1 = commutator_auto(*_corollary_twists(2))
+    caps = _record_expansion_caps(monkeypatch)
+    assert johnson_depth(w_1, 7) == JFDepth("exact", 4)
+    assert set(caps) == {2, 3, 4, 5}
+
+
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_commutator_depths_match_full_expansions(genus):
     rng = random.Random(101 + genus)
@@ -596,9 +684,8 @@ LONG_CAP_ONE_PAIRS = (
 )
 
 
-def test_degree_one_is_read_without_expanding(monkeypatch):
-    # at cap 1, and for the Torelli test in_Mk(f, 1), the homology
-    # actions decide everything
+def _record_expansion_caps(monkeypatch):
+    """The caps of every magnus_expand call from now on, in call order."""
     from twistlab import magnus
 
     caps = []
@@ -608,39 +695,47 @@ def test_degree_one_is_read_without_expanding(monkeypatch):
         return magnus_expand(w, cap)
 
     monkeypatch.setattr(magnus, "magnus_expand", recording_expand)
+    return caps
+
+
+def test_degree_one_is_read_without_expanding(monkeypatch):
+    # a single class decides degree 1 on its homology action, so the
+    # Torelli test in_Mk(f, 1) and a depth at cap 1 expand nothing
+    caps = _record_expansion_caps(monkeypatch)
     rng = random.Random(103)
     for f in _single_classes(2, rng):
         in_Mk(f, 1)
         johnson_depth(f, 1)
+    assert caps == []
+    # the degrees that are left are still expanded, from cap 2
+    assert johnson_depth(sep_twist(), 3) == JFDepth("exact", 2)
+    assert set(caps) == {2, 3}
+
+
+def test_cap_one_pair_depths_expand_at_cap_one_only(monkeypatch):
+    # a pair depth at cap 1 is the first step of the depth loop: the
+    # twists' actions at cap 1, composed both ways
+    rng = random.Random(103)
+    _single_classes(2, rng)  # skip these draws: the pool is the pairs after them
+    caps = _record_expansion_caps(monkeypatch)
     for f, g in _class_pairs(2, rng):
         commutator_depth(f, g, 1)
     classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 1)
     for c1, c2 in LONG_CAP_ONE_PAIRS:
         classify_pair(spec(2, c1), spec(2, c2), 1)
-    assert caps == []
-    # the degrees that are left are still expanded
-    assert johnson_depth(sep_twist(), 3) == JFDepth("exact", 2)
-    assert caps and min(caps) >= 2
+    assert set(caps) == {1}
 
 
 def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     # the actions of the two twists are composed at caps 1, 2, ... and
     # the loop stops at the first cap where fg and gf differ
-    from twistlab import magnus
-
-    caps = []
-
-    def recording_expand(w, cap):
-        caps.append(cap)
-        return magnus_expand(w, cap)
-
-    monkeypatch.setattr(magnus, "magnus_expand", recording_expand)
+    caps = _record_expansion_caps(monkeypatch)
     report = classify_pair(spec(2, "C1"), spec(2, "C2 @ [C3]"), 5)
-    assert report.ijf == JFValue("one")
+    assert report.depth == JFDepth("not_in_m1")
     assert set(caps) == {1}
     caps.clear()
     report = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 5)
-    assert report.ijf == JFValue("exact", 3)
+    assert report.depth == JFDepth("exact", 2)
     assert max(caps) == 3
     # the first curve's action is composed from those of its conjugator
     # and base twist (CurveData.action), and that loop stops at cap 3 too
@@ -648,7 +743,7 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     c1 = spec(2, "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]")
     assert resolve(c1).composes_action()
     report = classify_pair(c1, spec(2, "Sep1"), 5)
-    assert report.ijf == JFValue("exact", 3)
+    assert report.depth == JFDepth("exact", 2)
     assert max(caps) == 3
 
 
@@ -682,25 +777,29 @@ SEP1_CONJUGATORS = (
 
 
 def test_single_class_depths_stop_at_the_term_budget(monkeypatch):
-    # a single-class depth at cap >= 2 reads the class's action built by
-    # TruncatedAction.of, so it passes the term budget exactly when
-    # building that action does; the Torelli test expands nothing
+    # a single-class depth at cap >= 2 reads the class's actions built by
+    # TruncatedAction.of at caps 2, 3, ... up to the first difference, so
+    # it passes the term budget exactly when building the action at the
+    # cap it stops at does.  These twists are at exact level 2, so the
+    # loop stops at cap 3 whatever the cap above it.  The Torelli test
+    # expands nothing.
     from twistlab import magnus
 
-    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", 20)
+    monkeypatch.setattr(magnus, "MAX_SERIES_TERMS", 10)
     outcomes = set()
     for conj in SEP1_CONJUGATORS:
         f = resolve(CurveSpec(2, "Sep1", conj)).twist
         for cap in range(2, 7):
             try:
-                TruncatedAction.of(f, cap)
+                TruncatedAction.of(f, min(cap, 3))
             except SeriesTermLimit:
                 outcomes.add("raised")
                 with pytest.raises(SeriesTermLimit):
                     johnson_depth(f, cap)
             else:
                 outcomes.add("read")
-                johnson_depth(f, cap)
+                level = JFDepth("exact", 2) if cap > 2 else JFDepth("at_least", 2)
+                assert johnson_depth(f, cap) == level
         assert in_Mk(f, 1)
     assert outcomes == {"raised", "read"}
 
@@ -709,10 +808,11 @@ def test_single_class_depths_stop_at_the_term_budget(monkeypatch):
 #
 # A composed action is checked against the expansion of the composed
 # automorphism's images, and a depth read from composed actions against
-# _depth(fg, gf, cap), which reads the expansions of fg's and gf's own
-# images through TruncatedAction.of, not substitution: commutator_depth
-# itself composes actions.  Truncation cannot prove the identity, so
-# where _depth reads "identity" the actions read at_least(cap).
+# two_class_depth(fg, gf, cap), which reads the expansions of fg's and
+# gf's own images through TruncatedAction.of, not substitution:
+# commutator_depth itself composes actions.  Truncation cannot prove the
+# identity, so where two_class_depth reads "identity" the actions read
+# at_least(cap).
 
 
 def _reference_action(f, cap):
@@ -734,7 +834,8 @@ def _truncated(action, cap):
 
 def _assert_actions_match_words(f, g, top):
     """At every cap up to top: substitution gives the expansions of fg
-    and gf, and their depth is the one _depth reads from fg and gf."""
+    and gf, and their depth is the one two_class_depth reads from fg and
+    gf."""
     ref_f, ref_g = _reference_action(f, top), _reference_action(g, top)
     assert TruncatedAction.of(f, top) == ref_f
     assert TruncatedAction.of(g, top) == ref_g
@@ -745,7 +846,7 @@ def _assert_actions_match_words(f, g, top):
         afg, agf = af.compose(ag), ag.compose(af)
         assert afg == _truncated(ref_fg, cap), (f, g, cap)
         assert agf == _truncated(ref_gf, cap), (f, g, cap)
-        words = _depth(f.compose(g), g.compose(f), cap)
+        words = two_class_depth(f.compose(g), g.compose(f), cap)
         if words.kind == "identity":
             words = JFDepth("at_least", cap)
         assert action_depth(afg, agf) == words, (f, g, cap)
@@ -775,8 +876,8 @@ def test_composed_actions_match_words_on_scan_golden_pairs():
 
 
 def test_cap_one_pair_depth_matches_the_composed_products():
-    # at cap 1 the depth is read from the products of the twists'
-    # homology matrices; the reference compares the homology of fg and gf
+    # at cap 1 the depth is read from the twists' cap-1 actions composed
+    # both ways; the reference compares the homology of fg and gf
     pairs = [(2, c1, c2) for c1, c2 in LONG_CAP_ONE_PAIRS]
     for path in sorted((Path(__file__).parent / "golden").glob("scan_*.json")):
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -789,7 +890,7 @@ def test_cap_one_pair_depth_matches_the_composed_products():
     for genus, c1, c2 in pairs:
         f = resolve(spec(genus, c1)).twist
         g = resolve(spec(genus, c2)).twist
-        expected = _depth(f.compose(g), g.compose(f), 1)
+        expected = two_class_depth(f.compose(g), g.compose(f), 1)
         assert commutator_depth(f, g, 1) == expected
         kinds.add(expected.kind)
     assert kinds == {"not_in_m1", "at_least"}
@@ -833,7 +934,7 @@ def test_nested_commutator_depths_match_words_where_they_fit(genus):
         rows = nested_commutators(t_a, t_b, cap)
         for w in (t_b, w_1):
             depth, _, _ = next(rows)
-            words = _depth(t_a.compose(w), w.compose(t_a), cap)
+            words = two_class_depth(t_a.compose(w), w.compose(t_a), cap)
             assert depth == words, (genus, cap, w)
 
 
