@@ -2,19 +2,29 @@
 
 A curve is only ever presented as a built-in base curve moved by a
 mapping class word, which guarantees it is a genuine essential simple
-closed curve.  Resolving the spec uses the conjugation law for twists:
-the twist along f(c) equals f t_c f^{-1}.  The stored fundamental-group
-class of a curve is canonical up to loop orientation, and algebraic
-intersection numbers consequently carry a global sign ambiguity;
-consumers use absolute values or zero tests only.
+closed curve.  The stored fundamental-group class of a curve is
+canonical up to loop orientation, and algebraic intersection numbers
+consequently carry a global sign ambiguity; consumers use absolute
+values or zero tests only.
 
-The same law gives a resolved curve its truncated Magnus action
-(magnus.TruncatedAction) without expanding the twist's images.  The
-expansion is a ring homomorphism (Magnus-Karrass-Solitar, ch. 5), so
-the action of t_{h(c)} = h t_c h^-1 is the action of h composed with
-those of t_c and h^-1.  The images of h t_c h^-1 grow with the
-conjugator h, while the cost of composing actions follows their numbers
-of terms, so CurveData.action composes when the twist's images hold more
+Curves are compared and tested for crossing on that class.  Twists
+along essential curves are equal iff the curves are isotopic
+(Farb-Margalit, Primer, ch. 3), and freely homotopic essential simple
+closed curves are isotopic (Epstein, Acta Math. 115, 1966), so two
+curves are equal iff their classes are, and t_a commutes with t_b iff
+t_a(b) = b, iff the twist along a fixes the class of b
+(CurveData.moves).  None of this builds the twist.
+
+The twist along h(c) is h t_c h^-1 by the conjugation law, and a
+resolved curve builds it only when it is read (CurveData.twist): its
+images grow with the conjugator h, and commuting pairs, equality and
+the witness searches never read them.  The same law gives a resolved
+curve its truncated Magnus action (magnus.TruncatedAction) without
+expanding the twist's images.  The expansion is a ring homomorphism
+(Magnus-Karrass-Solitar, ch. 5), so the action of t_{h(c)} = h t_c h^-1
+is the action of h composed with those of t_c and h^-1.  The cost of
+composing actions follows their numbers of terms, not the twist's
+letters, so CurveData.action composes when the twist's images hold more
 than COMPOSE_MULTIPLE times the letters of the images of h and h^-1,
 and expands the twist's images otherwise.
 
@@ -25,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import GenusMismatch, SpecParseError, UnknownTwistName
 from .magnus import TruncatedAction
@@ -68,16 +78,51 @@ def _letters(words):
 
 @dataclass(frozen=True)
 class CurveData:
-    """Resolved curve h(c): its twist, class, homology and separating
-    flag, with the conjugator h and the base twist t_c the twist
-    h t_c h^-1 was built from."""
+    """Resolved curve h(c): its class, homology and separating flag,
+    with the conjugator h and the base twist t_c.
 
-    twist: FreeAutomorphism
+    The twist h t_c h^-1 along the curve is built on first access
+    (twist), and only the braid label, the depth (action) and callers
+    that need the automorphism itself read it; moves decides crossing
+    from the classes alone.  A concurrent first access only repeats
+    work.
+    """
+
     pi1_class: Word
     homology: tuple[int, ...]
     separating: bool
     conjugator: FreeAutomorphism
     base_twist: FreeAutomorphism
+
+    @cached_property
+    def conjugator_inverse(self):
+        """h^-1, kept so that its letter table is built once."""
+        return self.conjugator.inverse()
+
+    @cached_property
+    def twist(self):
+        """The twist h t_c h^-1 along the curve, built on first access."""
+        # inside out: t_c's short images substitute into those of h^-1
+        # first, so only the outer compose applies a long map
+        h_inv = self.conjugator_inverse
+        return self.conjugator.compose(self.base_twist.compose(h_inv))
+
+    def moves(self, other):
+        """Does the twist along this curve move the curve of other?
+
+        With u = h^-1(b) for the class b of other, t_{h(c)}(b) = b up to
+        conjugacy iff t_c(u) = u, since h carries conjugacy classes to
+        conjugacy classes.  Cyclically reduced words of equal length are
+        compared by their canonical forms, which forget the base point
+        and the orientation, as an unoriented curve class does.  The
+        answer is exact: the twist fixes the curve iff it commutes with
+        the twist along it (see the module docstring), so a.moves(b) ==
+        b.moves(a).  The cost is that of applying h^-1 to b's class.
+        """
+        u, _ = self.conjugator_inverse(other.pi1_class).cyclic_reduce()
+        v, _ = self.base_twist(u).cyclic_reduce()
+        # cyclically reduced length is a conjugacy invariant
+        return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
 
     def composes_action(self):
         """Does action() compose instead of expanding the twist's images?"""
@@ -102,7 +147,7 @@ class CurveData:
         return (
             TruncatedAction.of(h, cap)
             .compose(TruncatedAction.of(self.base_twist, cap))
-            .compose(TruncatedAction.of(h.inverse(), cap))
+            .compose(TruncatedAction.of(self.conjugator_inverse, cap))
         )
 
 
@@ -177,14 +222,10 @@ def _resolve_cached(spec):
             f"{spec.base} is boundary-parallel and cannot serve as a curve base"
         )
     f = evaluate(spec.conjugator, spec.genus)
-    # inside out: t_c's short images substitute into those of f^-1
-    # first, so only the outer compose applies a long map
-    twist = f.compose(entry.twist.compose(f.inverse()))
     moved = f(entry.base_word)
     # not from the canonical class, whose orientation may be reversed
     hom = abelianized(moved)
     return CurveData(
-        twist=twist,
         pi1_class=moved.canonical_cyclic(),
         homology=hom,
         separating=all(c == 0 for c in hom),
@@ -230,6 +271,6 @@ def _check_same_genus(c1, c2):
 
 
 def curves_equal(c1, c2):
-    """Exact isotopy test: twists agree iff the curves agree."""
+    """Exact isotopy test: the curves agree iff their classes do."""
     _check_same_genus(c1, c2)
-    return resolve(c1).twist == resolve(c2).twist
+    return resolve(c1).pi1_class == resolve(c2).pi1_class

@@ -15,12 +15,17 @@ at cap 2, because degree 1 of the Magnus expansion of a word is its
 exponent-sum vector, so the homology action decides degree 1 with
 nothing expanded (in_Mk(f, 1) expands nothing).  For a commutator it
 starts at cap 1, with the same step as at every other cap.  Whether f
-and g commute is decided first and exactly, by mcg.commutes, which
-compares f(g(x_i)) with g(f(x_i)) one generator at a time and composes
-neither product; commuting classes get the identity.  Otherwise the
-actions of fg and gf at each cap are composed from those of f and g,
-so the images of fg and gf, about as long as the products of the
-lengths of those of f and g, are never composed for a depth.  For a
+and g commute is decided first and exactly; commuting classes get the
+identity.  For two classes, mcg.commutes compares f(g(x_i)) with
+g(f(x_i)) one generator at a time and composes neither product.  For
+two curve twists, classify_pair reads it on one curve's class instead:
+t_a and t_b commute iff t_a(b) = b (CurveData.moves), since twists are
+equal iff their curves are isotopic and freely homotopic curves are
+isotopic (see the curve module), so a commuting pair builds neither
+twist.  Otherwise the actions of fg and gf at each cap are composed
+from those of f and g, so the images of fg and gf, about as long as
+the products of the lengths of those of f and g, are never composed
+for a depth.  For a
 curve twist t_{h(c)} = h t_c h^-1 whose images are long against those
 of h, the action itself is composed from the actions of h, t_c and
 h^-1, exactly, since the expansion is a ring homomorphism
@@ -47,9 +52,10 @@ ijf value, one above the level:
 The braid flag reported for pairs is exact: for twists along two
 curves, t1 t2 t1 = t2 t1 t2 holds iff the curves are equal or meet
 exactly once (Farb-Margalit, Primer, ch. 3).  Commuting twists satisfy
-it iff they are equal; crossing twists only if |algebraic| = 1.  For
-those, the relation reads (t1 t2) t1 (t1 t2)^-1 = t2, that is, the twist
-along t1 t2 (c1) is the twist along c2.  Twists along essential curves
+it iff they are equal, iff the curves' classes are; crossing twists
+only if |algebraic| = 1.  For those, the relation reads
+(t1 t2) t1 (t1 t2)^-1 = t2, that is, the twist along t1 t2 (c1) is the
+twist along c2.  Twists along essential curves
 are equal iff the curves are isotopic (Primer, ch. 3), and freely
 homotopic essential simple closed curves are isotopic (Epstein, Acta
 Math. 115, 1966), so the flag holds iff t1 t2 maps the free homotopy
@@ -307,6 +313,22 @@ def check_consistency(report):
         )
 
 
+def _crosses(d1, d2):
+    """Do the twists along two resolved curves fail to commute?
+
+    d1.moves(d2) == d2.moves(d1), so the direction taken is the cheaper
+    one: the fewer letters of its conjugator's inverse images times the
+    length of the other curve's class.
+    """
+
+    def cost(a, b):
+        return sum(map(len, a.conjugator.inverse_images)) * len(b.pi1_class)
+
+    if cost(d2, d1) < cost(d1, d2):
+        d1, d2 = d2, d1
+    return d1.moves(d2)
+
+
 def classify_pair(c1, c2, cap, check=True):
     """Classify a pair; with check=True the consistency laws are enforced."""
     if c1.genus != c2.genus:
@@ -314,23 +336,26 @@ def classify_pair(c1, c2, cap, check=True):
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
     d1, d2 = resolve(c1), resolve(c2)
-    f, g = d1.twist, d2.twist
-    commuting = commutes(f, g)
+    commuting = not _crosses(d1, d2)
     algebraic = symplectic_pairing(d1.homology, d2.homology)
-    # Commuting twists braid iff equal (f^2 g = g^2 f forces f = g);
-    # crossing twists braid only along curves meeting once, which forces
+    # Commuting is read on one curve's class (_crosses), so a commuting
+    # pair builds neither twist: commuting twists braid iff equal
+    # (f^2 g = g^2 f forces f = g), iff the curves' classes are.
+    # Crossing twists braid only along curves meeting once, which forces
     # |algebraic| = 1, so fg is composed only for those.  That shortcut
     # is needed as well as fast: for C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]
     # and Sep1, with algebraic 0, the image of the class of c1 under fg
     # passes the letter cap.  Otherwise fgf = gfg iff fg f (fg)^-1 = g,
     # which holds iff fg maps the class of c1 to that of c2 (see the
-    # module docstring).
+    # module docstring).  The depth of a crossing pair reads both twists
+    # (CurveData.action).
     if commuting:
-        braid, depth = f == g, JFDepth("identity")
+        braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
         braid = (
             abs(algebraic) == 1
-            and f.compose(g)(d1.pi1_class).canonical_cyclic() == d2.pi1_class
+            and d1.twist.compose(d2.twist)(d1.pi1_class).canonical_cyclic()
+            == d2.pi1_class
         )
         depth = _commutator_depth(d1.action, d2.action, cap)
     report = PairReport(
@@ -407,41 +432,39 @@ def enumerate_curve_specs(genus, separating_only=False):
 def distinct_separating_curves(genus):
     """The separating specs of enumerate_curve_specs, one per curve.
 
-    Yields (spec, twist) for each spec whose twist no earlier spec had:
-    twists are equal iff the curves are isotopic, so a curve reached
-    again by a different word is skipped.
+    Yields (spec, twist) for each spec whose curve no earlier spec had:
+    curves are equal iff their classes are (see the curve module), so a
+    curve reached again by a different word is skipped, and its twist
+    is never built.
     """
     seen = set()
     for d in enumerate_curve_specs(genus, separating_only=True):
-        t = resolve(d).twist
-        if t not in seen:
-            seen.add(t)
-            yield d, t
+        data = resolve(d)
+        if data.pi1_class not in seen:
+            seen.add(data.pi1_class)
+            yield d, data.twist
 
 
 def distinguishing_witness(c1, c2, budget):
     """Search for a curve meeting exactly one of two distinct curves.
 
     Enumerates candidate specs (skipping those isotopic to either
-    input) and returns the first d with the twist of d commuting with
-    one input's twist and not the other's.  None after `budget`
-    candidates is not a disproof.
+    input, by class) and returns the first d whose curve crosses one
+    input and not the other, read on the curves (_crosses), so no twist
+    is built.  None after `budget` candidates is not a disproof.
     """
     if curves_equal(c1, c2):
         raise PreconditionError("inputs are the same curve")
-    t1 = resolve(c1).twist
-    t2 = resolve(c2).twist
+    d1, d2 = resolve(c1), resolve(c2)
     tested = 0
     for d in enumerate_curve_specs(c1.genus):
         if tested >= budget:
             return None
         tested += 1
-        td = resolve(d).twist
-        if td == t1 or td == t2:
+        dd = resolve(d)
+        if dd.pi1_class in (d1.pi1_class, d2.pi1_class):
             continue
-        c1d = commutes(t1, td)
-        c2d = commutes(t2, td)
-        if c1d != c2d:
+        if _crosses(d1, dd) != _crosses(d2, dd):
             return d
     return None
 
