@@ -9,12 +9,16 @@ automorphisms (f and the identity, or fg and gf) act differently on
 Z<<X>> / (deg > cap) (Magnus-Karrass-Solitar, Combinatorial Group
 Theory, ch. 5).  One loop, _depth, reads every depth: it compares two
 truncated actions (magnus.TruncatedAction) with action_depth at caps
-c = 1, 2, ... and returns at the first cap where they differ, so no
-depth expands above the cap it stops at.  For one class the loop starts
+c = start, start + 1, ... and returns at the first cap where they
+differ, so no depth expands above the cap it stops at.  Below start the
+two automorphisms are known to agree.  For one class the loop starts
 at cap 2, because degree 1 of the Magnus expansion of a word is its
 exponent-sum vector, so the homology action decides degree 1 with
-nothing expanded (in_Mk(f, 1) expands nothing).  For a commutator it
-starts at cap 1, with the same step as at every other cap.  Whether f
+nothing expanded (in_Mk(f, 1) expands nothing).  For the commutator of
+two classes it starts at cap 1, with the same step as at every other
+cap.  For two crossing curve twists it starts at cap 2 when their
+algebraic intersection is 0: on homology, T_a T_b - T_b T_a =
+<a,b>(<b,.>a + <a,.>b), so then fg and gf agree in degree 1.  Whether f
 and g commute is decided first and exactly; commuting classes get the
 identity.  For two classes, mcg.commutes compares f(g(x_i)) with
 g(f(x_i)) one generator at a time and composes neither product.  For
@@ -160,9 +164,12 @@ def _depth(actions, start, cap):
     cap above d, and substitution is exact modulo degree > c, so the
     first cap c at which action_depth finds a difference finds it in
     degree c, and the depth is exact(c - 1), or not_in_m1 at c = 1.  No
-    difference through the cap gives at_least(cap).  The work at a cap
-    grows geometrically with it, so the loop costs a small multiple of
-    the work at the cap it stops at.
+    difference through the cap gives at_least(cap), and a start above
+    the cap expands nothing.  start is 2 for one class and for a
+    crossing curve pair with algebraic intersection 0, whose agreement
+    in degree 1 homology decides, and 1 for the commutator of two
+    classes.  The work at a cap grows geometrically with it, so the loop
+    costs a small multiple of the work at the cap it stops at.
     """
     for c in range(start, cap + 1):
         depth = action_depth(*actions(c))
@@ -197,22 +204,23 @@ def _class_depth(f, cap):
     )
 
 
-def _commutator_depth(act_f, act_g, cap):
+def _commutator_depth(act_f, act_g, start, cap):
     """Filtration depth of [f, g] for classes f and g that do not commute.
 
     act_f and act_g map a cap c to the TruncatedAction of f and of g at
     c: TruncatedAction.of for plain automorphisms, CurveData.action for
     curve twists, which composes the actions of h, t_c and h^-1 for a
     twist h t_c h^-1 with long images (see the curve module).  The
-    actions are composed both ways at caps 1, 2, ... (_depth), so
-    neither fg nor gf is built.
+    actions are composed both ways at caps start, start + 1, ...
+    (_depth), so neither fg nor gf is built.  start is 1, or 2 when fg
+    and gf are known to agree in degree 1.
     """
 
     def products(c):
         a, b = act_f(c), act_g(c)
         return a.compose(b), b.compose(a)
 
-    return _depth(products, 1, cap)
+    return _depth(products, start, cap)
 
 
 def commutator_depth(f, g, cap):
@@ -231,7 +239,10 @@ def commutator_depth(f, g, cap):
     if commutes(f, g):
         return JFDepth("identity")
     return _commutator_depth(
-        lambda c: TruncatedAction.of(f, c), lambda c: TruncatedAction.of(g, c), cap
+        lambda c: TruncatedAction.of(f, c),
+        lambda c: TruncatedAction.of(g, c),
+        1,
+        cap,
     )
 
 
@@ -348,7 +359,8 @@ def classify_pair(c1, c2, cap, check=True):
     # passes the letter cap.  Otherwise fgf = gfg iff fg f (fg)^-1 = g,
     # which holds iff fg maps the class of c1 to that of c2 (see the
     # module docstring).  The depth of a crossing pair reads both twists
-    # (CurveData.action).
+    # (CurveData.action), from cap 2 when algebraic is 0, since then fg
+    # and gf agree on homology (see the module docstring).
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
@@ -357,7 +369,8 @@ def classify_pair(c1, c2, cap, check=True):
             and d1.twist.compose(d2.twist)(d1.pi1_class).canonical_cyclic()
             == d2.pi1_class
         )
-        depth = _commutator_depth(d1.action, d2.action, cap)
+        start = 2 if algebraic == 0 else 1
+        depth = _commutator_depth(d1.action, d2.action, start, cap)
     report = PairReport(
         genus=c1.genus,
         c1=c1.to_text(),

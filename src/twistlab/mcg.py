@@ -109,11 +109,19 @@ class FreeAutomorphism:
             self._letter_images = table
         limit = MAX_IMAGE_LETTERS
         for ell in w.letters:
-            for img in table[ell]:
-                if out and out[-1] == -img:
-                    out.pop()
-                else:
-                    out.append(img)
+            # cancel the longest prefix of the image against the end of
+            # `out`, then append the rest in one block: each image is
+            # freely reduced, so once img[k] fails to cancel, no later
+            # letter of it can, and `out` stays freely reduced.  Replayed
+            # on the calls of a seed-13 pair-scan pass, this takes about
+            # a quarter less time than appending or popping one letter
+            # at a time (BENCH_kernels.json)
+            img = table[ell]
+            k, n = 0, len(img)
+            while k < n and out and out[-1] == -img[k]:
+                out.pop()
+                k += 1
+            out.extend(img[k:] if k else img)
             if len(out) > limit:
                 raise WordLengthLimit(
                     f"image exceeded {limit} letters; composition aborted"

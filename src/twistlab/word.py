@@ -31,8 +31,8 @@ def _reduced(letters):
 
 
 def _letter_key(ell):
-    # lexicographic order on (generator index, sign); x_i < x_i^-1
-    return (abs(ell), ell < 0)
+    # the order of (generator index, sign), x_i < x_i^-1, as one int
+    return 2 * abs(ell) + (ell < 0)
 
 
 def _least_rotation(keys):
@@ -153,7 +153,10 @@ class Word:
         return Word(self.genus, self.letters + other.letters)
 
     def inverse(self):
-        return Word(self.genus, tuple(-ell for ell in reversed(self.letters)))
+        # the inverse of a reduced word is reduced
+        return Word._trusted(
+            self.genus, tuple(-ell for ell in reversed(self.letters))
+        )
 
     def __pow__(self, k):
         if k < 0:
@@ -173,7 +176,9 @@ class Word:
         The core is cyclically reduced and rotated to the
         lexicographically least of its rotations (the first one, when
         the core is periodic), so the decomposition is deterministic.
-        Linear in the length of the word.
+        Linear in the length of the word.  A rotation of a cyclically
+        reduced word is reduced, and the conjugator is a prefix of self,
+        so neither result is reduced again.
         """
         letters = self.letters
         lo, hi = 0, len(letters)
@@ -182,8 +187,10 @@ class Word:
             hi -= 1
         core = letters[lo:hi]
         r = _least_rotation([_letter_key(ell) for ell in core])
-        conj = letters[:lo] + core[:r]
-        return Word(self.genus, core[r:] + core[:r]), Word(self.genus, conj)
+        return (
+            Word._trusted(self.genus, core[r:] + core[:r]),
+            Word._trusted(self.genus, letters[: lo + r]),
+        )
 
     def canonical_cyclic(self):
         """Canonical representative of the cyclic word up to inversion.
@@ -196,7 +203,7 @@ class Word:
         if core.is_identity():
             return core
         alt, _ = core.inverse().cyclic_reduce()
-        key = lambda w: tuple(_letter_key(ell) for ell in w.letters)
+        key = lambda w: [_letter_key(ell) for ell in w.letters]
         return min(core, alt, key=key)
 
 

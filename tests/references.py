@@ -1,9 +1,13 @@
 """Slow exact constructions that tests compare the package against."""
 
+from itertools import groupby
+
+from twistlab import mcg
 from twistlab.curve import homology_action
-from twistlab.errors import PreconditionError
+from twistlab.errors import PreconditionError, WordLengthLimit
 from twistlab.jfilt import JFDepth, action_depth
-from twistlab.magnus import TruncatedAction
+from twistlab.magnus import TruncatedAction, TruncatedSeries
+from twistlab.word import Word
 
 
 def commutator_auto(f, g):
@@ -39,3 +43,68 @@ def two_class_depth(f, g, cap):
     if cap == 1:
         return JFDepth("at_least", 1)
     return action_depth(TruncatedAction.of(f, cap), TruncatedAction.of(g, cap))
+
+
+def apply_letterwise(f, w):
+    """f(w), freely reduced one image letter at a time.
+
+    The stack reduction FreeAutomorphism.__call__ used before it
+    cancelled whole image blocks; the letter cap is checked after each
+    letter's image, as there.
+    """
+    table = {}
+    for i, img in enumerate(f.images, start=1):
+        table[i] = img.letters
+        table[-i] = tuple(-ell for ell in reversed(img.letters))
+    out = []
+    limit = mcg.MAX_IMAGE_LETTERS
+    for ell in w.letters:
+        for img in table[ell]:
+            if out and out[-1] == -img:
+                out.pop()
+            else:
+                out.append(img)
+        if len(out) > limit:
+            raise WordLengthLimit(
+                f"image exceeded {limit} letters; composition aborted"
+            )
+    return Word(f.genus, tuple(out))
+
+
+def magnus_expand_by_groupby(w, cap):
+    """magnus.magnus_expand as it was before runs were scanned by index.
+
+    Runs come from itertools.groupby, each run's factors are rebuilt, and
+    the term from the constant 1 goes through the same loop as the rest.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    base = 2 * w.genus
+    out = TruncatedSeries.one(w.genus, cap)
+    degrees = out.degrees
+    shifts = [base**j for j in range(cap + 1)]
+    for ell, run in groupby(w.letters):
+        i, m = abs(ell), len(list(run))
+        if ell < 0:
+            m = -m
+        factors = []
+        rep, cj = 0, 1
+        for j in range(1, cap + 1):
+            cj = cj * (m - j + 1) // j
+            if not cj:
+                break
+            rep = rep * base + (i - 1)
+            factors.append((j, cj, shifts[j], rep))
+        for d in range(cap, 0, -1):
+            target = degrees[d]
+            for j, cj, shift, rep in factors:
+                if j > d:
+                    break
+                for key, c in degrees[d - j].items():
+                    nk = key * shift + rep
+                    nc = target.get(nk, 0) + c * cj
+                    if nc:
+                        target[nk] = nc
+                    else:
+                        del target[nk]
+    return out

@@ -787,17 +787,22 @@ def test_degree_one_is_read_without_expanding(monkeypatch):
 
 
 def test_cap_one_pair_depths_expand_at_cap_one_only(monkeypatch):
-    # a pair depth at cap 1 is the first step of the depth loop: the
-    # twists' actions at cap 1, composed both ways
+    # a commutator depth at cap 1 is the first step of the depth loop:
+    # the classes' actions at cap 1, composed both ways
     rng = random.Random(103)
     _single_classes(2, rng)  # skip these draws: the pool is the pairs after them
     caps = _record_expansion_caps(monkeypatch)
     for f, g in _class_pairs(2, rng):
         commutator_depth(f, g, 1)
-    classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 1)
-    for c1, c2 in LONG_CAP_ONE_PAIRS:
-        classify_pair(spec(2, c1), spec(2, c2), 1)
     assert set(caps) == {1}
+    # a crossing curve pair with algebraic 0 is in M(1) by homology, so
+    # its loop starts at cap 2 and at cap 1 expands nothing
+    caps.clear()
+    for c1, c2 in (("Sep1", "Sep1 @ [C3]"),) + LONG_CAP_ONE_PAIRS:
+        report = classify_pair(spec(2, c1), spec(2, c2), 1)
+        assert report.algebraic == 0
+        assert report.depth == JFDepth("at_least", 1)
+    assert caps == []
 
 
 def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
@@ -807,18 +812,21 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     report = classify_pair(spec(2, "C1"), spec(2, "C2 @ [C3]"), 5)
     assert report.depth == JFDepth("not_in_m1")
     assert set(caps) == {1}
+    # with algebraic 0, fg and gf agree on homology, so the loop starts
+    # at cap 2: nothing is expanded at cap 1
     caps.clear()
     report = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 5)
-    assert report.depth == JFDepth("exact", 2)
-    assert max(caps) == 3
+    assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
+    assert set(caps) == {2, 3}
     # the first curve's action is composed from those of its conjugator
-    # and base twist (CurveData.action), and that loop stops at cap 3 too
+    # and base twist (CurveData.action), and that loop runs at caps 2
+    # and 3 too
     caps.clear()
     c1 = spec(2, "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]")
     assert resolve(c1).composes_action()
     report = classify_pair(c1, spec(2, "Sep1"), 5)
-    assert report.depth == JFDepth("exact", 2)
-    assert max(caps) == 3
+    assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
+    assert set(caps) == {2, 3}
 
 
 def test_non_torelli_classes_are_decided_on_homology_at_every_cap(monkeypatch):

@@ -9,6 +9,8 @@ from twistlab.magnus import TruncatedAction, TruncatedSeries, magnus_expand
 from twistlab.mcg import builtin_table, evaluate
 from twistlab.word import Word, commutator
 
+from references import magnus_expand_by_groupby
+
 
 # -- independent dense oracle -----------------------------------------
 #
@@ -144,6 +146,56 @@ def test_expand_matches_letter_by_letter_product(genus):
             # dense_expand multiplies one letter series at a time
             expected = dense_expand(w, cap).coeffs
             assert as_dense_dict(magnus_expand(w, cap)) == expected, (w, cap)
+
+
+def _assert_expansions_match_groupby_kernel(w, cap):
+    # the same terms, inserted in the same order, so that any reader
+    # that iterates a degree sees no difference
+    got, ref = magnus_expand(w, cap), magnus_expand_by_groupby(w, cap)
+    assert [list(d.items()) for d in got.degrees] == [
+        list(d.items()) for d in ref.degrees
+    ], (w, cap)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_expand_matches_the_groupby_kernel_on_long_runs(genus):
+    rng = random.Random(300 + genus)
+    n = 2 * genus
+    words = [
+        Word.generator(genus, i, m)
+        for i in (1, n)
+        for m in (-12, -7, -2, -1, 1, 2, 5, 12)
+    ]
+    for _ in range(6):
+        letters = []
+        for _ in range(rng.randrange(1, 6)):
+            i = rng.randrange(1, n + 1) * rng.choice((1, -1))
+            letters.extend([i] * rng.randrange(1, 13))
+        words.append(Word(genus, tuple(letters)))
+        words.append(random_word(rng, genus, 12))
+    for cap in range(1, 7):
+        for w in words:
+            _assert_expansions_match_groupby_kernel(w, cap)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_expand_matches_the_groupby_kernel_on_twist_images(genus):
+    # images of products of table-twist powers with |k| up to 9: mostly
+    # runs of one letter, and runs of one letter repeated, which is
+    # where the per-call memo of run factors is reused
+    rng = random.Random(310 + genus)
+    names = builtin_table(genus).names()
+    words = []
+    for _ in range(8):
+        f = evaluate(
+            tuple((rng.choice(names), rng.choice((1, -1)) * rng.randrange(1, 10))
+                  for _ in range(rng.randrange(1, 4))),
+            genus,
+        )
+        words += f.images + f.inverse_images
+    for cap in range(1, 5):
+        for w in words:
+            _assert_expansions_match_groupby_kernel(w, cap)
 
 
 # -- lower central series depth ----------------------------------------

@@ -21,6 +21,8 @@ from twistlab.mcg import (
 )
 from twistlab.word import Word, abelianized, boundary_word
 
+from references import apply_letterwise
+
 
 def test_identity_automorphism():
     f = FreeAutomorphism.identity(2)
@@ -320,6 +322,79 @@ def test_images_need_no_reduction_or_range_check(genus):
             assert checked == image
             assert checked.letters == image.letters
             assert hash(checked) == hash(image)
+
+
+def _heavy_products(genus, rng, count):
+    """Products of one or two table-twist powers with |k| up to 9.
+
+    Their images are long, and applying one to another's images, or to
+    its own inverse images, cancels most of what it appends.
+    """
+    names = builtin_table(genus).names()
+    return [
+        evaluate(
+            tuple((rng.choice(names), rng.choice((1, -1)) * rng.randrange(1, 10))
+                  for _ in range(rng.randrange(1, 3))),
+            genus,
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_block_cancelling_call_matches_the_letterwise_reduction(genus):
+    # __call__ cancels a whole image prefix against the end of its output
+    # and appends the rest at once; apply_letterwise reduces one letter
+    # at a time
+    rng = random.Random(61 + genus)
+    n = 2 * genus
+    products = _heavy_products(genus, rng, 8)
+    cancelled = 0
+    for f in products:
+        words = list(f.inverse_images) + list(rng.choice(products).images)
+        words += [
+            Word(genus, tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1)
+                              for _ in range(rng.randrange(40))))
+            for _ in range(5)
+        ]
+        for w in words:
+            image = f(w)
+            assert image.letters == apply_letterwise(f, w).letters, (f, w)
+            appended = sum(len(f.images[abs(ell) - 1]) for ell in w.letters)
+            cancelled += appended - len(image)
+    assert cancelled > 0
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_call_raises_the_letter_limit_where_the_letterwise_reduction_does(
+    genus, monkeypatch
+):
+    # the limit is checked after each letter's image: with a limit below
+    # the longest partial image, both kernels raise, and at or above it
+    # both return the same image.  On f's own inverse images the partial
+    # images are far longer than the generator they end at.
+    import twistlab.mcg as mcg
+
+    rng = random.Random(67 + genus)
+    f, g = _heavy_products(genus, rng, 2)
+    words = g.images + f.inverse_images
+    peaks = [
+        max(
+            len(apply_letterwise(f, Word(genus, w.letters[:k])))
+            for k in range(1, len(w) + 1)
+        )
+        for w in words
+    ]
+    assert any(peak > len(f(w)) for w, peak in zip(words, peaks))
+    for w, peak in zip(words, peaks):
+        for limit in (peak - 1, peak):
+            monkeypatch.setattr(mcg, "MAX_IMAGE_LETTERS", limit)
+            if limit < peak:
+                for apply in (f, lambda w: apply_letterwise(f, w)):
+                    with pytest.raises(WordLengthLimit):
+                        apply(w)
+            else:
+                assert f(w).letters == apply_letterwise(f, w).letters
 
 
 def test_mcw_parse_and_format():

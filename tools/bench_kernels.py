@@ -1,0 +1,141 @@
+"""Time twistlab's hot kernels on the calls one pair-scan pass makes.
+
+    PYTHONPATH=src python3 tools/bench_kernels.py --seed 13 --repeats 7
+
+The pairs are the benchmark's pair-scan list for the seed
+(benchmarks/workloads.py), less the pairs that failed when the reference
+was made.  One pass classifies every pair at the benchmark's cap with
+the kernels below wrapped, and records the arguments of every call.
+Each kernel is then replayed on its recorded calls `--repeats` times,
+and one JSON object is printed: per kernel, the calls, the letters of
+their words, and the least, the median and the quartiles of a replay's
+thread CPU seconds.  As in timeit, the garbage collector is off during
+a replay, so its pauses, which depend on everything the pass left
+alive, do not land on whichever kernel happens to run then; the least
+replay is the figure least moved by other load on the host.
+
+The calls are those of the twistlab on the path, so a change that drops
+calls shows in the call counts.  magnus_expand and
+TruncatedAction.compose are reported per cap, so that the caps both
+versions reach can be compared alone.  canonical_cyclic calls
+cyclic_reduce, so the cyclic_reduce calls include those.  Replays run
+after the recording pass: the letter tables that applying an
+automorphism reads are already built.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import workloads  # noqa: E402
+from twistlab import curve, jfilt, magnus  # noqa: E402
+from twistlab.mcg import FreeAutomorphism  # noqa: E402
+from twistlab.word import Word  # noqa: E402
+
+
+def record(ops):
+    """Classify every pair once; the recorded calls of each kernel.
+
+    Returns {kernel name: (function, [argument tuples])}.
+    """
+    calls = {}
+    patches = [
+        (FreeAutomorphism, "__call__", lambda args: "mcg.call"),
+        (magnus, "magnus_expand", lambda args: f"magnus.expand.cap{args[1]}"),
+        (Word, "cyclic_reduce", lambda args: "word.cyclic_reduce"),
+        (Word, "canonical_cyclic", lambda args: "word.canonical_cyclic"),
+        (magnus.TruncatedAction, "compose",
+         lambda args: f"magnus.action_compose.cap{args[0].cap}"),
+    ]
+    originals = []
+
+    def recording(fn, name_of):
+        def wrapper(*args):
+            name = name_of(args)
+            if name not in calls:
+                calls[name] = (fn, [])
+            calls[name][1].append(args)
+            return fn(*args)
+
+        return wrapper
+
+    for owner, attr, name_of in patches:
+        fn = getattr(owner, attr)
+        originals.append((owner, attr, fn))
+        setattr(owner, attr, recording(fn, name_of))
+    try:
+        for op in ops:
+            c1 = curve.parse_curve_spec(op["genus"], op["c1"])
+            c2 = curve.parse_curve_spec(op["genus"], op["c2"])
+            jfilt.classify_pair(c1, c2, op["cap"])
+    finally:
+        for owner, attr, fn in originals:
+            setattr(owner, attr, fn)
+    return calls
+
+
+def _letters(args):
+    return sum(len(a.letters) for a in args if isinstance(a, Word))
+
+
+def replay(fn, arg_list, repeats):
+    """Thread CPU seconds of each of `repeats` passes over the calls."""
+    times = []
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.thread_time()
+            for args in arg_list:
+                fn(*args)
+            times.append(time.thread_time() - t0)
+        finally:
+            gc.enable()
+    return times
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--repeats", type=int, default=7)
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
+    reference = workloads.load_reference()
+    failed = {(p["genus"], p["c1"], p["c2"])
+              for p in reference["pairs"] if p["error"]}
+    ops, _ = workloads.build("pair-scan", args.seed, reference)
+    ops = [op for op in ops if (op["genus"], op["c1"], op["c2"]) not in failed]
+    calls = record(ops)
+
+    kernels = {}
+    for name in sorted(calls):
+        fn, arg_list = calls[name]
+        times = replay(fn, arg_list, args.repeats)
+        q1, _, q3 = (statistics.quantiles(times, n=4) if len(times) > 1
+                       else (times[0],) * 3)
+        kernels[name] = {
+            "calls": len(arg_list),
+            "letters_in": sum(map(_letters, arg_list)),
+            "min_s": round(min(times), 6),
+            "median_s": round(statistics.median(times), 6),
+            "q1_s": round(q1, 6),
+            "q3_s": round(q3, 6),
+        }
+    print(json.dumps({"seed": args.seed, "repeats": args.repeats,
+                      "pairs": len(ops), "kernels": kernels}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
