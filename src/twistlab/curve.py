@@ -13,20 +13,22 @@ along essential curves are equal iff the curves are isotopic
 closed curves are isotopic (Epstein, Acta Math. 115, 1966), so two
 curves are equal iff their classes are, and t_a commutes with t_b iff
 t_a(b) = b, iff the twist along a fixes the class of b
-(CurveData.moves).  None of this builds the twist.
+(CurveData.moves).  More generally a mapping class f commutes with t_c
+iff f fixes the class of c, since f t_c f^-1 = t_{f(c)} (Primer,
+ch. 3).  None of this builds the twist.
 
-The twist along h(c) is h t_c h^-1 by the conjugation law, and a
-resolved curve builds it only when it is read (CurveData.twist): its
-images grow with the conjugator h, and commuting pairs, equality and
-the witness searches never read them.  The same law gives a resolved
-curve its truncated Magnus action (magnus.TruncatedAction) without
-expanding the twist's images.  The expansion is a ring homomorphism
-(Magnus-Karrass-Solitar, ch. 5), so the action of t_{h(c)} = h t_c h^-1
-is the action of h composed with those of t_c and h^-1.  The cost of
-composing actions follows their numbers of terms, not the twist's
-letters, so CurveData.action composes when the twist's images hold more
-than COMPOSE_MULTIPLE times the letters of the images of h and h^-1,
-and expands the twist's images otherwise.
+The twist along h(c) is h t_c h^-1 by the conjugation law.  A resolved
+curve builds it as h (t_c h^-1), and builds the inner factor
+(CurveData.inner) and the product (CurveData.twist) only when read:
+their images grow with h, and commuting pairs, equality and the
+witness searches never read them.  The expansion is a ring
+homomorphism (Magnus-Karrass-Solitar, ch. 5), so the truncated Magnus
+action (magnus.TruncatedAction) of the twist is that of h composed with
+that of t_c h^-1.  The cost of composing follows numbers of terms, not
+the twist's letters, so CurveData.action composes when the twist's images
+hold more than COMPOSE_MULTIPLE times the letters of the images of h
+and t_c h^-1, the words it then expands, and expands the twist's
+images otherwise.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
 """
@@ -58,17 +60,17 @@ class CurveSpec:
         return self.to_text()
 
 
-#: CurveData.action composes the actions of h, t_c and h^-1 when the
-#: images of t_{h(c)} hold more than this many times the letters of the
-#: images of h and h^-1, and expands the twist's images otherwise.
-#: Composing costs three expansions and two substitutions at each cap of
-#: a pair's depth loop whatever the words, so on short twists expanding
-#: is cheaper.  Measured on classify_pair at cap 3 over the benchmark's
-#: pair-scan lists of seeds 3 and 11 (curves resolved beforehand, one
-#: process, medians of 5 interleaved repetitions), against expanding
-#: every twist: composing every twist raised the 90th-percentile pair
-#: time by 43-50%, a multiple of 1 by 2-26%, while multiples 2, 4 and 8
-#: kept it between -15% and +3% and cut the total by 45-58%.
+#: CurveData.action composes the actions of h and t_c h^-1 when the
+#: images of t_{h(c)} hold more than this many times the letters of
+#: those of h and t_c h^-1, and expands the twist's images otherwise.
+#: Composing costs two expansions and one substitution at each cap of a
+#: pair's depth loop whatever the words, so on short twists expanding
+#: is cheaper.  On classify_pair at cap 3 over the benchmark's pair-scan
+#: lists of seeds 3 and 11 (twists built beforehand, one process,
+#: medians of 5 interleaved repetitions, three runs), against expanding
+#: every twist, composing every twist raised the 90th-percentile pair
+#: time by 42-88% and the total by 12-54%, while a multiple of 4 moved
+#: them by -7% to +10% and -17% to +7%.
 COMPOSE_MULTIPLE = 4
 
 
@@ -81,11 +83,11 @@ class CurveData:
     """Resolved curve h(c): its class, homology and separating flag,
     with the conjugator h and the base twist t_c.
 
-    The twist h t_c h^-1 along the curve is built on first access
-    (twist), and only the braid label, the depth (action) and callers
-    that need the automorphism itself read it; moves decides crossing
-    from the classes alone.  A concurrent first access only repeats
-    work.
+    The twist h (t_c h^-1) along the curve and its inner factor are
+    built on first access (twist, inner), and only the braid label, the
+    depth (action) and callers that need the automorphism itself read
+    them; moves decides crossing from the classes alone.  A concurrent
+    first access only repeats work.
     """
 
     pi1_class: Word
@@ -100,12 +102,16 @@ class CurveData:
         return self.conjugator.inverse()
 
     @cached_property
+    def inner(self):
+        """t_c h^-1, the inner factor of the twist h (t_c h^-1)."""
+        # t_c's short images substitute into those of h^-1
+        return self.base_twist.compose(self.conjugator_inverse)
+
+    @cached_property
     def twist(self):
         """The twist h t_c h^-1 along the curve, built on first access."""
-        # inside out: t_c's short images substitute into those of h^-1
-        # first, so only the outer compose applies a long map
-        h_inv = self.conjugator_inverse
-        return self.conjugator.compose(self.base_twist.compose(h_inv))
+        # only this outer compose applies a long map
+        return self.conjugator.compose(self.inner)
 
     def moves(self, other):
         """Does the twist along this curve move the curve of other?
@@ -126,33 +132,29 @@ class CurveData:
 
     def composes_action(self):
         """Does action() compose instead of expanding the twist's images?"""
-        h = self.conjugator
         return _letters(self.twist.images) > COMPOSE_MULTIPLE * (
-            _letters(h.images) + _letters(h.inverse_images)
+            _letters(self.conjugator.images) + _letters(self.inner.images)
         )
 
     def action(self, cap):
         """The TruncatedAction of the twist at the cap.
 
         Equal to TruncatedAction.of(self.twist, cap).  When the twist's
-        images are long against those of h (composes_action), it is the
-        action of h composed with those of t_c and h^-1, which the
-        expansion's being a ring homomorphism makes exact, and whose cost
-        does not grow with the twist's images.  Raises SeriesTermLimit
-        when a series passes MAX_SERIES_TERMS.
+        images are long against those of h and t_c h^-1
+        (composes_action), it is the action of h composed with that of
+        t_c h^-1, which the expansion's being a ring homomorphism makes
+        exact, and whose cost does not grow with the twist's images.
+        Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
         """
         if not self.composes_action():
             return TruncatedAction.of(self.twist, cap)
-        h = self.conjugator
-        return (
-            TruncatedAction.of(h, cap)
-            .compose(TruncatedAction.of(self.base_twist, cap))
-            .compose(TruncatedAction.of(self.conjugator_inverse, cap))
+        return TruncatedAction.of(self.conjugator, cap).compose(
+            TruncatedAction.of(self.inner, cap)
         )
 
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_INT = re.compile(r"-?\d+")
+_INT = re.compile(r"-?[0-9]+")
 
 
 def parse_curve_spec(genus, text):
@@ -265,12 +267,8 @@ def symplectic_pairing(u, v):
 # -- pairings and equality ---------------------------------------------
 
 
-def _check_same_genus(c1, c2):
-    if c1.genus != c2.genus:
-        raise GenusMismatch("curve specs of different genus")
-
-
 def curves_equal(c1, c2):
     """Exact isotopy test: the curves agree iff their classes do."""
-    _check_same_genus(c1, c2)
+    if c1.genus != c2.genus:
+        raise GenusMismatch("curve specs of different genus")
     return resolve(c1).pi1_class == resolve(c2).pi1_class

@@ -228,7 +228,8 @@ def suzuki_scan(genus, budget):
 
     hits = []
     pairs = itertools.islice(itertools.combinations(specs, 2), budget)
-    for (da, ta), (db, tb) in pairs:
+    for (da, a), (db, b) in pairs:
+        ta, tb = a.twist, b.twist
         fg, gf = ta.compose(tb), tb.compose(ta)
         if fg != gf and rep_equal(magnus_rep(fg), magnus_rep(gf)):
             hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))

@@ -21,20 +21,13 @@ algebraic intersection is 0: on homology, T_a T_b - T_b T_a =
 <a,b>(<b,.>a + <a,.>b), so then fg and gf agree in degree 1.  Whether f
 and g commute is decided first and exactly; commuting classes get the
 identity.  For two classes, mcg.commutes compares f(g(x_i)) with
-g(f(x_i)) one generator at a time and composes neither product.  For
-two curve twists, classify_pair reads it on one curve's class instead:
-t_a and t_b commute iff t_a(b) = b (CurveData.moves), since twists are
-equal iff their curves are isotopic and freely homotopic curves are
-isotopic (see the curve module), so a commuting pair builds neither
-twist.  Otherwise the actions of fg and gf at each cap are composed
-from those of f and g, so the images of fg and gf, about as long as
-the products of the lengths of those of f and g, are never composed
-for a depth.  For a
-curve twist t_{h(c)} = h t_c h^-1 whose images are long against those
-of h, the action itself is composed from the actions of h, t_c and
-h^-1, exactly, since the expansion is a ring homomorphism
-(CurveData.action; curve.COMPOSE_MULTIPLE sets how long is long,
-because composing costs more than expanding a short twist's images).
+g(f(x_i)) one generator at a time and composes neither product.  Two
+curve twists t_a and t_b commute iff t_a(b) = b (CurveData.moves; see
+the curve module), so a commuting pair builds neither twist.  Otherwise
+the actions of fg and gf at each cap are composed from those of f and
+g, and the long images of fg and gf are never built for a depth.  The
+action of a curve twist h (t_c h^-1) with long images is itself
+composed from those of its two factors (CurveData.action).
 Nested commutators, whose actions pass the term budget at high caps,
 are read from leading terms instead: the leading term of a class in
 M(k) is a derivation (magnus.Derivation, also behind
@@ -59,11 +52,12 @@ exactly once (Farb-Margalit, Primer, ch. 3).  Commuting twists satisfy
 it iff they are equal, iff the curves' classes are; crossing twists
 only if |algebraic| = 1.  For those, the relation reads
 (t1 t2) t1 (t1 t2)^-1 = t2, that is, the twist along t1 t2 (c1) is the
-twist along c2.  Twists along essential curves
-are equal iff the curves are isotopic (Primer, ch. 3), and freely
-homotopic essential simple closed curves are isotopic (Epstein, Acta
-Math. 115, 1966), so the flag holds iff t1 t2 maps the free homotopy
-class of c1 to that of c2.
+twist along c2, so the flag holds iff t1 t2 maps the class of c1 to
+that of c2 (see the curve module).  That class is read as t1(t2(c1)),
+two applications to one word, and the product t1 t2 is never built.
+The same law, f t_c f^-1 = t_{f(c)}, makes fact5_instance ask whether
+a class f fixes the class of each separating curve, not whether f
+commutes with its twist.
 """
 
 from __future__ import annotations
@@ -209,7 +203,7 @@ def _commutator_depth(act_f, act_g, start, cap):
 
     act_f and act_g map a cap c to the TruncatedAction of f and of g at
     c: TruncatedAction.of for plain automorphisms, CurveData.action for
-    curve twists, which composes the actions of h, t_c and h^-1 for a
+    curve twists, which composes the actions of h and t_c h^-1 for a
     twist h t_c h^-1 with long images (see the curve module).  The
     actions are composed both ways at caps start, start + 1, ...
     (_depth), so neither fg nor gf is built.  start is 1, or 2 when fg
@@ -353,20 +347,20 @@ def classify_pair(c1, c2, cap, check=True):
     # pair builds neither twist: commuting twists braid iff equal
     # (f^2 g = g^2 f forces f = g), iff the curves' classes are.
     # Crossing twists braid only along curves meeting once, which forces
-    # |algebraic| = 1, so fg is composed only for those.  That shortcut
-    # is needed as well as fast: for C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]
-    # and Sep1, with algebraic 0, the image of the class of c1 under fg
-    # passes the letter cap.  Otherwise fgf = gfg iff fg f (fg)^-1 = g,
-    # which holds iff fg maps the class of c1 to that of c2 (see the
-    # module docstring).  The depth of a crossing pair reads both twists
-    # (CurveData.action), from cap 2 when algebraic is 0, since then fg
-    # and gf agree on homology (see the module docstring).
+    # |algebraic| = 1, so the twists are read only for those.  That
+    # shortcut is needed as well as fast: for C3 @ [C3^2 Sep1^-2 Sep1^-2
+    # Sep1^-2] and Sep1, with algebraic 0, the image of the class of c1
+    # under fg passes the letter cap.  Otherwise fgf = gfg iff
+    # fg f (fg)^-1 = g, which holds iff f(g(c1)) is the class of c2 (see
+    # the module docstring), and fg is not built.  The depth of a
+    # crossing pair reads both twists (CurveData.action), from cap 2
+    # when algebraic is 0, since then fg and gf agree on homology.
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
         braid = (
             abs(algebraic) == 1
-            and d1.twist.compose(d2.twist)(d1.pi1_class).canonical_cyclic()
+            and d1.twist(d2.twist(d1.pi1_class)).canonical_cyclic()
             == d2.pi1_class
         )
         start = 2 if algebraic == 0 else 1
@@ -445,17 +439,17 @@ def enumerate_curve_specs(genus, separating_only=False):
 def distinct_separating_curves(genus):
     """The separating specs of enumerate_curve_specs, one per curve.
 
-    Yields (spec, twist) for each spec whose curve no earlier spec had:
-    curves are equal iff their classes are (see the curve module), so a
-    curve reached again by a different word is skipped, and its twist
-    is never built.
+    Yields (spec, CurveData) for each spec whose curve no earlier spec
+    had: curves are equal iff their classes are (see the curve module),
+    so a curve reached again by a different word is skipped.  No twist
+    is built; a caller that needs one reads CurveData.twist.
     """
     seen = set()
     for d in enumerate_curve_specs(genus, separating_only=True):
         data = resolve(d)
         if data.pi1_class not in seen:
             seen.add(data.pi1_class)
-            yield d, data.twist
+            yield d, data
 
 
 def distinguishing_witness(c1, c2, budget):
@@ -499,13 +493,16 @@ def fact5_instance(f, budget):
     Central classes fix every curve, so the verdict for them is always
     FixesAllSampled; for non-central classes a moved separating curve
     exists and the sampler reports the first one found within budget.
+    f commutes with the twist along d iff f fixes d's class, since
+    f t_d f^-1 = t_{f(d)} (see the module docstring), so each curve
+    costs one application of f to its class, and no twist is built.
     """
     if f.genus < 2:
         raise PreconditionError(
             "no essential separating curves exist at genus 1"
         )
-    for d, td in itertools.islice(distinct_separating_curves(f.genus), budget):
-        # f moves the curve iff f t_d f^-1 != t_d iff they fail to commute
-        if not commutes(f, td):
+    curves = distinct_separating_curves(f.genus)
+    for d, data in itertools.islice(curves, budget):
+        if f(data.pi1_class).canonical_cyclic() != data.pi1_class:
             return Fact5Verdict(moved=d)
     return Fact5Verdict(moved=None)

@@ -322,7 +322,7 @@ def _parse_table_text(genus, text):
             meta["base"] = Word.from_text(genus, rest)
         elif head in ("image", "inverse"):
             lhs, _, rhs = rest.partition("=")
-            m = re.match(r"x(\d+)$", lhs.strip())
+            m = re.match(r"x([0-9]+)$", lhs.strip())
             if not m:
                 raise ValueError(f"bad fixture line: {raw!r}")
             w = Word.from_text(genus, rhs.strip())
@@ -351,7 +351,7 @@ def builtin_table(genus):
 
 # -- mapping class words ----------------------------------------------
 
-_MCW_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?\d+))?$")
+_MCW_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?[0-9]+))?$")
 
 
 def parse_mcw(text):
@@ -422,15 +422,19 @@ def evaluate(mcw, genus):
 
 
 def is_central(f):
-    """Centrality test: commutes with every chain twist.
+    """Centrality test: fixes every chain curve.
 
-    Sufficient as well as necessary: an automorphism commuting with the
-    twist along every chain curve fixes each of those curves, and the
-    chain fills the surface, so by the Alexander method the class is a
-    power of the boundary twist.
+    A mapping class commutes with the twist along a curve c iff it fixes
+    c up to isotopy, since f t_c f^-1 = t_{f(c)} (Farb-Margalit, Primer,
+    ch. 3), and freely homotopic essential simple closed curves are
+    isotopic, so that is read on the class of c and no twist is applied.
+    Sufficient as well as necessary: a class fixing every chain curve
+    commutes with every chain twist, and the chain fills the surface, so
+    by the Alexander method the class is a power of the boundary twist.
     """
     table = builtin_table(f.genus)
-    return all(commutes(f, table.twist(n)) for n in table.chain_names)
+    chain = (table.entry(n).base_word.canonical_cyclic() for n in table.chain_names)
+    return all(f(c).canonical_cyclic() == c for c in chain)
 
 
 # -- relation validation ----------------------------------------------

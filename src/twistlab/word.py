@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import GenusMismatch, WordParseError
 
-_TOKEN = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
+_TOKEN = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?$")
 
 
 def _reduced(letters):

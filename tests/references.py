@@ -1,11 +1,16 @@
 """Slow exact constructions that tests compare the package against."""
 
-from itertools import groupby
+from itertools import groupby, islice
 
 from twistlab import mcg
 from twistlab.curve import homology_action
 from twistlab.errors import PreconditionError, WordLengthLimit
-from twistlab.jfilt import JFDepth, action_depth
+from twistlab.jfilt import (
+    Fact5Verdict,
+    JFDepth,
+    action_depth,
+    distinct_separating_curves,
+)
 from twistlab.magnus import TruncatedAction, TruncatedSeries
 from twistlab.word import Word
 
@@ -13,6 +18,21 @@ from twistlab.word import Word
 def commutator_auto(f, g):
     """[f, g] = f g f^-1 g^-1 as a mapping class."""
     return f.compose(g).compose(f.inverse()).compose(g.inverse())
+
+
+def is_central_by_commutes(f):
+    """mcg.is_central as it was: f commutes with every chain twist."""
+    table = mcg.builtin_table(f.genus)
+    return all(mcg.commutes(f, table.twist(n)) for n in table.chain_names)
+
+
+def fact5_instance_by_commutes(f, budget):
+    """jfilt.fact5_instance as it was: f moves a separating curve iff it
+    fails to commute with the twist along it."""
+    for d, data in islice(distinct_separating_curves(f.genus), budget):
+        if not mcg.commutes(f, data.twist):
+            return Fact5Verdict(moved=d)
+    return Fact5Verdict(moved=None)
 
 
 def mat_mul(a, b):

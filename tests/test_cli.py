@@ -71,6 +71,15 @@ def test_pair_parse_error_exits_2(capsys):
     assert "position" in err
 
 
+def test_pair_non_ascii_exponent_exits_2(capsys):
+    # a fullwidth 3 is not an exponent: \d would read it as 3
+    rc = main(["pair", "--genus", "2", "--c1", "C1", "--c2", "C2 @ [C3^\uff13]"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at position 9" in captured.err
+
+
 def test_corollary_cap4(capsys):
     rc, doc = run_json(capsys, "corollary", "--cap", "4")
     assert rc == 0

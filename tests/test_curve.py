@@ -14,7 +14,7 @@ from twistlab.curve import (
 )
 from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
 from twistlab.magnus import TruncatedAction
-from twistlab.mcg import builtin_table, evaluate
+from twistlab.mcg import FreeAutomorphism, builtin_table, evaluate
 
 from references import mat_mul
 
@@ -53,6 +53,10 @@ def test_parse_with_conjugator():
         ("C1 @ [C2", 8),
         ("C1 @ [C2^]", 9),
         ("C1 @ [C2^0]", 10),
+        # exponents are ASCII digits only: \d would read a fullwidth
+        # or Arabic-Indic digit as its value
+        ("C1 @ [C2^\uff13]", 9),
+        ("C1 @ [C2^-\u0663]", 9),
         ("C1 ] trailing", 3),
         ("@ [C1]", 0),
     ],
@@ -235,8 +239,13 @@ def test_disjoint_twist_fixes_curve():
 # -- truncated actions ------------------------------------------------------
 
 
+#: w_1 = [Sep1, C3 Sep1 C3^-1] as a mapping class word; the curve
+#: Sep1 @ [w_1] is the second curve of the separating pair of depth 9
+W1_SPEC = "Sep1 @ [Sep1 C3 Sep1 C3^-1 Sep1^-1 C3 Sep1^-1 C3^-1]"
+
+
 def test_curve_actions_match_expansions_of_the_twist():
-    # action() composes the actions of h, t_c and h^-1 for twists with
+    # action() composes the actions of h and t_c h^-1 for twists with
     # long images and expands the twist's images otherwise; both must
     # equal the expansion of h t_c h^-1 itself
     branches = set()
@@ -259,4 +268,44 @@ def test_curve_actions_match_expansions_of_the_twist():
         assert data.composes_action()
         for cap in (3, 4):
             assert data.action(cap) == TruncatedAction.of(data.twist, cap), text
+    data = resolve(spec(2, W1_SPEC))
+    assert data.composes_action()
+    for cap in (1, 2, 3):
+        assert data.action(cap) == TruncatedAction.of(data.twist, cap)
     assert branches == {False, True}
+
+
+def test_composed_action_expands_h_and_inner_and_composes_once(monkeypatch):
+    # t_{h(c)} = h (t_c h^-1): the compose branch expands the two
+    # factors and substitutes once per cap
+    data = resolve(spec(2, "Sep1 @ [C3 Sep1 C3^-1]"))
+    assert data.composes_action()
+    h, inner = data.conjugator, data.inner
+    assert h != inner
+    expanded, composed = [], []
+    of, compose = TruncatedAction.of.__func__, TruncatedAction.compose
+
+    def spy_of(cls, f, cap):
+        expanded.append((f, cap))
+        return of(cls, f, cap)
+
+    def spy_compose(self, other):
+        composed.append(self.cap)
+        return compose(self, other)
+
+    monkeypatch.setattr(TruncatedAction, "of", classmethod(spy_of))
+    monkeypatch.setattr(TruncatedAction, "compose", spy_compose)
+    for cap in (1, 2, 3, 4):
+        data.action(cap)
+    assert expanded == [(f, cap) for cap in (1, 2, 3, 4) for f in (h, inner)]
+    assert composed == [1, 2, 3, 4]
+
+
+def test_identity_conjugator_expands_its_twist():
+    # the size rule counts t_c h^-1, so a base curve never composes
+    for genus in (1, 2, 3):
+        table = builtin_table(genus)
+        for name in table.essential_base_names():
+            data = resolve(CurveSpec(genus, name, ()))
+            assert data.conjugator == FreeAutomorphism.identity(genus)
+            assert not data.composes_action(), (genus, name)

@@ -64,6 +64,12 @@ CASES = {
         "pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3]",
         "--cap", "5",
     ],
+    # a crossing separating pair of ijf 7: the second twist's images are
+    # long against those of its factors, so its action is composed
+    "pair_g2_sep1_sep1conj_cap7.json": [
+        "pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3 Sep1 C3^-1]",
+        "--cap", "7",
+    ],
     "pair_g2_c3_heavy_sep1_cap3.json": [
         "pair", "--genus", "2", "--c1", "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]",
         "--c2", "Sep1", "--cap", "3",

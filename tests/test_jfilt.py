@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import curve
+from twistlab import curve, jfilt, mcg
 from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
@@ -48,10 +48,16 @@ from twistlab.mcg import (
     builtin_table,
     commutes,
     evaluate,
+    is_central,
 )
 from twistlab.word import Word, commutator
 
-from references import commutator_auto, two_class_depth
+from references import (
+    commutator_auto,
+    fact5_instance_by_commutes,
+    is_central_by_commutes,
+    two_class_depth,
+)
 
 
 def spec(genus, text):
@@ -377,31 +383,58 @@ def test_moves_matches_commutation_of_the_twists():
     assert seen == {"equal", "disjoint", "crossing"}
 
 
-def test_commuting_pair_builds_no_twist(monkeypatch):
-    doc = json.loads(
-        (GOLDEN / "pair_g3_c7_heavy_commuting_cap3.json").read_text(
-            encoding="utf-8"
-        )
-    )
-    config = doc["config"]
-    c1, c2 = (spec(config["genus"], config[k]) for k in ("c1", "c2"))
-    # evaluate's table-twist powers are composed once and cached; build
-    # them first, so that the count is of what classify_pair composes
-    for c in (c1, c2):
-        evaluate(c.conjugator, c.genus)
-    curve._resolve_cached.cache_clear()
-    composed = []
+def _composed_calls(monkeypatch):
+    """The (self, other) of every FreeAutomorphism.compose call from now on."""
+    calls = []
     compose = FreeAutomorphism.compose
 
     def counting_compose(self, other):
-        composed.append((self, other))
+        calls.append((self, other))
         return compose(self, other)
 
     monkeypatch.setattr(FreeAutomorphism, "compose", counting_compose)
-    assert classify_pair(c1, c2, config["cap"]).as_dict() == doc["results"]
+    return calls
+
+
+def _golden_pair(name):
+    """The report and the two specs of a pair golden, with the curves'
+    conjugators evaluated and the resolved curves dropped.
+
+    evaluate's table-twist powers are composed once and cached; building
+    them first makes a count of compositions one of what classify_pair
+    composes.
+    """
+    doc = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    config = doc["config"]
+    c1, c2 = (spec(config["genus"], config[k]) for k in ("c1", "c2"))
+    for c in (c1, c2):
+        evaluate(c.conjugator, c.genus)
+    curve._resolve_cached.cache_clear()
+    return doc, c1, c2
+
+
+def test_commuting_pair_builds_no_twist(monkeypatch):
+    doc, c1, c2 = _golden_pair("pair_g3_c7_heavy_commuting_cap3.json")
+    composed = _composed_calls(monkeypatch)
+    assert classify_pair(c1, c2, doc["config"]["cap"]).as_dict() == doc["results"]
     assert composed == []
     for c in (c1, c2):
         assert "twist" not in vars(resolve(c))
+        assert "inner" not in vars(resolve(c))
+
+
+def test_braid_label_composes_only_the_curves_twists(monkeypatch):
+    # the braid label reads t1(t2(c1)), so the only compositions are
+    # those that build each twist as h (t_c h^-1)
+    doc, c1, c2 = _golden_pair("pair_g3_c4_braid_cap3.json")
+    composed = _composed_calls(monkeypatch)
+    assert classify_pair(c1, c2, doc["config"]["cap"]).as_dict() == doc["results"]
+    assert abs(doc["results"]["algebraic"]) == 1 and composed
+    allowed = []
+    for d in (resolve(c1), resolve(c2)):
+        allowed += [(d.base_twist, d.conjugator_inverse), (d.conjugator, d.inner)]
+    for f, g in composed:
+        assert any(f is a and g is b for a, b in allowed)
 
 
 # -- leading terms -----------------------------------------------------------
@@ -535,7 +568,10 @@ def test_enumeration_is_deterministic_and_separating_only_filter():
 @pytest.mark.parametrize("genus", [2, 3])
 def test_distinct_separating_curves_keep_the_first_spec_of_each_curve(genus):
     # reference: the seen-set loop over twists, written out; the
-    # enumerator dedupes by class and must yield the same specs
+    # enumerator dedupes by class and must yield the same specs, each
+    # with its resolved curve
+    got = list(itertools.islice(distinct_separating_curves(genus), 40))
+    assert all(data is resolve(d) for d, data in got)
     specs = enumerate_curve_specs(genus, separating_only=True)
     expected, seen, drawn = [], set(), 0
     while len(expected) < 40:
@@ -546,8 +582,55 @@ def test_distinct_separating_curves_keep_the_first_spec_of_each_curve(genus):
             seen.add(t)
             expected.append((d, t))
     assert drawn > len(expected)  # some curves are reached twice
-    got = list(itertools.islice(distinct_separating_curves(genus), 40))
-    assert got == expected
+    assert [(d, data.twist) for d, data in got] == expected
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_fact5_centrality_and_separating_stream_build_no_twist(genus, monkeypatch):
+    # f commutes with t_d iff f fixes d's class, so none of these
+    # compose an automorphism or call mcg.commutes
+    table = builtin_table(genus)
+    budget = 30
+    c1, delta = evaluate((("C1", 1),), genus), evaluate((("Delta", 1),), genus)
+    # resolve's conjugators are evaluated once and cached; evaluate them
+    # first, so that the count is of what the stream itself composes
+    list(itertools.islice(distinct_separating_curves(genus), budget))
+    curve._resolve_cached.cache_clear()
+    composed = _composed_calls(monkeypatch)
+
+    def no_commutes(f, g):
+        raise AssertionError("mcg.commutes called")
+
+    for module in (jfilt, mcg):
+        monkeypatch.setattr(module, "commutes", no_commutes)
+    stream = list(itertools.islice(distinct_separating_curves(genus), budget))
+    assert fact5_instance(c1, budget).moved is not None
+    assert fact5_instance(delta, budget).fixes_all_sampled
+    assert is_central(delta) and not is_central(c1)
+    assert not is_central(table.twist("Sep1"))
+    assert composed == []
+    for _, data in stream:
+        assert "twist" not in vars(data) and "inner" not in vars(data)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_fact5_and_centrality_match_commutation_with_twists(genus):
+    rng = random.Random(73 + genus)
+    table = builtin_table(genus)
+    delta = table.twist("Delta")
+    classes = [table.twist(n) for n in table.names()]
+    classes += [delta.power(k) for k in (-2, 2, 3)]
+    classes += [_random_curve_twist(rng, genus) for _ in range(10)]
+    classes += [delta.compose(f) for f in classes[-3:]]
+    classes.append(FreeAutomorphism.identity(genus))
+    verdicts = set()
+    for f in classes:
+        central = is_central(f)
+        assert central == is_central_by_commutes(f)
+        verdict = fact5_instance(f, 15)
+        assert verdict == fact5_instance_by_commutes(f, 15)
+        verdicts.add((central, verdict.fixes_all_sampled))
+    assert {(True, True), (False, False)} <= verdicts
 
 
 # -- differential test: the depth routine against full expansions ------------

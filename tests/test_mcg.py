@@ -405,6 +405,8 @@ def test_mcw_parse_and_format():
         parse_mcw("C1^0")
     with pytest.raises(WordParseError):
         parse_mcw("C1^^2")
+    with pytest.raises(WordParseError):
+        parse_mcw("C1 C2^\uff13")
 
 
 def test_image_length_cap(monkeypatch):

@@ -219,6 +219,10 @@ def test_text_roundtrip():
         Word.from_text(1, "q1")
     with pytest.raises(WordParseError):
         Word.from_text(1, "x1^0")
+    # generators and exponents are ASCII digits only
+    for text in ("x\uff11 x\u0662^\u0663", "x\uff11", "x2^\u0663"):
+        with pytest.raises(WordParseError):
+            Word.from_text(2, text)
 
 
 def test_boundary_word():
