@@ -7,6 +7,11 @@ canonical up to loop orientation, and algebraic intersection numbers
 consequently carry a global sign ambiguity; consumers use absolute
 values or zero tests only.
 
+A curve is resolved on its class alone: the table-twist powers of the
+conjugating word are applied to the base curve's word from the inside
+out, cyclically reducing after each factor (mcg.class_image), so the
+conjugator's generator images are never built to resolve a curve.
+
 Curves are compared and tested for crossing on that class.  Twists
 along essential curves are equal iff the curves are isotopic
 (Farb-Margalit, Primer, ch. 3), and freely homotopic essential simple
@@ -15,20 +20,21 @@ curves are equal iff their classes are, and t_a commutes with t_b iff
 t_a(b) = b, iff the twist along a fixes the class of b
 (CurveData.moves).  More generally a mapping class f commutes with t_c
 iff f fixes the class of c, since f t_c f^-1 = t_{f(c)} (Primer,
-ch. 3).  None of this builds the twist.
+ch. 3).  None of this builds the twist or the conjugator.
 
 The twist along h(c) is h t_c h^-1 by the conjugation law.  A resolved
 curve builds it as h (t_c h^-1), and builds the inner factor
-(CurveData.inner) and the product (CurveData.twist) only when read:
-their images grow with h, and commuting pairs, equality and the
-witness searches never read them.  The expansion is a ring
-homomorphism (Magnus-Karrass-Solitar, ch. 5), so the truncated Magnus
-action (magnus.TruncatedAction) of the twist is that of h composed with
-that of t_c h^-1.  The cost of composing follows numbers of terms, not
-the twist's letters, so CurveData.action composes when the twist's images
-hold more than COMPOSE_MULTIPLE times the letters of the images of h
-and t_c h^-1, the words it then expands, and expands the twist's
-images otherwise.
+(CurveData.inner) and the product (CurveData.twist) only when read, as
+it does h and h^-1 themselves (CurveData.conjugator): their images
+grow with h, and commuting pairs, equality, crossing pairs of
+separating curves below cap 5 and the witness searches never read
+them.  The expansion is a ring homomorphism (Magnus-Karrass-Solitar,
+ch. 5), so the truncated Magnus action (magnus.TruncatedAction) of the
+twist is that of h composed with that of t_c h^-1.  The cost of
+composing follows numbers of terms, not the twist's letters, so
+CurveData.action composes when the twist's images hold more than
+COMPOSE_MULTIPLE times the letters of the images of h and t_c h^-1,
+the words it then expands, and expands the twist's images otherwise.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
 """
@@ -41,7 +47,14 @@ from functools import cached_property, lru_cache
 
 from .errors import GenusMismatch, SpecParseError, UnknownTwistName
 from .magnus import TruncatedAction
-from .mcg import FreeAutomorphism, builtin_table, evaluate, format_mcw
+from .mcg import (
+    FreeAutomorphism,
+    builtin_table,
+    class_image,
+    evaluate,
+    format_mcw,
+    inverse_mcw,
+)
 from .word import Word, abelianized
 
 
@@ -81,20 +94,27 @@ def _letters(words):
 @dataclass(frozen=True)
 class CurveData:
     """Resolved curve h(c): its class, homology and separating flag,
-    with the conjugator h and the base twist t_c.
+    with the word of the conjugator h and the base twist t_c.
 
-    The twist h (t_c h^-1) along the curve and its inner factor are
-    built on first access (twist, inner), and only the braid label, the
-    depth (action) and callers that need the automorphism itself read
-    them; moves decides crossing from the classes alone.  A concurrent
-    first access only repeats work.
+    Resolving reads the class alone (mcg.class_image), so the
+    automorphisms h and h^-1 (conjugator, conjugator_inverse), the twist
+    h (t_c h^-1) along the curve and its inner factor are all built on
+    first access.  Only the braid label, the depth (action) and callers
+    that need an automorphism itself read them; moves decides crossing
+    from the classes and the conjugator's word.  A concurrent first
+    access only repeats work.
     """
 
     pi1_class: Word
     homology: tuple[int, ...]
     separating: bool
-    conjugator: FreeAutomorphism
+    conjugator_word: tuple[tuple[str, int], ...]
     base_twist: FreeAutomorphism
+
+    @cached_property
+    def conjugator(self):
+        """h, evaluated from its word on first access."""
+        return evaluate(self.conjugator_word, self.base_twist.genus)
 
     @cached_property
     def conjugator_inverse(self):
@@ -118,14 +138,16 @@ class CurveData:
 
         With u = h^-1(b) for the class b of other, t_{h(c)}(b) = b up to
         conjugacy iff t_c(u) = u, since h carries conjugacy classes to
-        conjugacy classes.  Cyclically reduced words of equal length are
-        compared by their canonical forms, which forget the base point
-        and the orientation, as an unoriented curve class does.  The
-        answer is exact: the twist fixes the curve iff it commutes with
-        the twist along it (see the module docstring), so a.moves(b) ==
-        b.moves(a).  The cost is that of applying h^-1 to b's class.
+        conjugacy classes.  u is folded from b by the inverse factors of
+        h's word (mcg.class_image), so h^-1 is not built.  Cyclically
+        reduced words of equal length are compared by their canonical
+        forms, which forget the base point and the orientation, as an
+        unoriented curve class does.  The answer is exact: the twist
+        fixes the curve iff it commutes with the twist along it (see the
+        module docstring), so a.moves(b) == b.moves(a).
         """
-        u, _ = self.conjugator_inverse(other.pi1_class).cyclic_reduce()
+        inverse = inverse_mcw(self.conjugator_word)
+        u = class_image(inverse, self.base_twist.genus, other.pi1_class)
         v, _ = self.base_twist(u).cyclic_reduce()
         # cyclically reduced length is a conjugacy invariant
         return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
@@ -223,15 +245,15 @@ def _resolve_cached(spec):
         raise UnknownTwistName(
             f"{spec.base} is boundary-parallel and cannot serve as a curve base"
         )
-    f = evaluate(spec.conjugator, spec.genus)
-    moved = f(entry.base_word)
-    # not from the canonical class, whose orientation may be reversed
+    moved = class_image(spec.conjugator, spec.genus, entry.base_word)
+    # not from the canonical class, whose orientation may be reversed;
+    # a conjugate has the same exponent sums
     hom = abelianized(moved)
     return CurveData(
         pi1_class=moved.canonical_cyclic(),
         homology=hom,
         separating=all(c == 0 for c in hom),
-        conjugator=f,
+        conjugator_word=spec.conjugator,
         base_twist=entry.twist,
     )
 

@@ -18,16 +18,21 @@ nothing expanded (in_Mk(f, 1) expands nothing).  For the commutator of
 two classes it starts at cap 1, with the same step as at every other
 cap.  For two crossing curve twists it starts at cap 2 when their
 algebraic intersection is 0: on homology, T_a T_b - T_b T_a =
-<a,b>(<b,.>a + <a,.>b), so then fg and gf agree in degree 1.  Whether f
+<a,b>(<b,.>a + <a,.>b), so then fg and gf agree in degree 1.  A twist
+along a separating curve lies in M(2), which is normal, so with one
+separating curve the commutator lies in M(2) and the loop starts at cap
+3; with two it lies in [M(2), M(2)], inside M(4) (Morita), and the loop
+starts at cap 5, so below cap 5 such a pair expands nothing.  Whether f
 and g commute is decided first and exactly; commuting classes get the
 identity.  For two classes, mcg.commutes compares f(g(x_i)) with
 g(f(x_i)) one generator at a time and composes neither product.  Two
 curve twists t_a and t_b commute iff t_a(b) = b (CurveData.moves; see
-the curve module), so a commuting pair builds neither twist.  Otherwise
-the actions of fg and gf at each cap are composed from those of f and
-g, and the long images of fg and gf are never built for a depth.  The
-action of a curve twist h (t_c h^-1) with long images is itself
-composed from those of its two factors (CurveData.action).
+the curve module), so a commuting pair builds neither twist nor
+either conjugator.  Otherwise the actions of fg and gf at each cap are
+composed from those of f and g, and the long images of fg and gf are
+never built for a depth.  The action of a curve twist h (t_c h^-1)
+with long images is itself composed from those of its two factors
+(CurveData.action).
 Nested commutators, whose actions pass the term budget at high caps,
 are read from leading terms instead: the leading term of a class in
 M(k) is a derivation (magnus.Derivation, also behind
@@ -159,11 +164,15 @@ def _depth(actions, start, cap):
     first cap c at which action_depth finds a difference finds it in
     degree c, and the depth is exact(c - 1), or not_in_m1 at c = 1.  No
     difference through the cap gives at_least(cap), and a start above
-    the cap expands nothing.  start is 2 for one class and for a
-    crossing curve pair with algebraic intersection 0, whose agreement
-    in degree 1 homology decides, and 1 for the commutator of two
-    classes.  The work at a cap grows geometrically with it, so the loop
-    costs a small multiple of the work at the cap it stops at.
+    the cap expands nothing.  start is 1 for the commutator of two
+    classes and for a crossing curve pair with nonzero algebraic
+    intersection; 2 for one class and for a crossing curve pair with
+    algebraic intersection 0, whose agreement in degree 1 homology
+    decides; 3 for a crossing pair with one separating curve, whose
+    commutator lies in M(2); and 5 for a crossing pair of separating
+    curves, whose commutator lies in M(4) (_pair_start).  The work at a
+    cap grows geometrically with it, so the loop costs a small multiple
+    of the work at the cap it stops at.
     """
     for c in range(start, cap + 1):
         depth = action_depth(*actions(c))
@@ -206,8 +215,9 @@ def _commutator_depth(act_f, act_g, start, cap):
     curve twists, which composes the actions of h and t_c h^-1 for a
     twist h t_c h^-1 with long images (see the curve module).  The
     actions are composed both ways at caps start, start + 1, ...
-    (_depth), so neither fg nor gf is built.  start is 1, or 2 when fg
-    and gf are known to agree in degree 1.
+    (_depth), so neither fg nor gf is built.  start is 1, or the first
+    degree in which fg and gf can differ when they are known to agree
+    below it (_pair_start).
     """
 
     def products(c):
@@ -303,6 +313,19 @@ def check_consistency(report):
         raise ConsistencyViolation(
             f"braid pair must have commutator not in M(1): {r}"
         )
+    # a separating twist lies in M(2), which is normal, so the
+    # commutator of a crossing pair with one separating curve has level
+    # >= 2
+    if (
+        r.c1_separating != r.c2_separating
+        and not r.commuting
+        and kind != "at_least"
+        and not (kind == "exact" and r.depth.level >= 2)
+    ):
+        raise ConsistencyViolation(
+            f"crossing pair with one separating curve must have commutator "
+            f"in M(2): {r}"
+        )
     # separating twists lie in M(2) and [M(2), M(2)] lies in M(4)
     # (Morita), so the commutator of two crossing separating twists has
     # level >= 4
@@ -322,16 +345,38 @@ def _crosses(d1, d2):
     """Do the twists along two resolved curves fail to commute?
 
     d1.moves(d2) == d2.moves(d1), so the direction taken is the cheaper
-    one: the fewer letters of its conjugator's inverse images times the
-    length of the other curve's class.
+    one by the words alone: the shorter conjugator word (exponents
+    counted with their size) times the length of the other curve's
+    class.  No conjugator is built.
     """
 
     def cost(a, b):
-        return sum(map(len, a.conjugator.inverse_images)) * len(b.pi1_class)
+        return sum(abs(k) for _, k in a.conjugator_word) * len(b.pi1_class)
 
     if cost(d2, d1) < cost(d1, d2):
         d1, d2 = d2, d1
     return d1.moves(d2)
+
+
+def _pair_start(d1, d2, algebraic):
+    """First degree in which fg and gf can differ for crossing twists.
+
+    1 when algebraic is nonzero.  2 when it is 0, since on homology
+    T_a T_b - T_b T_a = <a,b>(<b,.>a + <a,.>b), so fg and gf agree in
+    degree 1.  3 when one curve is separating: its twist conjugates the
+    generators it moves by the curve's class, which lies in the second
+    lower central term, so the twist lies in M(2); M(2) is normal, so
+    [f, g] lies in it too.  5 when both are, since [M(2), M(2)] lies in
+    M(4) (Morita).  A separating curve has zero homology, so algebraic
+    is 0 in the last two cases.
+    """
+    if algebraic:
+        return 1
+    if d1.separating and d2.separating:
+        return 5
+    if d1.separating or d2.separating:
+        return 3
+    return 2
 
 
 def classify_pair(c1, c2, cap, check=True):
@@ -353,8 +398,9 @@ def classify_pair(c1, c2, cap, check=True):
     # under fg passes the letter cap.  Otherwise fgf = gfg iff
     # fg f (fg)^-1 = g, which holds iff f(g(c1)) is the class of c2 (see
     # the module docstring), and fg is not built.  The depth of a
-    # crossing pair reads both twists (CurveData.action), from cap 2
-    # when algebraic is 0, since then fg and gf agree on homology.
+    # crossing pair reads both twists (CurveData.action), from the first
+    # degree in which fg and gf can differ (_pair_start), so a pair of
+    # separating curves at cap 4 or below reads neither.
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
@@ -363,7 +409,7 @@ def classify_pair(c1, c2, cap, check=True):
             and d1.twist(d2.twist(d1.pi1_class)).canonical_cyclic()
             == d2.pi1_class
         )
-        start = 2 if algebraic == 0 else 1
+        start = _pair_start(d1, d2, algebraic)
         depth = _commutator_depth(d1.action, d2.action, start, cap)
     report = PairReport(
         genus=c1.genus,
@@ -458,7 +504,8 @@ def distinguishing_witness(c1, c2, budget):
     Enumerates candidate specs (skipping those isotopic to either
     input, by class) and returns the first d whose curve crosses one
     input and not the other, read on the curves (_crosses), so no twist
-    is built.  None after `budget` candidates is not a disproof.
+    and no conjugator is built.  None after `budget` candidates is not a
+    disproof.
     """
     if curves_equal(c1, c2):
         raise PreconditionError("inputs are the same curve")

@@ -380,24 +380,44 @@ def _twist_power(genus, name, k):
     return builtin_table(genus).twist(name).power(k)
 
 
-def _apply_factors(genus, factors):
-    """Images of the generators under the product of `factors`, leftmost
-    applied last, built from the inside out: each factor's short images
-    substitute into the images built so far."""
-    images = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
+def _apply_factors(genus, factors, words, cyclic=False):
+    """Images of `words` under the product of `factors`, leftmost applied
+    last, built from the inside out: each factor's short images
+    substitute into the words built so far.  With cyclic=True each word
+    is cyclically reduced after each factor, which keeps its conjugacy
+    class, since an automorphism carries conjugates to conjugates, and
+    keeps the words from carrying conjugators that later factors would
+    only lengthen."""
     for name, k in reversed(factors):
         p = _twist_power(genus, name, k)
-        images = tuple(p(w) for w in images)
-    return images
+        words = tuple(p(w) for w in words)
+        if cyclic:
+            words = tuple(w.cyclic_reduce()[0] for w in words)
+    return words
+
+
+def _checked_mcw(mcw, genus):
+    mcw = tuple((str(n), int(k)) for n, k in mcw)
+    for name, k in mcw:
+        if k == 0:
+            raise ValueError("zero exponent in mapping class word")
+        builtin_table(genus).entry(name)  # raises UnknownTwistName early
+    return mcw
+
+
+def inverse_mcw(mcw):
+    """The mapping class word of the inverse: factors reversed, exponents
+    negated."""
+    return tuple((name, -k) for name, k in reversed(mcw))
 
 
 @lru_cache(maxsize=8192)
 def _evaluate_cached(genus, mcw):
-    inverse_factors = tuple((name, -k) for name, k in reversed(mcw))
+    gens = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
     return FreeAutomorphism(
         genus,
-        _apply_factors(genus, mcw),
-        _apply_factors(genus, inverse_factors),
+        _apply_factors(genus, mcw, gens),
+        _apply_factors(genus, inverse_mcw(mcw), gens),
         _check=False,
     )
 
@@ -413,12 +433,20 @@ def evaluate(mcw, genus):
     ones, and the result is one flat automorphism with no pending
     factors.
     """
-    mcw = tuple((str(n), int(k)) for n, k in mcw)
-    for name, k in mcw:
-        if k == 0:
-            raise ValueError("zero exponent in mapping class word")
-        builtin_table(genus).entry(name)  # raises UnknownTwistName early
-    return _evaluate_cached(genus, mcw)
+    return _evaluate_cached(genus, _checked_mcw(mcw, genus))
+
+
+def class_image(mcw, genus, w):
+    """The conjugacy class of evaluate(mcw, genus)(w), cyclically reduced.
+
+    The same fold as evaluate's, applied to w alone and cyclically
+    reduced after each factor, so no generator image of the composite is
+    built: the cost follows the lengths of w's intermediate classes, not
+    those of the composite's images.  The result is conjugate to the
+    image of w and need not be the canonical representative.
+    """
+    (image,) = _apply_factors(genus, _checked_mcw(mcw, genus), (w,), cyclic=True)
+    return image
 
 
 def is_central(f):

@@ -1,18 +1,80 @@
 """Slow exact constructions that tests compare the package against."""
 
+import json
 from itertools import groupby, islice
+from pathlib import Path
 
 from twistlab import mcg
-from twistlab.curve import homology_action
+from twistlab.curve import (
+    homology_action,
+    parse_curve_spec,
+    resolve,
+    symplectic_pairing,
+)
 from twistlab.errors import PreconditionError, WordLengthLimit
 from twistlab.jfilt import (
     Fact5Verdict,
     JFDepth,
+    _commutator_depth,
     action_depth,
     distinct_separating_curves,
 )
 from twistlab.magnus import TruncatedAction, TruncatedSeries
-from twistlab.word import Word
+from twistlab.word import Word, abelianized
+
+GOLDEN = Path(__file__).parent / "golden"
+POOL = Path(__file__).parents[1] / "benchmarks" / "reference.json"
+
+
+def golden_pairs():
+    """The (c1, c2) specs of every pair in the scan and pair goldens."""
+    pairs = []
+    for path in sorted(GOLDEN.glob("scan_*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        genus = doc["config"]["genus"]
+        pairs += [(genus, row["c1"], row["c2"]) for row in doc["results"]]
+    for path in sorted(GOLDEN.glob("pair_*.json")):
+        config = json.loads(path.read_text(encoding="utf-8"))["config"]
+        pairs.append((config["genus"], config["c1"], config["c2"]))
+    return [
+        (parse_curve_spec(g, a), parse_curve_spec(g, b)) for g, a, b in pairs
+    ]
+
+
+def pool_pairs():
+    """The (c1, c2) specs of the benchmark's 600-pair pool, in pool order."""
+    with open(POOL, encoding="utf-8") as fh:
+        pairs = json.load(fh)["pairs"]
+    return [
+        tuple(parse_curve_spec(p["genus"], p[k]) for k in ("c1", "c2"))
+        for p in pairs
+    ]
+
+
+def resolve_eagerly(spec):
+    """The class and homology of a curve as curve.resolve read them
+    before it folded the class alone: from the full image of the base
+    word under the evaluated conjugator h."""
+    entry = mcg.builtin_table(spec.genus).entry(spec.base)
+    moved = mcg.evaluate(spec.conjugator, spec.genus)(entry.base_word)
+    return moved.canonical_cyclic(), abelianized(moved)
+
+
+def moves_by_conjugator(d, other):
+    """CurveData.moves as it was: h^-1 applied to the other curve's class
+    as an automorphism, built from h's word."""
+    u, _ = d.conjugator_inverse(other.pi1_class).cyclic_reduce()
+    v, _ = d.base_twist(u).cyclic_reduce()
+    return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
+
+
+def pair_depth_from_homology_start(c1, c2, cap):
+    """The depth of a crossing pair as classify_pair read it before it
+    used separating curves: the loop starts at degree 2 when the
+    algebraic intersection is 0 and at degree 1 otherwise."""
+    d1, d2 = resolve(c1), resolve(c2)
+    start = 2 if symplectic_pairing(d1.homology, d2.homology) == 0 else 1
+    return _commutator_depth(d1.action, d2.action, start, cap)
 
 
 def commutator_auto(f, g):

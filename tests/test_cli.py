@@ -239,8 +239,10 @@ def test_bad_input_exits_2_without_traceback(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        # a crossing pair of separating curves starts its depth loop at
+        # cap 5, the first degree where its twists' products can differ
         ["pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3]",
-         "--cap", "4"],
+         "--cap", "5"],
         ["scan", "--genus", "2", "--cap", "4", "--samples", "20",
          "--seed", "3"],
     ],

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistlab import curve
 from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
@@ -16,7 +17,7 @@ from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
 from twistlab.magnus import TruncatedAction
 from twistlab.mcg import FreeAutomorphism, builtin_table, evaluate
 
-from references import mat_mul
+from references import golden_pairs, mat_mul, pool_pairs, resolve_eagerly
 
 
 def spec(genus, text):
@@ -85,6 +86,25 @@ def test_resolve_identity_conjugator():
     assert data.twist == builtin_table(2).twist("C1")
     assert data.homology == (1, 0, 0, 0)
     assert not data.separating
+
+
+def test_class_only_resolve_matches_the_evaluated_conjugator():
+    # resolve folds the table-twist powers over the base word alone; the
+    # reference evaluates h and applies it to the base word
+    specs = [c for pair in pool_pairs() + golden_pairs() for c in pair]
+    assert len(specs) > 1200
+    for s in specs:
+        data = resolve(s)
+        assert (data.pi1_class, data.homology) == resolve_eagerly(s), s
+        assert data.conjugator == evaluate(s.conjugator, s.genus)
+
+
+def test_resolve_builds_no_conjugator():
+    curve._resolve_cached.cache_clear()
+    data = resolve(spec(2, "Sep1 @ [C3^2 C4^-1]"))
+    assert not {"conjugator", "conjugator_inverse"} & set(vars(data))
+    h = evaluate((("C3", 2), ("C4", -1)), 2)
+    assert data.conjugator == h and data.conjugator_inverse == h.inverse()
 
 
 def test_resolve_separating_base():

@@ -55,7 +55,11 @@ from twistlab.word import Word, commutator
 from references import (
     commutator_auto,
     fact5_instance_by_commutes,
+    golden_pairs,
     is_central_by_commutes,
+    moves_by_conjugator,
+    pair_depth_from_homology_start,
+    pool_pairs,
     two_class_depth,
 )
 
@@ -216,6 +220,7 @@ def test_consistency_messages_name_each_law_in_levels():
     # one forged report per law, each breaking that law alone
     disjoint = classify_pair(spec(2, "C1"), spec(2, "C3"), 3)
     crossing = classify_pair(spec(2, "Sep1"), spec(2, "Sep1 @ [C3]"), 5)
+    one_separating = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 3)
     assert disjoint.commuting and not crossing.commuting
     forged = [
         (disjoint, {"commuting": False},
@@ -228,6 +233,9 @@ def test_consistency_messages_name_each_law_in_levels():
          "braid pair must have commutator not in M(1): "),
         (crossing, {"depth": JFDepth("exact", 3)},
          "crossing separating pair must have commutator in M(4): "),
+        (one_separating, {"depth": JFDepth("exact", 1)},
+         "crossing pair with one separating curve must have commutator "
+         "in M(2): "),
     ]
     for r, fields, message in forged:
         broken = type(r)(**{**r.__dict__, **fields})
@@ -254,6 +262,22 @@ def test_consistency_checker_rejects_shallow_separating_crossing_pair():
         type(r)(**{**r.__dict__, "depth": JFDepth("exact", 3), "c2_separating": False})
     )
     assert "c1_separating" not in r.as_dict()
+
+
+def test_consistency_checker_rejects_shallow_pair_with_one_separating_curve():
+    # a separating twist lies in M(2), which is normal, so the commutator
+    # of a crossing pair with one separating curve has level >= 2
+    r = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 3)
+    assert (r.c1_separating, r.c2_separating) == (False, True)
+    assert r.depth == JFDepth("exact", 2)
+    check_consistency(r)
+    shallow = JFDepth("at_least", 1)
+    check_consistency(type(r)(**{**r.__dict__, "depth": shallow}))
+    broken = type(r)(**{**r.__dict__, "depth": JFDepth("exact", 1)})
+    with pytest.raises(ConsistencyViolation, match="one separating curve"):
+        check_consistency(broken)
+    # the same depth is lawful when neither curve is separating
+    check_consistency(type(r)(**{**broken.__dict__, "c2_separating": False}))
 
 
 def test_random_pair_reports_consistent():
@@ -343,24 +367,11 @@ def test_formerly_failing_pairs_classify(genus, a, b, commuting, algebraic, labe
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def _golden_pairs():
-    """(genus, c1, c2) of every pair in the scan and pair goldens."""
-    pairs = []
-    for path in sorted(GOLDEN.glob("scan_*.json")):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        genus = doc["config"]["genus"]
-        pairs += [(genus, row["c1"], row["c2"]) for row in doc["results"]]
-    for path in sorted(GOLDEN.glob("pair_*.json")):
-        config = json.loads(path.read_text(encoding="utf-8"))["config"]
-        pairs.append((config["genus"], config["c1"], config["c2"]))
-    return pairs
-
-
 def test_moves_matches_commutation_of_the_twists():
     # CurveData.moves reads crossing on one curve's class; the reference
     # builds both twists and compares fg with gf, and a commuting pair's
     # braid label (equal classes) is checked against f == g
-    pairs = [(spec(g, a), spec(g, b)) for g, a, b in _golden_pairs()]
+    pairs = golden_pairs()
     assert len(pairs) > 150
     for genus in (2, 3):
         # every spec with at most one conjugating factor
@@ -413,6 +424,19 @@ def _golden_pair(name):
     return doc, c1, c2
 
 
+def test_moves_matches_the_evaluated_conjugator_on_the_pool():
+    # moves folds h^-1's factors over the other curve's class; the
+    # reference applies the automorphism h^-1 built from h's word
+    crossing = 0
+    for a, b in pool_pairs():
+        d1, d2 = resolve(a), resolve(b)
+        moved = d1.moves(d2)
+        assert moved == moves_by_conjugator(d1, d2), (a, b)
+        assert d2.moves(d1) == moves_by_conjugator(d2, d1) == moved, (a, b)
+        crossing += moved
+    assert 0 < crossing < 600
+
+
 def test_commuting_pair_builds_no_twist(monkeypatch):
     doc, c1, c2 = _golden_pair("pair_g3_c7_heavy_commuting_cap3.json")
     composed = _composed_calls(monkeypatch)
@@ -421,6 +445,8 @@ def test_commuting_pair_builds_no_twist(monkeypatch):
     for c in (c1, c2):
         assert "twist" not in vars(resolve(c))
         assert "inner" not in vars(resolve(c))
+        assert "conjugator" not in vars(resolve(c))
+        assert "conjugator_inverse" not in vars(resolve(c))
 
 
 def test_braid_label_composes_only_the_curves_twists(monkeypatch):
@@ -525,6 +551,26 @@ def test_witness_disjoint_chain_pair():
     t1 = resolve(spec(2, "C1")).twist
     t2 = resolve(spec(2, "C3")).twist
     assert (t1.compose(td) == td.compose(t1)) != (t2.compose(td) == td.compose(t2))
+
+
+def test_witness_search_evaluates_no_conjugator(monkeypatch):
+    # candidates are resolved on their classes and crossing is read on
+    # the classes and the conjugators' words, so no conjugator is built
+    evaluated = []
+
+    def recording_evaluate(mcw, genus):
+        evaluated.append(mcw)
+        return evaluate(mcw, genus)
+
+    monkeypatch.setattr(curve, "evaluate", recording_evaluate)
+    curve._resolve_cached.cache_clear()
+    c1, c2 = spec(2, "C1 @ [C2]"), spec(2, "C3 @ [Sep1]")
+    d = distinguishing_witness(c1, c2, 200)
+    assert d is not None
+    assert evaluated == []
+    # the reference reads crossing from the twists themselves
+    td, t1, t2 = (resolve(c).twist for c in (d, c1, c2))
+    assert commutes(t1, td) != commutes(t2, td)
 
 
 def test_witness_requires_distinct_curves():
@@ -895,21 +941,68 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     report = classify_pair(spec(2, "C1"), spec(2, "C2 @ [C3]"), 5)
     assert report.depth == JFDepth("not_in_m1")
     assert set(caps) == {1}
-    # with algebraic 0, fg and gf agree on homology, so the loop starts
-    # at cap 2: nothing is expanded at cap 1
+    # with one separating curve the commutator lies in M(2), so the loop
+    # starts at cap 3: nothing is expanded at caps 1 and 2
     caps.clear()
     report = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 5)
     assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
-    assert set(caps) == {2, 3}
+    assert set(caps) == {3}
     # the first curve's action is composed from those of its conjugator
-    # and base twist (CurveData.action), and that loop runs at caps 2
-    # and 3 too
+    # and base twist (CurveData.action), and that loop runs at cap 3
+    # alone too
     caps.clear()
     c1 = spec(2, "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]")
     assert resolve(c1).composes_action()
     report = classify_pair(c1, spec(2, "Sep1"), 5)
     assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
-    assert set(caps) == {2, 3}
+    assert set(caps) == {3}
+
+
+def test_separating_pair_below_cap_five_expands_nothing(monkeypatch):
+    # two separating twists lie in M(2), so their commutator lies in
+    # [M(2), M(2)], inside M(4), and the depth loop starts at cap 5: at
+    # cap 4 the pair expands nothing and builds no twist or conjugator
+    c1, c2 = spec(2, "Sep1"), spec(2, "Sep1 @ [C3]")
+    curve._resolve_cached.cache_clear()
+    caps = _record_expansion_caps(monkeypatch)
+    report = classify_pair(c1, c2, 4)
+    assert (report.commuting, report.algebraic) == (False, 0)
+    assert report.depth == JFDepth("at_least", 4)
+    assert caps == []
+    built = {"twist", "inner", "conjugator", "conjugator_inverse"}
+    for c in (c1, c2):
+        assert not built & set(vars(resolve(c)))
+    # at cap 5 the loop runs at that cap alone
+    report = classify_pair(c1, c2, 5)
+    assert report.depth == JFDepth("exact", 4)
+    assert set(caps) == {5}
+
+
+def test_separating_starts_give_the_depths_of_the_homology_start():
+    # the loop of a crossing pair with a separating curve starts at cap
+    # 3 or 5; the reference starts every algebraic-zero pair at cap 2
+    pairs = []
+    for a, b in pool_pairs():
+        d1, d2 = resolve(a), resolve(b)
+        if (d1.separating or d2.separating) and d1.moves(d2):
+            pairs.append((a, b))
+    assert len(pairs) > 50
+    both = 0
+    for a, b in pairs:
+        both += resolve(a).separating and resolve(b).separating
+        for cap in (3, 4, 5):
+            reference = pair_depth_from_homology_start(a, b, cap)
+            assert classify_pair(a, b, cap).depth == reference, (a, b, cap)
+    assert both > 0
+    # and on the pair goldens at their own caps
+    for path in sorted(GOLDEN.glob("pair_*.json")):
+        config = json.loads(path.read_text(encoding="utf-8"))["config"]
+        a, b = (spec(config["genus"], config[k]) for k in ("c1", "c2"))
+        cap = config["cap"]
+        report = classify_pair(a, b, cap)
+        if not report.commuting:
+            reference = pair_depth_from_homology_start(a, b, cap)
+            assert report.depth == reference, path
 
 
 def test_non_torelli_classes_are_decided_on_homology_at_every_cap(monkeypatch):
