@@ -9,8 +9,10 @@ values or zero tests only.
 
 A curve is resolved on its class alone: the table-twist powers of the
 conjugating word are applied to the base curve's word from the inside
-out, cyclically reducing after each factor (mcg.class_image), so the
-conjugator's generator images are never built to resolve a curve.
+out, stripping the word to its cyclically reduced core after each
+factor (mcg.class_image), so the conjugator's generator images are
+never built to resolve a curve.  The stored class is that core's
+canonical form (Word.canonical_cyclic), the only rotation made.
 
 Curves are compared and tested for crossing on that class.  Twists
 along essential curves are equal iff the curves are isotopic
@@ -23,18 +25,18 @@ iff f fixes the class of c, since f t_c f^-1 = t_{f(c)} (Primer,
 ch. 3).  None of this builds the twist or the conjugator.
 
 The twist along h(c) is h t_c h^-1 by the conjugation law.  A resolved
-curve builds it as h (t_c h^-1), and builds the inner factor
-(CurveData.inner) and the product (CurveData.twist) only when read, as
-it does h and h^-1 themselves (CurveData.conjugator): their images
-grow with h, and commuting pairs, equality, crossing pairs of
-separating curves below cap 5 and the witness searches never read
-them.  The expansion is a ring homomorphism (Magnus-Karrass-Solitar,
-ch. 5), so the truncated Magnus action (magnus.TruncatedAction) of the
-twist is that of h composed with that of t_c h^-1.  The cost of
-composing follows numbers of terms, not the twist's letters, so
-CurveData.action composes when the twist's images hold more than
-COMPOSE_MULTIPLE times the letters of the images of h and t_c h^-1,
-the words it then expands, and expands the twist's images otherwise.
+curve builds it as h (t_c h^-1), and builds h (CurveData.conjugator),
+the inner factor (CurveData.inner) and the product (CurveData.twist)
+only when read: their images grow with h, and commuting pairs,
+equality, crossing pairs of separating curves below cap 5 and the
+witness searches never read them.  The expansion is a ring
+homomorphism (Magnus-Karrass-Solitar, ch. 5), so the truncated Magnus
+action (magnus.TruncatedAction) of the twist is that of h composed with
+that of t_c h^-1.  The cost of composing follows numbers of terms,
+not the twist's letters, so CurveData.action composes when the twist's
+images hold more than COMPOSE_MULTIPLE times the letters of the images
+of h and t_c h^-1, the words it then expands, and expands the twist's
+images otherwise.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
 """
@@ -97,11 +99,11 @@ class CurveData:
     with the word of the conjugator h and the base twist t_c.
 
     Resolving reads the class alone (mcg.class_image), so the
-    automorphisms h and h^-1 (conjugator, conjugator_inverse), the twist
-    h (t_c h^-1) along the curve and its inner factor are all built on
-    first access.  Only the braid label, the depth (action) and callers
-    that need an automorphism itself read them; moves decides crossing
-    from the classes and the conjugator's word.  A concurrent first
+    automorphism h (conjugator), the twist h (t_c h^-1) along the curve
+    and its inner factor t_c h^-1 are all built on first access.  Only
+    the braid label, the depth (action) and callers that need an
+    automorphism itself read them; moves decides crossing from the
+    classes and the conjugator's word.  A concurrent first
     access only repeats work.
     """
 
@@ -117,15 +119,10 @@ class CurveData:
         return evaluate(self.conjugator_word, self.base_twist.genus)
 
     @cached_property
-    def conjugator_inverse(self):
-        """h^-1, kept so that its letter table is built once."""
-        return self.conjugator.inverse()
-
-    @cached_property
     def inner(self):
         """t_c h^-1, the inner factor of the twist h (t_c h^-1)."""
         # t_c's short images substitute into those of h^-1
-        return self.base_twist.compose(self.conjugator_inverse)
+        return self.base_twist.compose(self.conjugator.inverse())
 
     @cached_property
     def twist(self):
@@ -148,7 +145,7 @@ class CurveData:
         """
         inverse = inverse_mcw(self.conjugator_word)
         u = class_image(inverse, self.base_twist.genus, other.pi1_class)
-        v, _ = self.base_twist(u).cyclic_reduce()
+        v = self.base_twist(u).cyclic_reduce()
         # cyclically reduced length is a conjugacy invariant
         return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
 

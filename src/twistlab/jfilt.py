@@ -115,7 +115,7 @@ def action_depth(f, g):
     if f.cap != g.cap:
         raise PreconditionError(f"cap mismatch: {f.cap} vs {g.cap}")
     for d in range(1, f.cap + 1):
-        if any(s.degrees[d] != t.degrees[d] for s, t in zip(f.series, g.series)):
+        if any(s[d] != t[d] for s, t in zip(f.series, g.series)):
             # in M(d - 1) and not in M(d)
             return JFDepth("not_in_m1") if d == 1 else JFDepth("exact", d - 1)
     return JFDepth("at_least", f.cap)

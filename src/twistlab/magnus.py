@@ -223,7 +223,8 @@ def _substitute(degrees, subs, top, base, limit):
 class TruncatedAction:
     """The action of a free-group automorphism f on Z<<X>> / (deg > cap).
 
-    Holds the 2g series M(f(x_i)) - 1, none with a constant term.  Two
+    Holds the 2g series M(f(x_i)) - 1 as degree-indexed lists of dicts
+    of packed keys, through degree cap, none with a constant term.  Two
     automorphisms act alike on the free group modulo its (k+1)-st lower
     central term iff their series agree through degree k (Magnus), so
     this is all of f that filtration depths up to the cap can see.
@@ -259,11 +260,11 @@ class TruncatedAction:
         series = []
         for w in f.images:
             for c in range(start, cap + 1):
-                s = magnus_expand(w, c)
-                if len(s.degrees[c]) > limit:
+                degrees = magnus_expand(w, c).degrees
+                if len(degrees[c]) > limit:
                     raise _term_limit(limit, "expansion")
-            del s.degrees[0][0]
-            series.append(s)
+            del degrees[0][0]
+            series.append(degrees)
         return cls(f.genus, cap, series)
 
     def compose(self, other):
@@ -276,17 +277,12 @@ class TruncatedAction:
             raise GenusMismatch("actions of different genus")
         if other.cap != self.cap:
             raise ValueError(f"cap mismatch: {self.cap} vs {other.cap}")
-        subs = [s.degrees for s in self.series]
         base, limit = 2 * self.genus, MAX_SERIES_TERMS
         return TruncatedAction(
             self.genus,
             self.cap,
             (
-                TruncatedSeries(
-                    self.genus,
-                    self.cap,
-                    _substitute(s.degrees, subs, self.cap, base, limit),
-                )
+                _substitute(s, self.series, self.cap, base, limit)
                 for s in other.series
             ),
         )
@@ -326,7 +322,7 @@ class Derivation:
     def leading(cls, action):
         """D_f from the action of f at cap k + 1, for f in M(k)."""
         top = action.cap
-        return cls(action.genus, top - 1, (s.degrees[top] for s in action.series))
+        return cls(action.genus, top - 1, (s[top] for s in action.series))
 
     def __bool__(self):
         return any(self.values)

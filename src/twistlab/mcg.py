@@ -33,7 +33,7 @@ from .errors import (
     WordLengthLimit,
     WordParseError,
 )
-from .word import Word, boundary_word
+from .word import Word
 
 #: Hard cap on automorphism image length; compositions past this abort.
 MAX_IMAGE_LETTERS = 10**6
@@ -249,7 +249,6 @@ class TwistTable:
             e.name for e in entries if e.role == "chain"
         )
         self.sep_names = tuple(e.name for e in entries if e.role == "sep")
-        self.boundary = boundary_word(genus)
 
     def names(self):
         return tuple(self.entries)
@@ -384,15 +383,15 @@ def _apply_factors(genus, factors, words, cyclic=False):
     """Images of `words` under the product of `factors`, leftmost applied
     last, built from the inside out: each factor's short images
     substitute into the words built so far.  With cyclic=True each word
-    is cyclically reduced after each factor, which keeps its conjugacy
-    class, since an automorphism carries conjugates to conjugates, and
-    keeps the words from carrying conjugators that later factors would
-    only lengthen."""
+    is stripped to its cyclically reduced core after each factor, which
+    keeps its conjugacy class, since an automorphism carries conjugates
+    to conjugates, and keeps the words from carrying conjugators that
+    later factors would only lengthen.  Nothing is rotated."""
     for name, k in reversed(factors):
         p = _twist_power(genus, name, k)
         words = tuple(p(w) for w in words)
         if cyclic:
-            words = tuple(w.cyclic_reduce()[0] for w in words)
+            words = tuple(w.cyclic_reduce() for w in words)
     return words
 
 
@@ -442,8 +441,9 @@ def class_image(mcw, genus, w):
     The same fold as evaluate's, applied to w alone and cyclically
     reduced after each factor, so no generator image of the composite is
     built: the cost follows the lengths of w's intermediate classes, not
-    those of the composite's images.  The result is conjugate to the
-    image of w and need not be the canonical representative.
+    those of the composite's images.  The result is a cyclically reduced
+    conjugate of the image of w, not rotated to the canonical
+    representative (Word.canonical_cyclic).
     """
     (image,) = _apply_factors(genus, _checked_mcw(mcw, genus), (w,), cyclic=True)
     return image

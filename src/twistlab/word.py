@@ -171,40 +171,39 @@ class Word:
     # -- cyclic structure --------------------------------------------
 
     def cyclic_reduce(self):
-        """Split self = conjugator * core * conjugator^-1.
+        """The cyclically reduced core: self with its matching end
+        letters stripped, so self = u * core * u^-1 for a prefix u of
+        self.  The core keeps its position in self and is not rotated.
 
-        The core is cyclically reduced and rotated to the
-        lexicographically least of its rotations (the first one, when
-        the core is periodic), so the decomposition is deterministic.
-        Linear in the length of the word.  A rotation of a cyclically
-        reduced word is reduced, and the conjugator is a prefix of self,
-        so neither result is reduced again.
+        Linear in the length of the word.  A subword of a reduced word
+        is reduced, so the core is not reduced again.
         """
         letters = self.letters
         lo, hi = 0, len(letters)
         while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
             lo += 1
             hi -= 1
-        core = letters[lo:hi]
-        r = _least_rotation([_letter_key(ell) for ell in core])
-        return (
-            Word._trusted(self.genus, core[r:] + core[:r]),
-            Word._trusted(self.genus, letters[: lo + r]),
-        )
+        if not lo:
+            return self
+        return Word._trusted(self.genus, letters[lo:hi])
 
     def canonical_cyclic(self):
         """Canonical representative of the cyclic word up to inversion.
 
-        The orientation of the underlying loop is forgotten as well as
-        the base point, which is the right notion for an unoriented
-        curve class.
+        The lexicographically least rotation of the core or of its
+        inverse, which forgets the orientation of the underlying loop as
+        well as the base point: the right notion for an unoriented curve
+        class.  Linear in the length of the word.  The inverse of a
+        cyclically reduced word and its rotations are cyclically reduced,
+        so the core is stripped once.
         """
-        core, _ = self.cyclic_reduce()
-        if core.is_identity():
-            return core
-        alt, _ = core.inverse().cyclic_reduce()
-        key = lambda w: [_letter_key(ell) for ell in w.letters]
-        return min(core, alt, key=key)
+        core = self.cyclic_reduce().letters
+        rotations = []
+        for letters in (core, tuple(-ell for ell in reversed(core))):
+            keys = [_letter_key(ell) for ell in letters]
+            r = _least_rotation(keys)
+            rotations.append((keys[r:] + keys[:r], letters[r:] + letters[:r]))
+        return Word._trusted(self.genus, min(rotations)[1])
 
 
 # -- free functions ---------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistlab import curve
+from twistlab import curve, word
 from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
@@ -16,6 +16,7 @@ from twistlab.curve import (
 from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
 from twistlab.magnus import TruncatedAction
 from twistlab.mcg import FreeAutomorphism, builtin_table, evaluate
+from twistlab.word import Word
 
 from references import golden_pairs, mat_mul, pool_pairs, resolve_eagerly
 
@@ -102,9 +103,51 @@ def test_class_only_resolve_matches_the_evaluated_conjugator():
 def test_resolve_builds_no_conjugator():
     curve._resolve_cached.cache_clear()
     data = resolve(spec(2, "Sep1 @ [C3^2 C4^-1]"))
-    assert not {"conjugator", "conjugator_inverse"} & set(vars(data))
+    assert not {"conjugator", "inner"} & set(vars(data))
     h = evaluate((("C3", 2), ("C4", -1)), 2)
-    assert data.conjugator == h and data.conjugator_inverse == h.inverse()
+    assert data.conjugator == h
+    assert data.inner == data.base_twist.compose(h.inverse())
+
+
+def test_class_folds_strip_and_only_canonical_forms_rotate(monkeypatch):
+    # the fold behind resolve and moves strips each intermediate word to
+    # its cyclically reduced core and rotates nothing: the least rotation
+    # is taken only inside canonical_cyclic
+    depth, outside, images = [0], [], []
+    least_rotation = word._least_rotation
+    canonical_cyclic = Word.canonical_cyclic
+    class_image = curve.class_image
+
+    def spy_rotation(keys):
+        if not depth[0]:
+            outside.append(keys)
+        return least_rotation(keys)
+
+    def spy_canonical(self):
+        depth[0] += 1
+        try:
+            return canonical_cyclic(self)
+        finally:
+            depth[0] -= 1
+
+    def spy_class_image(mcw, genus, w):
+        images.append(class_image(mcw, genus, w))
+        return images[-1]
+
+    monkeypatch.setattr(word, "_least_rotation", spy_rotation)
+    monkeypatch.setattr(Word, "canonical_cyclic", spy_canonical)
+    monkeypatch.setattr(curve, "class_image", spy_class_image)
+    curve._resolve_cached.cache_clear()
+    pairs, moved = pool_pairs(), 0
+    for a, b in pairs:
+        d1, d2 = resolve(a), resolve(b)
+        moved += d1.moves(d2) + d2.moves(d1)
+    assert 0 < moved < 2 * len(pairs)
+    assert outside == []
+    # one class per distinct curve resolved, one per moves call
+    assert len(images) == len({c for pair in pairs for c in pair}) + 2 * len(pairs)
+    for w in images:
+        assert not w.letters or w.letters[0] != -w.letters[-1], w
 
 
 def test_resolve_separating_base():

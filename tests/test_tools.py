@@ -1,0 +1,33 @@
+"""Smoke tests of the scripts under tools/."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from twistlab import curve
+
+TOOLS = Path(__file__).parents[1] / "tools"
+
+
+def test_bench_kernels_reports_the_class_and_action_kernels(monkeypatch, capsys):
+    # the tool puts benchmarks/ on the path to read the pair-scan list
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", TOOLS / "bench_kernels.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # resolve from scratch, so the pass folds every curve's class
+    curve._resolve_cached.cache_clear()
+    assert tool.main(["--seed", "13", "--repeats", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 13 and report["pairs"] > 0
+    kernels = report["kernels"]
+    for name in (
+        "word.cyclic_reduce",
+        "word.canonical_cyclic",
+        "magnus.action_compose.cap3",
+    ):
+        assert kernels[name]["calls"] > 0, name
+        assert kernels[name]["min_s"] >= 0, name

@@ -109,27 +109,33 @@ def test_inverse_antihomomorphism():
     assert w.inverse().letters == (-2, -1)
 
 
-def test_cyclic_reduce_simple():
-    u = Word(1, (1, 2, -1))
-    core, conj = u.cyclic_reduce()
-    assert core.letters == (2,)
-    assert conj.letters == (1,)
-    assert conj * core * conj.inverse() == u
-
-
-def test_cyclic_reduce_already_reduced():
-    u = Word(2, (1, 2))
-    core, conj = u.cyclic_reduce()
-    assert core == u
-    assert conj.is_identity()
-
-
 def strip_ends(letters):
     """Independent oracle: strip matching ends repeatedly."""
     letters = list(letters)
     while len(letters) >= 2 and letters[0] == -letters[-1]:
         letters = letters[1:-1]
     return tuple(letters)
+
+
+def stripped_prefix(w, core):
+    """The prefix u of w with w = u * core * u^-1, for the core of w."""
+    return Word(w.genus, w.letters[: (len(w) - len(core)) // 2])
+
+
+def test_cyclic_reduce_simple():
+    u = Word(1, (1, 2, -1))
+    core = u.cyclic_reduce()
+    assert core.letters == (2,) == strip_ends(u.letters)
+    conj = stripped_prefix(u, core)
+    assert conj.letters == (1,)
+    assert conj * core * conj.inverse() == u
+
+
+def test_cyclic_reduce_already_reduced():
+    u = Word(2, (1, 2))
+    core = u.cyclic_reduce()
+    assert core == u
+    assert stripped_prefix(u, core).is_identity()
 
 
 def test_cyclic_reduce_nested_conjugation():
@@ -139,23 +145,19 @@ def test_cyclic_reduce_nested_conjugation():
         g = Word(2, tuple(random_letters(rng, 2, rng.randrange(0, 6))))
         h = Word(2, tuple(random_letters(rng, 2, rng.randrange(0, 6))))
         nested = g * (h * u * h.inverse()) * g.inverse()
-        core, conj = nested.cyclic_reduce()
+        core = nested.cyclic_reduce()
+        conj = stripped_prefix(nested, core)
         assert conj * core * conj.inverse() == nested
         assert len(core) <= len(nested)
-        # the core is a rotation of the fully end-stripped word
-        stripped = strip_ends(nested.letters)
-        doubled = stripped + stripped
-        assert len(core) == len(stripped)
-        assert not stripped or any(
-            doubled[r : r + len(stripped)] == core.letters
-            for r in range(len(stripped))
-        )
+        # the core is the fully end-stripped word, not rotated
+        assert core.letters == strip_ends(nested.letters)
 
 
 def rotation_search_cyclic_reduce(w):
     """Reference: strip the ends, then compare every rotation's key tuple.
 
-    Quadratic; kept as the oracle for the linear Word.cyclic_reduce.
+    Returns the least rotation of the core and its conjugator.
+    Quadratic; kept as the oracle for the linear Word.canonical_cyclic.
     """
     core = list(w.letters)
     conj = []
@@ -193,8 +195,20 @@ def test_cyclic_reduce_matches_rotation_search():
         g = Word(genus, tuple(random_letters(rng, genus, rng.randrange(0, 4))))
         words.append(u.conjugate(g))
         words.append((u ** rng.randrange(2, 5)).conjugate(g))
+    key = lambda w: [_letter_key(ell) for ell in w.letters]
     for w in words:
-        assert w.cyclic_reduce() == rotation_search_cyclic_reduce(w), w
+        # the oracle's decomposition is the core rotated by r, with the
+        # first r letters of the core moved into the conjugator
+        core = w.cyclic_reduce()
+        least, conj = rotation_search_cyclic_reduce(w)
+        prefix = stripped_prefix(w, core).letters
+        r = len(conj) - len(prefix)
+        assert conj.letters == prefix + core.letters[:r], w
+        assert least.letters == core.letters[r:] + core.letters[:r], w
+        # canonical_cyclic is the least rotation in either orientation
+        alt, _ = rotation_search_cyclic_reduce(w.inverse())
+        assert w.canonical_cyclic() == min(least, alt, key=key), w
+        assert w.inverse().canonical_cyclic() == w.canonical_cyclic(), w
 
 
 def test_canonical_cyclic_rotation_deterministic():

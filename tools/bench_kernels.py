@@ -18,9 +18,10 @@ The calls are those of the twistlab on the path, so a change that drops
 calls shows in the call counts.  magnus_expand and
 TruncatedAction.compose are reported per cap, so that the caps both
 versions reach can be compared alone.  canonical_cyclic calls
-cyclic_reduce, so the cyclic_reduce calls include those.  Replays run
-after the recording pass: the letter tables that applying an
-automorphism reads are already built.
+cyclic_reduce once, to strip its word, so the cyclic_reduce calls
+include one per canonical_cyclic call.  Replays run after the recording
+pass: the letter tables that applying an automorphism reads are already
+built.
 """
 
 from __future__ import annotations
