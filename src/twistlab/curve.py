@@ -24,19 +24,16 @@ t_a(b) = b, iff the twist along a fixes the class of b
 iff f fixes the class of c, since f t_c f^-1 = t_{f(c)} (Primer,
 ch. 3).  None of this builds the twist or the conjugator.
 
-The twist along h(c) is h t_c h^-1 by the conjugation law.  A resolved
-curve builds it as h (t_c h^-1), and builds h (CurveData.conjugator),
-the inner factor (CurveData.inner) and the product (CurveData.twist)
-only when read: their images grow with h, and commuting pairs,
-equality, crossing pairs of separating curves below cap 5 and the
-witness searches never read them.  The expansion is a ring
-homomorphism (Magnus-Karrass-Solitar, ch. 5), so the truncated Magnus
-action (magnus.TruncatedAction) of the twist is that of h composed with
-that of t_c h^-1.  The cost of composing follows numbers of terms,
-not the twist's letters, so CurveData.action composes when the twist's
-images hold more than COMPOSE_MULTIPLE times the letters of the images
-of h and t_c h^-1, the words it then expands, and expands the twist's
-images otherwise.
+The twist along h(c) is h t_c h^-1 by the conjugation law, so its
+value on a class w is h(t_c(h^-1(w))), read by folding the factors of
+h's word over w (CurveData.twist_class); the braid label of a pair
+reads it so.  The expansion is a ring homomorphism
+(Magnus-Karrass-Solitar, ch. 5), so the truncated Magnus action
+(magnus.TruncatedAction) of the twist is that of h composed with that
+of t_c h^-1 (CurveData.action), so a pair's depth builds only h
+(CurveData.conjugator) and t_c h^-1 (CurveData.inner), on first read.
+The twist itself (CurveData.twist), whose images grow with h, is built
+only for callers that need the automorphism.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
 """
@@ -75,24 +72,6 @@ class CurveSpec:
         return self.to_text()
 
 
-#: CurveData.action composes the actions of h and t_c h^-1 when the
-#: images of t_{h(c)} hold more than this many times the letters of
-#: those of h and t_c h^-1, and expands the twist's images otherwise.
-#: Composing costs two expansions and one substitution at each cap of a
-#: pair's depth loop whatever the words, so on short twists expanding
-#: is cheaper.  On classify_pair at cap 3 over the benchmark's pair-scan
-#: lists of seeds 3 and 11 (twists built beforehand, one process,
-#: medians of 5 interleaved repetitions, three runs), against expanding
-#: every twist, composing every twist raised the 90th-percentile pair
-#: time by 42-88% and the total by 12-54%, while a multiple of 4 moved
-#: them by -7% to +10% and -17% to +7%.
-COMPOSE_MULTIPLE = 4
-
-
-def _letters(words):
-    return sum(len(w) for w in words)
-
-
 @dataclass(frozen=True)
 class CurveData:
     """Resolved curve h(c): its class, homology and separating flag,
@@ -100,11 +79,12 @@ class CurveData:
 
     Resolving reads the class alone (mcg.class_image), so the
     automorphism h (conjugator), the twist h (t_c h^-1) along the curve
-    and its inner factor t_c h^-1 are all built on first access.  Only
-    the braid label, the depth (action) and callers that need an
-    automorphism itself read them; moves decides crossing from the
-    classes and the conjugator's word.  A concurrent first
-    access only repeats work.
+    and its inner factor t_c h^-1 are all built on first access.  A pair
+    reads the twist on classes (moves, twist_class) and its depth from
+    the actions of h and t_c h^-1 (action), so it never builds the
+    twist; callers that need the automorphism itself, such as foxcheck
+    and suzuki_scan, read it.  A concurrent first access only repeats
+    work.
     """
 
     pi1_class: Word
@@ -130,43 +110,56 @@ class CurveData:
         # only this outer compose applies a long map
         return self.conjugator.compose(self.inner)
 
+    def _pull_back(self, w):
+        """u = h^-1(w) and t_c(u) for a cyclically reduced class w.
+
+        u is folded from w by the inverse factors of h's word
+        (mcg.class_image), so h^-1 is not built.  Both are cyclically
+        reduced and not rotated.
+        """
+        inverse = inverse_mcw(self.conjugator_word)
+        u = class_image(inverse, self.base_twist.genus, w)
+        return u, self.base_twist(u).cyclic_reduce()
+
     def moves(self, other):
         """Does the twist along this curve move the curve of other?
 
         With u = h^-1(b) for the class b of other, t_{h(c)}(b) = b up to
         conjugacy iff t_c(u) = u, since h carries conjugacy classes to
-        conjugacy classes.  u is folded from b by the inverse factors of
-        h's word (mcg.class_image), so h^-1 is not built.  Cyclically
-        reduced words of equal length are compared by their canonical
-        forms, which forget the base point and the orientation, as an
-        unoriented curve class does.  The answer is exact: the twist
-        fixes the curve iff it commutes with the twist along it (see the
-        module docstring), so a.moves(b) == b.moves(a).
+        conjugacy classes (_pull_back).  Cyclically reduced words of
+        equal length are compared by their canonical forms, which forget
+        the base point and the orientation, as an unoriented curve class
+        does.  The answer is exact: the twist fixes the curve iff it
+        commutes with the twist along it (see the module docstring), so
+        a.moves(b) == b.moves(a).
         """
-        inverse = inverse_mcw(self.conjugator_word)
-        u = class_image(inverse, self.base_twist.genus, other.pi1_class)
-        v = self.base_twist(u).cyclic_reduce()
+        u, v = self._pull_back(other.pi1_class)
         # cyclically reduced length is a conjugacy invariant
         return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
 
-    def composes_action(self):
-        """Does action() compose instead of expanding the twist's images?"""
-        return _letters(self.twist.images) > COMPOSE_MULTIPLE * (
-            _letters(self.conjugator.images) + _letters(self.inner.images)
-        )
+    def twist_class(self, w):
+        """The class of t_{h(c)}(w) = h(t_c(h^-1(w))), cyclically reduced.
+
+        t_c(h^-1(w)) is pulled back as in moves, and h's factors are
+        folded over it (mcg.class_image), so neither h nor the twist is
+        built.  The result is not rotated (Word.canonical_cyclic).
+        """
+        _, v = self._pull_back(w)
+        return class_image(self.conjugator_word, self.base_twist.genus, v)
 
     def action(self, cap):
         """The TruncatedAction of the twist at the cap.
 
-        Equal to TruncatedAction.of(self.twist, cap).  When the twist's
-        images are long against those of h and t_c h^-1
-        (composes_action), it is the action of h composed with that of
-        t_c h^-1, which the expansion's being a ring homomorphism makes
-        exact, and whose cost does not grow with the twist's images.
-        Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
+        Equal to TruncatedAction.of(self.twist, cap), and the twist is
+        not built: the expansion is a ring homomorphism, so the action of
+        h (t_c h^-1) is that of h composed with that of t_c h^-1, two
+        expansions and one substitution whose cost follows numbers of
+        terms, not the twist's letters.  A base curve's twist is t_c,
+        which is expanded.  Raises SeriesTermLimit when a series passes
+        MAX_SERIES_TERMS.
         """
-        if not self.composes_action():
-            return TruncatedAction.of(self.twist, cap)
+        if not self.conjugator_word:
+            return TruncatedAction.of(self.base_twist, cap)
         return TruncatedAction.of(self.conjugator, cap).compose(
             TruncatedAction.of(self.inner, cap)
         )

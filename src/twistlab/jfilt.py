@@ -30,9 +30,9 @@ curve twists t_a and t_b commute iff t_a(b) = b (CurveData.moves; see
 the curve module), so a commuting pair builds neither twist nor
 either conjugator.  Otherwise the actions of fg and gf at each cap are
 composed from those of f and g, and the long images of fg and gf are
-never built for a depth.  The action of a curve twist h (t_c h^-1)
-with long images is itself composed from those of its two factors
-(CurveData.action).
+never built for a depth.  The action of a curve twist h (t_c h^-1) is
+itself composed from those of its two factors (CurveData.action), so
+no pair builds a twist.
 Nested commutators, whose actions pass the term budget at high caps,
 are read from leading terms instead: the leading term of a class in
 M(k) is a derivation (magnus.Derivation, also behind
@@ -58,8 +58,10 @@ it iff they are equal, iff the curves' classes are; crossing twists
 only if |algebraic| = 1.  For those, the relation reads
 (t1 t2) t1 (t1 t2)^-1 = t2, that is, the twist along t1 t2 (c1) is the
 twist along c2, so the flag holds iff t1 t2 maps the class of c1 to
-that of c2 (see the curve module).  That class is read as t1(t2(c1)),
-two applications to one word, and the product t1 t2 is never built.
+that of c2 (see the curve module).  That class is read as t1(t2(c1))
+on classes, each twist's value h(t_c(h^-1(w))) folded from the factors
+of its conjugator's word (CurveData.twist_class), so neither the
+product t1 t2 nor either twist is built.
 The same law, f t_c f^-1 = t_{f(c)}, makes fact5_instance ask whether
 a class f fixes the class of each separating curve, not whether f
 commutes with its twist.
@@ -213,11 +215,10 @@ def _commutator_depth(act_f, act_g, start, cap):
     act_f and act_g map a cap c to the TruncatedAction of f and of g at
     c: TruncatedAction.of for plain automorphisms, CurveData.action for
     curve twists, which composes the actions of h and t_c h^-1 for a
-    twist h t_c h^-1 with long images (see the curve module).  The
-    actions are composed both ways at caps start, start + 1, ...
-    (_depth), so neither fg nor gf is built.  start is 1, or the first
-    degree in which fg and gf can differ when they are known to agree
-    below it (_pair_start).
+    twist h t_c h^-1 (see the curve module).  The actions are composed
+    both ways at caps start, start + 1, ... (_depth), so neither fg nor
+    gf is built.  start is 1, or the first degree in which fg and gf can
+    differ when they are known to agree below it (_pair_start).
     """
 
     def products(c):
@@ -392,21 +393,22 @@ def classify_pair(c1, c2, cap, check=True):
     # pair builds neither twist: commuting twists braid iff equal
     # (f^2 g = g^2 f forces f = g), iff the curves' classes are.
     # Crossing twists braid only along curves meeting once, which forces
-    # |algebraic| = 1, so the twists are read only for those.  That
+    # |algebraic| = 1, so the classes are folded only for those.  That
     # shortcut is needed as well as fast: for C3 @ [C3^2 Sep1^-2 Sep1^-2
     # Sep1^-2] and Sep1, with algebraic 0, the image of the class of c1
     # under fg passes the letter cap.  Otherwise fgf = gfg iff
     # fg f (fg)^-1 = g, which holds iff f(g(c1)) is the class of c2 (see
-    # the module docstring), and fg is not built.  The depth of a
-    # crossing pair reads both twists (CurveData.action), from the first
-    # degree in which fg and gf can differ (_pair_start), so a pair of
-    # separating curves at cap 4 or below reads neither.
+    # the module docstring), read on classes (CurveData.twist_class), so
+    # no twist is built.  The depth of a crossing pair composes the
+    # actions of each curve's h and t_c h^-1 (CurveData.action), from
+    # the first degree in which fg and gf can differ (_pair_start), so a
+    # pair of separating curves at cap 4 or below reads neither.
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
         braid = (
             abs(algebraic) == 1
-            and d1.twist(d2.twist(d1.pi1_class)).canonical_cyclic()
+            and d1.twist_class(d2.twist_class(d1.pi1_class)).canonical_cyclic()
             == d2.pi1_class
         )
         start = _pair_start(d1, d2, algebraic)

@@ -200,11 +200,19 @@ def _substitute(degrees, subs, top, base, limit):
     `degrees` and each subs[j] are degree-indexed dicts of packed keys;
     no subs[j] has a constant term.  Horner along the first letter: the
     terms X_j P_j contribute subs[j] * P_j(subs), and since subs[j]
-    starts in degree 1, P_j is needed through degree top - 1 only.
+    starts in degree 1, P_j is needed through degree top - 1 only.  At
+    top 1 each P_j is a constant c_j, so degree 1 is the sum of
+    c_j subs[j][1], read without recursing.
     """
     out = [dict() for _ in range(top + 1)]
     if degrees[0]:
         out[0][0] = degrees[0][0]
+    if top == 1:
+        target = out[1]
+        for j, c in degrees[1].items():
+            for key, v in subs[j][1].items():
+                target[key] = target.get(key, 0) + c * v
+        return [_nonzero(d) for d in out]
     tails = {}
     for d in range(1, min(top, len(degrees) - 1) + 1):
         shift = base ** (d - 1)

@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import twistlab
 from twistlab import __version__, magnus
 from twistlab.cli import main
 
@@ -411,3 +416,24 @@ def test_pair_consistency_violation_exits_1_without_traceback(
     assert "Traceback" not in captured.err
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("violation: commuting <-> depth zero")
+
+
+def test_long_conjugator_braid_pair_ends_within_a_bound():
+    # the braid label folds the conjugators' factors over classes and
+    # the depth composes the actions of h and t_c h^-1, so this pair
+    # builds no twist, whose images cancel down below every letter
+    # budget as they are built; it runs in a child process so that a
+    # hang fails the test instead of stalling the suite
+    src = Path(twistlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "twistlab.cli", "pair", "--genus", "2",
+            "--c1", "C1 @ [C2^9 Sep1^9 C3^9 C4^9 Sep1^-9 C3^9]", "--c2", "C2",
+        ],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert results["ijf_label"] == "1"
+    assert (results["braid"], results["algebraic"]) == (True, -1)

@@ -15,7 +15,7 @@ from twistlab.curve import (
 )
 from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
 from twistlab.magnus import TruncatedAction
-from twistlab.mcg import FreeAutomorphism, builtin_table, evaluate
+from twistlab.mcg import builtin_table, evaluate
 from twistlab.word import Word
 
 from references import golden_pairs, mat_mul, pool_pairs, resolve_eagerly
@@ -308,19 +308,23 @@ W1_SPEC = "Sep1 @ [Sep1 C3 Sep1 C3^-1 Sep1^-1 C3 Sep1^-1 C3^-1]"
 
 
 def test_curve_actions_match_expansions_of_the_twist():
-    # action() composes the actions of h and t_c h^-1 for twists with
-    # long images and expands the twist's images otherwise; both must
-    # equal the expansion of h t_c h^-1 itself
-    branches = set()
+    # action() composes the actions of h and t_c h^-1, and expands t_c
+    # for a base curve; either must equal the expansion of h t_c h^-1
     for genus in (2, 3):
         rng = random.Random(41 + genus)
         table = builtin_table(genus)
         for _ in range(40):
             data = resolve(_random_spec(rng, genus, table, 4))
-            branches.add(data.composes_action())
             for cap in range(1, 5):
                 assert data.action(cap) == TruncatedAction.of(data.twist, cap), (
                     data, cap,
+                )
+    for genus in (1, 2, 3):
+        for name in builtin_table(genus).essential_base_names():
+            data = resolve(CurveSpec(genus, name, ()))
+            for cap in range(1, 5):
+                assert data.action(cap) == TruncatedAction.of(data.twist, cap), (
+                    genus, name, cap,
                 )
     # the twists of the two heaviest pairs of the benchmark's pair pool
     for text in (
@@ -328,23 +332,16 @@ def test_curve_actions_match_expansions_of_the_twist():
         "Sep1 @ [C3^2 Sep1^-2 C3^-1]",
     ):
         data = resolve(spec(2, text))
-        assert data.composes_action()
         for cap in (3, 4):
             assert data.action(cap) == TruncatedAction.of(data.twist, cap), text
     data = resolve(spec(2, W1_SPEC))
-    assert data.composes_action()
     for cap in (1, 2, 3):
         assert data.action(cap) == TruncatedAction.of(data.twist, cap)
-    assert branches == {False, True}
 
 
-def test_composed_action_expands_h_and_inner_and_composes_once(monkeypatch):
-    # t_{h(c)} = h (t_c h^-1): the compose branch expands the two
-    # factors and substitutes once per cap
-    data = resolve(spec(2, "Sep1 @ [C3 Sep1 C3^-1]"))
-    assert data.composes_action()
-    h, inner = data.conjugator, data.inner
-    assert h != inner
+def _action_calls(monkeypatch):
+    """The (automorphism, cap) of every TruncatedAction.of call and the
+    cap of every compose call from now on."""
     expanded, composed = [], []
     of, compose = TruncatedAction.of.__func__, TruncatedAction.compose
 
@@ -358,17 +355,39 @@ def test_composed_action_expands_h_and_inner_and_composes_once(monkeypatch):
 
     monkeypatch.setattr(TruncatedAction, "of", classmethod(spy_of))
     monkeypatch.setattr(TruncatedAction, "compose", spy_compose)
-    for cap in (1, 2, 3, 4):
-        data.action(cap)
-    assert expanded == [(f, cap) for cap in (1, 2, 3, 4) for f in (h, inner)]
-    assert composed == [1, 2, 3, 4]
+    return expanded, composed
 
 
-def test_identity_conjugator_expands_its_twist():
-    # the size rule counts t_c h^-1, so a base curve never composes
+def test_composed_action_expands_h_and_inner_and_composes_once(monkeypatch):
+    # t_{h(c)} = h (t_c h^-1): action() expands the two factors and
+    # substitutes once per cap, for long twists and for short ones such
+    # as C2 @ [C3^-2]
+    expanded, composed = _action_calls(monkeypatch)
+    for text in ("Sep1 @ [C3 Sep1 C3^-1]", "C2 @ [C3^-2]"):
+        data = resolve(spec(2, text))
+        h, inner = data.conjugator, data.inner
+        assert h != inner
+        expanded.clear()
+        composed.clear()
+        for cap in (1, 2, 3, 4):
+            data.action(cap)
+        assert expanded == [(f, cap) for cap in (1, 2, 3, 4) for f in (h, inner)]
+        assert composed == [1, 2, 3, 4]
+
+
+def test_identity_conjugator_expands_its_twist(monkeypatch):
+    # a base curve's twist is t_c itself: action() expands t_c alone,
+    # composes nothing and builds neither h nor t_c h^-1
+    curve._resolve_cached.cache_clear()
+    expanded, composed = _action_calls(monkeypatch)
     for genus in (1, 2, 3):
         table = builtin_table(genus)
         for name in table.essential_base_names():
             data = resolve(CurveSpec(genus, name, ()))
-            assert data.conjugator == FreeAutomorphism.identity(genus)
-            assert not data.composes_action(), (genus, name)
+            expanded.clear()
+            for cap in (1, 2, 3):
+                data.action(cap)
+            assert [cap for _, cap in expanded] == [1, 2, 3]
+            assert all(f is data.base_twist for f, _ in expanded)
+            assert not {"conjugator", "inner", "twist"} & set(vars(data))
+    assert composed == []

@@ -449,17 +449,45 @@ def test_commuting_pair_builds_no_twist(monkeypatch):
 
 
 def test_braid_label_composes_only_the_curves_twists(monkeypatch):
-    # the braid label reads t1(t2(c1)), so the only compositions are
-    # those that build each twist as h (t_c h^-1)
+    # the braid label reads t1(t2(c1)) on classes, so the only
+    # compositions are the inner factors t_c h^-1 that the depth's
+    # actions expand; no twist h (t_c h^-1) is built
     doc, c1, c2 = _golden_pair("pair_g3_c4_braid_cap3.json")
     composed = _composed_calls(monkeypatch)
     assert classify_pair(c1, c2, doc["config"]["cap"]).as_dict() == doc["results"]
     assert abs(doc["results"]["algebraic"]) == 1 and composed
-    allowed = []
-    for d in (resolve(c1), resolve(c2)):
-        allowed += [(d.base_twist, d.conjugator.inverse()), (d.conjugator, d.inner)]
+    allowed = [
+        (d.base_twist, d.conjugator.inverse())
+        for d in (resolve(c1), resolve(c2))
+        if d.conjugator_word
+    ]
     for f, g in composed:
         assert any(f is a and g == b for a, b in allowed)
+
+
+def test_no_pair_builds_a_twist():
+    # classify_pair reads the braid label on classes and the depth from
+    # the actions of h and t_c h^-1, so no resolved curve of a pair
+    # holds a built twist afterwards
+    curve._resolve_cached.cache_clear()
+    specs = set()
+    for a, b in pool_pairs():
+        classify_pair(a, b, 3)
+        specs.update((a, b))
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if doc["command"] not in ("pair", "scan"):
+            continue
+        config = doc["config"]
+        rows = doc["results"] if doc["command"] == "scan" else [config]
+        for row in rows:
+            a, b = (spec(config["genus"], row[k]) for k in ("c1", "c2"))
+            classify_pair(a, b, config["cap"])
+            specs.update((a, b))
+    crossing = [c for c in specs if "inner" in vars(resolve(c))]
+    assert len(crossing) > 100
+    for c in specs:
+        assert "twist" not in vars(resolve(c)), c
 
 
 # -- leading terms -----------------------------------------------------------
@@ -951,7 +979,6 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     # alone too
     caps.clear()
     c1 = spec(2, "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]")
-    assert resolve(c1).composes_action()
     report = classify_pair(c1, spec(2, "Sep1"), 5)
     assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
     assert set(caps) == {3}
