@@ -31,9 +31,12 @@ reads it so.  The expansion is a ring homomorphism
 (Magnus-Karrass-Solitar, ch. 5), so the truncated Magnus action
 (magnus.TruncatedAction) of the twist is that of h composed with that
 of t_c h^-1 (CurveData.action), so a pair's depth builds only h
-(CurveData.conjugator) and t_c h^-1 (CurveData.inner), on first read.
-The twist itself (CurveData.twist), whose images grow with h, is built
-only for callers that need the automorphism.
+(CurveData.conjugator) and t_c h^-1 (CurveData.inner), on first read,
+and only when its leading term does not decide it: a pair with a
+separating curve reads that term from the base twist's and h's
+homology matrix, folded from its word (mcg.homology_matrix), and builds
+neither.  The twist itself (CurveData.twist), whose images grow with h,
+is built only for callers that need the automorphism.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
 """
@@ -81,10 +84,12 @@ class CurveData:
     automorphism h (conjugator), the twist h (t_c h^-1) along the curve
     and its inner factor t_c h^-1 are all built on first access.  A pair
     reads the twist on classes (moves, twist_class) and its depth from
-    the actions of h and t_c h^-1 (action), so it never builds the
-    twist; callers that need the automorphism itself, such as foxcheck
-    and suzuki_scan, read it.  A concurrent first access only repeats
-    work.
+    leading terms and homology matrices read from the words when a curve
+    is separating, or else from the actions of h and t_c h^-1 (action),
+    so it never builds the twist, and a pair that its leading term
+    decides builds neither h nor t_c h^-1; callers that need the
+    automorphism itself, such as foxcheck and suzuki_scan, read it.  A
+    concurrent first access only repeats work.
     """
 
     pi1_class: Word
@@ -274,6 +279,25 @@ def symplectic_pairing(u, v):
     for i in range(0, len(u), 2):
         total += u[i] * v[i + 1] - u[i + 1] * v[i]
     return total
+
+
+def transvection(v, k=1):
+    """Homology matrix of t^k, for t the twist along a curve of class v.
+
+    t acts as x -> x - <v, x> v (symplectic_pairing), and since
+    <v, v> = 0 its k-th power acts as x -> x - k <v, x> v.  A separating
+    curve has v = 0 and gives the identity.
+    """
+    n = len(v)
+    # <v, e_j> for each j
+    pairings = [
+        symplectic_pairing(v, tuple(int(i == j) for i in range(n)))
+        for j in range(n)
+    ]
+    return tuple(
+        tuple(int(i == j) - k * p * v[i] for j, p in enumerate(pairings))
+        for i in range(n)
+    )
 
 
 # -- pairings and equality ---------------------------------------------

@@ -20,9 +20,15 @@ cap.  For two crossing curve twists it starts at cap 2 when their
 algebraic intersection is 0: on homology, T_a T_b - T_b T_a =
 <a,b>(<b,.>a + <a,.>b), so then fg and gf agree in degree 1.  A twist
 along a separating curve lies in M(2), which is normal, so with one
-separating curve the commutator lies in M(2) and the loop starts at cap
-3; with two it lies in [M(2), M(2)], inside M(4) (Morita), and the loop
-starts at cap 5, so below cap 5 such a pair expands nothing.  Whether f
+separating curve the commutator lies in M(2); with two it lies in
+[M(2), M(2)], inside M(4) (Morita), so below cap 3 or cap 5 such a pair
+expands nothing.  Its degree 3 or 5 is then read from leading terms,
+not from actions: the term of a conjugated separating twist is its base
+twist's term moved by the conjugator's homology matrix (Johnson), so
+the pair's term costs one cap-3 expansion per separating base twist and
+a few integer matrices, and no conjugator is built.  A nonzero term
+gives exact(2) or exact(4); a zero one starts the loop at cap 4 or 6
+(_pair_depth).  Whether f
 and g commute is decided first and exactly; commuting classes get the
 identity.  For two classes, mcg.commutes compares f(g(x_i)) with
 g(f(x_i)) one generator at a time and composes neither product.  Two
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .curve import (
     CurveSpec,
@@ -79,6 +86,7 @@ from .curve import (
     identity_matrix,
     resolve,
     symplectic_pairing,
+    transvection,
 )
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import Derivation, TruncatedAction
@@ -86,6 +94,8 @@ from .mcg import (
     FreeAutomorphism,
     builtin_table,
     commutes,
+    homology_matrix,
+    inverse_mcw,
 )
 
 
@@ -170,11 +180,12 @@ def _depth(actions, start, cap):
     classes and for a crossing curve pair with nonzero algebraic
     intersection; 2 for one class and for a crossing curve pair with
     algebraic intersection 0, whose agreement in degree 1 homology
-    decides; 3 for a crossing pair with one separating curve, whose
-    commutator lies in M(2); and 5 for a crossing pair of separating
-    curves, whose commutator lies in M(4) (_pair_start).  The work at a
-    cap grows geometrically with it, so the loop costs a small multiple
-    of the work at the cap it stops at.
+    decides; and for a crossing pair with one or two separating curves,
+    whose commutator lies in M(2) or M(4), 3 or 5 when the cap is below
+    that degree, and otherwise 4 or 6, since the loop runs only when the
+    pair's leading term in degree 3 or 5 is zero (_pair_start,
+    _pair_depth).  The work at a cap grows geometrically with it, so the
+    loop costs a small multiple of the work at the cap it stops at.
     """
     for c in range(start, cap + 1):
         depth = action_depth(*actions(c))
@@ -369,7 +380,8 @@ def _pair_start(d1, d2, algebraic):
     lower central term, so the twist lies in M(2); M(2) is normal, so
     [f, g] lies in it too.  5 when both are, since [M(2), M(2)] lies in
     M(4) (Morita).  A separating curve has zero homology, so algebraic
-    is 0 in the last two cases.
+    is 0 in the last two cases, and there the leading term of [f, g] in
+    degree start decides that degree (_separating_term).
     """
     if algebraic:
         return 1
@@ -378,6 +390,62 @@ def _pair_start(d1, d2, algebraic):
     if d1.separating or d2.separating:
         return 3
     return 2
+
+
+@lru_cache(maxsize=None)
+def _base_term(twist):
+    """D_c, the leading term of a separating table twist t_c in M(2)."""
+    return Derivation.leading(TruncatedAction.of(twist, 3))
+
+
+def _separating_term(d1, d2):
+    """Is the leading term of [t_a, t_b] nonzero, for crossing curves
+    a = h_a(c_a), separating, and b?
+
+    With H_a the homology matrix of h_a, the leading term of t_a is
+    D_a = H_a·D_{c_a} (magnus.Derivation.transform), read from the base
+    twist's term and folded matrices (mcg.homology_matrix).  When b is
+    not separating, t_b acts on homology by the transvection T_b and
+    [t_a, t_b] has level-2 term D_a - T_b·D_a; H_a is symplectic, so
+    H_a^-1 T_b H_a = T_u with u = H_a^-1 b, and the term is zero iff
+    D_{c_a} = T_u·D_{c_a}.  When b = h_b(c_b) is separating too, the
+    level-4 term is [D_a, D_b] = H_a·[D_{c_a}, (H_a^-1 H_b)·D_{c_b}]
+    (Morita).  No conjugator and no twist is built.
+    """
+    if not d1.separating:
+        d1, d2 = d2, d1
+    genus, word = d1.base_twist.genus, d1.conjugator_word
+    back = inverse_mcw(word)
+    term = _base_term(d1.base_twist)
+    if not d2.separating:
+        u = tuple(
+            sum(m * x for m, x in zip(row, d2.homology))
+            for row in homology_matrix(back, genus)
+        )
+        return term != term.transform(transvection(u), transvection(u, -1))
+    other = _base_term(d2.base_twist).transform(
+        homology_matrix(back + d2.conjugator_word, genus),
+        homology_matrix(inverse_mcw(d2.conjugator_word) + word, genus),
+    )
+    return bool(term.bracket(other))
+
+
+def _pair_depth(d1, d2, algebraic, cap):
+    """Filtration depth of [t_a, t_b] for crossing curves a and b.
+
+    The loop (_commutator_depth) starts at _pair_start.  With a
+    separating curve, that start is 3 or 5 and the pair's leading term
+    decides the degree first: a nonzero term gives exact(start - 1) with
+    nothing expanded but the base twists at cap 3, and a zero one puts
+    the commutator in M(start), so the loop starts one degree later.
+    Below that start the cap is reached with nothing read.
+    """
+    start = _pair_start(d1, d2, algebraic)
+    if start > 2 and cap >= start:
+        if _separating_term(d1, d2):
+            return JFDepth("exact", start - 1)
+        start += 1
+    return _commutator_depth(d1.action, d2.action, start, cap)
 
 
 def classify_pair(c1, c2, cap, check=True):
@@ -399,10 +467,12 @@ def classify_pair(c1, c2, cap, check=True):
     # under fg passes the letter cap.  Otherwise fgf = gfg iff
     # fg f (fg)^-1 = g, which holds iff f(g(c1)) is the class of c2 (see
     # the module docstring), read on classes (CurveData.twist_class), so
-    # no twist is built.  The depth of a crossing pair composes the
-    # actions of each curve's h and t_c h^-1 (CurveData.action), from
-    # the first degree in which fg and gf can differ (_pair_start), so a
-    # pair of separating curves at cap 4 or below reads neither.
+    # no twist is built.  The depth starts at the first degree in which
+    # fg and gf can differ (_pair_start).  With a separating curve that
+    # degree is read from leading terms, so no conjugator is built
+    # unless the term is zero; other pairs, and pairs above a zero term,
+    # compose the actions of each curve's h and t_c h^-1
+    # (CurveData.action, _pair_depth).
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
@@ -411,8 +481,7 @@ def classify_pair(c1, c2, cap, check=True):
             and d1.twist_class(d2.twist_class(d1.pi1_class)).canonical_cyclic()
             == d2.pi1_class
         )
-        start = _pair_start(d1, d2, algebraic)
-        depth = _commutator_depth(d1.action, d2.action, start, cap)
+        depth = _pair_depth(d1, d2, algebraic, cap)
     report = PairReport(
         genus=c1.genus,
         c1=c1.to_text(),

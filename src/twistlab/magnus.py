@@ -316,7 +316,10 @@ class Derivation:
     is [D_f, D_g] = D_f D_g - D_g D_f, and D_f = 0 iff f lies in M(k+1)
     (Morita, Duke Math. J. 70, 1993).  So a chain of brackets reads exact
     filtration levels from leading terms alone, whose terms are a small
-    share of those of the actions through the same degree.
+    share of those of the actions through the same degree.  Leading
+    terms are also equivariant: conjugating f by a class h with homology
+    matrix H moves D_f to H·D_f (transform), so the term of a conjugated
+    twist is read from its base twist's and an integer matrix.
     """
 
     __slots__ = ("genus", "degree", "values")
@@ -370,6 +373,49 @@ class Derivation:
                         out[nk] = out.get(nk, 0) + c * cv
                 tail += j * low
                 low *= base
+
+    def transform(self, matrix, inverse):
+        """H·D = L_H ∘ D ∘ L_H^-1, for H = matrix with inverse `inverse`.
+
+        H is a 2g x 2g integer matrix whose column k is the image of
+        e_k, as a class acts on homology, and L_H is the ring
+        automorphism of Z<X> with X_k -> sum_l H[l][k] X_l.  So
+        (H·D)(X_i) = sum_j inverse[j][i] L_H(D(X_j)).  For f in M(k)
+        with leading term D_f and a class h acting on homology by H, the
+        leading term of h f h^-1 is H·D_f (Johnson, Math. Ann. 249, 1980;
+        Morita, Duke Math. J. 70, 1993), so a conjugated separating
+        twist's term is read from its base twist's and a matrix.  L_H
+        substitutes one letter position at a time, so a value costs its
+        terms times the columns' nonzero entries per position, not a
+        (2g)^(k+1)-term product per monomial.
+        """
+        base, e = 2 * self.genus, self.degree + 1
+        columns = [
+            [(i, row[k]) for i, row in enumerate(matrix) if row[k]]
+            for k in range(base)
+        ]
+        images = []
+        for value in self.values:
+            for p in range(e):
+                shift, out = base**p, {}
+                for key, c in value.items():
+                    k = key // shift % base
+                    rest = key - k * shift
+                    for i, m in columns[k]:
+                        nk = rest + i * shift
+                        out[nk] = out.get(nk, 0) + c * m
+                value = _nonzero(out)
+            images.append(value)
+        values = []
+        for i in range(base):
+            out = {}
+            for j, image in enumerate(images):
+                c = inverse[j][i]
+                if c:
+                    for key, v in image.items():
+                        out[key] = out.get(key, 0) + c * v
+            values.append(_nonzero(out))
+        return Derivation(self.genus, self.degree, values)
 
     def bracket(self, other):
         """[self, other] = self other - other self, of degree k + l.

@@ -33,7 +33,7 @@ from .errors import (
     WordLengthLimit,
     WordParseError,
 )
-from .word import Word
+from .word import Word, abelianized
 
 #: Hard cap on automorphism image length; compositions past this abort.
 MAX_IMAGE_LETTERS = 10**6
@@ -447,6 +447,41 @@ def class_image(mcw, genus, w):
     """
     (image,) = _apply_factors(genus, _checked_mcw(mcw, genus), (w,), cyclic=True)
     return image
+
+
+@lru_cache(maxsize=None)
+def _homology_step(genus, name):
+    """The nonzero entries (i, j, m) of T - I, for T the homology matrix
+    of a table twist: column j of T is the exponent sum of its image of
+    x_j."""
+    images = builtin_table(genus).twist(name).images
+    return tuple(
+        (i, j, m - (i == j))
+        for j, w in enumerate(images)
+        for i, m in enumerate(abelianized(w))
+        if m != (i == j)
+    )
+
+
+def homology_matrix(mcw, genus):
+    """The homology matrix of evaluate(mcw, genus); column j is the
+    image of e_j, as in curve.homology_action.
+
+    Folded over the columns from the inside out, like class_image, so no
+    image is built.  A twist acts on homology as a transvection or as
+    the identity, so its T has (T - I)^2 = 0 and T^k = I + k (T - I):
+    a factor costs the few nonzero entries of T - I per column, whatever
+    its exponent.
+    """
+    n = 2 * genus
+    columns = [[int(i == j) for i in range(n)] for j in range(n)]
+    for name, k in reversed(_checked_mcw(mcw, genus)):
+        step = _homology_step(genus, name)
+        for x in columns:
+            delta = [(i, k * m * x[j]) for i, j, m in step]
+            for i, v in delta:
+                x[i] += v
+    return tuple(zip(*columns))
 
 
 def is_central(f):

@@ -12,6 +12,7 @@ from twistlab.curve import (
     parse_curve_spec,
     resolve,
     symplectic_pairing,
+    transvection,
 )
 from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
 from twistlab.magnus import TruncatedAction
@@ -191,6 +192,26 @@ def test_separating_iff_zero_homology_on_samples():
         assert data.separating == all(c == 0 for c in data.homology)
         if data.separating:
             assert homology_action(data.twist) == identity_matrix(2)
+
+
+def test_transvection_is_the_twist_on_homology_on_the_pool():
+    curves = {c for pair in pool_pairs() for c in pair}
+    checked = 0
+    for c in curves:
+        d = resolve(c)
+        if d.separating:
+            continue
+        checked += 1
+        twist = homology_action(d.twist)
+        assert transvection(d.homology) == twist, c
+        assert transvection(d.homology, -1) == homology_action(
+            d.twist.inverse()
+        ), c
+        assert transvection(d.homology, 3) == mat_mul(
+            twist, mat_mul(twist, twist)
+        ), c
+    assert checked > 500
+    assert transvection((0,) * 4) == identity_matrix(2)
 
 
 def test_pi1_class_of_moved_base():

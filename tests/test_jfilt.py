@@ -968,28 +968,33 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     report = classify_pair(spec(2, "C1"), spec(2, "C2 @ [C3]"), 5)
     assert report.depth == JFDepth("not_in_m1")
     assert set(caps) == {1}
-    # with one separating curve the commutator lies in M(2), so the loop
-    # starts at cap 3: nothing is expanded at caps 1 and 2
-    caps.clear()
-    report = classify_pair(spec(2, "C3"), spec(2, "Sep1 @ [C4^-1]"), 5)
-    assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
-    assert set(caps) == {3}
-    # the first curve's action is composed from those of its conjugator
-    # and base twist (CurveData.action), and that loop runs at cap 3
-    # alone too
-    caps.clear()
-    c1 = spec(2, "C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]")
-    report = classify_pair(c1, spec(2, "Sep1"), 5)
-    assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
-    assert set(caps) == {3}
+    # with one separating curve the commutator lies in M(2), and its
+    # degree-3 term is read from the leading term of the base twist
+    # t_Sep1, whose four images are expanded at cap 3, and from homology
+    # matrices: nothing is expanded at caps 1 and 2, and neither curve
+    # builds its conjugator or the inner factor of its twist
+    for c1, c2 in (
+        ("C3", "Sep1 @ [C4^-1]"),
+        ("C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]", "Sep1"),
+    ):
+        c1, c2 = spec(2, c1), spec(2, c2)
+        curve._resolve_cached.cache_clear()
+        jfilt._base_term.cache_clear()
+        caps.clear()
+        report = classify_pair(c1, c2, 5)
+        assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
+        assert caps == [3] * 4
+        for c in (c1, c2):
+            assert not {"conjugator", "inner"} & set(vars(resolve(c)))
 
 
 def test_separating_pair_below_cap_five_expands_nothing(monkeypatch):
     # two separating twists lie in M(2), so their commutator lies in
-    # [M(2), M(2)], inside M(4), and the depth loop starts at cap 5: at
-    # cap 4 the pair expands nothing and builds no twist or conjugator
+    # [M(2), M(2)], inside M(4): at cap 4 the pair expands nothing and
+    # builds no twist or conjugator
     c1, c2 = spec(2, "Sep1"), spec(2, "Sep1 @ [C3]")
     curve._resolve_cached.cache_clear()
+    jfilt._base_term.cache_clear()
     caps = _record_expansion_caps(monkeypatch)
     report = classify_pair(c1, c2, 4)
     assert (report.commuting, report.algebraic) == (False, 0)
@@ -998,37 +1003,93 @@ def test_separating_pair_below_cap_five_expands_nothing(monkeypatch):
     built = {"twist", "inner", "conjugator"}
     for c in (c1, c2):
         assert not built & set(vars(resolve(c)))
-    # at cap 5 the loop runs at that cap alone
+    # at cap 5 the bracket of the two leading terms reads exact(4) from
+    # the base twist's term, expanded at cap 3, and still nothing is
+    # built
     report = classify_pair(c1, c2, 5)
     assert report.depth == JFDepth("exact", 4)
-    assert set(caps) == {5}
+    assert caps == [3] * 4
+    for c in (c1, c2):
+        assert not built & set(vars(resolve(c)))
 
 
-def test_separating_starts_give_the_depths_of_the_homology_start():
-    # the loop of a crossing pair with a separating curve starts at cap
-    # 3 or 5; the reference starts every algebraic-zero pair at cap 2
+# crossing pairs with a separating curve whose leading term is zero: the
+# loop reads them from one degree above the term's
+ZERO_TERM_PAIRS = (
+    (2, "C3 @ [Sep1 C2]", "Sep1 @ [C5^-1 C3^-1 C1^2]", JFDepth("exact", 4)),
+    (3, "Sep2 @ [C5^-1]", "Sep2 @ [C7^-2 Sep2^-1 Sep1 C5^-1]",
+     JFDepth("at_least", 6)),
+)
+
+
+def _separating_crossing_pairs():
+    """Every crossing pool, golden and scan pair with a separating curve."""
     pairs = []
-    for a, b in pool_pairs():
+    for a, b in pool_pairs() + golden_pairs():
         d1, d2 = resolve(a), resolve(b)
         if (d1.separating or d2.separating) and d1.moves(d2):
             pairs.append((a, b))
-    assert len(pairs) > 50
-    both = 0
-    for a, b in pairs:
-        both += resolve(a).separating and resolve(b).separating
-        for cap in (3, 4, 5):
-            reference = pair_depth_from_homology_start(a, b, cap)
-            assert classify_pair(a, b, cap).depth == reference, (a, b, cap)
-    assert both > 0
-    # and on the pair goldens at their own caps
-    for path in sorted(GOLDEN.glob("pair_*.json")):
-        config = json.loads(path.read_text(encoding="utf-8"))["config"]
-        a, b = (spec(config["genus"], config[k]) for k in ("c1", "c2"))
-        cap = config["cap"]
-        report = classify_pair(a, b, cap)
-        if not report.commuting:
-            reference = pair_depth_from_homology_start(a, b, cap)
-            assert report.depth == reference, path
+    return pairs
+
+
+def _loop_mismatches(pairs, caps):
+    """(pair, cap) where classify_pair's depth differs from the loop's
+    from degree 2 (references.pair_depth_from_homology_start)."""
+    return [
+        (a, b, cap)
+        for a, b in pairs
+        for cap in caps
+        if classify_pair(a, b, cap).depth
+        != pair_depth_from_homology_start(a, b, cap)
+    ]
+
+
+def test_separating_starts_give_the_depths_of_the_homology_start():
+    # a crossing pair with a separating curve reads degree 3 or 5 from
+    # its leading term and runs the loop only above a zero term; the
+    # reference starts every algebraic-zero pair's loop at cap 2
+    pairs = _separating_crossing_pairs()
+    assert len(pairs) > 80
+    assert sum(resolve(a).separating and resolve(b).separating
+               for a, b in pairs) > 5
+    names = {(str(a), str(b)) for a, b in pairs}
+    assert {(a, b) for _, a, b, _ in ZERO_TERM_PAIRS} <= names
+    assert _loop_mismatches(pairs, (3, 4, 5, 6)) == []
+    for genus, a, b, depth in ZERO_TERM_PAIRS:
+        d1, d2 = resolve(spec(genus, a)), resolve(spec(genus, b))
+        assert not jfilt._separating_term(d1, d2)
+        assert classify_pair(spec(genus, a), spec(genus, b), 6).depth == depth
+
+
+@pytest.mark.parametrize("forged", [True, False])
+def test_a_forged_separating_term_changes_depths(monkeypatch, forged):
+    # a term forged always nonzero certifies the zero-term pairs one
+    # level too low; one forged always zero leaves every nonzero-term
+    # pair at its proven start, where the loop reads nothing
+    pairs = _separating_crossing_pairs()
+    monkeypatch.setattr(jfilt, "_separating_term", lambda d1, d2: forged)
+    assert _loop_mismatches(pairs, (3, 5))
+
+
+def test_long_conjugator_separating_pairs_build_no_conjugator():
+    # the term is read from the base twists and folded homology
+    # matrices, so these pairs build no conjugator, inner factor or
+    # twist, however long their conjugators' images are
+    cases = (
+        (3, "Sep2 @ [C5^9 C4^-9 C5^9]", "Sep1 @ [C3^9 C2^-9]", 5, "5"),
+        (2, "C2", "Sep1 @ [C3^20 C4^-20 C3^20]", 3, "3"),
+    )
+    curve._resolve_cached.cache_clear()
+    built = {"conjugator", "inner", "twist"}
+    for genus, a, b, cap, label in cases:
+        c1, c2 = spec(genus, a), spec(genus, b)
+        assert classify_pair(c1, c2, cap).as_dict()["ijf_label"] == label
+        for c in (c1, c2):
+            assert not built & set(vars(resolve(c))), c
+    # a pair with |algebraic| = 1 still reads its depth from the actions
+    c1, c2 = spec(2, "C1"), spec(2, "C2 @ [C3]")
+    assert classify_pair(c1, c2, 2).depth == JFDepth("not_in_m1")
+    assert "inner" in vars(resolve(c2))
 
 
 def test_non_torelli_classes_are_decided_on_homology_at_every_cap(monkeypatch):
@@ -1300,3 +1361,56 @@ def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus)
         assert depth.kind == "at_least", (f, g)
         kinds.add(bool(bracket))
     assert kinds == {True, False}
+
+
+# -- leading terms of conjugated twists ----------------------------------------
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_conjugated_twist_terms_are_transformed_base_terms(genus):
+    # D_{h(c)} = H·D_c for the homology matrix H of h: 40 random (h, c)
+    # per genus against the leading term of the expanded twist
+    rng = random.Random(211 + genus)
+    table = builtin_table(genus)
+    names = table.chain_names + table.sep_names
+    nonzero = 0
+    for _ in range(40):
+        h = tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
+                  for _ in range(rng.randrange(1, 4)))
+        c = rng.choice(table.sep_names)
+        d = resolve(CurveSpec(genus, c, h))
+        direct = Derivation.leading(TruncatedAction.of(d.twist, 3))
+        base = jfilt._base_term(table.twist(c))
+        moved = base.transform(
+            mcg.homology_matrix(h, genus),
+            mcg.homology_matrix(mcg.inverse_mcw(h), genus),
+        )
+        assert moved == direct, (c, h)
+        nonzero += moved != base
+    assert nonzero >= 5
+
+
+def test_transform_is_an_action_that_keeps_brackets():
+    # (H K)·D = H·(K·D), I·D = D, and H·[D, E] = [H·D, H·E]
+    genus = 2
+    table = builtin_table(genus)
+    rng = random.Random(223)
+    names = table.chain_names
+    d = jfilt._base_term(table.twist("Sep1"))
+    one = identity_matrix(genus)
+    assert d.transform(one, one) == d
+    for _ in range(10):
+        h, k = (tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(3))
+                for _ in range(2))
+        pair = {
+            w: (mcg.homology_matrix(w, genus),
+                mcg.homology_matrix(mcg.inverse_mcw(w), genus))
+            for w in (h, k, h + k)
+        }
+        assert d.transform(*pair[h + k]) == d.transform(*pair[k]).transform(
+            *pair[h]
+        )
+        e = d.transform(*pair[k])
+        assert d.bracket(e).transform(*pair[h]) == d.transform(
+            *pair[h]
+        ).bracket(e.transform(*pair[h]))

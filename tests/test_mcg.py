@@ -14,14 +14,17 @@ from twistlab.mcg import (
     builtin_table,
     commutes,
     evaluate,
+    _twist_power,
     format_mcw,
+    homology_matrix,
+    inverse_mcw,
     is_central,
     parse_mcw,
     validate_relations,
 )
 from twistlab.word import Word, abelianized, boundary_word
 
-from references import apply_letterwise
+from references import apply_letterwise, pool_pairs
 
 
 def test_identity_automorphism():
@@ -96,6 +99,28 @@ def test_uniform_transvection_law(genus):
             expected = [e[t] + pairing * v[t] for t in range(n)]
             got = [m[t][j] for t in range(n)]
             assert got == expected, (name, j)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_homology_matrix_folds_twist_powers(genus):
+    # every table twist acts on homology as a transvection or the
+    # identity, so its k-th power is I + k (T - I)
+    for name in builtin_table(genus).names():
+        for k in (-3, -2, -1, 1, 2, 5):
+            mcw = ((name, k),)
+            expected = homology_action(_twist_power(genus, name, k))
+            assert homology_matrix(mcw, genus) == expected, (name, k)
+    assert homology_matrix((), genus) == identity_matrix(genus)
+
+
+def test_homology_matrix_matches_the_evaluated_conjugators_of_the_pool():
+    words = {(c.genus, c.conjugator) for pair in pool_pairs() for c in pair}
+    assert len(words) > 500
+    for genus, mcw in words:
+        folded = homology_matrix(mcw, genus)
+        assert folded == homology_action(evaluate(mcw, genus)), mcw
+        back = homology_matrix(inverse_mcw(mcw), genus)
+        assert back == homology_action(evaluate(mcw, genus).inverse()), mcw
 
 
 def test_genus1_candidate_images():

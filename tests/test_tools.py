@@ -28,6 +28,10 @@ def test_bench_kernels_reports_the_class_and_action_kernels(monkeypatch, capsys)
         "word.cyclic_reduce",
         "word.canonical_cyclic",
         "magnus.action_compose.cap3",
+        "magnus.lead_transform.g2",
+        "magnus.lead_transform.g3",
+        "magnus.lead_bracket.g2",
+        "magnus.lead_bracket.g3",
     ):
         assert kernels[name]["calls"] > 0, name
         assert kernels[name]["min_s"] >= 0, name

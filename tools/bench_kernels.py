@@ -22,6 +22,13 @@ cyclic_reduce once, to strip its word, so the cyclic_reduce calls
 include one per canonical_cyclic call.  Replays run after the recording
 pass: the letter tables that applying an automorphism reads are already
 built.
+
+The leading-term kernels that read a separating pair's first level are
+replayed on fixed calls, not recorded ones, since a pair-scan pass makes
+only a few: magnus.lead_transform.g{2,3} moves the leading term of
+t_Sep1 by a dense homology matrix (Derivation.transform), and
+magnus.lead_bracket.g{2,3} brackets the term with the moved one
+(Derivation.bracket), each LEAD_CALLS times a replay.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import workloads  # noqa: E402
-from twistlab import curve, jfilt, magnus  # noqa: E402
+from twistlab import curve, jfilt, magnus, mcg  # noqa: E402
 from twistlab.mcg import FreeAutomorphism  # noqa: E402
 from twistlab.word import Word  # noqa: E402
 
@@ -84,6 +91,37 @@ def record(ops):
     return calls
 
 
+#: Calls of each leading-term kernel in one replay.
+LEAD_CALLS = 50
+
+
+def lead_term_calls():
+    """The leading-term kernels on fixed arguments, at genus 2 and 3.
+
+    The matrix is that of the chain twists once each and then squared
+    in reverse order, which has 14 of 16 entries nonzero at genus 2 and
+    30 of 36 at genus 3.
+    """
+    calls = {}
+    for genus in (2, 3):
+        table = mcg.builtin_table(genus)
+        chain = table.chain_names
+        word = tuple((n, 1) for n in chain) + tuple((n, 2) for n in reversed(chain))
+        matrices = (
+            mcg.homology_matrix(word, genus),
+            mcg.homology_matrix(mcg.inverse_mcw(word), genus),
+        )
+        term = jfilt._base_term(table.twist("Sep1"))
+        moved = term.transform(*matrices)
+        calls[f"magnus.lead_transform.g{genus}"] = (
+            magnus.Derivation.transform, [(term, *matrices)] * LEAD_CALLS
+        )
+        calls[f"magnus.lead_bracket.g{genus}"] = (
+            magnus.Derivation.bracket, [(term, moved)] * LEAD_CALLS
+        )
+    return calls
+
+
 def _letters(args):
     return sum(len(a.letters) for a in args if isinstance(a, Word))
 
@@ -118,6 +156,7 @@ def main(argv=None):
     ops, _ = workloads.build("pair-scan", args.seed, reference)
     ops = [op for op in ops if (op["genus"], op["c1"], op["c2"]) not in failed]
     calls = record(ops)
+    calls.update(lead_term_calls())
 
     kernels = {}
     for name in sorted(calls):
