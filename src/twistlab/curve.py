@@ -24,19 +24,18 @@ t_a(b) = b, iff the twist along a fixes the class of b
 iff f fixes the class of c, since f t_c f^-1 = t_{f(c)} (Primer,
 ch. 3).  None of this builds the twist or the conjugator.
 
-The twist along h(c) is h t_c h^-1 by the conjugation law, so its
-value on a class w is h(t_c(h^-1(w))), read by folding the factors of
-h's word over w (CurveData.twist_class); the braid label of a pair
-reads it so.  The expansion is a ring homomorphism
-(Magnus-Karrass-Solitar, ch. 5), so the truncated Magnus action
-(magnus.TruncatedAction) of the twist is that of h composed with that
-of t_c h^-1 (CurveData.action), so a pair's depth builds only h
-(CurveData.conjugator) and t_c h^-1 (CurveData.inner), on first read,
-and only when its leading term does not decide it: a pair with a
-separating curve reads that term from the base twist's and h's
-homology matrix, folded from its word (mcg.homology_matrix), and builds
-neither.  The twist itself (CurveData.twist), whose images grow with h,
-is built only for callers that need the automorphism.
+The twist along h(c) is h t_c h^-1 by the conjugation law, so it is
+the mapping class word h (c, 1) h^-1 (CurveData.twist_word), which mcg
+folds like any other: class_image reads its value on a class, as the
+braid label of a pair does, and homology_matrix its action on
+homology, as a separating pair's leading term does.  The expansion is
+a ring homomorphism (Magnus-Karrass-Solitar, ch. 5), so the truncated
+Magnus action (magnus.TruncatedAction) of the twist is that of h
+composed with that of t_c h^-1 (CurveData.action), so a pair's depth
+builds only h (CurveData.conjugator) and t_c h^-1 (CurveData.inner),
+on first read, and only when its leading term does not decide it.
+The twist itself (CurveData.twist), whose images grow with h, is built
+only for callers that need the automorphism.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
 """
@@ -78,18 +77,19 @@ class CurveSpec:
 @dataclass(frozen=True)
 class CurveData:
     """Resolved curve h(c): its class, homology and separating flag,
-    with the word of the conjugator h and the base twist t_c.
+    with the word of the conjugator h, the base twist t_c and the word
+    h (c, 1) h^-1 of the twist along the curve.
 
     Resolving reads the class alone (mcg.class_image), so the
     automorphism h (conjugator), the twist h (t_c h^-1) along the curve
     and its inner factor t_c h^-1 are all built on first access.  A pair
-    reads the twist on classes (moves, twist_class) and its depth from
-    leading terms and homology matrices read from the words when a curve
-    is separating, or else from the actions of h and t_c h^-1 (action),
-    so it never builds the twist, and a pair that its leading term
-    decides builds neither h nor t_c h^-1; callers that need the
-    automorphism itself, such as foxcheck and suzuki_scan, read it.  A
-    concurrent first access only repeats work.
+    reads the twist on classes (moves, and class_image of twist_word)
+    and its depth from leading terms and homology matrices folded from
+    the words when a curve is separating, or else from the actions of h
+    and t_c h^-1 (action), so it never builds the twist, and a pair that
+    its leading term decides builds neither h nor t_c h^-1; callers that
+    need the automorphism itself, such as foxcheck and suzuki_scan, read
+    it.  A concurrent first access only repeats work.
     """
 
     pi1_class: Word
@@ -97,6 +97,7 @@ class CurveData:
     separating: bool
     conjugator_word: tuple[tuple[str, int], ...]
     base_twist: FreeAutomorphism
+    twist_word: tuple[tuple[str, int], ...]
 
     @cached_property
     def conjugator(self):
@@ -115,42 +116,26 @@ class CurveData:
         # only this outer compose applies a long map
         return self.conjugator.compose(self.inner)
 
-    def _pull_back(self, w):
-        """u = h^-1(w) and t_c(u) for a cyclically reduced class w.
-
-        u is folded from w by the inverse factors of h's word
-        (mcg.class_image), so h^-1 is not built.  Both are cyclically
-        reduced and not rotated.
-        """
-        inverse = inverse_mcw(self.conjugator_word)
-        u = class_image(inverse, self.base_twist.genus, w)
-        return u, self.base_twist(u).cyclic_reduce()
-
     def moves(self, other):
         """Does the twist along this curve move the curve of other?
 
         With u = h^-1(b) for the class b of other, t_{h(c)}(b) = b up to
         conjugacy iff t_c(u) = u, since h carries conjugacy classes to
-        conjugacy classes (_pull_back).  Cyclically reduced words of
-        equal length are compared by their canonical forms, which forget
-        the base point and the orientation, as an unoriented curve class
-        does.  The answer is exact: the twist fixes the curve iff it
-        commutes with the twist along it (see the module docstring), so
+        conjugacy classes.  u is folded from b by the factors of h^-1
+        (mcg.class_image), so h^-1 is not built.  The whole twist word is
+        not folded: carrying t_c(u) back through h can make classes that
+        pass the letter cap.  Cyclically reduced words of equal length
+        are compared by their canonical forms, which forget the base
+        point and the orientation, as an unoriented curve class does.
+        The answer is exact: the twist fixes the curve iff it commutes
+        with the twist along it (see the module docstring), so
         a.moves(b) == b.moves(a).
         """
-        u, v = self._pull_back(other.pi1_class)
+        back = inverse_mcw(self.conjugator_word)
+        u = class_image(back, self.base_twist.genus, other.pi1_class)
+        v = self.base_twist(u).cyclic_reduce()
         # cyclically reduced length is a conjugacy invariant
         return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
-
-    def twist_class(self, w):
-        """The class of t_{h(c)}(w) = h(t_c(h^-1(w))), cyclically reduced.
-
-        t_c(h^-1(w)) is pulled back as in moves, and h's factors are
-        folded over it (mcg.class_image), so neither h nor the twist is
-        built.  The result is not rotated (Word.canonical_cyclic).
-        """
-        _, v = self._pull_back(w)
-        return class_image(self.conjugator_word, self.base_twist.genus, v)
 
     def action(self, cap):
         """The TruncatedAction of the twist at the cap.
@@ -240,7 +225,8 @@ def _resolve_cached(spec):
         raise UnknownTwistName(
             f"{spec.base} is boundary-parallel and cannot serve as a curve base"
         )
-    moved = class_image(spec.conjugator, spec.genus, entry.base_word)
+    h = spec.conjugator
+    moved = class_image(h, spec.genus, entry.base_word)
     # not from the canonical class, whose orientation may be reversed;
     # a conjugate has the same exponent sums
     hom = abelianized(moved)
@@ -248,8 +234,10 @@ def _resolve_cached(spec):
         pi1_class=moved.canonical_cyclic(),
         homology=hom,
         separating=all(c == 0 for c in hom),
-        conjugator_word=spec.conjugator,
+        conjugator_word=h,
         base_twist=entry.twist,
+        # t_{h(c)} = h t_c h^-1 (Farb-Margalit, Primer, ch. 3)
+        twist_word=h + ((spec.base, 1),) + inverse_mcw(h),
     )
 
 
@@ -279,25 +267,6 @@ def symplectic_pairing(u, v):
     for i in range(0, len(u), 2):
         total += u[i] * v[i + 1] - u[i + 1] * v[i]
     return total
-
-
-def transvection(v, k=1):
-    """Homology matrix of t^k, for t the twist along a curve of class v.
-
-    t acts as x -> x - <v, x> v (symplectic_pairing), and since
-    <v, v> = 0 its k-th power acts as x -> x - k <v, x> v.  A separating
-    curve has v = 0 and gives the identity.
-    """
-    n = len(v)
-    # <v, e_j> for each j
-    pairings = [
-        symplectic_pairing(v, tuple(int(i == j) for i in range(n)))
-        for j in range(n)
-    ]
-    return tuple(
-        tuple(int(i == j) - k * p * v[i] for j, p in enumerate(pairings))
-        for i in range(n)
-    )
 
 
 # -- pairings and equality ---------------------------------------------

@@ -64,9 +64,10 @@ it iff they are equal, iff the curves' classes are; crossing twists
 only if |algebraic| = 1.  For those, the relation reads
 (t1 t2) t1 (t1 t2)^-1 = t2, that is, the twist along t1 t2 (c1) is the
 twist along c2, so the flag holds iff t1 t2 maps the class of c1 to
-that of c2 (see the curve module).  That class is read as t1(t2(c1))
-on classes, each twist's value h(t_c(h^-1(w))) folded from the factors
-of its conjugator's word (CurveData.twist_class), so neither the
+that of c2 (see the curve module).  Each twist t_{h(c)} = h t_c h^-1
+is the mapping class word h (c, 1) h^-1 (CurveData.twist_word), so
+that class is read by folding the factors of the two words, one after
+the other, over the class of c1 (mcg.class_image), and neither the
 product t1 t2 nor either twist is built.
 The same law, f t_c f^-1 = t_{f(c)}, makes fact5_instance ask whether
 a class f fixes the class of each separating curve, not whether f
@@ -86,13 +87,13 @@ from .curve import (
     identity_matrix,
     resolve,
     symplectic_pairing,
-    transvection,
 )
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import Derivation, TruncatedAction
 from .mcg import (
     FreeAutomorphism,
     builtin_table,
+    class_image,
     commutes,
     homology_matrix,
     inverse_mcw,
@@ -405,10 +406,11 @@ def _separating_term(d1, d2):
     With H_a the homology matrix of h_a, the leading term of t_a is
     D_a = H_a·D_{c_a} (magnus.Derivation.transform), read from the base
     twist's term and folded matrices (mcg.homology_matrix).  When b is
-    not separating, t_b acts on homology by the transvection T_b and
-    [t_a, t_b] has level-2 term D_a - T_b·D_a; H_a is symplectic, so
-    H_a^-1 T_b H_a = T_u with u = H_a^-1 b, and the term is zero iff
-    D_{c_a} = T_u·D_{c_a}.  When b = h_b(c_b) is separating too, the
+    not separating, t_b acts on homology by a transvection T_b and
+    [t_a, t_b] has level-2 term D_a - T_b·D_a, which is zero iff
+    D_{c_a} = (H_a^-1 T_b H_a)·D_{c_a}; that matrix is folded from the
+    word h_a^-1 t_b h_a, with t_b's word h_b (c_b, 1) h_b^-1
+    (CurveData.twist_word).  When b = h_b(c_b) is separating too, the
     level-4 term is [D_a, D_b] = H_a·[D_{c_a}, (H_a^-1 H_b)·D_{c_b}]
     (Morita).  No conjugator and no twist is built.
     """
@@ -418,11 +420,10 @@ def _separating_term(d1, d2):
     back = inverse_mcw(word)
     term = _base_term(d1.base_twist)
     if not d2.separating:
-        u = tuple(
-            sum(m * x for m, x in zip(row, d2.homology))
-            for row in homology_matrix(back, genus)
+        return term != term.transform(
+            homology_matrix(back + d2.twist_word + word, genus),
+            homology_matrix(back + inverse_mcw(d2.twist_word) + word, genus),
         )
-        return term != term.transform(transvection(u), transvection(u, -1))
     other = _base_term(d2.base_twist).transform(
         homology_matrix(back + d2.conjugator_word, genus),
         homology_matrix(inverse_mcw(d2.conjugator_word) + word, genus),
@@ -466,19 +467,20 @@ def classify_pair(c1, c2, cap, check=True):
     # Sep1^-2] and Sep1, with algebraic 0, the image of the class of c1
     # under fg passes the letter cap.  Otherwise fgf = gfg iff
     # fg f (fg)^-1 = g, which holds iff f(g(c1)) is the class of c2 (see
-    # the module docstring), read on classes (CurveData.twist_class), so
-    # no twist is built.  The depth starts at the first degree in which
-    # fg and gf can differ (_pair_start).  With a separating curve that
-    # degree is read from leading terms, so no conjugator is built
-    # unless the term is zero; other pairs, and pairs above a zero term,
-    # compose the actions of each curve's h and t_c h^-1
-    # (CurveData.action, _pair_depth).
+    # the module docstring), folded from the two twists' words
+    # (CurveData.twist_word), so no twist is built.  The depth starts at
+    # the first degree in which fg and gf can differ (_pair_start).  With
+    # a separating curve that degree is read from leading terms, so no
+    # conjugator is built unless the term is zero; other pairs, and pairs
+    # above a zero term, compose the actions of each curve's h and
+    # t_c h^-1 (CurveData.action, _pair_depth).
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
+        fg = d1.twist_word + d2.twist_word
         braid = (
             abs(algebraic) == 1
-            and d1.twist_class(d2.twist_class(d1.pi1_class)).canonical_cyclic()
+            and class_image(fg, c1.genus, d1.pi1_class).canonical_cyclic()
             == d2.pi1_class
         )
         depth = _pair_depth(d1, d2, algebraic, cap)

@@ -179,6 +179,9 @@ class FreeAutomorphism:
     def power(self, k):
         if k < 0:
             return self.inverse().power(-k)
+        if k == 1:
+            # a factor of a folded word is the table twist itself
+            return self
         result = FreeAutomorphism.identity(self.genus)
         square = self
         while k:

@@ -30,20 +30,15 @@ def _reduced(letters):
     return tuple(out)
 
 
-def _letter_key(ell):
-    # the order of (generator index, sign), x_i < x_i^-1, as one int
-    return 2 * abs(ell) + (ell < 0)
+def _least_rotation(letters):
+    """First start index of the least rotation of a tuple, in O(n).
 
-
-def _least_rotation(keys):
-    """First start index of the least rotation of a sequence, in O(n).
-
-    Duval's Lyndon factorization run over the doubled sequence: the
-    least rotation starts at the last Lyndon factor that begins in the
-    first copy (Duval, J. Algorithms 4, 1983).
+    Duval's Lyndon factorization run over the doubled tuple: the least
+    rotation starts at the last Lyndon factor that begins in the first
+    copy (Duval, J. Algorithms 4, 1983).
     """
-    s = keys + keys
-    n = len(keys)
+    s = letters + letters
+    n = len(letters)
     i = start = 0
     while i < n:
         start = i
@@ -191,19 +186,20 @@ class Word:
         """Canonical representative of the cyclic word up to inversion.
 
         The lexicographically least rotation of the core or of its
-        inverse, which forgets the orientation of the underlying loop as
-        well as the base point: the right notion for an unoriented curve
-        class.  Linear in the length of the word.  The inverse of a
-        cyclically reduced word and its rotations are cyclically reduced,
-        so the core is stripped once.
+        inverse, in the order of the signed integer letters, which
+        forgets the orientation of the underlying loop as well as the
+        base point: the right notion for an unoriented curve class.  Any
+        total order on letters gives a canonical form, and this one is
+        read from the letters themselves.  Linear in the length of the
+        word.  The inverse of a cyclically reduced word and its rotations
+        are cyclically reduced, so the core is stripped once.
         """
         core = self.cyclic_reduce().letters
         rotations = []
         for letters in (core, tuple(-ell for ell in reversed(core))):
-            keys = [_letter_key(ell) for ell in letters]
-            r = _least_rotation(keys)
-            rotations.append((keys[r:] + keys[:r], letters[r:] + letters[:r]))
-        return Word._trusted(self.genus, min(rotations)[1])
+            r = _least_rotation(letters)
+            rotations.append(letters[r:] + letters[:r])
+        return Word._trusted(self.genus, min(rotations))
 
 
 # -- free functions ---------------------------------------------------

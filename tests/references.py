@@ -105,6 +105,26 @@ def mat_mul(a, b):
     )
 
 
+def transvection(v, k=1):
+    """Homology matrix of t^k, for t the twist along a curve of class v.
+
+    t acts as x -> x - <v, x> v (symplectic_pairing), and since
+    <v, v> = 0 its k-th power acts as x -> x - k <v, x> v.  A separating
+    curve has v = 0 and gives the identity.  The reference for the
+    twist's homology matrix folded from its word (mcg.homology_matrix).
+    """
+    n = len(v)
+    # <v, e_j> for each j
+    pairings = [
+        symplectic_pairing(v, tuple(int(i == j) for i in range(n)))
+        for j in range(n)
+    ]
+    return tuple(
+        tuple(int(i == j) - k * p * v[i] for j, p in enumerate(pairings))
+        for i in range(n)
+    )
+
+
 def two_class_depth(f, g, cap):
     """Filtration depth of g^-1 f, read from the actions of f and g.
 

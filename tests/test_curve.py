@@ -12,14 +12,19 @@ from twistlab.curve import (
     parse_curve_spec,
     resolve,
     symplectic_pairing,
-    transvection,
 )
 from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
 from twistlab.magnus import TruncatedAction
-from twistlab.mcg import builtin_table, evaluate
+from twistlab.mcg import builtin_table, evaluate, homology_matrix
 from twistlab.word import Word
 
-from references import golden_pairs, mat_mul, pool_pairs, resolve_eagerly
+from references import (
+    golden_pairs,
+    mat_mul,
+    pool_pairs,
+    resolve_eagerly,
+    transvection,
+)
 
 
 def spec(genus, text):
@@ -195,14 +200,19 @@ def test_separating_iff_zero_homology_on_samples():
 
 
 def test_transvection_is_the_twist_on_homology_on_the_pool():
+    # the twist's word h (c, 1) h^-1 folds to the twist's matrix, the
+    # identity for a separating curve
     curves = {c for pair in pool_pairs() for c in pair}
-    checked = 0
+    checked = separating = 0
     for c in curves:
         d = resolve(c)
+        twist = homology_action(d.twist)
+        assert homology_matrix(d.twist_word, c.genus) == twist, c
         if d.separating:
+            separating += 1
+            assert twist == identity_matrix(c.genus), c
             continue
         checked += 1
-        twist = homology_action(d.twist)
         assert transvection(d.homology) == twist, c
         assert transvection(d.homology, -1) == homology_action(
             d.twist.inverse()
@@ -210,7 +220,7 @@ def test_transvection_is_the_twist_on_homology_on_the_pool():
         assert transvection(d.homology, 3) == mat_mul(
             twist, mat_mul(twist, twist)
         ), c
-    assert checked > 500
+    assert checked > 500 and separating > 100
     assert transvection((0,) * 4) == identity_matrix(2)
 
 

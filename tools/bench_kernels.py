@@ -15,9 +15,11 @@ alive, do not land on whichever kernel happens to run then; the least
 replay is the figure least moved by other load on the host.
 
 The calls are those of the twistlab on the path, so a change that drops
-calls shows in the call counts.  magnus_expand and
-TruncatedAction.compose are reported per cap, so that the caps both
-versions reach can be compared alone.  canonical_cyclic calls
+calls shows in the call counts.  mcg.class_image is recorded where the
+curve and jfilt modules call it: resolving a curve, the pull-back of
+CurveData.moves and the braid label's fold of two twist words.
+magnus_expand and TruncatedAction.compose are reported per cap, so that
+the caps both versions reach can be compared alone.  canonical_cyclic calls
 cyclic_reduce once, to strip its word, so the cyclic_reduce calls
 include one per canonical_cyclic call.  Replays run after the recording
 pass: the letter tables that applying an automorphism reads are already
@@ -61,6 +63,8 @@ def record(ops):
         (magnus, "magnus_expand", lambda args: f"magnus.expand.cap{args[1]}"),
         (Word, "cyclic_reduce", lambda args: "word.cyclic_reduce"),
         (Word, "canonical_cyclic", lambda args: "word.canonical_cyclic"),
+        (curve, "class_image", lambda args: "mcg.class_image"),
+        (jfilt, "class_image", lambda args: "mcg.class_image"),
         (magnus.TruncatedAction, "compose",
          lambda args: f"magnus.action_compose.cap{args[0].cap}"),
     ]
