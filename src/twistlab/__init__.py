@@ -14,6 +14,7 @@ from .mcg import (
     FreeAutomorphism,
     builtin_table,
     evaluate,
+    homology_action,
     is_central,
     validate_relations,
     parse_mcw,
@@ -23,7 +24,6 @@ from .curve import (
     CurveData,
     parse_curve_spec,
     resolve,
-    homology_action,
     curves_equal,
 )
 from .jfilt import (

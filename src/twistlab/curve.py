@@ -37,12 +37,15 @@ on first read, and only when its leading term does not decide it.
 The twist itself (CurveData.twist), whose images grow with h, is built
 only for callers that need the automorphism.
 
-Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.
+Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.  The
+bracketed word is read by mcg's scanner, in the grammar of
+mcg.parse_mcw, and homology matrices are mcg's too (homology_action,
+homology_matrix); this module keeps the pairing of curves' homology
+vectors (symplectic_pairing).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -50,6 +53,9 @@ from .errors import GenusMismatch, SpecParseError, UnknownTwistName
 from .magnus import TruncatedAction
 from .mcg import (
     FreeAutomorphism,
+    _scan_mcw,
+    _scan_name,
+    _skip_space,
     builtin_table,
     class_image,
     evaluate,
@@ -155,66 +161,22 @@ class CurveData:
         )
 
 
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_INT = re.compile(r"-?[0-9]+")
-
-
 def parse_curve_spec(genus, text):
-    """Recursive-descent parse of  NAME ('@' '[' (NAME ('^' INT)?)* ']')?"""
-    s = text
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
+    """Parse  NAME ('@' '[' word ']')?, the word in mcg.parse_mcw's grammar."""
+    base, pos = _scan_name(text, 0, SpecParseError)
+    factors = ()
+    pos = _skip_space(text, pos)
+    if pos < len(text):
+        for ch in "@[":
+            pos = _skip_space(text, pos)
+            if not text.startswith(ch, pos):
+                raise SpecParseError(f"expected {ch!r}", position=pos)
             pos += 1
-
-    def expect(ch):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(s) or s[pos] != ch:
-            raise SpecParseError(f"expected {ch!r}", position=pos)
-        pos += 1
-
-    def name():
-        nonlocal pos
-        skip_ws()
-        m = _NAME.match(s, pos)
-        if not m:
-            raise SpecParseError("expected a twist name", position=pos)
-        pos = m.end()
-        return m.group(0)
-
-    base = name()
-    factors = []
-    skip_ws()
-    if pos < len(s):
-        expect("@")
-        expect("[")
-        while True:
-            skip_ws()
-            if pos < len(s) and s[pos] == "]":
-                pos += 1
-                break
-            if pos >= len(s):
-                raise SpecParseError("unterminated conjugator", position=pos)
-            n = name()
-            k = 1
-            skip_ws()
-            if pos < len(s) and s[pos] == "^":
-                pos += 1
-                m = _INT.match(s, pos)
-                if not m:
-                    raise SpecParseError("expected an exponent", position=pos)
-                k = int(m.group(0))
-                pos = m.end()
-                if k == 0:
-                    raise SpecParseError("zero exponent", position=pos)
-            factors.append((n, k))
-        skip_ws()
-        if pos != len(s):
+        factors, pos = _scan_mcw(text, pos, SpecParseError, closed=True)
+        pos = _skip_space(text, pos)
+        if pos != len(text):
             raise SpecParseError("trailing input", position=pos)
-    return CurveSpec(genus, base, tuple(factors))
+    return CurveSpec(genus, base, factors)
 
 
 @lru_cache(maxsize=8192)
@@ -247,18 +209,6 @@ def resolve(spec):
 
 
 # -- homology ----------------------------------------------------------
-
-
-def homology_action(f):
-    """Matrix of f on first homology; column j is the image of e_j."""
-    return tuple(zip(*(abelianized(w) for w in f.images)))
-
-
-def identity_matrix(genus):
-    n = 2 * genus
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
 
 
 def symplectic_pairing(u, v):

@@ -83,8 +83,6 @@ from functools import lru_cache
 from .curve import (
     CurveSpec,
     curves_equal,
-    homology_action,
-    identity_matrix,
     resolve,
     symplectic_pairing,
 )
@@ -95,7 +93,9 @@ from .mcg import (
     builtin_table,
     class_image,
     commutes,
+    homology_action,
     homology_matrix,
+    identity_matrix,
     inverse_mcw,
 )
 

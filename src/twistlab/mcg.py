@@ -17,6 +17,13 @@ relations (C1 C2)^6 = Delta at genus 1 and (C1..C5)^6 = Delta at genus
 twists.  The handedness convention is global; supplying the opposite
 convention would flip every twist at once and change nothing downstream
 (all detectors depend only on commutators and filtration membership).
+
+Mapping class words, such as `C1 C2^-3 Sep1 Delta^2`, are owned here.
+One scanner reads their grammar, NAME ('^' INT)? factors, for
+parse_mcw and for the conjugators of curve specs (curve.parse_curve_spec).
+Their folds are here too: evaluate builds the automorphism, class_image
+its value on a conjugacy class, and homology_matrix its action on
+homology, whose convention homology_action fixes for any automorphism.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import (
     WordLengthLimit,
     WordParseError,
 )
-from .word import Word, abelianized
+from .word import Word, _parse_int, abelianized
 
 #: Hard cap on automorphism image length; compositions past this abort.
 MAX_IMAGE_LETTERS = 10**6
@@ -353,23 +360,62 @@ def builtin_table(genus):
 
 # -- mapping class words ----------------------------------------------
 
-_MCW_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\^(-?[0-9]+))?$")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+# ASCII digits only: \d would read a fullwidth or Arabic-Indic digit as
+# its value
+_EXPONENT = re.compile(r"-?[0-9]+")
+
+
+def _skip_space(text, pos):
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _scan_name(text, pos, error):
+    """The twist name after the blanks at text[pos:], and the position
+    after it."""
+    pos = _skip_space(text, pos)
+    m = _NAME.match(text, pos)
+    if not m:
+        raise error("expected a twist name", position=pos)
+    return m.group(0), m.end()
+
+
+def _scan_mcw(text, pos, error, closed=False):
+    """The factors NAME ('^' INT)? of the mapping class word at text[pos:],
+    and the position after it.
+
+    Blanks may stand between tokens but not after '^'.  The word runs to
+    the end of the text or, when closed, to a ']', which is read too.
+    Errors are raised as `error`, with their position in the text.
+    """
+    factors = []
+    while True:
+        pos = _skip_space(text, pos)
+        if closed and text.startswith("]", pos):
+            return tuple(factors), pos + 1
+        if pos == len(text):
+            if closed:
+                raise error("unterminated conjugator", position=pos)
+            return tuple(factors), pos
+        name, pos = _scan_name(text, pos, error)
+        k = 1
+        pos = _skip_space(text, pos)
+        if text.startswith("^", pos):
+            m = _EXPONENT.match(text, pos + 1)
+            if not m:
+                raise error("expected an exponent", position=pos + 1)
+            k = _parse_int(m.group(0), pos + 1, error)
+            pos = m.end()
+            if k == 0:
+                raise error("zero exponent", position=pos)
+        factors.append((name, k))
 
 
 def parse_mcw(text):
     """Parse `C1 C2^-3 Sep1 Delta^2` into ((name, exponent), ...)."""
-    out = []
-    pos = 0
-    for tok in text.split():
-        m = _MCW_TOKEN.match(tok)
-        if not m:
-            raise WordParseError(f"bad twist token {tok!r}", position=text.find(tok, pos))
-        k = int(m.group(2)) if m.group(2) else 1
-        if k == 0:
-            raise WordParseError(f"zero exponent in {tok!r}", position=text.find(tok, pos))
-        out.append((m.group(1), k))
-        pos = text.find(tok, pos) + len(tok)
-    return tuple(out)
+    return _scan_mcw(text, 0, WordParseError)[0]
 
 
 def format_mcw(mcw):
@@ -452,23 +498,34 @@ def class_image(mcw, genus, w):
     return image
 
 
+def homology_action(f):
+    """Matrix of f on first homology; column j is the image of e_j."""
+    return tuple(zip(*(abelianized(w) for w in f.images)))
+
+
+def identity_matrix(genus):
+    n = 2 * genus
+    return tuple(
+        tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+    )
+
+
 @lru_cache(maxsize=None)
 def _homology_step(genus, name):
     """The nonzero entries (i, j, m) of T - I, for T the homology matrix
-    of a table twist: column j of T is the exponent sum of its image of
-    x_j."""
-    images = builtin_table(genus).twist(name).images
+    of a table twist."""
+    t = homology_action(builtin_table(genus).twist(name))
     return tuple(
         (i, j, m - (i == j))
-        for j, w in enumerate(images)
-        for i, m in enumerate(abelianized(w))
+        for i, row in enumerate(t)
+        for j, m in enumerate(row)
         if m != (i == j)
     )
 
 
 def homology_matrix(mcw, genus):
     """The homology matrix of evaluate(mcw, genus); column j is the
-    image of e_j, as in curve.homology_action.
+    image of e_j, as in homology_action.
 
     Folded over the columns from the inside out, like class_image, so no
     image is built.  A twist acts on homology as a transvection or as
@@ -476,8 +533,7 @@ def homology_matrix(mcw, genus):
     a factor costs the few nonzero entries of T - I per column, whatever
     its exponent.
     """
-    n = 2 * genus
-    columns = [[int(i == j) for i in range(n)] for j in range(n)]
+    columns = [list(e) for e in identity_matrix(genus)]
     for name, k in reversed(_checked_mcw(mcw, genus)):
         step = _homology_step(genus, name)
         for x in columns:
@@ -545,8 +601,6 @@ def validate_relations(genus):
     relation, (d) centrality of Delta, (e) separating twists act
     trivially on homology.  Failures are report entries, not errors.
     """
-    from .curve import homology_action, identity_matrix  # cycle-free import
-
     table = builtin_table(genus)
     checks = []
     chain = [table.twist(n) for n in table.chain_names]

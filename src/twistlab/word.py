@@ -20,6 +20,15 @@ from .errors import GenusMismatch, WordParseError
 _TOKEN = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?$")
 
 
+def _parse_int(digits, position, error=WordParseError):
+    """int(digits), or a parse error at the position of the digits when
+    they pass Python's limit on the digits int() converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error("number too long", position=position) from None
+
+
 def _reduced(letters):
     out = []
     for ell in letters:
@@ -95,12 +104,15 @@ class Word:
     def from_text(cls, genus, text):
         """Parse `x1 x2^-1 x1`; exponents expand to letter runs."""
         letters = []
+        end = 0
         for tok in text.split():
+            start = text.find(tok, end)
+            end = start + len(tok)
             m = _TOKEN.match(tok)
             if not m:
                 raise WordParseError(f"bad word token {tok!r}")
-            i = int(m.group(1))
-            k = int(m.group(2)) if m.group(2) else 1
+            i = _parse_int(m.group(1), start + 1)
+            k = _parse_int(m.group(2), start + m.start(2)) if m.group(2) else 1
             if i < 1 or i > 2 * genus:
                 raise WordParseError(
                     f"generator x{i} out of range for genus {genus}"

@@ -6,7 +6,6 @@ from pathlib import Path
 
 from twistlab import mcg
 from twistlab.curve import (
-    homology_action,
     parse_curve_spec,
     resolve,
     symplectic_pairing,
@@ -20,6 +19,7 @@ from twistlab.jfilt import (
     distinct_separating_curves,
 )
 from twistlab.magnus import TruncatedAction, TruncatedSeries
+from twistlab.mcg import homology_action
 from twistlab.word import Word, abelianized
 
 GOLDEN = Path(__file__).parent / "golden"

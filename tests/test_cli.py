@@ -85,6 +85,17 @@ def test_pair_non_ascii_exponent_exits_2(capsys):
     assert "at position 9" in captured.err
 
 
+def test_pair_long_exponent_exits_2(capsys):
+    # int() refuses more than 4300 digits by default, with a ValueError
+    rc = main(["pair", "--genus", "2", "--c1", "C1 @ [C2^" + "1" * 5000 + "]",
+               "--c2", "C2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+    assert "at position 9" in captured.err
+
+
 def test_corollary_cap4(capsys):
     rc, doc = run_json(capsys, "corollary", "--cap", "4")
     assert rc == 0

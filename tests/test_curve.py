@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -7,15 +8,27 @@ from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
     curves_equal,
-    homology_action,
-    identity_matrix,
     parse_curve_spec,
     resolve,
     symplectic_pairing,
 )
-from twistlab.errors import GenusMismatch, SpecParseError, UnknownTwistName
+from twistlab.errors import (
+    GenusMismatch,
+    SpecParseError,
+    UnknownTwistName,
+    WordParseError,
+)
+from twistlab.jfilt import enumerate_curve_specs
 from twistlab.magnus import TruncatedAction
-from twistlab.mcg import builtin_table, evaluate, homology_matrix
+from twistlab.mcg import (
+    builtin_table,
+    evaluate,
+    format_mcw,
+    homology_action,
+    homology_matrix,
+    identity_matrix,
+    parse_mcw,
+)
 from twistlab.word import Word
 
 from references import (
@@ -73,6 +86,55 @@ def test_parse_errors_carry_positions(text, pos):
     with pytest.raises(SpecParseError) as err:
         spec(2, text)
     assert err.value.position == pos
+
+
+def parse_both(text):
+    """The word read as a spec's conjugator and by parse_mcw: each a
+    tuple of factors, or the error's position in the text."""
+    prefix = "Sep1 @ ["
+    outcomes = []
+    for parse, offset in (
+        (lambda: spec(2, f"{prefix}{text}]").conjugator, len(prefix)),
+        (lambda: parse_mcw(text), 0),
+    ):
+        try:
+            outcomes.append(parse())
+        except WordParseError as err:
+            outcomes.append(("error at", err.position - offset))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("C3^-1C4", (("C3", -1), ("C4", 1))),
+        ("C3 ^2", (("C3", 2),)),
+        ("C3^+2", ("error at", 3)),
+        ("C1^0", ("error at", 4)),
+        ("C1^^2", ("error at", 3)),
+        ("C1^\uff13", ("error at", 3)),
+        ("", ()),
+    ],
+)
+def test_specs_and_mcws_share_one_grammar(text, expected):
+    assert parse_both(text) == [expected, expected]
+
+
+def test_formatted_words_parse_back_alike():
+    rng = random.Random(5)
+    names = builtin_table(3).names()
+    for _ in range(500):
+        mcw = tuple(
+            (rng.choice(names), rng.choice((1, -1)) * rng.choice((1, 2, 9, 10**20)))
+            for _ in range(rng.randrange(6))
+        )
+        assert parse_both(format_mcw(mcw)) == [mcw, mcw], mcw
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_spec_text_round_trip(genus):
+    for s in islice(enumerate_curve_specs(genus), 3000):
+        assert spec(genus, s.to_text()) == s, s
 
 
 def test_resolve_rejects_boundary_parallel_base():

@@ -9,8 +9,6 @@ from twistlab import curve, jfilt, mcg
 from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
-    homology_action,
-    identity_matrix,
     parse_curve_spec,
     resolve,
 )
@@ -48,6 +46,8 @@ from twistlab.mcg import (
     builtin_table,
     commutes,
     evaluate,
+    homology_action,
+    identity_matrix,
     is_central,
 )
 from twistlab.word import Word, commutator

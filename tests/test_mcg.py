@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from twistlab.curve import homology_action, identity_matrix
 from twistlab.errors import (
     UnknownTwistName,
     UnsupportedGenus,
@@ -16,7 +15,9 @@ from twistlab.mcg import (
     evaluate,
     _twist_power,
     format_mcw,
+    homology_action,
     homology_matrix,
+    identity_matrix,
     inverse_mcw,
     is_central,
     parse_mcw,
@@ -434,6 +435,10 @@ def test_mcw_parse_and_format():
         parse_mcw("C1^^2")
     with pytest.raises(WordParseError):
         parse_mcw("C1 C2^\uff13")
+    # int() refuses more than 4300 digits by default, with a ValueError
+    with pytest.raises(WordParseError) as err:
+        parse_mcw("C1 C2^" + "1" * 5000)
+    assert err.value.position == 6
 
 
 def test_image_length_cap(monkeypatch):

@@ -36,3 +36,7 @@ def test_bench_kernels_reports_the_class_and_action_kernels(monkeypatch, capsys)
     ):
         assert kernels[name]["calls"] > 0, name
         assert kernels[name]["min_s"] >= 0, name
+    # every kernel is also reported relative to the speed loop's replays
+    assert report["loop"]["passes"] > 0 and report["loop"]["min_s"] > 0
+    for name, kernel in kernels.items():
+        assert kernel["median_rel"] >= 0, name

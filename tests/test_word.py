@@ -233,6 +233,12 @@ def test_text_roundtrip():
     for text in ("x\uff11 x\u0662^\u0663", "x\uff11", "x2^\u0663"):
         with pytest.raises(WordParseError):
             Word.from_text(2, text)
+    # int() refuses more than 4300 digits by default, with a ValueError
+    digits = "1" * 5000
+    for text, pos in ((f"x1 x2^{digits}", 6), (f"x{digits}", 1)):
+        with pytest.raises(WordParseError) as err:
+            Word.from_text(2, text)
+        assert err.value.position == pos
 
 
 def test_boundary_word():

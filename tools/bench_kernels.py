@@ -6,13 +6,22 @@ The pairs are the benchmark's pair-scan list for the seed
 (benchmarks/workloads.py), less the pairs that failed when the reference
 was made.  One pass classifies every pair at the benchmark's cap with
 the kernels below wrapped, and records the arguments of every call.
-Each kernel is then replayed on its recorded calls `--repeats` times,
-and one JSON object is printed: per kernel, the calls, the letters of
-their words, and the least, the median and the quartiles of a replay's
-thread CPU seconds.  As in timeit, the garbage collector is off during
-a replay, so its pauses, which depend on everything the pass left
-alive, do not land on whichever kernel happens to run then; the least
-replay is the figure least moved by other load on the host.
+Each kernel is then replayed on its recorded calls in each of
+`--repeats` rounds, and one JSON object is printed: per kernel, the
+calls, the letters of their words, and the least, the median and the
+quartiles of a replay's thread CPU seconds.  As in timeit, the garbage
+collector is off during a replay, so its pauses, which depend on
+everything the pass left alive, do not land on whichever kernel happens
+to run then; the least replay is the figure least moved by other load
+on the host.
+
+The host's speed also moves, within a process and between processes,
+by more than most changes to a kernel.  So each replay of a kernel is
+followed by a replay of LOOP_PASSES passes of the benchmark's speed loop
+(benchmarks/worker.py, Speed.sample), which runs no twistlab code, and
+each kernel's `median_rel` is the median over rounds of its replay's
+time over that loop's: the figure to compare between processes.  `loop`
+reports the loop's replays.
 
 The calls are those of the twistlab on the path, so a change that drops
 calls shows in the call counts.  mcg.class_image is recorded where the
@@ -47,6 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import workloads  # noqa: E402
+from worker import Speed  # noqa: E402
 from twistlab import curve, jfilt, magnus, mcg  # noqa: E402
 from twistlab.mcg import FreeAutomorphism  # noqa: E402
 from twistlab.word import Word  # noqa: E402
@@ -130,20 +140,33 @@ def _letters(args):
     return sum(len(a.letters) for a in args if isinstance(a, Word))
 
 
-def replay(fn, arg_list, repeats):
-    """Thread CPU seconds of each of `repeats` passes over the calls."""
-    times = []
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.thread_time()
-            for args in arg_list:
-                fn(*args)
-            times.append(time.thread_time() - t0)
-        finally:
-            gc.enable()
-    return times
+#: Passes of the speed loop in one replay.
+LOOP_PASSES = 20
+
+
+def replay(fn, arg_list):
+    """Thread CPU seconds of one pass over the calls."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.thread_time()
+        for args in arg_list:
+            fn(*args)
+        return time.thread_time() - t0
+    finally:
+        gc.enable()
+
+
+def summary(times):
+    """The least, the median and the quartiles of replay times."""
+    q1, _, q3 = (statistics.quantiles(times, n=4) if len(times) > 1
+                 else (times[0],) * 3)
+    return {
+        "min_s": round(min(times), 6),
+        "median_s": round(statistics.median(times), 6),
+        "q1_s": round(q1, 6),
+        "q3_s": round(q3, 6),
+    }
 
 
 def main(argv=None):
@@ -162,22 +185,31 @@ def main(argv=None):
     calls = record(ops)
     calls.update(lead_term_calls())
 
+    speed = Speed()
+    times = {name: [] for name in calls}
+    ratios = {name: [] for name in calls}
+    loop = []
+    for _ in range(args.repeats):
+        for name in sorted(calls):
+            seconds = replay(*calls[name])
+            # right after the kernel, so that both run at one host speed
+            loop.append(replay(speed.sample, [()] * LOOP_PASSES))
+            times[name].append(seconds)
+            ratios[name].append(seconds / loop[-1])
+
     kernels = {}
     for name in sorted(calls):
-        fn, arg_list = calls[name]
-        times = replay(fn, arg_list, args.repeats)
-        q1, _, q3 = (statistics.quantiles(times, n=4) if len(times) > 1
-                       else (times[0],) * 3)
+        arg_list = calls[name][1]
         kernels[name] = {
             "calls": len(arg_list),
             "letters_in": sum(map(_letters, arg_list)),
-            "min_s": round(min(times), 6),
-            "median_s": round(statistics.median(times), 6),
-            "q1_s": round(q1, 6),
-            "q3_s": round(q3, 6),
+            **summary(times[name]),
+            "median_rel": round(statistics.median(ratios[name]), 4),
         }
     print(json.dumps({"seed": args.seed, "repeats": args.repeats,
-                      "pairs": len(ops), "kernels": kernels}, indent=1))
+                      "pairs": len(ops),
+                      "loop": {"passes": LOOP_PASSES, **summary(loop)},
+                      "kernels": kernels}, indent=1))
     return 0
 
 
