@@ -141,19 +141,43 @@ def magnus_expand(w, cap):
     in a call.  Twist images are mostly runs of length one (44,044 runs
     over the 45,685 letters that one seed-13 pair-scan pass expands), so
     the per-run overhead is much of the cost at low caps: on those calls
-    this takes 26-38% less time at caps 1-3 than building the runs with
+    this takes 26-36% less time at caps 2-3 than building the runs with
     groupby and every run's factors anew (BENCH_kernels.json).
+
+    Degree 1 is the exponent-sum vector, so cap 1 only adds each run's
+    signed length to its letter's key, with no factors and no degree
+    loop.  A key whose sum returns to 0 is deleted, as in the general
+    loop, so the keys land in the same order.  Cap 1 is most calls (2,438
+    of 2,546 in a seed-29 pair-scan pass), and on those this takes about
+    two thirds less time than the general loop (BENCH_cap_one.json).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    base = 2 * w.genus
     out = TruncatedSeries.one(w.genus, cap)
     degrees = out.degrees
-    shifts = [base**j for j in range(cap + 1)]
-    memo = {}
     # a Word is freely reduced, so a run repeats one signed letter
     letters = w.letters
     n, pos = len(letters), 0
+    if cap == 1:
+        target = degrees[1]
+        while pos < n:
+            ell, end = letters[pos], pos + 1
+            while end < n and letters[end] == ell:
+                end += 1
+            if ell > 0:
+                key, nc = ell - 1, end - pos
+            else:
+                key, nc = -ell - 1, pos - end
+            pos = end
+            nc += target.get(key, 0)
+            if nc:
+                target[key] = nc
+            else:
+                del target[key]
+        return out
+    base = 2 * w.genus
+    shifts = [base**j for j in range(cap + 1)]
+    memo = {}
     while pos < n:
         ell, end = letters[pos], pos + 1
         while end < n and letters[end] == ell:

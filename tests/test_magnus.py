@@ -4,6 +4,7 @@ import random
 import pytest
 
 from twistlab import magnus
+from twistlab.curve import parse_curve_spec, resolve
 from twistlab.errors import SeriesTermLimit
 from twistlab.magnus import TruncatedAction, TruncatedSeries, magnus_expand
 from twistlab.mcg import builtin_table, evaluate
@@ -196,6 +197,46 @@ def test_expand_matches_the_groupby_kernel_on_twist_images(genus):
     for cap in range(1, 5):
         for w in words:
             _assert_expansions_match_groupby_kernel(w, cap)
+
+
+def test_cap_one_keeps_the_key_order_when_a_sum_returns_to_zero():
+    # x1 x2 x1^-1 x3 x1: x1's sum returns to 0 between runs, so its key
+    # is deleted and comes back last
+    w = Word(2, (1, 2, -1, 3, 1))
+    assert list(magnus_expand(w, 1).degrees[1].items()) == [
+        (1, 1), (2, 1), (0, 1)
+    ]
+    # x1 x2 x1^-3: x1's sum passes 0 inside one run, so its key stays first
+    w = Word(2, (1, 2, -1, -1, -1))
+    assert list(magnus_expand(w, 1).degrees[1].items()) == [(0, -2), (1, 1)]
+    words = [
+        Word(2, (1, 2, -1, 3, 1)),
+        Word(2, (1, 2, -1, -1, -1)),
+        Word(2, (-2, -2, 1, 2, 2, 2, 2, -3, -2, -2, 4, 2)),
+        Word(3, (5, 5, 1, -5, -5, -5, -5, 2, 5, 5, -6, 5)),
+    ]
+    for w in words:
+        _assert_expansions_match_groupby_kernel(w, 1)
+
+
+def test_cap_one_matches_the_groupby_kernel_on_heavy_pair_images():
+    # the crossing pool pairs with |algebraic| != 0 whose images of h and
+    # t_c h^-1 hold the most letters: their cap-1 step expands these
+    pairs = [
+        (2, "C4", "C2 @ [Sep1^2 C3^2 C2^2 Sep1^-2]"),
+        (2, "C4 @ [Sep1^-2 C3^-2 C3^-2 C3^-2]", "C3 @ [C2^-2 C2 C3^-2 C3]"),
+        (3, "C2 @ [C1^-1 C5^-1 C3^-1 C2]", "C1 @ [C5^-2 Sep2^-2 C3^-2]"),
+        (3, "C4 @ [C3 Sep2^2 Sep2]", "C3 @ [C2^-2 Sep1^2 C3^-1 C3^-1]"),
+    ]
+    words = []
+    for genus, *specs in pairs:
+        for text in specs:
+            d = resolve(parse_curve_spec(genus, text))
+            if d.conjugator_word:
+                words += d.conjugator.images + d.inner.images
+    assert sum(map(len, words)) > 3000
+    for w in words:
+        _assert_expansions_match_groupby_kernel(w, 1)
 
 
 # -- lower central series depth ----------------------------------------

@@ -28,6 +28,7 @@ def test_bench_kernels_reports_the_class_and_action_kernels(monkeypatch, capsys)
         "word.cyclic_reduce",
         "word.canonical_cyclic",
         "mcg.class_image",
+        "magnus.expand.cap1",
         "magnus.action_compose.cap3",
         "magnus.lead_transform.g2",
         "magnus.lead_transform.g3",
