@@ -49,6 +49,9 @@ from .mcg import builtin_table, evaluate, validate_relations
 from .word import Word, abelianized
 
 SCHEMA = 1
+# the corollary's two separating curves: t_a = Sep1 and t_b, its image
+# under the connector twist C3
+COROLLARY_CURVES = {"a": "Sep1", "b": "Sep1 @ [C3]"}
 
 
 def _envelope(args, results, summary=None):
@@ -150,16 +153,17 @@ def _corollary_rows(genus, cap):
 
     Each w_m is carried as its leading term only
     (jfilt.nested_leading_terms): the bracket chain D_{w_m} =
-    [D_a, D_{w_{m-1}}], whose degree is w_m's level.  A nonzero bracket
-    proves w_m != 1 at that exact level, reported clipped at the cap as
-    a depth read at the cap would be: exact below it, at least the cap
-    from it on.  A zero bracket proves only the level above; that row,
+    [D_a, D_{w_{m-1}}], whose degree is w_m's level, started from the
+    terms of the two curves of COROLLARY_CURVES, which are read from
+    their words, so no twist is evaluated.  A nonzero bracket proves
+    w_m != 1 at that exact level, reported clipped at the cap as a depth
+    read at the cap would be: exact below it, at least the cap from it
+    on.  A zero bracket proves only the level above; that row,
     or one whose bracket passes the term cap, keeps every column, adds a
     note, and ends the rows.
     """
-    t_a = evaluate((("Sep1", 1),), genus)
-    t_b = evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus)
-    leads = nested_leading_terms(t_a, t_b)
+    a, b = (parse_curve_spec(genus, COROLLARY_CURVES[k]) for k in "ab")
+    leads = nested_leading_terms(a, b)
     rows = []
     for m in range(1, cap // 2 + 1):
         expected = 2 * m + 2
@@ -222,7 +226,7 @@ def cmd_corollary(args):
     ok = all(r["in_tested_level"] and not r["is_identity"] for r in tested)
     summary = {
         "all_rows_certified": ok and not stopped,
-        "curves": {"a": "Sep1", "b": "Sep1 @ [C3]"},
+        "curves": COROLLARY_CURVES,
         # finite-level blindness: the depth-cap action misses a
         # nontrivial class, so no level below the cap separates it
         # from the identity.

@@ -20,22 +20,25 @@ along essential curves are equal iff the curves are isotopic
 closed curves are isotopic (Epstein, Acta Math. 115, 1966), so two
 curves are equal iff their classes are, and t_a commutes with t_b iff
 t_a(b) = b, iff the twist along a fixes the class of b
-(CurveData.moves).  More generally a mapping class f commutes with t_c
-iff f fixes the class of c, since f t_c f^-1 = t_{f(c)} (Primer,
-ch. 3).  None of this builds the twist or the conjugator.
+(CurveData.moves, and CurveData.crosses, which every caller that asks
+whether two twists commute reads).  More generally a mapping class f
+commutes with t_c iff f fixes the class of c, since f t_c f^-1 =
+t_{f(c)} (Primer, ch. 3).  None of this builds the twist or the
+conjugator.
 
 The twist along h(c) is h t_c h^-1 by the conjugation law, so it is
 the mapping class word h (c, 1) h^-1 (CurveData.twist_word), which mcg
 folds like any other: class_image reads its value on a class, as the
 braid label of a pair does, and homology_matrix its action on
-homology, as a separating pair's leading term does.  The expansion is
+homology, as a separating curve's leading term does.  The expansion is
 a ring homomorphism (Magnus-Karrass-Solitar, ch. 5), so the truncated
 Magnus action (magnus.TruncatedAction) of the twist is that of h
 composed with that of t_c h^-1 (CurveData.action), so a pair's depth
-builds only h (CurveData.conjugator) and t_c h^-1 (CurveData.inner),
-on first read, and only when its leading term does not decide it.
-The twist itself (CurveData.twist), whose images grow with h, is built
-only for callers that need the automorphism.
+builds only h, evaluated from its word (mcg.evaluate, which caches it
+by word), and t_c h^-1 (CurveData.inner), on first read, and only when
+its leading term does not decide it.  The twist itself
+(CurveData.twist), whose images grow with h, is built only for callers
+that need the automorphism.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.  The
 bracketed word is read by mcg's scanner, in the grammar of
@@ -86,16 +89,17 @@ class CurveData:
     with the word of the conjugator h, the base twist t_c and the word
     h (c, 1) h^-1 of the twist along the curve.
 
-    Resolving reads the class alone (mcg.class_image), so the
-    automorphism h (conjugator), the twist h (t_c h^-1) along the curve
-    and its inner factor t_c h^-1 are all built on first access.  A pair
-    reads the twist on classes (moves, and class_image of twist_word)
-    and its depth from leading terms and homology matrices folded from
-    the words when a curve is separating, or else from the actions of h
-    and t_c h^-1 (action), so it never builds the twist, and a pair that
-    its leading term decides builds neither h nor t_c h^-1; callers that
-    need the automorphism itself, such as foxcheck and suzuki_scan, read
-    it.  A concurrent first access only repeats work.
+    Resolving reads the class alone (mcg.class_image), so the twist
+    h (t_c h^-1) along the curve and its inner factor t_c h^-1 are built
+    on first access, with h evaluated from its word (mcg.evaluate, which
+    caches it by word).  A pair reads the twist on classes (crosses,
+    moves, and class_image of twist_word) and its depth from leading
+    terms and homology matrices folded from the words when a curve is
+    separating, or else from the actions of h and t_c h^-1 (action), so
+    it never builds the twist, and a pair that its leading term decides
+    builds neither h nor t_c h^-1; callers that need the automorphism
+    itself, such as foxcheck and suzuki_scan, read it.  A concurrent
+    first access only repeats work.
     """
 
     pi1_class: Word
@@ -106,21 +110,18 @@ class CurveData:
     twist_word: tuple[tuple[str, int], ...]
 
     @cached_property
-    def conjugator(self):
-        """h, evaluated from its word on first access."""
-        return evaluate(self.conjugator_word, self.base_twist.genus)
-
-    @cached_property
     def inner(self):
         """t_c h^-1, the inner factor of the twist h (t_c h^-1)."""
         # t_c's short images substitute into those of h^-1
-        return self.base_twist.compose(self.conjugator.inverse())
+        h = evaluate(self.conjugator_word, self.base_twist.genus)
+        return self.base_twist.compose(h.inverse())
 
     @cached_property
     def twist(self):
         """The twist h t_c h^-1 along the curve, built on first access."""
         # only this outer compose applies a long map
-        return self.conjugator.compose(self.inner)
+        h = evaluate(self.conjugator_word, self.base_twist.genus)
+        return h.compose(self.inner)
 
     def moves(self, other):
         """Does the twist along this curve move the curve of other?
@@ -143,6 +144,18 @@ class CurveData:
         # cyclically reduced length is a conjugacy invariant
         return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
 
+    def crosses(self, other):
+        """Do the twists along this curve and other fail to commute?
+
+        a.moves(b) == b.moves(a), so the direction taken is the cheaper
+        one by the words alone: the shorter conjugator word (exponents
+        counted with their size) times the length of the other curve's
+        class.  No conjugator is built.
+        """
+        mine = sum(abs(k) for _, k in self.conjugator_word) * len(other.pi1_class)
+        theirs = sum(abs(k) for _, k in other.conjugator_word) * len(self.pi1_class)
+        return other.moves(self) if theirs < mine else self.moves(other)
+
     def action(self, cap):
         """The TruncatedAction of the twist at the cap.
 
@@ -156,7 +169,8 @@ class CurveData:
         """
         if not self.conjugator_word:
             return TruncatedAction.of(self.base_twist, cap)
-        return TruncatedAction.of(self.conjugator, cap).compose(
+        h = evaluate(self.conjugator_word, self.base_twist.genus)
+        return TruncatedAction.of(h, cap).compose(
             TruncatedAction.of(self.inner, cap)
         )
 

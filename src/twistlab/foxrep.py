@@ -11,9 +11,10 @@ group-ring coefficients are never needed.
 Multiplicativity is what the kernel-element scan rests on: for Torelli
 classes f and g, r([f, g]) = r(fg) r(gf)^-1, so the commutator has
 identity matrix iff r(fg) == r(gf).  A hit of suzuki_scan is a pair of
-separating twists that do not commute (so the curves cross) with
-r(fg) == r(gf) (the representation does not see it), the phenomenon
-Suzuki exhibited for the Magnus representation of the Torelli group.
+separating twists that do not commute (the curves cross, read on their
+classes as classify_pair reads it) with r(fg) == r(gf) (the
+representation does not see it), the phenomenon Suzuki exhibited for
+the Magnus representation of the Torelli group.
 """
 
 from __future__ import annotations
@@ -203,14 +204,17 @@ def suzuki_scan(genus, budget):
     """Enumerate separating curve pairs hunting for twists that cross
     while their Magnus matrices commute.
 
-    For each pair of distinct separating twists f, g the products fg and
-    gf are built once.  The pair is skipped when fg == gf (the twists
-    commute), and is a hit when magnus_rep(fg) == magnus_rep(gf).  Both
-    products lie in the Torelli group, where magnus_rep is
-    multiplicative, so r([f, g]) = r(fg) r(gf)^-1, and a hit certifies
-    a nontrivial commutator [f, g] with identity Magnus matrix.  The commutator
-    itself, a product of four twists, is never formed: its images can
-    pass the letter cap while those of fg and gf stay short.
+    For each pair of distinct separating curves, whether the twists f, g
+    commute is read on the curves' classes (CurveData.crosses), as
+    classify_pair reads it, so a commuting pair is skipped with nothing
+    composed.  For a crossing pair the products fg and gf are built once,
+    for their Magnus matrices, and the pair is a hit when
+    magnus_rep(fg) == magnus_rep(gf).  Both products lie in the Torelli
+    group, where magnus_rep is multiplicative, so r([f, g]) =
+    r(fg) r(gf)^-1, and a hit certifies a nontrivial commutator [f, g]
+    with identity Magnus matrix.  The commutator itself, a product of
+    four twists, is never formed: its images can pass the letter cap
+    while those of fg and gf stay short.
 
     Best effort within the pair budget; an empty result is not a
     disproof.
@@ -229,8 +233,9 @@ def suzuki_scan(genus, budget):
     hits = []
     pairs = itertools.islice(itertools.combinations(specs, 2), budget)
     for (da, a), (db, b) in pairs:
+        if not a.crosses(b):
+            continue
         ta, tb = a.twist, b.twist
-        fg, gf = ta.compose(tb), tb.compose(ta)
-        if fg != gf and rep_equal(magnus_rep(fg), magnus_rep(gf)):
+        if rep_equal(magnus_rep(ta.compose(tb)), magnus_rep(tb.compose(ta))):
             hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
     return hits

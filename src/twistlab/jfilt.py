@@ -24,9 +24,10 @@ separating curve the commutator lies in M(2); with two it lies in
 [M(2), M(2)], inside M(4) (Morita), so below cap 3 or cap 5 such a pair
 expands nothing.  Its degree 3 or 5 is then read from leading terms,
 not from actions: the term of a conjugated separating twist is its base
-twist's term moved by the conjugator's homology matrix (Johnson), so
-the pair's term costs one cap-3 expansion per separating base twist and
-a few integer matrices, and no conjugator is built.  A nonzero term
+twist's term moved by the conjugator's homology matrix (Johnson), read
+by one reader from the curve's words (_curve_term), so the pair's term
+costs one cap-3 expansion per separating base twist and a few integer
+matrices, and no conjugator is built.  A nonzero term
 gives exact(2) or exact(4); a zero one starts the loop at cap 4 or 6
 (_pair_depth).  Whether f
 and g commute is decided first and exactly; commuting classes get the
@@ -43,8 +44,10 @@ Nested commutators, whose actions pass the term budget at high caps,
 are read from leading terms instead: the leading term of a class in
 M(k) is a derivation (magnus.Derivation, also behind
 johnson_leading_term), and the leading term of [f, g] is the bracket of
-those of f and g (Morita), so nested_leading_terms gives exact levels
-from actions at cap 3 alone.
+those of f and g (Morita), so nested_leading_terms gives the exact
+levels of nested commutators of two separating twists from their
+curves' terms, read from words by the same reader as a pair's, so no
+twist is evaluated and only base twists are expanded, at cap 3.
 
 The depth of a curve pair is the depth of the commutator of the two
 twists (PairReport.depth).  The JSON reports write it as the pair's
@@ -135,26 +138,30 @@ def action_depth(f, g):
 
 
 def nested_leading_terms(a, b):
-    """Leading terms D_{w_1}, D_{w_2}, ... of w_m = [a, w_{m-1}], w_0 = b.
+    """Leading terms D_{w_1}, D_{w_2}, ... of w_m = [t_a, w_{m-1}],
+    w_0 = t_b, for curve specs a and b.
 
-    a and b must lie in M(2) and not M(3), which their actions at cap 3
-    decide; otherwise ConsistencyViolation is raised.  For f in M(k) and
-    g in M(l), the degree-(k+l+1) part of [f, g] is [D_f, D_g]
+    t_a and t_b must lie in M(2) and not M(3): both curves must be
+    separating, so that their twists lie in M(2), with nonzero leading
+    terms, read from words as a separating pair's are (_curve_term);
+    otherwise ConsistencyViolation is raised.  For f in M(k) and g in
+    M(l), the degree-(k+l+1) part of [f, g] is [D_f, D_g]
     (magnus.Derivation), so w_m lies in M(2m+2) and D_{w_m} =
     [D_a, D_{w_{m-1}}] is its degree-(2m+2) leading term.  A nonzero one
     proves that w_m is not in M(2m+3), so not the identity; a zero one
-    proves w_m in M(2m+3) and no more.  Raises SeriesTermLimit when a
+    proves w_m in M(2m+3) and no more.  No twist is evaluated, and only
+    base twists are expanded, at cap 3.  Raises SeriesTermLimit when a
     bracket passes MAX_SERIES_TERMS.
     """
-    one = TruncatedAction.of(FreeAutomorphism.identity(a.genus), 3)
     leads = []
-    for t in (a, b):
-        action = TruncatedAction.of(t, 3)
-        if action_depth(action, one) != JFDepth("exact", 2):
+    for spec in (a, b):
+        d = resolve(spec)
+        term = d.separating and _curve_term(d.base_twist, d.conjugator_word)
+        if not term:
             raise ConsistencyViolation(
                 "a nested commutator factor is not at exact level 2"
             )
-        leads.append(Derivation.leading(action))
+        leads.append(term)
     lead_a, lead = leads
     while True:
         lead = lead_a.bracket(lead)
@@ -354,23 +361,6 @@ def check_consistency(report):
         )
 
 
-def _crosses(d1, d2):
-    """Do the twists along two resolved curves fail to commute?
-
-    d1.moves(d2) == d2.moves(d1), so the direction taken is the cheaper
-    one by the words alone: the shorter conjugator word (exponents
-    counted with their size) times the length of the other curve's
-    class.  No conjugator is built.
-    """
-
-    def cost(a, b):
-        return sum(abs(k) for _, k in a.conjugator_word) * len(b.pi1_class)
-
-    if cost(d2, d1) < cost(d1, d2):
-        d1, d2 = d2, d1
-    return d1.moves(d2)
-
-
 def _pair_start(d1, d2, algebraic):
     """First degree in which fg and gf can differ for crossing twists.
 
@@ -399,36 +389,45 @@ def _base_term(twist):
     return Derivation.leading(TruncatedAction.of(twist, 3))
 
 
+def _curve_term(twist, word):
+    """D_{h(c)}, the leading term of the twist along the separating
+    curve h(c), for the table twist t_c and the word h.
+
+    Leading terms are equivariant: with H the homology matrix of h,
+    D_{h(c)} = H·D_c (Johnson, Math. Ann. 249, 1980; Morita, Duke
+    Math. J. 70, 1993; magnus.Derivation.transform), so the term is read
+    from the base twist's and matrices folded from the words h and h^-1
+    (mcg.homology_matrix).  No conjugator and no twist is built.
+    """
+    genus = twist.genus
+    return _base_term(twist).transform(
+        homology_matrix(word, genus), homology_matrix(inverse_mcw(word), genus)
+    )
+
+
 def _separating_term(d1, d2):
     """Is the leading term of [t_a, t_b] nonzero, for crossing curves
     a = h_a(c_a), separating, and b?
 
-    With H_a the homology matrix of h_a, the leading term of t_a is
-    D_a = H_a·D_{c_a} (magnus.Derivation.transform), read from the base
-    twist's term and folded matrices (mcg.homology_matrix).  When b is
-    not separating, t_b acts on homology by a transvection T_b and
-    [t_a, t_b] has level-2 term D_a - T_b·D_a, which is zero iff
-    D_{c_a} = (H_a^-1 T_b H_a)·D_{c_a}; that matrix is folded from the
-    word h_a^-1 t_b h_a, with t_b's word h_b (c_b, 1) h_b^-1
-    (CurveData.twist_word).  When b = h_b(c_b) is separating too, the
-    level-4 term is [D_a, D_b] = H_a·[D_{c_a}, (H_a^-1 H_b)·D_{c_b}]
-    (Morita).  No conjugator and no twist is built.
+    Conjugating by h_a^-1 carries [t_a, t_b] to [t_{c_a}, t_{b'}], with
+    b' = h_a^-1(b), and its leading term to that term moved by H_a^-1,
+    which is zero iff the term is.  So the term is read in that frame,
+    where D_{c_a} needs no transform and one curve's term is moved
+    (_curve_term).  When b is not separating, the level-2 term is
+    D_{c_a} - D', with D' the term of t_{b'} t_{c_a} t_{b'}^-1, the
+    twist along the curve h_a^-1 t_b h_a (c_a), with t_b's word
+    h_b (c_b, 1) h_b^-1 (CurveData.twist_word).  When b = h_b(c_b) is
+    separating too, the level-4 term is [D_{c_a}, D_{b'}] (Morita).  No
+    conjugator and no twist is built.
     """
     if not d1.separating:
         d1, d2 = d2, d1
-    genus, word = d1.base_twist.genus, d1.conjugator_word
-    back = inverse_mcw(word)
-    term = _base_term(d1.base_twist)
-    if not d2.separating:
-        return term != term.transform(
-            homology_matrix(back + d2.twist_word + word, genus),
-            homology_matrix(back + inverse_mcw(d2.twist_word) + word, genus),
-        )
-    other = _base_term(d2.base_twist).transform(
-        homology_matrix(back + d2.conjugator_word, genus),
-        homology_matrix(inverse_mcw(d2.conjugator_word) + word, genus),
-    )
-    return bool(term.bracket(other))
+    twist, h = d1.base_twist, d1.conjugator_word
+    back, term = inverse_mcw(h), _base_term(twist)
+    if d2.separating:
+        other = _curve_term(d2.base_twist, back + d2.conjugator_word)
+        return bool(term.bracket(other))
+    return term != _curve_term(twist, back + d2.twist_word + h)
 
 
 def _pair_depth(d1, d2, algebraic, cap):
@@ -456,10 +455,10 @@ def classify_pair(c1, c2, cap, check=True):
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
     d1, d2 = resolve(c1), resolve(c2)
-    commuting = not _crosses(d1, d2)
+    commuting = not d1.crosses(d2)
     algebraic = symplectic_pairing(d1.homology, d2.homology)
-    # Commuting is read on one curve's class (_crosses), so a commuting
-    # pair builds neither twist: commuting twists braid iff equal
+    # Commuting is read on one curve's class (CurveData.crosses), so a
+    # commuting pair builds neither twist: commuting twists braid iff equal
     # (f^2 g = g^2 f forces f = g), iff the curves' classes are.
     # Crossing twists braid only along curves meeting once, which forces
     # |algebraic| = 1, so the classes are folded only for those.  That
@@ -576,9 +575,9 @@ def distinguishing_witness(c1, c2, budget):
 
     Enumerates candidate specs (skipping those isotopic to either
     input, by class) and returns the first d whose curve crosses one
-    input and not the other, read on the curves (_crosses), so no twist
-    and no conjugator is built.  None after `budget` candidates is not a
-    disproof.
+    input and not the other, read on the curves (CurveData.crosses), so
+    no twist and no conjugator is built.  None after `budget` candidates
+    is not a disproof.
     """
     if curves_equal(c1, c2):
         raise PreconditionError("inputs are the same curve")
@@ -591,7 +590,7 @@ def distinguishing_witness(c1, c2, budget):
         dd = resolve(d)
         if dd.pi1_class in (d1.pi1_class, d2.pi1_class):
             continue
-        if _crosses(d1, dd) != _crosses(d2, dd):
+        if d1.crosses(dd) != d2.crosses(dd):
             return d
     return None
 

@@ -425,6 +425,14 @@ def format_mcw(mcw):
 # bounded: a genus has at most 10 names, but exponents are unbounded
 @lru_cache(maxsize=1024)
 def _twist_power(genus, name, k):
+    # every table twist's t^k has a generator image of more than |k|
+    # letters, its lengths growing linearly in |k| (tested for |k| <= 64),
+    # so a larger |k| fails at once rather than after squaring images
+    # whose cost grows with the square of their length
+    if abs(k) > MAX_IMAGE_LETTERS:
+        raise WordLengthLimit(
+            f"{name}^{k} has an image of more than {MAX_IMAGE_LETTERS} letters"
+        )
     return builtin_table(genus).twist(name).power(k)
 
 

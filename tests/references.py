@@ -63,7 +63,8 @@ def resolve_eagerly(spec):
 def moves_by_conjugator(d, other):
     """CurveData.moves as it was: h^-1 applied to the other curve's class
     as an automorphism, built from h's word."""
-    u = d.conjugator.inverse()(other.pi1_class).cyclic_reduce()
+    h = mcg.evaluate(d.conjugator_word, d.base_twist.genus)
+    u = h.inverse()(other.pi1_class).cyclic_reduce()
     v = d.base_twist(u).cyclic_reduce()
     return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
 

@@ -345,15 +345,12 @@ def test_corollary_past_the_term_cap_stops_fast_with_a_note_row(capsys):
 
 
 def test_corollary_uncertified_identity_is_a_note_row(capsys, monkeypatch):
-    # with t_b forged to equal t_a, w_1 = [t_a, t_a] is the identity:
-    # its leading term [D_a, D_a] is zero, which proves only w_1 in M(5),
-    # so the row must not read is_identity: false
+    # with b forged to equal a, w_1 = [t_a, t_a] is the identity: its
+    # leading term [D_a, D_a] is zero, which proves only w_1 in M(5), so
+    # the row must not read is_identity: false
     from twistlab import cli
 
-    real = cli.evaluate
-    monkeypatch.setattr(
-        cli, "evaluate", lambda mcw, genus: real((("Sep1", 1),), genus)
-    )
+    monkeypatch.setattr(cli, "COROLLARY_CURVES", {"a": "Sep1", "b": "Sep1"})
     rc = main(["corollary", "--genus", "2", "--cap", "4"])
     captured = capsys.readouterr()
     assert rc == 2
@@ -375,18 +372,43 @@ def test_corollary_factor_outside_level_two_is_a_violation(capsys, monkeypatch):
     # on homology: the bracket calculus does not apply and no row is read
     from twistlab import cli
 
-    real = cli.evaluate
-
-    def forged(mcw, genus):  # t_a stays Sep1, t_b becomes C1
-        return real(mcw if mcw == (("Sep1", 1),) else (("C1", 1),), genus)
-
-    monkeypatch.setattr(cli, "evaluate", forged)
+    # a stays Sep1, b becomes C1
+    monkeypatch.setattr(cli, "COROLLARY_CURVES", {"a": "Sep1", "b": "C1"})
     rc = main(["corollary", "--genus", "2", "--cap", "6"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("violation: a nested commutator factor")
     assert captured.err.count("\n") == 1
+
+
+def test_corollary_evaluates_no_twist_and_expands_only_base_twists(
+    capsys, monkeypatch
+):
+    # the corollary's terms are read from the curves' words: the base
+    # twists' terms at cap 3, moved by homology matrices
+    from twistlab import curve, jfilt, mcg
+    from twistlab.magnus import TruncatedAction
+
+    def no_evaluate(mcw, genus):
+        raise AssertionError(f"corollary evaluated {mcw}")
+
+    expanded = []
+    of = TruncatedAction.of.__func__
+
+    def recording_of(cls, f, cap):
+        expanded.append((f, cap))
+        return of(cls, f, cap)
+
+    for module in (mcg, curve, jfilt, twistlab.cli):
+        monkeypatch.setattr(module, "evaluate", no_evaluate, raising=False)
+    monkeypatch.setattr(TruncatedAction, "of", classmethod(recording_of))
+    curve._resolve_cached.cache_clear()
+    jfilt._base_term.cache_clear()
+    rc, doc = run_json(capsys, "corollary", "--genus", "2", "--cap", "6")
+    assert rc == 0 and doc["summary"]["all_rows_certified"]
+    assert doc["summary"]["curves"] == {"a": "Sep1", "b": "Sep1 @ [C3]"}
+    assert expanded == [(mcg.builtin_table(2).twist("Sep1"), 3)]
 
 
 def test_corollary_cap15_reads_every_level_from_brackets(capsys):
@@ -448,3 +470,25 @@ def test_long_conjugator_braid_pair_ends_within_a_bound():
     results = json.loads(proc.stdout)["results"]
     assert results["ijf_label"] == "1"
     assert (results["braid"], results["algebraic"]) == (True, -1)
+
+
+@pytest.mark.parametrize("c1", [
+    "C1 @ [Delta^99999999999999999999]",
+    "C3 @ [Sep1^-99999999999999999999 C3]",
+])
+def test_huge_twist_exponents_exit_2_at_once(c1):
+    # a table twist's power t^k has an image longer than |k| letters, so
+    # these pass the letter cap; squaring up to them would take time
+    # quadratic in the images' length.  A child process, so that a hang
+    # fails the test instead of stalling the suite
+    src = Path(twistlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistlab.cli", "pair", "--genus", "2",
+         "--c1", c1, "--c2", "C2"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "letters" in proc.stderr

@@ -165,16 +165,27 @@ def test_class_only_resolve_matches_the_evaluated_conjugator():
     for s in specs:
         data = resolve(s)
         assert (data.pi1_class, data.homology) == resolve_eagerly(s), s
-        assert data.conjugator == evaluate(s.conjugator, s.genus)
+        assert data.conjugator_word == s.conjugator, s
 
 
-def test_resolve_builds_no_conjugator():
+def test_resolve_builds_no_conjugator(monkeypatch):
+    # the curve keeps h's word; inner and twist evaluate it on first
+    # access (mcg.evaluate caches it by word), and resolving does not
+    evaluated = []
+
+    def recording_evaluate(mcw, genus):
+        evaluated.append(mcw)
+        return evaluate(mcw, genus)
+
+    monkeypatch.setattr(curve, "evaluate", recording_evaluate)
     curve._resolve_cached.cache_clear()
     data = resolve(spec(2, "Sep1 @ [C3^2 C4^-1]"))
-    assert not {"conjugator", "inner"} & set(vars(data))
+    assert not hasattr(curve.CurveData, "conjugator")
+    assert not {"inner", "twist"} & set(vars(data)) and evaluated == []
     h = evaluate((("C3", 2), ("C4", -1)), 2)
-    assert data.conjugator == h
     assert data.inner == data.base_twist.compose(h.inverse())
+    assert data.twist == h.compose(data.inner)
+    assert evaluated == [data.conjugator_word] * 2
 
 
 def test_class_folds_strip_and_only_canonical_forms_rotate(monkeypatch):
@@ -458,7 +469,7 @@ def test_composed_action_expands_h_and_inner_and_composes_once(monkeypatch):
     expanded, composed = _action_calls(monkeypatch)
     for text in ("Sep1 @ [C3 Sep1 C3^-1]", "C2 @ [C3^-2]"):
         data = resolve(spec(2, text))
-        h, inner = data.conjugator, data.inner
+        h, inner = evaluate(data.conjugator_word, 2), data.inner
         assert h != inner
         expanded.clear()
         composed.clear()

@@ -457,7 +457,7 @@ def test_braid_label_composes_only_the_curves_twists(monkeypatch):
     assert classify_pair(c1, c2, doc["config"]["cap"]).as_dict() == doc["results"]
     assert abs(doc["results"]["algebraic"]) == 1 and composed
     allowed = [
-        (d.base_twist, d.conjugator.inverse())
+        (d.base_twist, evaluate(d.conjugator_word, d.base_twist.genus).inverse())
         for d in (resolve(c1), resolve(c2))
         if d.conjugator_word
     ]
@@ -765,6 +765,11 @@ def _corollary_twists(genus):
         evaluate((("Sep1", 1),), genus),
         evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus),
     )
+
+
+def _corollary_curves(genus):
+    """The curves a and b of the corollary, whose twists are t_a and t_b."""
+    return CurveSpec(genus, "Sep1"), CurveSpec(genus, "Sep1", (("C3", 1),))
 
 
 def _shear(genus, moves):
@@ -1300,7 +1305,7 @@ def test_bracket_levels_match_action_depths(genus, caps):
     t_a, t_b = _corollary_twists(genus)
     for cap in caps:
         rows = nested_commutators(t_a, t_b, cap)
-        leads = nested_leading_terms(t_a, t_b)
+        leads = nested_leading_terms(*_corollary_curves(genus))
         for m in range(1, 4):
             depth, _, _ = next(rows)
             lead = next(leads)
@@ -1318,7 +1323,7 @@ def test_brackets_are_the_leading_parts_of_the_actions(genus, cap, count):
     t_a, t_b = _corollary_twists(genus)
     rows = nested_commutators(t_a, t_b, cap)
     next(rows)
-    leads = nested_leading_terms(t_a, t_b)
+    leads = nested_leading_terms(*_corollary_curves(genus))
     for m in range(1, count + 1):
         _, action, _ = next(rows)
         lead = next(leads)
@@ -1328,19 +1333,29 @@ def test_brackets_are_the_leading_parts_of_the_actions(genus, cap, count):
         assert lead == Derivation.leading(top), (genus, m)
 
 
+def test_corollary_curves_carry_the_corollary_twists():
+    for genus in (2, 3):
+        twists = tuple(resolve(c).twist for c in _corollary_curves(genus))
+        assert twists == _corollary_twists(genus)
+
+
 def test_zero_brackets_certify_nothing():
     t_a, _ = _corollary_twists(2)
-    assert not next(nested_leading_terms(t_a, t_a))
+    a, _ = _corollary_curves(2)
+    assert not next(nested_leading_terms(a, a))
     # Sep1 and Sep2 bound nested subsurfaces at genus 3, so their twists
     # commute; both lie in M(2) and not M(3)
     s1, s2 = evaluate((("Sep1", 1),), 3), evaluate((("Sep2", 1),), 3)
     assert commutes(s1, s2)
-    assert not next(nested_leading_terms(s1, s2))
-    # C1 is disjoint from Sep1 but outside M(2): no leading term is read
+    sep1, sep2 = CurveSpec(3, "Sep1"), CurveSpec(3, "Sep2")
+    assert not next(nested_leading_terms(sep1, sep2))
+    # C1 is disjoint from Sep1 but outside M(2): no leading term is read,
+    # in either position
     c1 = evaluate((("C1", 1),), 2)
     assert commutes(t_a, c1)
-    with pytest.raises(ConsistencyViolation):
-        next(nested_leading_terms(t_a, c1))
+    for pair in ((a, CurveSpec(2, "C1")), (CurveSpec(2, "C1"), a)):
+        with pytest.raises(ConsistencyViolation):
+            next(nested_leading_terms(*pair))
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -1369,7 +1384,9 @@ def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus)
 @pytest.mark.parametrize("genus", [2, 3])
 def test_conjugated_twist_terms_are_transformed_base_terms(genus):
     # D_{h(c)} = H·D_c for the homology matrix H of h: 40 random (h, c)
-    # per genus against the leading term of the expanded twist
+    # per genus against the leading term of the expanded twist, for the
+    # transform written out and for the reader that pairs and the
+    # corollary share
     rng = random.Random(211 + genus)
     table = builtin_table(genus)
     names = table.chain_names + table.sep_names
@@ -1386,6 +1403,7 @@ def test_conjugated_twist_terms_are_transformed_base_terms(genus):
             mcg.homology_matrix(mcg.inverse_mcw(h), genus),
         )
         assert moved == direct, (c, h)
+        assert jfilt._curve_term(table.twist(c), h) == direct, (c, h)
         nonzero += moved != base
     assert nonzero >= 5
 

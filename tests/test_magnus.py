@@ -233,7 +233,8 @@ def test_cap_one_matches_the_groupby_kernel_on_heavy_pair_images():
         for text in specs:
             d = resolve(parse_curve_spec(genus, text))
             if d.conjugator_word:
-                words += d.conjugator.images + d.inner.images
+                h = evaluate(d.conjugator_word, genus)
+                words += h.images + d.inner.images
     assert sum(map(len, words)) > 3000
     for w in words:
         _assert_expansions_match_groupby_kernel(w, 1)

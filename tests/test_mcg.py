@@ -9,6 +9,7 @@ from twistlab.errors import (
     WordParseError,
 )
 from twistlab.mcg import (
+    MAX_IMAGE_LETTERS,
     FreeAutomorphism,
     builtin_table,
     commutes,
@@ -450,6 +451,30 @@ def test_image_length_cap(monkeypatch):
     with pytest.raises(WordLengthLimit):
         for _ in range(10):
             big = big.compose(big)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_twist_powers_have_an_image_longer_than_the_exponent(genus):
+    # the premise of _twist_power's guard: t^k has a generator image of
+    # more than |k| letters, and the longest image grows exactly
+    # linearly in |k|, so an exponent past the letter cap fails at once
+    table = builtin_table(genus)
+    for name in table.names():
+        for sign in (1, -1):
+            step = power = table.twist(name).power(sign)
+            lengths = []
+            for k in range(1, 65):
+                if k > 1:
+                    power = step.compose(power)
+                lengths.append(max(len(w) for w in power.images))
+                assert lengths[-1] > k, (name, sign * k)
+            slope = lengths[1] - lengths[0]
+            assert slope > 0 and all(
+                b - a == slope for a, b in zip(lengths, lengths[1:])
+            ), (name, sign)
+            assert power == _twist_power(genus, name, sign * 64)
+        with pytest.raises(WordLengthLimit):
+            _twist_power(genus, name, MAX_IMAGE_LETTERS + 1)
 
 
 def test_sep_homology_trivial():

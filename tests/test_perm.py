@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import pytest
 
+from twistlab.curve import CurveSpec
 from twistlab.jfilt import nested_leading_terms
 from twistlab.mcg import FreeAutomorphism, evaluate
 
@@ -108,6 +109,11 @@ def corollary_twists(genus):
     )
 
 
+def corollary_curves(genus):
+    """The curves whose twists are corollary_twists(genus)."""
+    return CurveSpec(genus, "Sep1"), CurveSpec(genus, "Sep1", (("C3", 1),))
+
+
 def test_points_cover_every_homomorphism_once_x1_fastest():
     pts = list(points(1))
     assert len(pts) == len(set(pts)) == 36
@@ -156,7 +162,7 @@ def test_nested_commutators_move_a_point(genus):
     # reads: both say w_m != 1 for every m checked
     t_a, t_b = corollary_twists(genus)
     action = NestedCommutatorAction(t_a, t_b)
-    leads = nested_leading_terms(t_a, t_b)
+    leads = nested_leading_terms(*corollary_curves(genus))
     for m in range(1, 6):
         phi = action.moved_point(m)
         assert phi is not None

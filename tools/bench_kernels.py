@@ -36,10 +36,12 @@ built.
 
 The leading-term kernels that read a separating pair's first level are
 replayed on fixed calls, not recorded ones, since a pair-scan pass makes
-only a few: magnus.lead_transform.g{2,3} moves the leading term of
-t_Sep1 by a dense homology matrix (Derivation.transform), and
-magnus.lead_bracket.g{2,3} brackets the term with the moved one
-(Derivation.bracket), each LEAD_CALLS times a replay.
+only a few: magnus.lead_transform.g{2,3} reads the leading term of the
+twist along Sep1 moved by a word with a dense homology matrix, with the
+reader that pairs and the corollary share (jfilt._curve_term: two folded
+matrices and Derivation.transform), and magnus.lead_bracket.g{2,3}
+brackets t_Sep1's term with the moved one (Derivation.bracket), each
+LEAD_CALLS times a replay.
 """
 
 from __future__ import annotations
@@ -112,23 +114,20 @@ LEAD_CALLS = 50
 def lead_term_calls():
     """The leading-term kernels on fixed arguments, at genus 2 and 3.
 
-    The matrix is that of the chain twists once each and then squared
-    in reverse order, which has 14 of 16 entries nonzero at genus 2 and
-    30 of 36 at genus 3.
+    The word is the chain twists once each and then squared in reverse
+    order, whose homology matrix has 14 of 16 entries nonzero at genus 2
+    and 30 of 36 at genus 3.
     """
     calls = {}
     for genus in (2, 3):
         table = mcg.builtin_table(genus)
         chain = table.chain_names
         word = tuple((n, 1) for n in chain) + tuple((n, 2) for n in reversed(chain))
-        matrices = (
-            mcg.homology_matrix(word, genus),
-            mcg.homology_matrix(mcg.inverse_mcw(word), genus),
-        )
-        term = jfilt._base_term(table.twist("Sep1"))
-        moved = term.transform(*matrices)
+        twist = table.twist("Sep1")
+        term = jfilt._base_term(twist)
+        moved = jfilt._curve_term(twist, word)
         calls[f"magnus.lead_transform.g{genus}"] = (
-            magnus.Derivation.transform, [(term, *matrices)] * LEAD_CALLS
+            jfilt._curve_term, [(twist, word)] * LEAD_CALLS
         )
         calls[f"magnus.lead_bracket.g{genus}"] = (
             magnus.Derivation.bracket, [(term, moved)] * LEAD_CALLS
