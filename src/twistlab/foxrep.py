@@ -8,6 +8,14 @@ of generator images is multiplicative, which is the representation
 exercised here.  Only this abelianized version is implemented; full
 group-ring coefficients are never needed.
 
+One scanner computes every derivative: fox_jacobian walks a word once,
+carrying the prefix's exponent-sum vector, and files each letter's
+term under its own generator, so it returns all 2g derivatives and,
+as the final prefix, the word's image in homology.  fox_derivative is
+one column of it, and magnus_rep builds each column of its matrix, and
+checks that the class acts trivially on homology, from one scan of a
+generator image.
+
 Multiplicativity is what the kernel-element scan rests on: for Torelli
 classes f and g, r([f, g]) = r(fg) r(gf)^-1, so the commutator has
 identity matrix iff r(fg) == r(gf).  A hit of suzuki_scan is a pair of
@@ -21,9 +29,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .errors import GenusMismatch, PreconditionError
-from .jfilt import distinct_separating_curves, in_Mk
+from .jfilt import distinct_separating_curves
 
 
 class LaurentPoly:
@@ -33,11 +42,7 @@ class LaurentPoly:
 
     def __init__(self, genus, terms=None):
         self.genus = genus
-        clean = {}
-        for exps, c in (terms or {}).items():
-            if c:
-                clean[tuple(exps)] = c
-        self.terms = clean
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls, genus):
@@ -77,12 +82,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(self.genus, terms)
+        return LaurentPoly(self.genus, _mul_into({}, self, other))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -115,24 +115,55 @@ class LaurentPoly:
         ]
 
 
-def fox_derivative(w, i):
-    """Abelianized free derivative of w with respect to x_i."""
+def _mul_into(terms, p, q):
+    """Add the terms of p * q into the dict terms and return it."""
+    right = q.terms.items()
+    for e1, c1 in p.terms.items():
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return terms
+
+
+def fox_jacobian(w):
+    """All abelianized free derivatives of w, from one scan of it.
+
+    Returns (d, ab): d[i - 1] is dw/dx_i for i = 1..2g, and ab is the
+    final prefix, the exponent-sum vector of w.  A letter x_j adds
+    t^prefix to dw/dx_j before the prefix moves; x_j^-1 moves the prefix
+    first and then subtracts t^prefix.
+    """
     genus = w.genus
-    terms = {}
-    prefix = [0] * (2 * genus)
+    n = 2 * genus
+    columns = [{} for _ in range(n)]
+    prefix = [0] * n
     for ell in w.letters:
-        j = abs(ell)
         if ell > 0:
-            if j == i:
-                key = tuple(prefix)
-                terms[key] = terms.get(key, 0) + 1
-            prefix[j - 1] += 1
+            j = ell - 1
+            column = columns[j]
+            key = tuple(prefix)
+            column[key] = column.get(key, 0) + 1
+            prefix[j] += 1
         else:
-            prefix[j - 1] -= 1
-            if j == i:
-                key = tuple(prefix)
-                terms[key] = terms.get(key, 0) - 1
-    return LaurentPoly(genus, terms)
+            j = -ell - 1
+            prefix[j] -= 1
+            column = columns[j]
+            key = tuple(prefix)
+            column[key] = column.get(key, 0) - 1
+    return (
+        tuple(LaurentPoly(genus, column) for column in columns),
+        tuple(prefix),
+    )
+
+
+def fox_derivative(w, i):
+    """Abelianized free derivative of w with respect to x_i, i in 1..2g."""
+    if not 1 <= i <= 2 * w.genus:
+        raise PreconditionError(
+            f"generator index {i} out of range for genus {w.genus}"
+            f" (generators are 1..{2 * w.genus})"
+        )
+    return fox_jacobian(w)[0][i - 1]
 
 
 # -- matrices ----------------------------------------------------------
@@ -142,18 +173,21 @@ def magnus_rep(f):
     """Matrix (d f(x_j) / d x_i)_{ij} for a homologically trivial class.
 
     Multiplicative on such classes because no coefficient twisting
-    occurs; non-Torelli input is rejected.
+    occurs.  Column j is fox_jacobian of the image of x_j, one scan per
+    image, and that scan's exponent-sum vector must be e_j: a class
+    moving any generator in homology is not Torelli and is rejected.
     """
-    if not in_Mk(f, 1):
-        raise PreconditionError(
-            "the Magnus representation is defined on homologically "
-            "trivial classes only"
-        )
     n = 2 * f.genus
-    return tuple(
-        tuple(fox_derivative(f.images[j], i + 1) for j in range(n))
-        for i in range(n)
-    )
+    columns = []
+    for j, image in enumerate(f.images):
+        column, ab = fox_jacobian(image)
+        if ab != tuple(int(i == j) for i in range(n)):
+            raise PreconditionError(
+                "the Magnus representation is defined on homologically "
+                "trivial classes only"
+            )
+        columns.append(column)
+    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
 
 
 def rep_identity(genus):
@@ -168,16 +202,21 @@ def rep_identity(genus):
 
 
 def rep_mul(a, b):
+    """Matrix product; each entry's sum over k of a_ik * b_kj is
+    accumulated in one dict."""
+    genus = a[0][0].genus
+    if b[0][0].genus != genus:
+        raise GenusMismatch("matrices of different genus")
     n = len(a)
     out = []
-    for i in range(n):
-        row = []
+    for row in a:
+        products = []
         for j in range(n):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+            terms = {}
+            for k in range(n):
+                _mul_into(terms, row[k], b[k][j])
+            products.append(LaurentPoly(genus, terms))
+        out.append(tuple(products))
     return tuple(out)
 
 

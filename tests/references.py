@@ -11,6 +11,7 @@ from twistlab.curve import (
     symplectic_pairing,
 )
 from twistlab.errors import PreconditionError, WordLengthLimit
+from twistlab.foxrep import LaurentPoly
 from twistlab.jfilt import (
     Fact5Verdict,
     JFDepth,
@@ -211,3 +212,36 @@ def magnus_expand_by_groupby(w, cap):
                     else:
                         del target[nk]
     return out
+
+
+def fox_derivative_by_letters(w, i):
+    """foxrep.fox_derivative as it was: one scan of w per derivative,
+    keeping only the letters x_i and x_i^-1."""
+    terms = {}
+    prefix = [0] * (2 * w.genus)
+    for ell in w.letters:
+        j = abs(ell)
+        if ell > 0:
+            if j == i:
+                key = tuple(prefix)
+                terms[key] = terms.get(key, 0) + 1
+            prefix[j - 1] += 1
+        else:
+            prefix[j - 1] -= 1
+            if j == i:
+                key = tuple(prefix)
+                terms[key] = terms.get(key, 0) - 1
+    return LaurentPoly(w.genus, terms)
+
+
+def rep_mul_by_products(a, b):
+    """foxrep.rep_mul as it was: each entry a sum of LaurentPoly
+    products, one intermediate polynomial per term of the sum."""
+    n = len(a)
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j])
+            for j in range(n)
+        )
+        for i in range(n)
+    )

@@ -5,11 +5,12 @@ import pytest
 
 from twistlab import foxrep, jfilt, mcg
 from twistlab.curve import resolve
-from twistlab.errors import PreconditionError
+from twistlab.errors import GenusMismatch, PreconditionError
 from twistlab.foxrep import (
     LaurentPoly,
     SuzukiHit,
     fox_derivative,
+    fox_jacobian,
     magnus_rep,
     rep_as_json,
     rep_equal,
@@ -21,7 +22,11 @@ from twistlab.jfilt import enumerate_curve_specs, in_Mk
 from twistlab.mcg import FreeAutomorphism, builtin_table, commutes, evaluate
 from twistlab.word import Word, abelianized
 
-from references import commutator_auto
+from references import (
+    commutator_auto,
+    fox_derivative_by_letters,
+    rep_mul_by_products,
+)
 
 
 def random_word(rng, genus, max_len=10):
@@ -73,6 +78,50 @@ def test_fundamental_identity():
         assert acc == LaurentPoly.monomial(2, abelianized(w)) - LaurentPoly.one(2)
 
 
+def test_derivative_rejects_generator_index_out_of_range():
+    w = Word(2, (1, 2, -1))
+    assert fox_derivative(w, 4).is_zero()
+    for i in (5, 0, -1):
+        with pytest.raises(PreconditionError, match="out of range"):
+            fox_derivative(w, i)
+
+
+def _cancelling_words():
+    """The empty words, x1 [x2, x3] x1^-1 and relatives, whose
+    derivative in x1 has a key reached once with +1 and once with -1,
+    and [x1, x2]^2, whose keys are each reached twice."""
+    words = [Word(genus, ()) for genus in (1, 2, 3)]
+    for genus in (2, 3):
+        words += [
+            Word(genus, (1, 2, 3, -2, -3, -1)),
+            Word(genus, (1, 2, 3, -2, -3, -1, 2)),
+            Word(genus, (-1, 2, 3, -2, -3, 1)),
+        ]
+    words.append(Word(1, (1, 2, -1, -2, 1, 2, -1, -2)))
+    return words
+
+
+def test_jacobian_matches_the_letterwise_derivatives():
+    # every column of the one-pass scan is the derivative that scanned
+    # the word once per generator, and its final prefix is the word's
+    # exponent sum; no column stores a zero coefficient
+    rng = random.Random(113)
+    words = _cancelling_words()
+    while len(words) < 2000:
+        words.append(random_word(rng, rng.randrange(1, 4), max_len=14))
+    for w in words:
+        columns, prefix = fox_jacobian(w)
+        assert prefix == abelianized(w)
+        assert len(columns) == 2 * w.genus
+        for i, column in enumerate(columns, start=1):
+            assert column == fox_derivative_by_letters(w, i) == fox_derivative(w, i)
+            assert all(column.terms.values())
+    # x1 c x1^-1 with c a commutator avoiding x1: the +1 of x1 and the -1
+    # of x1^-1 fall on one key and leave no term
+    assert fox_jacobian(Word(2, (1, 2, 3, -2, -3, -1)))[0][0].terms == {}
+    assert fox_jacobian(Word(1, ()))[0] == (LaurentPoly.zero(1),) * 2
+
+
 # -- the representation ----------------------------------------------------
 
 
@@ -105,6 +154,49 @@ def test_rejects_non_torelli():
         magnus_rep(evaluate((("C1", 1),), 2))
 
 
+def _moved_columns(f):
+    """The generators whose images f moves in homology."""
+    n = 2 * f.genus
+    return [
+        j for j, image in enumerate(f.images)
+        if abelianized(image) != tuple(int(i == j) for i in range(n))
+    ]
+
+
+def test_magnus_rep_reads_homology_from_its_own_scans(monkeypatch):
+    # one scan per image gives its column and its exponent sum, so the
+    # representation runs no Torelli test, homology matrix or
+    # per-generator derivative of its own
+    def forbidden(name):
+        def fail(*args):
+            raise AssertionError(f"magnus_rep called {name}")
+
+        return fail
+
+    sep = evaluate((("Sep1", 1),), 2)
+    c1 = evaluate((("C1", 1),), 2)
+    expected = tuple(
+        tuple(fox_derivative_by_letters(sep.images[j], i + 1) for j in range(4))
+        for i in range(4)
+    )
+    non_torelli = [c1, sep.compose(c1), c1.compose(sep)]
+    for f in non_torelli:
+        assert len(_moved_columns(f)) == 1
+    for module, name in (
+        (foxrep, "in_Mk"), (jfilt, "in_Mk"), (mcg, "homology_action"),
+        (jfilt, "homology_action"), (foxrep, "fox_derivative"),
+    ):
+        monkeypatch.setattr(module, name, forbidden(name), raising=False)
+    assert magnus_rep(sep) == expected
+    for f in non_torelli:
+        with pytest.raises(
+            PreconditionError,
+            match="^the Magnus representation is defined on homologically "
+            "trivial classes only$",
+        ):
+            magnus_rep(f)
+
+
 def _torelli_samples(rng, genus, count):
     """Conjugated separating twists and short products of them."""
     table = builtin_table(genus)
@@ -133,6 +225,21 @@ def test_multiplicative_on_torelli_pairs():
         assert rep_equal(
             magnus_rep(f.compose(g)), rep_mul(magnus_rep(f), magnus_rep(g))
         )
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_rep_mul_matches_the_sum_of_products(genus):
+    # one dict per entry gives the matrix that summed a LaurentPoly
+    # product per k
+    rng = random.Random(127)
+    matrices = [magnus_rep(f) for f in _torelli_samples(rng, genus, 6)]
+    for a in matrices:
+        for b in matrices:
+            product = rep_mul(a, b)
+            assert product == rep_mul_by_products(a, b)
+            assert all(all(p.terms.values()) for row in product for p in row)
+    with pytest.raises(GenusMismatch):
+        rep_mul(rep_identity(2), rep_identity(3))
 
 
 def test_inverse_pairs_multiply_to_identity():

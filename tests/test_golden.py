@@ -60,6 +60,10 @@ CASES = {
         "foxcheck", "--genus", "2", "--samples", "25", "--torelli-pairs", "6",
         "--seed", "1", "--suzuki-budget", "29",
     ],
+    "foxcheck_g3_s25_t6_seed1_b10.json": [
+        "foxcheck", "--genus", "3", "--samples", "25", "--torelli-pairs", "6",
+        "--seed", "1", "--suzuki-budget", "10",
+    ],
     "pair_g2_sep1_conj_cap5.json": [
         "pair", "--genus", "2", "--c1", "Sep1", "--c2", "Sep1 @ [C3]",
         "--cap", "5",

@@ -41,13 +41,21 @@ twist along Sep1 moved by a word with a dense homology matrix, with the
 reader that pairs and the corollary share (jfilt._curve_term: two folded
 matrices and Derivation.transform), and magnus.lead_bracket.g{2,3}
 brackets t_Sep1's term with the moved one (Derivation.bracket), each
-LEAD_CALLS times a replay.
+LEAD_CALLS times a replay.  The Fox kernels of foxcheck's Magnus checks
+run on fixed calls too, since a pair-scan pass makes none:
+foxrep.jacobian.g2 is magnus_rep of t_Sep1 and of fg for the crossing
+pairs among the first FOX_CURVES separating curves at genus 2, the
+products the Suzuki scan builds, FOX_CALLS times a replay, and
+foxrep.rep_mul.g2 multiplies each of those matrices by the next, once a
+replay, since a product of two such matrices takes as long as about 50
+of the matrices.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import statistics
 import sys
@@ -59,7 +67,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import workloads  # noqa: E402
 from worker import Speed  # noqa: E402
-from twistlab import curve, jfilt, magnus, mcg  # noqa: E402
+from twistlab import curve, foxrep, jfilt, magnus, mcg  # noqa: E402
 from twistlab.mcg import FreeAutomorphism  # noqa: E402
 from twistlab.word import Word  # noqa: E402
 
@@ -135,6 +143,29 @@ def lead_term_calls():
     return calls
 
 
+#: Separating curves whose crossing pairs give the Fox kernels' classes.
+FOX_CURVES = 4
+#: Passes over the classes of foxrep.jacobian.g2 in one replay.
+FOX_CALLS = 10
+
+
+def fox_calls():
+    """The Fox kernels on fixed arguments, at genus 2."""
+    classes = [mcg.builtin_table(2).twist("Sep1")]
+    curves = itertools.islice(jfilt.distinct_separating_curves(2), FOX_CURVES)
+    for (_, a), (_, b) in itertools.combinations(curves, 2):
+        if a.crosses(b):
+            classes.append(a.twist.compose(b.twist))
+    matrices = [foxrep.magnus_rep(f) for f in classes]
+    products = list(zip(matrices, matrices[1:] + matrices[:1]))
+    return {
+        "foxrep.jacobian.g2": (
+            foxrep.magnus_rep, [(f,) for f in classes] * FOX_CALLS
+        ),
+        "foxrep.rep_mul.g2": (foxrep.rep_mul, products),
+    }
+
+
 def _letters(args):
     return sum(len(a.letters) for a in args if isinstance(a, Word))
 
@@ -183,6 +214,7 @@ def main(argv=None):
     ops = [op for op in ops if (op["genus"], op["c1"], op["c2"]) not in failed]
     calls = record(ops)
     calls.update(lead_term_calls())
+    calls.update(fox_calls())
 
     speed = Speed()
     times = {name: [] for name in calls}
