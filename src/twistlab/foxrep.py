@@ -16,6 +16,9 @@ one column of it, and magnus_rep builds each column of its matrix, and
 checks that the class acts trivially on homology, from one scan of a
 generator image.
 
+A matrix is a tuple of row tuples of LaurentPoly, so two matrices are
+equal, shape included, iff they compare equal with ==.
+
 Multiplicativity is what the kernel-element scan rests on: for Torelli
 classes f and g, r([f, g]) = r(fg) r(gf)^-1, so the commutator has
 identity matrix iff r(fg) == r(gf).  A hit of suzuki_scan is a pair of
@@ -49,16 +52,12 @@ class LaurentPoly:
         return cls(genus)
 
     @classmethod
-    def const(cls, genus, c):
-        return cls(genus, {(0,) * (2 * genus): c})
-
-    @classmethod
     def one(cls, genus):
-        return cls.const(genus, 1)
+        return cls(genus, {(0,) * (2 * genus): 1})
 
     @classmethod
-    def monomial(cls, genus, exps, coeff=1):
-        return cls(genus, {tuple(exps): coeff})
+    def monomial(cls, genus, exps):
+        return cls(genus, {tuple(exps): 1})
 
     def is_zero(self):
         return not self.terms
@@ -220,10 +219,6 @@ def rep_mul(a, b):
     return tuple(out)
 
 
-def rep_equal(a, b):
-    return all(p == q for ra, rb in zip(a, b) for p, q in zip(ra, rb))
-
-
 def rep_as_json(m):
     return [[entry.as_json() for entry in row] for row in m]
 
@@ -275,6 +270,6 @@ def suzuki_scan(genus, budget):
         if not a.crosses(b):
             continue
         ta, tb = a.twist, b.twist
-        if rep_equal(magnus_rep(ta.compose(tb)), magnus_rep(tb.compose(ta))):
+        if magnus_rep(ta.compose(tb)) == magnus_rep(tb.compose(ta)):
             hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
     return hits

@@ -114,11 +114,6 @@ class JFDepth:
     kind: str
     level: int | None = None
 
-    def __str__(self):
-        if self.kind in ("identity", "not_in_m1"):
-            return self.kind
-        return f"{self.kind}({self.level})"
-
 
 def action_depth(f, g):
     """Filtration depth of g^-1 f from two TruncatedActions.
@@ -396,13 +391,11 @@ def _curve_term(twist, word):
     Leading terms are equivariant: with H the homology matrix of h,
     D_{h(c)} = H·D_c (Johnson, Math. Ann. 249, 1980; Morita, Duke
     Math. J. 70, 1993; magnus.Derivation.transform), so the term is read
-    from the base twist's and matrices folded from the words h and h^-1
-    (mcg.homology_matrix).  No conjugator and no twist is built.
+    from the base twist's and one matrix folded from the word h
+    (mcg.homology_matrix); H preserves the intersection form, so the
+    transform reads H^-1 from H.  No conjugator and no twist is built.
     """
-    genus = twist.genus
-    return _base_term(twist).transform(
-        homology_matrix(word, genus), homology_matrix(inverse_mcw(word), genus)
-    )
+    return _base_term(twist).transform(homology_matrix(word, twist.genus))
 
 
 def _separating_term(d1, d2):
@@ -516,10 +509,8 @@ def johnson_leading_term(f, k):
     return Derivation.leading(TruncatedAction.of(f, k + 1)).parts()
 
 
-def morita_check(f, g, kf, kg, cap):
+def morita_check(f, g, kf, kg):
     """Check [f, g] lands in M(kf+kg); a False return is an implementation bug."""
-    if kf + kg > cap:
-        raise PreconditionError("kf + kg exceeds the cap")
     if not in_Mk(f, kf):
         raise PreconditionError(f"first argument is not in M({kf})")
     if not in_Mk(g, kg):
@@ -595,23 +586,12 @@ def distinguishing_witness(c1, c2, budget):
     return None
 
 
-@dataclass(frozen=True)
-class Fact5Verdict:
-    """Outcome of sampling separating curves against a mapping class."""
-
-    moved: CurveSpec | None
-
-    @property
-    def fixes_all_sampled(self):
-        return self.moved is None
-
-
 def fact5_instance(f, budget):
-    """Look for a separating curve moved by f.
+    """The spec of the first sampled separating curve moved by f, or None.
 
-    Central classes fix every curve, so the verdict for them is always
-    FixesAllSampled; for non-central classes a moved separating curve
-    exists and the sampler reports the first one found within budget.
+    Central classes fix every curve, so for them this is always None;
+    for non-central classes a moved separating curve exists, and the
+    sampler returns the first one found within budget.
     f commutes with the twist along d iff f fixes d's class, since
     f t_d f^-1 = t_{f(d)} (see the module docstring), so each curve
     costs one application of f to its class, and no twist is built.
@@ -623,5 +603,5 @@ def fact5_instance(f, budget):
     curves = distinct_separating_curves(f.genus)
     for d, data in itertools.islice(curves, budget):
         if f(data.pi1_class).canonical_cyclic() != data.pi1_class:
-            return Fact5Verdict(moved=d)
-    return Fact5Verdict(moved=None)
+            return d
+    return None

@@ -73,14 +73,12 @@ class TruncatedSeries:
 
     __slots__ = ("genus", "cap", "degrees")
 
-    def __init__(self, genus, cap, degrees=None):
+    def __init__(self, genus, cap):
         if cap < 0:
             raise ValueError("cap must be >= 0")
         self.genus = genus
         self.cap = cap
-        if degrees is None:
-            degrees = [dict() for _ in range(cap + 1)]
-        self.degrees = degrees
+        self.degrees = [dict() for _ in range(cap + 1)]
 
     @classmethod
     def one(cls, genus, cap):
@@ -398,13 +396,17 @@ class Derivation:
                 tail += j * low
                 low *= base
 
-    def transform(self, matrix, inverse):
-        """H·D = L_H ∘ D ∘ L_H^-1, for H = matrix with inverse `inverse`.
+    def transform(self, matrix):
+        """H·D = L_H ∘ D ∘ L_H^-1, for H = matrix.
 
         H is a 2g x 2g integer matrix whose column k is the image of
         e_k, as a class acts on homology, and L_H is the ring
         automorphism of Z<X> with X_k -> sum_l H[l][k] X_l.  So
-        (H·D)(X_i) = sum_j inverse[j][i] L_H(D(X_j)).  For f in M(k)
+        (H·D)(X_i) = sum_j H^-1[j][i] L_H(D(X_j)).  H must preserve the
+        intersection form <e_{2i-1}, e_{2i}> = 1, as the homology matrix
+        of every mapping class does; then H^-1 = -Ω H^T Ω, so entry
+        (j, i) of H^-1 is s_i s_j H[i^1][j^1], with s_k = (-1)^k for
+        0-based k.  For f in M(k)
         with leading term D_f and a class h acting on homology by H, the
         leading term of h f h^-1 is H·D_f (Johnson, Math. Ann. 249, 1980;
         Morita, Duke Math. J. 70, 1993), so a conjugated separating
@@ -434,8 +436,11 @@ class Derivation:
         for i in range(base):
             out = {}
             for j, image in enumerate(images):
-                c = inverse[j][i]
+                # H^-1[j][i], read from H
+                c = matrix[i ^ 1][j ^ 1]
                 if c:
+                    if (i ^ j) & 1:
+                        c = -c
                     for key, v in image.items():
                         out[key] = out.get(key, 0) + c * v
             values.append(_nonzero(out))

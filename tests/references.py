@@ -13,7 +13,6 @@ from twistlab.curve import (
 from twistlab.errors import PreconditionError, WordLengthLimit
 from twistlab.foxrep import LaurentPoly
 from twistlab.jfilt import (
-    Fact5Verdict,
     JFDepth,
     _commutator_depth,
     action_depth,
@@ -95,8 +94,8 @@ def fact5_instance_by_commutes(f, budget):
     fails to commute with the twist along it."""
     for d, data in islice(distinct_separating_curves(f.genus), budget):
         if not mcg.commutes(f, data.twist):
-            return Fact5Verdict(moved=d)
-    return Fact5Verdict(moved=None)
+            return d
+    return None
 
 
 def mat_mul(a, b):

@@ -20,7 +20,6 @@ from twistlab.foxrep import (
     LaurentPoly,
     fox_derivative,
     magnus_rep,
-    rep_equal,
     rep_identity,
     rep_mul,
 )
@@ -156,7 +155,7 @@ def test_criterion_06_morita_inclusion():
             else:
                 f, kf = conj_sep(), 2
             g, kg = conj_sep(), 2
-            assert morita_check(f, g, kf, kg, kf + kg)
+            assert morita_check(f, g, kf, kg)
             checked += 1
     t.report(6, "20 bracket samples all landed in the predicted level")
 
@@ -164,7 +163,7 @@ def test_criterion_06_morita_inclusion():
 def test_criterion_07_separating_action_instances():
     with Timer(120) as t:
         delta = evaluate((("Delta", 1),), 2)
-        assert fact5_instance(delta, 50).fixes_all_sampled
+        assert fact5_instance(delta, 50) is None
         rng = random.Random(707)
         names = builtin_table(2).chain_names
         found = 0
@@ -176,8 +175,7 @@ def test_criterion_07_separating_action_instances():
             f = evaluate(mcw, 2)
             if f.is_identity() or is_central(f):
                 continue
-            verdict = fact5_instance(f, 50)
-            assert verdict.moved is not None, mcw
+            assert fact5_instance(f, 50) is not None, mcw
             found += 1
     t.report(7, "central class fixes all; 10 non-central classes move a curve")
 
@@ -239,7 +237,7 @@ def test_criterion_09_fox_and_magnus_representation():
             assert acc == LaurentPoly.monomial(2, abelianized(u)) - LaurentPoly.one(2)
 
         sep = evaluate((("Sep1", 1),), 2)
-        assert not rep_equal(magnus_rep(sep), rep_identity(2))
+        assert magnus_rep(sep) != rep_identity(2)
 
         table = builtin_table(2)
         names = table.chain_names + table.sep_names
@@ -255,8 +253,8 @@ def test_criterion_09_fox_and_magnus_representation():
                 pool.append(f)
         for _ in range(20):
             f, g = rng.choice(pool), rng.choice(pool)
-            assert rep_equal(
-                magnus_rep(f.compose(g)), rep_mul(magnus_rep(f), magnus_rep(g))
+            assert magnus_rep(f.compose(g)) == rep_mul(
+                magnus_rep(f), magnus_rep(g)
             )
     t.report(9, "derivative identities, multiplicativity, nontrivial matrix")
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import twistlab
-from twistlab import __version__, magnus
+from twistlab import __version__, cli, jfilt, magnus, mcg
 from twistlab.cli import main
 
 
@@ -188,6 +189,26 @@ def test_foxcheck_with_suzuki_budget(capsys):
     )
     assert rc == 0
     assert isinstance(doc["results"]["suzuki_hits"], list)
+
+
+@pytest.mark.parametrize("genus", ["2", "3"])
+def test_foxcheck_checks_torelli_once_and_evaluates_nothing(
+    capsys, monkeypatch, genus
+):
+    # the pool is Torelli by construction and magnus_rep rejects any
+    # class that is not, so no in_Mk guard; t_Sep1 is the table's twist
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    assert not hasattr(cli, "in_Mk") and not hasattr(cli, "evaluate")
+    monkeypatch.setattr(jfilt, "in_Mk", forbidden)
+    monkeypatch.setattr(mcg, "evaluate", forbidden)
+    rc, doc = run_json(
+        capsys, "foxcheck", "--genus", genus, "--samples", "5",
+        "--torelli-pairs", "6", "--seed", "3", "--suzuki-budget", "6",
+    )
+    assert rc == 0
+    assert doc["summary"]["all_passed"] is True
 
 
 def test_foxcheck_suzuki_scan_stays_under_the_letter_cap(capsys):
@@ -492,3 +513,79 @@ def test_huge_twist_exponents_exit_2_at_once(c1):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "letters" in proc.stderr
+
+
+# -- fuzz: every call ends in a documented exit code ---------------------------
+
+# names no table has, at any genus
+FUZZ_UNKNOWN = ("C0", "C8", "Sep3", "T1", "c1", "Δ")
+FUZZ_CHARS = "@[]^- 0x9é"
+
+
+def _fuzz_spec(rng, genus):
+    """A spec text: at most 5 factors with |k| <= 9, of names mostly from
+    the genus's table (genus 3's outside 1..3) and otherwise unknown; a
+    quarter of the texts have one character inserted or deleted."""
+    table = mcg.builtin_table(min(max(genus, 1), 3))
+
+    def name():
+        return rng.choice(
+            table.names() if rng.random() < 0.9 else FUZZ_UNKNOWN
+        )
+
+    factors = []
+    for _ in range(rng.randrange(6)):
+        k = rng.randint(-9, 9)
+        factors.append(name() if k == 1 else f"{name()}^{k}")
+    text = name()
+    if factors:
+        text += f" @ [{' '.join(factors)}]"
+    if rng.random() < 0.25:
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5 and at < len(text):
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + rng.choice(FUZZ_CHARS) + text[at:]
+    return text
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(("validate", "pair", "corollary", "scan", "foxcheck"))
+    genus = rng.randint(0, 4)
+    argv = [command, "--genus", str(genus),
+            "--format", rng.choice(("json", "csv"))]
+    cap = ["--cap", str(rng.randint(0, 7))]
+    if command == "pair":
+        argv += ["--c1", _fuzz_spec(rng, genus), "--c2", _fuzz_spec(rng, genus)]
+        argv += cap
+    elif command == "corollary":
+        argv += cap
+    elif command == "scan":
+        argv += cap + ["--samples", str(rng.randint(0, 3)),
+                       "--seed", str(rng.randrange(100)),
+                       "--max-conjugator-len", str(rng.randint(0, 3))]
+    elif command == "foxcheck":
+        argv += ["--samples", str(rng.randint(0, 5)),
+                 "--torelli-pairs", str(rng.randint(0, 3)),
+                 "--seed", str(rng.randrange(100)),
+                 "--suzuki-budget", str(rng.randint(0, 4))]
+    return argv
+
+
+def test_fuzzed_cli_calls_exit_0_or_2(capsys):
+    # 0 for a result and 2 for usage, parse or budget errors, from main
+    # or from argparse; never 1, since no fuzzed input finds a property
+    # violation, and never an exception
+    rng = random.Random(5)
+    codes = {}
+    for _ in range(600):
+        argv = _fuzz_argv(rng)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # rejected by argparse
+            rc = exc.code
+        capsys.readouterr()
+        assert rc in (0, 2), argv
+        codes[argv[0], rc] = codes.get((argv[0], rc), 0) + 1
+    # every command both ran and was rejected
+    assert len(codes) == 10, codes

@@ -13,7 +13,6 @@ from twistlab.foxrep import (
     fox_jacobian,
     magnus_rep,
     rep_as_json,
-    rep_equal,
     rep_identity,
     rep_mul,
     suzuki_scan,
@@ -129,7 +128,7 @@ def test_identity_matrix():
     from twistlab.mcg import FreeAutomorphism
 
     m = magnus_rep(FreeAutomorphism.identity(2))
-    assert rep_equal(m, rep_identity(2))
+    assert m == rep_identity(2)
 
 
 def test_sep_twist_entry_matches_hand_computation():
@@ -146,7 +145,7 @@ def test_sep_twist_entry_matches_hand_computation():
         },
     )
     assert m[0][0] == expect
-    assert not rep_equal(m, rep_identity(2))
+    assert m != rep_identity(2)
 
 
 def test_rejects_non_torelli():
@@ -222,8 +221,8 @@ def test_multiplicative_on_torelli_pairs():
     for _ in range(20):
         f = rng.choice(samples)
         g = rng.choice(samples)
-        assert rep_equal(
-            magnus_rep(f.compose(g)), rep_mul(magnus_rep(f), magnus_rep(g))
+        assert magnus_rep(f.compose(g)) == rep_mul(
+            magnus_rep(f), magnus_rep(g)
         )
 
 
@@ -246,7 +245,7 @@ def test_inverse_pairs_multiply_to_identity():
     rng = random.Random(107)
     for f in _torelli_samples(rng, 2, 6):
         prod = rep_mul(magnus_rep(f), magnus_rep(f.inverse()))
-        assert rep_equal(prod, rep_identity(2))
+        assert prod == rep_identity(2)
 
 
 def test_conjugation_consistency_two_code_paths():
@@ -265,7 +264,7 @@ def test_conjugation_consistency_two_code_paths():
             tuple(fox_derivative(conj.images[j], i + 1) for j in range(4))
             for i in range(4)
         )
-        assert rep_equal(direct, rebuilt)
+        assert direct == rebuilt
 
 
 # -- output forms ------------------------------------------------------------
@@ -302,7 +301,7 @@ def test_suzuki_scan_small_budget_runs_clean():
         t2 = resolve(parse_curve_spec(2, h.c2)).twist
         comm = commutator_auto(t1, t2)
         assert not comm.is_identity()
-        assert rep_equal(magnus_rep(comm), rep_identity(2))
+        assert magnus_rep(comm) == rep_identity(2)
 
 
 def _scan_pairs(genus, budget):
@@ -332,8 +331,8 @@ def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
         assert (fg == gf) == comm.is_identity() == commutes(ta, tb) != crosses
         if crosses:
             crossing |= {(id(ta), id(tb)), (id(tb), id(ta))}
-        same_matrix = rep_equal(magnus_rep(fg), magnus_rep(gf))
-        assert same_matrix == rep_equal(magnus_rep(comm), identity)
+        same_matrix = magnus_rep(fg) == magnus_rep(gf)
+        assert same_matrix == (magnus_rep(comm) == identity)
         if not comm.is_identity() and same_matrix:
             expected.append(SuzukiHit(da.to_text(), db.to_text()))
     if genus == 3:

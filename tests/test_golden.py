@@ -60,6 +60,15 @@ CASES = {
         "foxcheck", "--genus", "2", "--samples", "25", "--torelli-pairs", "6",
         "--seed", "1", "--suzuki-budget", "29",
     ],
+    # genus 1 has no separating curve: no Torelli pool, no matrix
+    "foxcheck_g1_s25_t6_seed1.json": [
+        "foxcheck", "--genus", "1", "--samples", "25", "--torelli-pairs", "6",
+        "--seed", "1",
+    ],
+    "foxcheck_g1_s25_t6_seed1.csv": [
+        "foxcheck", "--genus", "1", "--samples", "25", "--torelli-pairs", "6",
+        "--seed", "1", "--format", "csv",
+    ],
     "foxcheck_g3_s25_t6_seed1_b10.json": [
         "foxcheck", "--genus", "3", "--samples", "25", "--torelli-pairs", "6",
         "--seed", "1", "--suzuki-budget", "10",

@@ -125,6 +125,37 @@ def test_homology_matrix_matches_the_evaluated_conjugators_of_the_pool():
         assert back == homology_action(evaluate(mcw, genus).inverse()), mcw
 
 
+def test_inverse_homology_matrix_is_read_from_the_intersection_form():
+    # every class preserves <e_{2i-1}, e_{2i}> = 1, so H^-1 = -Ω H^T Ω,
+    # which magnus.Derivation.transform reads instead of taking H^-1
+    rng = random.Random(331)
+    for n in range(500):
+        genus = 1 + n % 3
+        names = builtin_table(genus).names()
+        assert "Delta" in names
+        mcw = tuple(
+            (rng.choice(names), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randrange(8))
+        )
+        size = 2 * genus
+        omega = [[0] * size for _ in range(size)]
+        for i in range(0, size, 2):
+            omega[i][i + 1], omega[i + 1][i] = 1, -1
+        h = homology_matrix(mcw, genus)
+        expected = tuple(
+            tuple(
+                -sum(
+                    omega[j][a] * h[b][a] * omega[b][i]
+                    for a in range(size)
+                    for b in range(size)
+                )
+                for i in range(size)
+            )
+            for j in range(size)
+        )
+        assert homology_matrix(inverse_mcw(mcw), genus) == expected, mcw
+
+
 def test_genus1_candidate_images():
     table = builtin_table(1)
     c1 = table.twist("C1")

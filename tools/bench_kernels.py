@@ -38,10 +38,10 @@ The leading-term kernels that read a separating pair's first level are
 replayed on fixed calls, not recorded ones, since a pair-scan pass makes
 only a few: magnus.lead_transform.g{2,3} reads the leading term of the
 twist along Sep1 moved by a word with a dense homology matrix, with the
-reader that pairs and the corollary share (jfilt._curve_term: two folded
-matrices and Derivation.transform), and magnus.lead_bracket.g{2,3}
-brackets t_Sep1's term with the moved one (Derivation.bracket), each
-LEAD_CALLS times a replay.  The Fox kernels of foxcheck's Magnus checks
+reader that pairs and the corollary share (jfilt._curve_term: one folded
+matrix and Derivation.transform, which reads its inverse from it), and
+magnus.lead_bracket.g{2,3} brackets t_Sep1's term with the moved one
+(Derivation.bracket), each LEAD_CALLS times a replay.  The Fox kernels of foxcheck's Magnus checks
 run on fixed calls too, since a pair-scan pass makes none:
 foxrep.jacobian.g2 is magnus_rep of t_Sep1 and of fg for the crossing
 pairs among the first FOX_CURVES separating curves at genus 2, the
