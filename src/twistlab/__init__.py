@@ -15,7 +15,6 @@ from .mcg import (
     builtin_table,
     evaluate,
     homology_action,
-    is_central,
     validate_relations,
     parse_mcw,
 )
@@ -25,6 +24,9 @@ from .curve import (
     parse_curve_spec,
     resolve,
     curves_equal,
+    distinguishing_witness,
+    fact5_instance,
+    is_central,
 )
 from .jfilt import (
     JFDepth,
@@ -35,7 +37,5 @@ from .jfilt import (
     classify_pair,
     johnson_leading_term,
     morita_check,
-    distinguishing_witness,
-    fact5_instance,
 )
 from .foxrep import LaurentPoly, fox_derivative, magnus_rep, suzuki_scan

@@ -52,29 +52,28 @@ SCHEMA = 1
 COROLLARY_CURVES = {"a": "Sep1", "b": "Sep1 @ [C3]"}
 
 
-def _envelope(args, results, summary=None):
-    """The report document; its config is every parsed option but the
-    command and where and how the report is written."""
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "func", "format", "output")
-    }
-    doc = {
-        "schema": SCHEMA,
-        "tool": "twistlab",
-        "version": __version__,
-        "command": args.command,
-        "config": config,
-        "results": results,
-    }
-    if summary is not None:
-        doc["summary"] = summary
-    return doc
+def _report(args, results, csv_rows, summary=None):
+    """Write the report in args.format to args.output, or to stdout.
 
-
-def _emit(doc, fmt, path, csv_rows):
-    if fmt == "json":
+    The JSON document's config is every parsed option but the command
+    and where and how the report is written; CSV writes csv_rows alone.
+    """
+    if args.format == "json":
+        config = {
+            k: v
+            for k, v in vars(args).items()
+            if k not in ("command", "func", "format", "output")
+        }
+        doc = {
+            "schema": SCHEMA,
+            "tool": "twistlab",
+            "version": __version__,
+            "command": args.command,
+            "config": config,
+            "results": results,
+        }
+        if summary is not None:
+            doc["summary"] = summary
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -85,9 +84,9 @@ def _emit(doc, fmt, path, csv_rows):
             for row in csv_rows:
                 writer.writerow(row)
         text = buf.getvalue()
-    if path:
+    if args.output:
         try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
             raise PreconditionError(f"cannot write --output: {exc}") from exc
@@ -117,16 +116,16 @@ def cmd_validate(args):
         {"kind": c.kind, "relation": c.description, "passed": c.passed}
         for c in report.checks
     ]
-    doc = _envelope(
+    _report(
         args,
         rows,
+        [_flatten(r) for r in rows],
         summary={
             "checks": len(rows),
             "failures": len(report.failures()),
             "all_passed": report.all_passed,
         },
     )
-    _emit(doc, args.format, args.output, csv_rows=[_flatten(r) for r in rows])
     return 0 if report.all_passed else 1
 
 
@@ -135,8 +134,7 @@ def cmd_pair(args):
     c2 = parse_curve_spec(args.genus, args.c2)
     report = classify_pair(c1, c2, args.cap)
     row = report.as_dict()
-    doc = _envelope(args, row)
-    _emit(doc, args.format, args.output, csv_rows=[_flatten(row)])
+    _report(args, row, [_flatten(row)])
     return 0
 
 
@@ -208,15 +206,15 @@ def cmd_corollary(args):
     if args.genus < 2:
         raise UnsupportedGenus("the construction needs a separating curve: genus >= 2")
     if args.cap < 4:
-        doc = _envelope(
+        _report(
             args,
+            [],
             [],
             summary={
                 "note": "cap too small: certifying the base commutator "
                 "needs level 4",
             },
         )
-        _emit(doc, args.format, args.output, csv_rows=[])
         return 0
     rows = _corollary_rows(args.genus, args.cap)
     stopped = "note" in rows[-1]
@@ -234,8 +232,7 @@ def cmd_corollary(args):
             "commutator_is_identity": rows[0]["is_identity"],
         },
     }
-    doc = _envelope(args, rows, summary=summary)
-    _emit(doc, args.format, args.output, csv_rows=[_flatten(r) for r in rows])
+    _report(args, rows, [_flatten(r) for r in rows], summary=summary)
     if not ok:
         return 1
     if stopped:
@@ -282,8 +279,7 @@ def cmd_scan(args):
         "violation_details": violations,
         "ijf_histogram": dict(sorted(histogram.items())),
     }
-    doc = _envelope(args, rows, summary=summary)
-    _emit(doc, args.format, args.output, csv_rows=[_flatten(r) for r in rows])
+    _report(args, rows, [_flatten(r) for r in rows], summary=summary)
     return 1 if violations else 0
 
 
@@ -357,16 +353,15 @@ def cmd_foxcheck(args):
 
     results.update(checks)
     if args.suzuki_budget > 0:
-        hits = suzuki_scan(genus, args.suzuki_budget)
         results["suzuki_hits"] = [
-            {"c1": h.c1, "c2": h.c2} for h in hits
+            {"c1": c1, "c2": c2}
+            for c1, c2 in suzuki_scan(genus, args.suzuki_budget)
         ]
     else:
         results["suzuki_hits"] = "skipped"
 
     passed = all(checks.values())
-    doc = _envelope(args, results, summary={"all_passed": passed})
-    _emit(doc, args.format, args.output, csv_rows=[_flatten(dict(checks))])
+    _report(args, results, [_flatten(dict(checks))], summary={"all_passed": passed})
     return 0 if passed else 1
 
 

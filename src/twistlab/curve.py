@@ -23,7 +23,10 @@ t_a(b) = b, iff the twist along a fixes the class of b
 (CurveData.moves, and CurveData.crosses, which every caller that asks
 whether two twists commute reads).  More generally a mapping class f
 commutes with t_c iff f fixes the class of c, since f t_c f^-1 =
-t_{f(c)} (Primer, ch. 3).  None of this builds the twist or the
+t_{f(c)} (Primer, ch. 3).  One reader, _fixes, asks whether a class
+fixes a curve's class, for moves, is_central and fact5_instance, so
+these ask whether f fixes the class of each curve, not whether f
+commutes with its twist.  None of this builds the twist or the
 conjugator.
 
 The twist along h(c) is h t_c h^-1 by the conjugation law, so it is
@@ -49,10 +52,11 @@ vectors (symplectic_pairing).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import GenusMismatch, SpecParseError, UnknownTwistName
+from .errors import GenusMismatch, PreconditionError, SpecParseError, UnknownTwistName
 from .magnus import TruncatedAction
 from .mcg import (
     FreeAutomorphism,
@@ -131,18 +135,14 @@ class CurveData:
         conjugacy classes.  u is folded from b by the factors of h^-1
         (mcg.class_image), so h^-1 is not built.  The whole twist word is
         not folded: carrying t_c(u) back through h can make classes that
-        pass the letter cap.  Cyclically reduced words of equal length
-        are compared by their canonical forms, which forget the base
-        point and the orientation, as an unoriented curve class does.
+        pass the letter cap.  t_c fixes the class of u or not (_fixes).
         The answer is exact: the twist fixes the curve iff it commutes
         with the twist along it (see the module docstring), so
         a.moves(b) == b.moves(a).
         """
         back = inverse_mcw(self.conjugator_word)
         u = class_image(back, self.base_twist.genus, other.pi1_class)
-        v = self.base_twist(u).cyclic_reduce()
-        # cyclically reduced length is a conjugacy invariant
-        return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
+        return not _fixes(self.base_twist, u)
 
     def crosses(self, other):
         """Do the twists along this curve and other fail to commute?
@@ -233,7 +233,7 @@ def symplectic_pairing(u, v):
     return total
 
 
-# -- pairings and equality ---------------------------------------------
+# -- equality and fixed classes ----------------------------------------
 
 
 def curves_equal(c1, c2):
@@ -241,3 +241,118 @@ def curves_equal(c1, c2):
     if c1.genus != c2.genus:
         raise GenusMismatch("curve specs of different genus")
     return resolve(c1).pi1_class == resolve(c2).pi1_class
+
+
+def _fixes(f, u):
+    """Does the automorphism f fix the conjugacy class of the cyclically
+    reduced word u, up to inversion?
+
+    Cyclically reduced length is a conjugacy invariant, so f(u) is
+    reduced to its core and the lengths are compared first; cores of
+    equal length are compared by their canonical forms, which forget the
+    base point and the orientation, as an unoriented curve class does.
+    """
+    v = f(u).cyclic_reduce()
+    return len(u) == len(v) and u.canonical_cyclic() == v.canonical_cyclic()
+
+
+# -- curve searches and centrality -------------------------------------
+
+
+def enumerate_curve_specs(genus, separating_only=False):
+    """Deterministic stream of curve specs: bases in table order,
+    conjugators by length then lexicographically."""
+    table = builtin_table(genus)
+    bases = [
+        n
+        for n in table.essential_base_names()
+        if not separating_only or table.entry(n).separating
+    ]
+    alphabet = [
+        (n, e)
+        for n in table.chain_names + table.sep_names
+        for e in (1, -1)
+    ]
+    length = 0
+    while True:
+        for conj in itertools.product(alphabet, repeat=length):
+            for base in bases:
+                yield CurveSpec(genus, base, conj)
+        length += 1
+
+
+def distinct_separating_curves(genus):
+    """The separating specs of enumerate_curve_specs, one per curve.
+
+    Yields (spec, CurveData) for each spec whose curve no earlier spec
+    had: curves are equal iff their classes are (see the module
+    docstring), so a curve reached again by a different word is skipped.
+    No twist is built; a caller that needs one reads CurveData.twist.
+    """
+    seen = set()
+    for d in enumerate_curve_specs(genus, separating_only=True):
+        data = resolve(d)
+        if data.pi1_class not in seen:
+            seen.add(data.pi1_class)
+            yield d, data
+
+
+def distinguishing_witness(c1, c2, budget):
+    """Search for a curve meeting exactly one of two distinct curves.
+
+    Enumerates candidate specs (skipping those isotopic to either
+    input, by class) and returns the first d whose curve crosses one
+    input and not the other, read on the curves (CurveData.crosses), so
+    no twist and no conjugator is built.  None after `budget` candidates
+    is not a disproof.
+    """
+    if curves_equal(c1, c2):
+        raise PreconditionError("inputs are the same curve")
+    d1, d2 = resolve(c1), resolve(c2)
+    candidates = enumerate_curve_specs(c1.genus)
+    for d in itertools.islice(candidates, max(budget, 0)):
+        dd = resolve(d)
+        if dd.pi1_class in (d1.pi1_class, d2.pi1_class):
+            continue
+        if d1.crosses(dd) != d2.crosses(dd):
+            return d
+    return None
+
+
+def fact5_instance(f, budget):
+    """The spec of the first sampled separating curve moved by f, or None.
+
+    Central classes fix every curve, so for them this is always None;
+    for non-central classes a moved separating curve exists, and the
+    sampler returns the first one found within budget.
+    f commutes with the twist along d iff f fixes d's class, since
+    f t_d f^-1 = t_{f(d)} (see the module docstring), so each curve
+    costs one application of f to its class (_fixes), and no twist is
+    built.
+    """
+    if f.genus < 2:
+        raise PreconditionError(
+            "no essential separating curves exist at genus 1"
+        )
+    curves = distinct_separating_curves(f.genus)
+    for d, data in itertools.islice(curves, budget):
+        if not _fixes(f, data.pi1_class):
+            return d
+    return None
+
+
+def is_central(f):
+    """Centrality test: fixes every chain curve.
+
+    A mapping class commutes with the twist along a curve c iff it fixes
+    c up to isotopy, since f t_c f^-1 = t_{f(c)} (Farb-Margalit, Primer,
+    ch. 3), and freely homotopic essential simple closed curves are
+    isotopic, so that is read on the class of c (_fixes) and no twist is
+    applied.  Sufficient as well as necessary: a class fixing every
+    chain curve commutes with every chain twist, and the chain fills the
+    surface, so by the Alexander method the class is a power of the
+    boundary twist.
+    """
+    table = builtin_table(f.genus)
+    chain = (table.entry(n).base_word for n in table.chain_names)
+    return all(_fixes(f, c.canonical_cyclic()) for c in chain)

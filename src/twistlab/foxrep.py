@@ -31,11 +31,10 @@ the Magnus representation of the Torelli group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add
 
+from .curve import distinct_separating_curves
 from .errors import GenusMismatch, PreconditionError
-from .jfilt import distinct_separating_curves
 
 
 class LaurentPoly:
@@ -226,14 +225,6 @@ def rep_as_json(m):
 # -- kernel-element scan -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuzukiHit:
-    """A separating pair whose twist commutator the representation misses."""
-
-    c1: str
-    c2: str
-
-
 def suzuki_scan(genus, budget):
     """Enumerate separating curve pairs hunting for twists that cross
     while their Magnus matrices commute.
@@ -246,7 +237,8 @@ def suzuki_scan(genus, budget):
     magnus_rep(fg) == magnus_rep(gf).  Both products lie in the Torelli
     group, where magnus_rep is multiplicative, so r([f, g]) =
     r(fg) r(gf)^-1, and a hit certifies a nontrivial commutator [f, g]
-    with identity Magnus matrix.  The commutator itself, a product of
+    with identity Magnus matrix, returned as the pair (c1, c2) of the
+    curves' spec texts.  The commutator itself, a product of
     four twists, is never formed: its images can pass the letter cap
     while those of fg and gf stay short.
 
@@ -271,5 +263,5 @@ def suzuki_scan(genus, budget):
             continue
         ta, tb = a.twist, b.twist
         if magnus_rep(ta.compose(tb)) == magnus_rep(tb.compose(ta)):
-            hits.append(SuzukiHit(c1=da.to_text(), c2=db.to_text()))
+            hits.append((da.to_text(), db.to_text()))
     return hits

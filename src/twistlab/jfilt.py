@@ -72,28 +72,18 @@ is the mapping class word h (c, 1) h^-1 (CurveData.twist_word), so
 that class is read by folding the factors of the two words, one after
 the other, over the class of c1 (mcg.class_image), and neither the
 product t1 t2 nor either twist is built.
-The same law, f t_c f^-1 = t_{f(c)}, makes fact5_instance ask whether
-a class f fixes the class of each separating curve, not whether f
-commutes with its twist.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curve import (
-    CurveSpec,
-    curves_equal,
-    resolve,
-    symplectic_pairing,
-)
+from .curve import resolve, symplectic_pairing
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import Derivation, TruncatedAction
 from .mcg import (
     FreeAutomorphism,
-    builtin_table,
     class_image,
     commutes,
     homology_action,
@@ -167,7 +157,7 @@ def in_Mk(f, k):
     """Does f act trivially on the free group mod its (k+1)-st term?"""
     if k < 1:
         raise PreconditionError("filtration level must be >= 1")
-    return _class_depth(f, k).kind in ("identity", "at_least")
+    return johnson_depth(f, k).kind in ("identity", "at_least")
 
 
 def _depth(actions, start, cap):
@@ -208,11 +198,6 @@ def johnson_depth(f, cap):
     """
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
-    return _class_depth(f, cap)
-
-
-def _class_depth(f, cap):
-    # johnson_depth after its cap check; in_Mk checks k and calls this
     if f.is_identity():
         return JFDepth("identity")
     if homology_action(f) != identity_matrix(f.genus):
@@ -518,90 +503,3 @@ def morita_check(f, g, kf, kg):
     # at cap kf+kg an exact depth is at most kf+kg-1, so only the
     # identity and an exhausted cap certify membership in M(kf+kg)
     return commutator_depth(f, g, kf + kg).kind in ("identity", "at_least")
-
-
-# -- spec enumeration (witness searches, sampling) ---------------------
-
-
-def enumerate_curve_specs(genus, separating_only=False):
-    """Deterministic stream of curve specs: bases in table order,
-    conjugators by length then lexicographically."""
-    table = builtin_table(genus)
-    bases = [
-        n
-        for n in table.essential_base_names()
-        if not separating_only or table.entry(n).separating
-    ]
-    alphabet = [
-        (n, e)
-        for n in table.chain_names + table.sep_names
-        for e in (1, -1)
-    ]
-    length = 0
-    while True:
-        for conj in itertools.product(alphabet, repeat=length):
-            for base in bases:
-                yield CurveSpec(genus, base, conj)
-        length += 1
-
-
-def distinct_separating_curves(genus):
-    """The separating specs of enumerate_curve_specs, one per curve.
-
-    Yields (spec, CurveData) for each spec whose curve no earlier spec
-    had: curves are equal iff their classes are (see the curve module),
-    so a curve reached again by a different word is skipped.  No twist
-    is built; a caller that needs one reads CurveData.twist.
-    """
-    seen = set()
-    for d in enumerate_curve_specs(genus, separating_only=True):
-        data = resolve(d)
-        if data.pi1_class not in seen:
-            seen.add(data.pi1_class)
-            yield d, data
-
-
-def distinguishing_witness(c1, c2, budget):
-    """Search for a curve meeting exactly one of two distinct curves.
-
-    Enumerates candidate specs (skipping those isotopic to either
-    input, by class) and returns the first d whose curve crosses one
-    input and not the other, read on the curves (CurveData.crosses), so
-    no twist and no conjugator is built.  None after `budget` candidates
-    is not a disproof.
-    """
-    if curves_equal(c1, c2):
-        raise PreconditionError("inputs are the same curve")
-    d1, d2 = resolve(c1), resolve(c2)
-    tested = 0
-    for d in enumerate_curve_specs(c1.genus):
-        if tested >= budget:
-            return None
-        tested += 1
-        dd = resolve(d)
-        if dd.pi1_class in (d1.pi1_class, d2.pi1_class):
-            continue
-        if d1.crosses(dd) != d2.crosses(dd):
-            return d
-    return None
-
-
-def fact5_instance(f, budget):
-    """The spec of the first sampled separating curve moved by f, or None.
-
-    Central classes fix every curve, so for them this is always None;
-    for non-central classes a moved separating curve exists, and the
-    sampler returns the first one found within budget.
-    f commutes with the twist along d iff f fixes d's class, since
-    f t_d f^-1 = t_{f(d)} (see the module docstring), so each curve
-    costs one application of f to its class, and no twist is built.
-    """
-    if f.genus < 2:
-        raise PreconditionError(
-            "no essential separating curves exist at genus 1"
-        )
-    curves = distinct_separating_curves(f.genus)
-    for d, data in itertools.islice(curves, budget):
-        if f(data.pi1_class).canonical_cyclic() != data.pi1_class:
-            return d
-    return None

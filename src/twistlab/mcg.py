@@ -551,22 +551,6 @@ def homology_matrix(mcw, genus):
     return tuple(zip(*columns))
 
 
-def is_central(f):
-    """Centrality test: fixes every chain curve.
-
-    A mapping class commutes with the twist along a curve c iff it fixes
-    c up to isotopy, since f t_c f^-1 = t_{f(c)} (Farb-Margalit, Primer,
-    ch. 3), and freely homotopic essential simple closed curves are
-    isotopic, so that is read on the class of c and no twist is applied.
-    Sufficient as well as necessary: a class fixing every chain curve
-    commutes with every chain twist, and the chain fills the surface, so
-    by the Alexander method the class is a power of the boundary twist.
-    """
-    table = builtin_table(f.genus)
-    chain = (table.entry(n).base_word.canonical_cyclic() for n in table.chain_names)
-    return all(f(c).canonical_cyclic() == c for c in chain)
-
-
 # -- relation validation ----------------------------------------------
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 from twistlab import mcg
 from twistlab.curve import (
+    distinct_separating_curves,
     parse_curve_spec,
     resolve,
     symplectic_pairing,
@@ -16,7 +17,6 @@ from twistlab.jfilt import (
     JFDepth,
     _commutator_depth,
     action_depth,
-    distinct_separating_curves,
 )
 from twistlab.magnus import TruncatedAction, TruncatedSeries
 from twistlab.mcg import homology_action

@@ -14,7 +14,14 @@ import time
 import pytest
 
 from twistlab.cli import main
-from twistlab.curve import CurveSpec, parse_curve_spec, resolve
+from twistlab.curve import (
+    CurveSpec,
+    distinguishing_witness,
+    fact5_instance,
+    is_central,
+    parse_curve_spec,
+    resolve,
+)
 from twistlab.errors import ConsistencyViolation
 from twistlab.foxrep import (
     LaurentPoly,
@@ -26,8 +33,6 @@ from twistlab.foxrep import (
 from twistlab.jfilt import (
     classify_pair,
     check_consistency,
-    distinguishing_witness,
-    fact5_instance,
     in_Mk,
     johnson_depth,
     morita_check,
@@ -36,7 +41,6 @@ from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
     evaluate,
-    is_central,
     validate_relations,
 )
 from twistlab.word import Word, abelianized

@@ -8,6 +8,9 @@ from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
     curves_equal,
+    enumerate_curve_specs,
+    fact5_instance,
+    is_central,
     parse_curve_spec,
     resolve,
     symplectic_pairing,
@@ -18,7 +21,6 @@ from twistlab.errors import (
     UnknownTwistName,
     WordParseError,
 )
-from twistlab.jfilt import enumerate_curve_specs
 from twistlab.magnus import TruncatedAction
 from twistlab.mcg import (
     builtin_table,
@@ -401,6 +403,30 @@ def test_disjoint_twist_fixes_curve():
     # C4 is disjoint from C1's curve, so conjugating does nothing
     assert curves_equal(spec(2, "C1 @ [C4]"), spec(2, "C1"))
     assert not curves_equal(spec(2, "C1 @ [C2]"), spec(2, "C1"))
+
+
+def test_fixed_class_questions_read_one_reader(monkeypatch):
+    # is_central, fact5_instance and crossing (through moves) each ask
+    # whether a class fixes a curve's class, and each asks _fixes
+    fixes = curve._fixes
+    calls = []
+
+    def spy(f, u):
+        calls.append(u)
+        return fixes(f, u)
+
+    monkeypatch.setattr(curve, "_fixes", spy)
+    t_c1 = evaluate((("C1", 1),), 2)
+    d1, d2 = resolve(spec(2, "C1")), resolve(spec(2, "C2 @ [C4]"))
+    questions = (
+        (lambda: is_central(t_c1), False),
+        (lambda: fact5_instance(t_c1, 10) is None, False),
+        (lambda: d1.crosses(d2), True),
+    )
+    for ask, expected in questions:
+        calls.clear()
+        assert ask() is expected
+        assert calls
 
 
 # -- truncated actions ------------------------------------------------------

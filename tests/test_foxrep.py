@@ -4,11 +4,10 @@ import random
 import pytest
 
 from twistlab import foxrep, jfilt, mcg
-from twistlab.curve import resolve
+from twistlab.curve import enumerate_curve_specs, resolve
 from twistlab.errors import GenusMismatch, PreconditionError
 from twistlab.foxrep import (
     LaurentPoly,
-    SuzukiHit,
     fox_derivative,
     fox_jacobian,
     magnus_rep,
@@ -17,7 +16,7 @@ from twistlab.foxrep import (
     rep_mul,
     suzuki_scan,
 )
-from twistlab.jfilt import enumerate_curve_specs, in_Mk
+from twistlab.jfilt import in_Mk
 from twistlab.mcg import FreeAutomorphism, builtin_table, commutes, evaluate
 from twistlab.word import Word, abelianized
 
@@ -294,11 +293,11 @@ def test_suzuki_scan_zero_budget():
 def test_suzuki_scan_small_budget_runs_clean():
     hits = suzuki_scan(2, 6)
     # any reported hit must satisfy its own re-verified contract
-    for h in hits:
+    for c1, c2 in hits:
         from twistlab.curve import parse_curve_spec, resolve
 
-        t1 = resolve(parse_curve_spec(2, h.c1)).twist
-        t2 = resolve(parse_curve_spec(2, h.c2)).twist
+        t1 = resolve(parse_curve_spec(2, c1)).twist
+        t2 = resolve(parse_curve_spec(2, c2)).twist
         comm = commutator_auto(t1, t2)
         assert not comm.is_identity()
         assert magnus_rep(comm) == rep_identity(2)
@@ -334,7 +333,7 @@ def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
         same_matrix = magnus_rep(fg) == magnus_rep(gf)
         assert same_matrix == (magnus_rep(comm) == identity)
         if not comm.is_identity() and same_matrix:
-            expected.append(SuzukiHit(da.to_text(), db.to_text()))
+            expected.append((da.to_text(), db.to_text()))
     if genus == 3:
         assert len(crossing) < 2 * budget  # some tested pairs commute
     # crossing is read on the curves' classes (CurveData.crosses), so fg

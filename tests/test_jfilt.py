@@ -9,6 +9,11 @@ from twistlab import curve, jfilt, mcg
 from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
+    distinct_separating_curves,
+    distinguishing_witness,
+    enumerate_curve_specs,
+    fact5_instance,
+    is_central,
     parse_curve_spec,
     resolve,
 )
@@ -24,10 +29,6 @@ from twistlab.jfilt import (
     check_consistency,
     classify_pair,
     commutator_depth,
-    distinct_separating_curves,
-    distinguishing_witness,
-    enumerate_curve_specs,
-    fact5_instance,
     in_Mk,
     johnson_depth,
     johnson_leading_term,
@@ -47,7 +48,6 @@ from twistlab.mcg import (
     evaluate,
     homology_action,
     identity_matrix,
-    is_central,
 )
 from twistlab.word import Word, commutator
 

@@ -42,3 +42,36 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_earlier_layers(name):
     allowed = set(CHAIN[: CHAIN.index(name)]) | {"errors"} if name in CHAIN else set()
     assert imported_modules(PACKAGE / f"{name}.py") <= allowed
+
+
+def defined_names(path):
+    """The names a source file defines at module level."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+# the curve searches and centrality, read on curve classes
+CURVE_FACTS = (
+    "enumerate_curve_specs",
+    "distinct_separating_curves",
+    "distinguishing_witness",
+    "fact5_instance",
+    "is_central",
+)
+
+
+def test_foxrep_imports_no_jfilt():
+    assert "jfilt" not in imported_modules(PACKAGE / "foxrep.py")
+
+
+@pytest.mark.parametrize("name", CURVE_FACTS)
+def test_curve_facts_are_defined_in_curve_only(name):
+    from twistlab import curve
+
+    for module in ("jfilt", "mcg"):
+        assert name not in defined_names(PACKAGE / f"{module}.py")
+    assert getattr(curve, name).__module__ == "twistlab.curve"

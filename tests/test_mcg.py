@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistlab.curve import is_central
 from twistlab.errors import (
     UnknownTwistName,
     UnsupportedGenus,
@@ -20,7 +21,6 @@ from twistlab.mcg import (
     homology_matrix,
     identity_matrix,
     inverse_mcw,
-    is_central,
     parse_mcw,
     validate_relations,
 )

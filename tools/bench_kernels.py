@@ -152,7 +152,7 @@ FOX_CALLS = 10
 def fox_calls():
     """The Fox kernels on fixed arguments, at genus 2."""
     classes = [mcg.builtin_table(2).twist("Sep1")]
-    curves = itertools.islice(jfilt.distinct_separating_curves(2), FOX_CURVES)
+    curves = itertools.islice(curve.distinct_separating_curves(2), FOX_CURVES)
     for (_, a), (_, b) in itertools.combinations(curves, 2):
         if a.crosses(b):
             classes.append(a.twist.compose(b.twist))
