@@ -335,7 +335,7 @@ def fact5_instance(f, budget):
             "no essential separating curves exist at genus 1"
         )
     curves = distinct_separating_curves(f.genus)
-    for d, data in itertools.islice(curves, budget):
+    for d, data in itertools.islice(curves, max(budget, 0)):
         if not _fixes(f, data.pi1_class):
             return d
     return None

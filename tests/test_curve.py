@@ -8,6 +8,7 @@ from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
     curves_equal,
+    distinguishing_witness,
     enumerate_curve_specs,
     fact5_instance,
     is_central,
@@ -21,6 +22,7 @@ from twistlab.errors import (
     UnknownTwistName,
     WordParseError,
 )
+from twistlab.foxrep import suzuki_scan
 from twistlab.magnus import TruncatedAction
 from twistlab.mcg import (
     builtin_table,
@@ -427,6 +429,15 @@ def test_fixed_class_questions_read_one_reader(monkeypatch):
         calls.clear()
         assert ask() is expected
         assert calls
+
+
+@pytest.mark.parametrize("budget", [-1, 0])
+def test_curve_searches_with_no_budget_find_nothing(budget):
+    # a search whose budget is not positive looks at no candidate
+    t_c1 = evaluate((("C1", 1),), 2)
+    assert fact5_instance(t_c1, budget) is None
+    assert distinguishing_witness(spec(2, "C1"), spec(2, "C3"), budget) is None
+    assert suzuki_scan(2, budget) == []
 
 
 # -- truncated actions ------------------------------------------------------

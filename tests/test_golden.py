@@ -104,6 +104,7 @@ CASES = {
         "pair", "--genus", "2", "--c1", "C3 @ [C3^-3 Sep1^-3]",
         "--c2", "Sep1 @ [C3^-3 C5^-4 Sep1^4]", "--cap", "1",
     ],
+    "validate_g2.json": ["validate", "--genus", "2"],
     "validate_g3.json": ["validate", "--genus", "3"],
 }
 

@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from twistlab import mcg
+from twistlab.cli import main
 from twistlab.curve import is_central
 from twistlab.errors import (
     UnknownTwistName,
@@ -12,6 +15,7 @@ from twistlab.errors import (
 from twistlab.mcg import (
     MAX_IMAGE_LETTERS,
     FreeAutomorphism,
+    TwistTable,
     builtin_table,
     commutes,
     evaluate,
@@ -57,6 +61,98 @@ def test_construction_rejects_non_bijective_images():
 def test_validate_relations_all_pass(genus):
     report = validate_relations(genus)
     assert report.all_passed, [c.description for c in report.failures()]
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_validate_relations_neither_composes_nor_compares_by_commutes(
+    genus, monkeypatch
+):
+    # every relation is read as two words folded by evaluate's fold
+    def refuse(*args):
+        raise AssertionError("the relation suite reads words only")
+
+    mcg._twist_power.cache_clear()
+    monkeypatch.setattr(FreeAutomorphism, "compose", refuse)
+    monkeypatch.setattr(mcg, "commutes", refuse)
+    assert validate_relations(genus).all_passed
+
+
+WRONG_TWISTS = {
+    "inverse": lambda t: t.inverse(),
+    "square": lambda t: t.compose(t),
+    "identity": lambda t: FreeAutomorphism.identity(t.genus),
+}
+
+#: (genus, twist, how it is wrong): every twist inverted at genus 1 and
+#: 2, and each SepJ also squared and removed.  At genus 3, inverting
+#: C2..C6 is left out: the braid rows catch those tables, but the folds
+#: of the Delta and Sep2 chain words then grow to images of 10^4-10^6
+#: letters, at 0.2-1.7 s per table.
+WRONG_TABLES = (
+    [(g, n, "inverse") for g in (1, 2) for n in builtin_table(g).names()]
+    + [(3, n, "inverse") for n in ("C1", "C7", "Sep1", "Sep2", "Delta")]
+    + [
+        (g, s, how)
+        for g in (2, 3)
+        for s in builtin_table(g).sep_names
+        for how in ("square", "identity")
+    ]
+)
+
+
+def _clear_table_caches():
+    for cache in (mcg._twist_power, mcg._evaluate_cached, mcg._homology_step):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def fresh_table_caches():
+    _clear_table_caches()
+    yield
+    _clear_table_caches()
+
+
+def _use_wrong_table(monkeypatch, genus, name, wrong):
+    """Make builtin_table(genus) return its table with one twist wrong."""
+    table = builtin_table(genus)
+    forged = TwistTable(
+        genus,
+        [
+            replace(e, twist=WRONG_TWISTS[wrong](e.twist)) if e.name == name
+            else e
+            for e in table.entries.values()
+        ],
+    )
+    monkeypatch.setattr(
+        mcg, "builtin_table", lambda g: forged if g == genus else builtin_table(g)
+    )
+    _clear_table_caches()
+
+
+@pytest.mark.parametrize("genus,name,wrong", WRONG_TABLES)
+def test_a_table_with_one_wrong_twist_fails_validation(
+    genus, name, wrong, monkeypatch, capsys, fresh_table_caches
+):
+    _use_wrong_table(monkeypatch, genus, name, wrong)
+    assert not validate_relations(genus).all_passed
+    assert main(["validate", "--genus", str(genus)]) == 1
+
+
+def test_a_relation_past_the_letter_cap_fails_instead_of_raising(
+    monkeypatch, capsys, fresh_table_caches
+):
+    # the true table's chain words fold through images under 40 letters;
+    # with C2 inverted the Sep2 word's images pass a cap of 1000
+    monkeypatch.setattr(mcg, "MAX_IMAGE_LETTERS", 1000)
+    assert validate_relations(3).all_passed
+    _use_wrong_table(monkeypatch, 3, "C2", "inverse")
+    gens = tuple(Word.generator(3, i) for i in range(1, 7))
+    sep2_word = [(f"C{i}", 1) for i in range(1, 5)] * 10
+    with pytest.raises(WordLengthLimit):
+        mcg._apply_factors(3, sep2_word, gens)
+    failures = [c.description for c in validate_relations(3).failures()]
+    assert "(t_C1 t_C2 t_C3 t_C4)^10 = t_Sep2" in failures
+    assert main(["validate", "--genus", "3"]) == 1
 
 
 def test_unsupported_genus():
