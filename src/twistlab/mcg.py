@@ -5,22 +5,23 @@ fundamental group is faithful, so a mapping class IS its automorphism
 and equality of mapping classes is exact equality of reduced generator
 images.  Every table automorphism fixes the boundary word on the nose.
 
-The built-in generator twists are loaded from versioned text fixtures
-(data/genus{g}.txt): the chain twists C1..C{2g+1} along a chain of
-curves (consecutive ones meet once, the rest are disjoint), the
-standard separating twists SepJ around the first J handles, and the
-boundary twist Delta.  The twist formulas are data pinned by
+The built-in generator twists are built from closed forms: the chain
+twists C1..C{2g+1} along a chain of curves (consecutive ones meet once,
+the rest are disjoint), the standard separating twists SepJ around the
+first J handles, and the boundary twist Delta.  Each twist t fixes its
+base word c letter for letter and sends each generator x_i to
+c^a x_i c^b, with a, b in {-1, 0, 1}, so t^k sends x_i to
+c^(ak) x_i c^(bk) and no power is composed.  The formulas are pinned by
 validate_relations(), not trusted constants: braid relations for
 adjacent chain twists, commutation for disjoint pairs, the chain
-relations (C1 C2)^6 = Delta at genus 1, (C1..C5)^6 = Delta at genus 2
-and (C1..C7)^8 = Delta at genus 3, the chain relations
-(C1..C{2J})^{4J+2} = SepJ that pin each separating twist, centrality of
-Delta, and homological triviality of the separating twists.  Each group
-relation is an identity between two words of table names, read by the
-same fold as evaluate.  The handedness convention is global;
-supplying the opposite convention would flip every twist at once and
-change nothing downstream (all detectors depend only on commutators and
-filtration membership).
+relation (C1 C2)^6 = Delta at genus 1 and (C1..C{2g+1})^{2g+2} = Delta
+above it, the chain relations (C1..C{2J})^{4J+2} = SepJ that pin each
+separating twist, centrality of Delta, and homological triviality of
+the separating twists.  Each group relation is an identity between two
+words of table names, read by the same fold as evaluate.  The
+handedness convention is global; supplying the opposite convention
+would flip every twist at once and change nothing downstream (all
+detectors depend only on commutators and filtration membership).
 
 Mapping class words, such as `C1 C2^-3 Sep1 Delta^2`, are owned here.
 One scanner reads their grammar, NAME ('^' INT)? factors, for
@@ -35,7 +36,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
 from .errors import (
     GenusMismatch,
@@ -44,12 +44,14 @@ from .errors import (
     WordLengthLimit,
     WordParseError,
 )
-from .word import Word, _parse_int, abelianized
+from .word import Word, _parse_int, abelianized, boundary_word
 
 #: Hard cap on automorphism image length; compositions past this abort.
 MAX_IMAGE_LETTERS = 10**6
 
-_SUPPORTED_GENERA = (1, 2, 3)
+# the forms hold at every genus; these are the genera the relation suite
+# and the power tests run on
+_SUPPORTED_GENERA = range(1, 7)
 
 
 class FreeAutomorphism:
@@ -187,21 +189,6 @@ class FreeAutomorphism:
             self.genus, images, None, _check=False, _factors=(self, other)
         )
 
-    def power(self, k):
-        if k < 0:
-            return self.inverse().power(-k)
-        if k == 1:
-            # a factor of a folded word is the table twist itself
-            return self
-        result = FreeAutomorphism.identity(self.genus)
-        square = self
-        while k:
-            if k & 1:
-                result = result.compose(square)
-            square = square.compose(square) if k > 1 else square
-            k >>= 1
-        return result
-
     # -- comparison ----------------------------------------------------
 
     def is_identity(self):
@@ -242,19 +229,24 @@ def commutes(f, g):
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One named twist: its automorphism and its curve's invariants."""
+    """One named twist: its automorphism and its curve's invariants.
+
+    form holds (a, b) for each generator x_i: the twist sends x_i to
+    c^a x_i c^b, for c the base word, which it fixes letter for letter.
+    """
 
     name: str
     role: str  # "chain" | "sep" | "boundary"
     index: int  # chain position, or J for SepJ; 0 for Delta
     twist: FreeAutomorphism
     base_word: Word
+    form: tuple[tuple[int, int], ...]
     separating: bool
     essential: bool
 
 
 class TwistTable:
-    """The built-in twists of one genus, immutable after load."""
+    """The built-in twists of one genus, immutable after construction."""
 
     def __init__(self, genus, entries):
         self.genus = genus
@@ -282,84 +274,67 @@ class TwistTable:
         return tuple(e.name for e in self.entries.values() if e.essential)
 
 
-def _parse_table_text(genus, text):
-    entries = []
-    current = None
-    images = {}
-    inverses = {}
-    meta = {}
+def _twist_forms(g):
+    """(name, role, index, base letters, {i: (a, b)}) for each twist of
+    the genus-g table, in table order; generators not listed are fixed.
 
-    def finish():
-        nonlocal current
-        if current is None:
-            return
-        n = 2 * genus
-        img = tuple(images[i] for i in range(1, n + 1))
-        inv = tuple(inverses[i] for i in range(1, n + 1))
-        twist = FreeAutomorphism(genus, img, inv)
-        role, index = meta["role"]
-        entries.append(
-            TableEntry(
-                name=current,
-                role=role,
-                index=index,
-                twist=twist,
-                base_word=meta["base"],
-                separating=role in ("sep", "boundary"),
-                essential=role != "boundary",
-            )
-        )
-        current = None
+    Along the chain, C1 and C{2k} for k >= 2 twist along the generator
+    x{2k-1}, C3 and C{2k+1} for 2 <= k < g along the connector from
+    handle k into handle k + 1, and C{2g+1} along x{2g}.  SepJ and Delta
+    conjugate each generator inside their curve by its boundary word.
+    """
+    first = ((1,), {2: (0, -1)})
+    last = ((2 * g,), {2 * g - 1: (0, 1)})
+    if g == 1:
+        chain = [first, last, first]
+    else:
+        chain = [first, ((-2,), {1: (0, -1)})]
+        chain.append(((2, -1, -2, 3, 4, -3), {2: (1, 0), 3: (1, 0)}))
+        for i in range(4, 2 * g + 1, 2):
+            chain.append(((i - 1,), {i: (0, -1)}))
+            if i < 2 * g:
+                shifts = {i - 1: (0, -1), i: (1, -1), i + 1: (1, 0)}
+                chain.append(((-i, i + 1, i + 2, -i - 1), shifts))
+        chain.append(last)
+    forms = [(f"C{n}", "chain", n, c, s) for n, (c, s) in enumerate(chain, 1)]
+    for j in range(1, g + 1):
+        shifts = {i: (1, -1) for i in range(1, 2 * j + 1)}
+        named = (f"Sep{j}", "sep", j) if j < g else ("Delta", "boundary", 0)
+        forms.append((*named, boundary_word(j).letters, shifts))
+    return forms
 
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "table":
-            continue  # version header, format asserted by caller
-        if head == "genus":
-            if int(rest) != genus:
-                raise ValueError("fixture genus header mismatch")
-        elif head == "twist":
-            finish()
-            current = rest
-            images.clear()
-            inverses.clear()
-            meta.clear()
-        elif head == "role":
-            kind, _, idx = rest.partition(" ")
-            meta["role"] = (kind, int(idx) if idx else 0)
-        elif head == "base":
-            meta["base"] = Word.from_text(genus, rest)
-        elif head in ("image", "inverse"):
-            lhs, _, rhs = rest.partition("=")
-            m = re.match(r"x([0-9]+)$", lhs.strip())
-            if not m:
-                raise ValueError(f"bad fixture line: {raw!r}")
-            w = Word.from_text(genus, rhs.strip())
-            (images if head == "image" else inverses)[int(m.group(1))] = w
-        else:
-            raise ValueError(f"bad fixture line: {raw!r}")
-    finish()
-    return entries
+
+def _form_images(genus, c, form, k):
+    """The generator images c^(ak) x_i c^(bk) of the k-th power of the
+    twist with base word c and form ((a, b) per generator)."""
+    return tuple(
+        c ** (a * k) * Word.generator(genus, i) * c ** (b * k)
+        for i, (a, b) in enumerate(form, start=1)
+    )
 
 
 @lru_cache(maxsize=None)
 def builtin_table(genus):
-    """Load and construct the twist table for a supported genus."""
+    """The twist table of a supported genus, built from its closed forms."""
     if genus not in _SUPPORTED_GENERA:
         raise UnsupportedGenus(
             f"no built-in table for genus {genus}; supported: "
-            f"{_SUPPORTED_GENERA}"
+            f"{_SUPPORTED_GENERA[0]}..{_SUPPORTED_GENERA[-1]}"
         )
-    text = (
-        resources.files("twistlab")
-        .joinpath(f"data/genus{genus}.txt")
-        .read_text(encoding="utf-8")
-    )
-    return TwistTable(genus, _parse_table_text(genus, text))
+    entries = []
+    for name, role, index, letters, shifts in _twist_forms(genus):
+        c = Word(genus, letters)
+        form = tuple(shifts.get(i, (0, 0)) for i in range(1, 2 * genus + 1))
+        twist = FreeAutomorphism(
+            genus,
+            _form_images(genus, c, form, 1),
+            _form_images(genus, c, form, -1),
+        )
+        entries.append(TableEntry(
+            name=name, role=role, index=index, twist=twist, base_word=c,
+            form=form, separating=role != "chain", essential=role != "boundary",
+        ))
+    return TwistTable(genus, entries)
 
 
 # -- mapping class words ----------------------------------------------
@@ -426,18 +401,36 @@ def format_mcw(mcw):
     return " ".join(n if k == 1 else f"{n}^{k}" for n, k in mcw)
 
 
-# bounded: a genus has at most 10 names, but exponents are unbounded
+# bounded: a genus has at most 16 names, but exponents are unbounded
 @lru_cache(maxsize=1024)
 def _twist_power(genus, name, k):
-    # every table twist's t^k has a generator image of more than |k|
-    # letters, its lengths growing linearly in |k| (tested for |k| <= 64),
-    # so a larger |k| fails at once rather than after squaring images
-    # whose cost grows with the square of their length
-    if abs(k) > MAX_IMAGE_LETTERS:
+    """t^k for the table twist t called name, read from its closed form:
+    nothing is composed, and a power past the letter cap fails before an
+    image is built."""
+    entry = builtin_table(genus).entry(name)
+    if k == 1:
+        # a factor of a folded word is the table twist itself
+        return entry.twist
+    c, form = entry.base_word, entry.form
+    # t^k(x_i) = c^(ak) x_i c^(bk) loses as many letters to free
+    # cancellation as t^(+-1)(x_i) does (tested at every supported
+    # genus), so the length of its longest image is known before any
+    # image is built
+    unit = entry.twist.images if k > 0 else entry.twist.inverse_images
+    longest = max(
+        len(w) + (abs(k) - 1) * (abs(a) + abs(b)) * len(c)
+        for w, (a, b) in zip(unit, form)
+    )
+    if longest > MAX_IMAGE_LETTERS:
         raise WordLengthLimit(
             f"{name}^{k} has an image of more than {MAX_IMAGE_LETTERS} letters"
         )
-    return builtin_table(genus).twist(name).power(k)
+    return FreeAutomorphism(
+        genus,
+        _form_images(genus, c, form, k),
+        _form_images(genus, c, form, -k),
+        _check=False,
+    )
 
 
 def _apply_factors(genus, factors, words, cyclic=False):

@@ -83,6 +83,24 @@ def commutator_auto(f, g):
     return f.compose(g).compose(f.inverse()).compose(g.inverse())
 
 
+def power_by_squaring(f, k):
+    """f^k by square-and-multiply, as FreeAutomorphism.power built twist
+    powers before mcg read them from their closed forms.  The power 1 is
+    f itself."""
+    if k < 0:
+        return power_by_squaring(f.inverse(), -k)
+    if k == 1:
+        return f
+    result = mcg.FreeAutomorphism.identity(f.genus)
+    square = f
+    while k:
+        if k & 1:
+            result = result.compose(square)
+        square = square.compose(square) if k > 1 else square
+        k >>= 1
+    return result
+
+
 def is_central_by_commutes(f):
     """mcg.is_central as it was: f commutes with every chain twist."""
     table = mcg.builtin_table(f.genus)

@@ -499,8 +499,8 @@ def test_long_conjugator_braid_pair_ends_within_a_bound():
 ])
 def test_huge_twist_exponents_exit_2_at_once(c1):
     # a table twist's power t^k has an image longer than |k| letters, so
-    # these pass the letter cap; squaring up to them would take time
-    # quadratic in the images' length.  A child process, so that a hang
+    # these pass the letter cap, which is read from the twist's closed
+    # form before any image is built.  A child process, so that a hang
     # fails the test instead of stalling the suite
     src = Path(twistlab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -515,18 +515,42 @@ def test_huge_twist_exponents_exit_2_at_once(c1):
     assert "letters" in proc.stderr
 
 
+def test_twist_powers_past_nine_run_in_process(capsys):
+    # t^k(x_i) = c^(ak) x_i c^(bk) is built from the closed form, not by
+    # squaring: Delta^1000 takes linear time, and Delta^100000, whose
+    # images pass the letter cap, exits 2 before any is built.  Delta is
+    # central, so conjugating by its power moves no curve.
+    rc, doc = run_json(
+        capsys, "pair", "--genus", "2", "--c1", "C1 @ [Delta^1000]", "--c2", "C2"
+    )
+    assert rc == 0
+    rc, plain = run_json(capsys, "pair", "--genus", "2", "--c1", "C1", "--c2", "C2")
+    assert rc == 0
+    assert {**doc["results"], "c1": "C1"} == plain["results"]
+    rc = main(
+        ["pair", "--genus", "2", "--c1", "C1 @ [Delta^100000]", "--c2", "C2"]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Delta^100000 has an image of more than 1000000 letters\n"
+    )
+
+
 # -- fuzz: every call ends in a documented exit code ---------------------------
 
 # names no table has, at any genus
-FUZZ_UNKNOWN = ("C0", "C8", "Sep3", "T1", "c1", "Δ")
+FUZZ_UNKNOWN = ("C0", "C14", "Sep6", "T1", "c1", "Δ")
 FUZZ_CHARS = "@[]^- 0x9é"
 
 
 def _fuzz_spec(rng, genus):
     """A spec text: at most 5 factors with |k| <= 9, of names mostly from
-    the genus's table (genus 3's outside 1..3) and otherwise unknown; a
-    quarter of the texts have one character inserted or deleted."""
-    table = mcg.builtin_table(min(max(genus, 1), 3))
+    the genus's table (the nearest supported genus's outside 1..6) and
+    otherwise unknown; a quarter of the texts have one character inserted
+    or deleted."""
+    table = mcg.builtin_table(min(max(genus, 1), 6))
 
     def name():
         return rng.choice(
@@ -551,7 +575,7 @@ def _fuzz_spec(rng, genus):
 
 def _fuzz_argv(rng):
     command = rng.choice(("validate", "pair", "corollary", "scan", "foxcheck"))
-    genus = rng.randint(0, 4)
+    genus = rng.randint(0, 7)
     argv = [command, "--genus", str(genus),
             "--format", rng.choice(("json", "csv"))]
     cap = ["--cap", str(rng.randint(0, 7))]

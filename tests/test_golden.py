@@ -106,6 +106,8 @@ CASES = {
     ],
     "validate_g2.json": ["validate", "--genus", "2"],
     "validate_g3.json": ["validate", "--genus", "3"],
+    # the smallest genus with three separating twists
+    "validate_g4.json": ["validate", "--genus", "4"],
 }
 
 

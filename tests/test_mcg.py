@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -30,7 +32,10 @@ from twistlab.mcg import (
 )
 from twistlab.word import Word, abelianized, boundary_word
 
-from references import apply_letterwise, pool_pairs
+from references import apply_letterwise, pool_pairs, power_by_squaring
+
+#: every genus with a built-in table
+GENERA = list(mcg._SUPPORTED_GENERA)
 
 
 def test_identity_automorphism():
@@ -57,13 +62,13 @@ def test_construction_rejects_non_bijective_images():
         FreeAutomorphism(g, imgs, imgs)
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", GENERA)
 def test_validate_relations_all_pass(genus):
     report = validate_relations(genus)
     assert report.all_passed, [c.description for c in report.failures()]
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", GENERA)
 def test_validate_relations_neither_composes_nor_compares_by_commutes(
     genus, monkeypatch
 ):
@@ -156,11 +161,12 @@ def test_a_relation_past_the_letter_cap_fails_instead_of_raising(
 
 
 def test_unsupported_genus():
-    with pytest.raises(UnsupportedGenus):
-        builtin_table(4)
+    for genus in (0, 7):
+        with pytest.raises(UnsupportedGenus):
+            builtin_table(genus)
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", GENERA)
 def test_table_shape(genus):
     table = builtin_table(genus)
     assert len(table.chain_names) == 2 * genus + 1
@@ -170,7 +176,7 @@ def test_table_shape(genus):
         table.entry("C99")
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", GENERA)
 def test_every_twist_fixes_boundary_word(genus):
     # basepoint on the boundary: mapping classes fix the boundary loop
     table = builtin_table(genus)
@@ -179,7 +185,7 @@ def test_every_twist_fixes_boundary_word(genus):
         assert table.twist(name)(d) == d, name
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", GENERA)
 def test_uniform_transvection_law(genus):
     # homology action of each twist is u -> u + <u, v> v along the
     # stored base class, with one global sign convention
@@ -199,7 +205,7 @@ def test_uniform_transvection_law(genus):
             assert got == expected, (name, j)
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", GENERA)
 def test_homology_matrix_folds_twist_powers(genus):
     # every table twist acts on homology as a transvection or the
     # identity, so its k-th power is I + k (T - I)
@@ -294,7 +300,7 @@ def test_sep_twists_equal_subchain_powers(genus, subchain, power):
     prod = FreeAutomorphism.identity(genus)
     for i in range(1, subchain + 1):
         prod = prod.compose(table.twist(f"C{i}"))
-    assert prod.power(power) == target
+    assert power_by_squaring(prod, power) == target
 
 
 def test_evaluate_identity_and_cancellation():
@@ -309,7 +315,7 @@ def test_evaluate_braid_relation():
 
 
 def test_evaluate_chain_relation_genus1():
-    assert evaluate((("C1", 1), ("C2", 1)), 1).power(6) == evaluate(
+    assert power_by_squaring(evaluate((("C1", 1), ("C2", 1)), 1), 6) == evaluate(
         (("Delta", 1),), 1
     )
 
@@ -329,9 +335,11 @@ def test_twist_powers_cancel():
     for name in table.names():
         t = table.twist(name)
         # a folded word's +-1 factors are the table twist itself
-        assert t.power(1) is t
+        assert power_by_squaring(t, 1) is t
         for k in (1, 2, 5):
-            assert t.power(k).compose(t.power(-k)).is_identity()
+            assert power_by_squaring(t, k).compose(
+                power_by_squaring(t, -k)
+            ).is_identity()
 
 
 def test_evaluate_unknown_name():
@@ -362,7 +370,9 @@ def test_product_inverse_images_invert_the_product():
     for _ in range(20):
         f = FreeAutomorphism.identity(2)
         for _ in range(rng.randrange(1, 5)):
-            f = f.compose(table.twist(rng.choice(names)).power(rng.choice((-3, 2))))
+            f = f.compose(
+                power_by_squaring(table.twist(rng.choice(names)), rng.choice((-3, 2)))
+            )
         f = f.compose(f) if rng.random() < 0.5 else f  # a shared factor
         FreeAutomorphism(2, f.images, f.inverse_images)
         assert f.compose(f.inverse()).is_identity()
@@ -374,7 +384,7 @@ def _left_fold_evaluate(mcw, genus):
     table = builtin_table(genus)
     acc = FreeAutomorphism.identity(genus)
     for name, k in mcw:
-        acc = acc.compose(table.twist(name).power(k))
+        acc = acc.compose(power_by_squaring(table.twist(name), k))
     return acc
 
 
@@ -580,7 +590,7 @@ def test_image_length_cap(monkeypatch):
             big = big.compose(big)
 
 
-@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("genus", GENERA)
 def test_twist_powers_have_an_image_longer_than_the_exponent(genus):
     # the premise of _twist_power's guard: t^k has a generator image of
     # more than |k| letters, and the longest image grows exactly
@@ -588,7 +598,7 @@ def test_twist_powers_have_an_image_longer_than_the_exponent(genus):
     table = builtin_table(genus)
     for name in table.names():
         for sign in (1, -1):
-            step = power = table.twist(name).power(sign)
+            step = power = power_by_squaring(table.twist(name), sign)
             lengths = []
             for k in range(1, 65):
                 if k > 1:
@@ -605,7 +615,69 @@ def test_twist_powers_have_an_image_longer_than_the_exponent(genus):
 
 
 def test_sep_homology_trivial():
-    for genus in (2, 3):
+    for genus in GENERA[1:]:
         table = builtin_table(genus)
         for name in table.sep_names:
             assert homology_action(table.twist(name)) == identity_matrix(genus)
+
+
+#: SHA-256 of the genus 1..3 tables as the text fixtures they were once
+#: read from gave them (see _table_rows); the closed forms reproduce them
+RETIRED_FIXTURES_SHA256 = (
+    "5ef6038dede3384454a058fae3bc542c564d119261c7abced34f9298cde4ba2e"
+)
+
+
+def _table_rows(genus):
+    return [
+        [genus, e.name, e.role, e.index, list(e.base_word.letters),
+         [list(w.letters) for w in e.twist.images],
+         [list(w.letters) for w in e.twist.inverse_images]]
+        for e in builtin_table(genus).entries.values()
+    ]
+
+
+def test_generated_tables_match_the_retired_fixtures():
+    rows = [row for genus in (1, 2, 3) for row in _table_rows(genus)]
+    text = json.dumps(rows, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == RETIRED_FIXTURES_SHA256
+
+
+@pytest.mark.parametrize("genus", GENERA)
+def test_every_twist_fixes_its_base_word(genus):
+    # the premise of the closed forms: t(c) = c letter for letter, so
+    # t^k(x_i) = c^(ak) x_i c^(bk)
+    for entry in builtin_table(genus).entries.values():
+        c = entry.base_word
+        assert c.cyclic_reduce() == c, entry.name
+        assert entry.twist(c).letters == c.letters, entry.name
+
+
+@pytest.mark.parametrize("genus", GENERA)
+def test_twist_power_matches_the_power_by_squaring(genus):
+    # the closed form gives the same images as squaring, and each image
+    # loses as many letters to free cancellation as the image of t or
+    # t^-1 does, at most 2: the length _twist_power checks the cap with
+    table = builtin_table(genus)
+    for name in table.names():
+        entry = table.entry(name)
+        for k in [s * m for m in range(1, 9) for s in (1, -1)]:
+            power = _twist_power(genus, name, k)
+            reference = power_by_squaring(entry.twist, k)
+            assert power.images == reference.images, (name, k)
+            assert power.inverse_images == reference.inverse_images, (name, k)
+            unit = _twist_power(genus, name, 1 if k > 0 else -1)
+            for w, one, (a, b) in zip(power.images, unit.images, entry.form):
+                spread = (abs(a) + abs(b)) * len(entry.base_word)
+                assert len(w) == len(one) + (abs(k) - 1) * spread, (name, k)
+                assert len(one) >= spread - 1, name
+
+
+def test_a_large_twist_power_composes_nothing(monkeypatch, fresh_table_caches):
+    def refuse(*args):
+        raise AssertionError("twist powers are read from their closed forms")
+
+    monkeypatch.setattr(FreeAutomorphism, "compose", refuse)
+    power = _twist_power(2, "Delta", 1000)
+    d = boundary_word(2)
+    assert power(Word.generator(2, 3)) == d**1000 * Word.generator(2, 3) * d**-1000
