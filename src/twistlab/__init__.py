@@ -8,7 +8,7 @@ for concurrent use.
 
 __version__ = "0.1.0"
 
-from .word import Word, boundary_word, commutator
+from .word import Word, boundary_word
 from .magnus import TruncatedSeries, magnus_expand
 from .mcg import (
     FreeAutomorphism,
@@ -18,24 +18,6 @@ from .mcg import (
     validate_relations,
     parse_mcw,
 )
-from .curve import (
-    CurveSpec,
-    CurveData,
-    parse_curve_spec,
-    resolve,
-    curves_equal,
-    distinguishing_witness,
-    fact5_instance,
-    is_central,
-)
-from .jfilt import (
-    JFDepth,
-    PairReport,
-    in_Mk,
-    johnson_depth,
-    commutator_depth,
-    classify_pair,
-    johnson_leading_term,
-    morita_check,
-)
-from .foxrep import LaurentPoly, fox_derivative, magnus_rep, suzuki_scan
+from .curve import CurveSpec, CurveData, parse_curve_spec, resolve
+from .jfilt import JFDepth, PairReport, classify_pair
+from .foxrep import LaurentPoly, magnus_rep, suzuki_scan

@@ -24,10 +24,9 @@ t_a(b) = b, iff the twist along a fixes the class of b
 whether two twists commute reads).  More generally a mapping class f
 commutes with t_c iff f fixes the class of c, since f t_c f^-1 =
 t_{f(c)} (Primer, ch. 3).  One reader, _fixes, asks whether a class
-fixes a curve's class, for moves, is_central and fact5_instance, so
-these ask whether f fixes the class of each curve, not whether f
-commutes with its twist.  None of this builds the twist or the
-conjugator.
+fixes a curve's class, so crossing asks whether a twist fixes the other
+curve's class, not whether the two twists commute, and builds neither
+twist nor either conjugator.
 
 The twist along h(c) is h t_c h^-1 by the conjugation law, so it is
 the mapping class word h (c, 1) h^-1 (CurveData.twist_word), which mcg
@@ -56,7 +55,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .errors import GenusMismatch, PreconditionError, SpecParseError, UnknownTwistName
+from .errors import SpecParseError, UnknownTwistName
 from .magnus import TruncatedAction
 from .mcg import (
     FreeAutomorphism,
@@ -233,14 +232,7 @@ def symplectic_pairing(u, v):
     return total
 
 
-# -- equality and fixed classes ----------------------------------------
-
-
-def curves_equal(c1, c2):
-    """Exact isotopy test: the curves agree iff their classes do."""
-    if c1.genus != c2.genus:
-        raise GenusMismatch("curve specs of different genus")
-    return resolve(c1).pi1_class == resolve(c2).pi1_class
+# -- fixed classes -----------------------------------------------------
 
 
 def _fixes(f, u):
@@ -256,7 +248,7 @@ def _fixes(f, u):
     return len(u) == len(v) and u.canonical_cyclic() == v.canonical_cyclic()
 
 
-# -- curve searches and centrality -------------------------------------
+# -- curve searches ----------------------------------------------------
 
 
 def enumerate_curve_specs(genus, separating_only=False):
@@ -295,64 +287,3 @@ def distinct_separating_curves(genus):
         if data.pi1_class not in seen:
             seen.add(data.pi1_class)
             yield d, data
-
-
-def distinguishing_witness(c1, c2, budget):
-    """Search for a curve meeting exactly one of two distinct curves.
-
-    Enumerates candidate specs (skipping those isotopic to either
-    input, by class) and returns the first d whose curve crosses one
-    input and not the other, read on the curves (CurveData.crosses), so
-    no twist and no conjugator is built.  None after `budget` candidates
-    is not a disproof.
-    """
-    if curves_equal(c1, c2):
-        raise PreconditionError("inputs are the same curve")
-    d1, d2 = resolve(c1), resolve(c2)
-    candidates = enumerate_curve_specs(c1.genus)
-    for d in itertools.islice(candidates, max(budget, 0)):
-        dd = resolve(d)
-        if dd.pi1_class in (d1.pi1_class, d2.pi1_class):
-            continue
-        if d1.crosses(dd) != d2.crosses(dd):
-            return d
-    return None
-
-
-def fact5_instance(f, budget):
-    """The spec of the first sampled separating curve moved by f, or None.
-
-    Central classes fix every curve, so for them this is always None;
-    for non-central classes a moved separating curve exists, and the
-    sampler returns the first one found within budget.
-    f commutes with the twist along d iff f fixes d's class, since
-    f t_d f^-1 = t_{f(d)} (see the module docstring), so each curve
-    costs one application of f to its class (_fixes), and no twist is
-    built.
-    """
-    if f.genus < 2:
-        raise PreconditionError(
-            "no essential separating curves exist at genus 1"
-        )
-    curves = distinct_separating_curves(f.genus)
-    for d, data in itertools.islice(curves, max(budget, 0)):
-        if not _fixes(f, data.pi1_class):
-            return d
-    return None
-
-
-def is_central(f):
-    """Centrality test: fixes every chain curve.
-
-    A mapping class commutes with the twist along a curve c iff it fixes
-    c up to isotopy, since f t_c f^-1 = t_{f(c)} (Farb-Margalit, Primer,
-    ch. 3), and freely homotopic essential simple closed curves are
-    isotopic, so that is read on the class of c (_fixes) and no twist is
-    applied.  Sufficient as well as necessary: a class fixing every
-    chain curve commutes with every chain twist, and the chain fills the
-    surface, so by the Alexander method the class is a power of the
-    boundary twist.
-    """
-    table = builtin_table(f.genus)
-    chain = (table.entry(n).base_word for n in table.chain_names)
-    return all(_fixes(f, c.canonical_cyclic()) for c in chain)

@@ -11,10 +11,9 @@ group-ring coefficients are never needed.
 One scanner computes every derivative: fox_jacobian walks a word once,
 carrying the prefix's exponent-sum vector, and files each letter's
 term under its own generator, so it returns all 2g derivatives and,
-as the final prefix, the word's image in homology.  fox_derivative is
-one column of it, and magnus_rep builds each column of its matrix, and
-checks that the class acts trivially on homology, from one scan of a
-generator image.
+as the final prefix, the word's image in homology.  magnus_rep builds
+each column of its matrix, and checks that the class acts trivially on
+homology, from one scan of a generator image.
 
 A matrix is a tuple of row tuples of LaurentPoly, so two matrices are
 equal, shape included, iff they compare equal with ==.
@@ -152,16 +151,6 @@ def fox_jacobian(w):
         tuple(LaurentPoly(genus, column) for column in columns),
         tuple(prefix),
     )
-
-
-def fox_derivative(w, i):
-    """Abelianized free derivative of w with respect to x_i, i in 1..2g."""
-    if not 1 <= i <= 2 * w.genus:
-        raise PreconditionError(
-            f"generator index {i} out of range for genus {w.genus}"
-            f" (generators are 1..{2 * w.genus})"
-        )
-    return fox_jacobian(w)[0][i - 1]
 
 
 # -- matrices ----------------------------------------------------------

@@ -1,53 +1,45 @@
-"""Johnson filtration membership and the intersection depth of curve pairs.
+"""Johnson filtration depths of the commutators of curve twists.
 
 M(k) is the kernel of the mapping class action on the free group modulo
 the (k+1)-st lower central term.  Every depth here is a JFDepth:
 identity, not_in_m1, exact(k) (in M(k) and not in M(k+1)), or
-at_least(k) when the cap runs out.  The depth of one class f, or of the
-commutator [f, g] of two classes, is the lowest degree at which two
-automorphisms (f and the identity, or fg and gf) act differently on
-Z<<X>> / (deg > cap) (Magnus-Karrass-Solitar, Combinatorial Group
-Theory, ch. 5).  One loop, _depth, reads every depth: it compares two
-truncated actions (magnus.TruncatedAction) with action_depth at caps
-c = start, start + 1, ... and returns at the first cap where they
-differ, so no depth expands above the cap it stops at.  Below start the
-two automorphisms are known to agree.  For one class the loop starts
-at cap 2, because degree 1 of the Magnus expansion of a word is its
-exponent-sum vector, so the homology action decides degree 1 with
-nothing expanded (in_Mk(f, 1) expands nothing).  For the commutator of
-two classes it starts at cap 1, with the same step as at every other
-cap.  For two crossing curve twists it starts at cap 2 when their
-algebraic intersection is 0: on homology, T_a T_b - T_b T_a =
-<a,b>(<b,.>a + <a,.>b), so then fg and gf agree in degree 1.  A twist
-along a separating curve lies in M(2), which is normal, so with one
-separating curve the commutator lies in M(2); with two it lies in
-[M(2), M(2)], inside M(4) (Morita), so below cap 3 or cap 5 such a pair
-expands nothing.  Its degree 3 or 5 is then read from leading terms,
-not from actions: the term of a conjugated separating twist is its base
-twist's term moved by the conjugator's homology matrix (Johnson), read
-by one reader from the curve's words (_curve_term), so the pair's term
-costs one cap-3 expansion per separating base twist and a few integer
-matrices, and no conjugator is built.  A nonzero term
-gives exact(2) or exact(4); a zero one starts the loop at cap 4 or 6
-(_pair_depth).  Whether f
-and g commute is decided first and exactly; commuting classes get the
-identity.  For two classes, mcg.commutes compares f(g(x_i)) with
-g(f(x_i)) one generator at a time and composes neither product.  Two
-curve twists t_a and t_b commute iff t_a(b) = b (CurveData.moves; see
-the curve module), so a commuting pair builds neither twist nor
-either conjugator.  Otherwise the actions of fg and gf at each cap are
+at_least(k) when the cap runs out.  The depth of the commutator [f, g]
+of the twists f and g along two curves is the lowest degree at which fg
+and gf act differently on Z<<X>> / (deg > cap) (Magnus-Karrass-Solitar,
+Combinatorial Group Theory, ch. 5).  Whether f and g commute is decided
+first and exactly, and commuting twists get the identity: t_a and t_b
+commute iff t_a(b) = b (CurveData.crosses; see the curve module), so a
+commuting pair builds neither twist nor either conjugator.  For a
+crossing pair one loop, _pair_depth, reads the depth: it compares the
+truncated actions (magnus.TruncatedAction) of fg and gf with
+action_depth at caps c = start, start + 1, ... and returns at the first
+cap where they differ, so no depth expands above the cap it stops at.
+Below start, fg and gf are known to agree (_pair_start).  The loop
+starts at cap 1, or at cap 2 when the algebraic intersection is 0: on
+homology, T_a T_b - T_b T_a = <a,b>(<b,.>a + <a,.>b), so then fg and gf
+agree in degree 1.  A twist along a separating curve lies in M(2),
+which is normal, so with one separating curve the commutator lies in
+M(2); with two it lies in [M(2), M(2)], inside M(4) (Morita), so below
+cap 3 or cap 5 such a pair expands nothing.  Its degree 3 or 5 is then
+read from leading terms, not from actions: the term of a conjugated
+separating twist is its base twist's term moved by the conjugator's
+homology matrix (Johnson), read by one reader from the curve's words
+(_curve_term), so the pair's term costs one cap-3 expansion per
+separating base twist and a few integer matrices, and no conjugator is
+built.  A nonzero term gives exact(2) or exact(4); a zero one starts
+the loop at cap 4 or 6.  The actions of fg and gf at each cap are
 composed from those of f and g, and the long images of fg and gf are
 never built for a depth.  The action of a curve twist h (t_c h^-1) is
 itself composed from those of its two factors (CurveData.action), so
 no pair builds a twist.
 Nested commutators, whose actions pass the term budget at high caps,
 are read from leading terms instead: the leading term of a class in
-M(k) is a derivation (magnus.Derivation, also behind
-johnson_leading_term), and the leading term of [f, g] is the bracket of
-those of f and g (Morita), so nested_leading_terms gives the exact
-levels of nested commutators of two separating twists from their
-curves' terms, read from words by the same reader as a pair's, so no
-twist is evaluated and only base twists are expanded, at cap 3.
+M(k) is a derivation (magnus.Derivation), and the leading term of
+[f, g] is the bracket of those of f and g (Morita), so
+nested_leading_terms gives the exact levels of nested commutators of
+two separating twists from their curves' terms, read from words by the
+same reader as a pair's, so no twist is evaluated and only base twists
+are expanded, at cap 3.
 
 The depth of a curve pair is the depth of the commutator of the two
 twists (PairReport.depth).  The JSON reports write it as the pair's
@@ -82,15 +74,7 @@ from functools import lru_cache
 from .curve import resolve, symplectic_pairing
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import Derivation, TruncatedAction
-from .mcg import (
-    FreeAutomorphism,
-    class_image,
-    commutes,
-    homology_action,
-    homology_matrix,
-    identity_matrix,
-    inverse_mcw,
-)
+from .mcg import class_image, homology_matrix, inverse_mcw
 
 
 @dataclass(frozen=True)
@@ -151,103 +135,6 @@ def nested_leading_terms(a, b):
     while True:
         lead = lead_a.bracket(lead)
         yield lead
-
-
-def in_Mk(f, k):
-    """Does f act trivially on the free group mod its (k+1)-st term?"""
-    if k < 1:
-        raise PreconditionError("filtration level must be >= 1")
-    return johnson_depth(f, k).kind in ("identity", "at_least")
-
-
-def _depth(actions, start, cap):
-    """Filtration depth read from pairs of actions at caps start..cap.
-
-    actions(c) returns two TruncatedActions at cap c that agree below
-    degree start.  The degree-d part of an action does not depend on the
-    cap above d, and substitution is exact modulo degree > c, so the
-    first cap c at which action_depth finds a difference finds it in
-    degree c, and the depth is exact(c - 1), or not_in_m1 at c = 1.  No
-    difference through the cap gives at_least(cap), and a start above
-    the cap expands nothing.  start is 1 for the commutator of two
-    classes and for a crossing curve pair with nonzero algebraic
-    intersection; 2 for one class and for a crossing curve pair with
-    algebraic intersection 0, whose agreement in degree 1 homology
-    decides; and for a crossing pair with one or two separating curves,
-    whose commutator lies in M(2) or M(4), 3 or 5 when the cap is below
-    that degree, and otherwise 4 or 6, since the loop runs only when the
-    pair's leading term in degree 3 or 5 is zero (_pair_start,
-    _pair_depth).  The work at a cap grows geometrically with it, so the
-    loop costs a small multiple of the work at the cap it stops at.
-    """
-    for c in range(start, cap + 1):
-        depth = action_depth(*actions(c))
-        if depth.kind != "at_least":
-            return depth
-    return JFDepth("at_least", cap)
-
-
-def johnson_depth(f, cap):
-    """Certified filtration depth of f using degree-cap expansions.
-
-    f lies in M(k) iff the expansions of f(x_i) and x_i agree through
-    degree k.  Degree 1 of an expansion is the word's exponent sum, so
-    the homology action decides degree 1 with nothing expanded, and the
-    actions of f and the identity are compared from cap 2 (_depth).
-    Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
-    """
-    if cap < 1:
-        raise PreconditionError("cap must be >= 1")
-    if f.is_identity():
-        return JFDepth("identity")
-    if homology_action(f) != identity_matrix(f.genus):
-        return JFDepth("not_in_m1")
-    one = FreeAutomorphism.identity(f.genus)
-    return _depth(
-        lambda c: (TruncatedAction.of(f, c), TruncatedAction.of(one, c)), 2, cap
-    )
-
-
-def _commutator_depth(act_f, act_g, start, cap):
-    """Filtration depth of [f, g] for classes f and g that do not commute.
-
-    act_f and act_g map a cap c to the TruncatedAction of f and of g at
-    c: TruncatedAction.of for plain automorphisms, CurveData.action for
-    curve twists, which composes the actions of h and t_c h^-1 for a
-    twist h t_c h^-1 (see the curve module).  The actions are composed
-    both ways at caps start, start + 1, ... (_depth), so neither fg nor
-    gf is built.  start is 1, or the first degree in which fg and gf can
-    differ when they are known to agree below it (_pair_start).
-    """
-
-    def products(c):
-        a, b = act_f(c), act_g(c)
-        return a.compose(b), b.compose(a)
-
-    return _depth(products, start, cap)
-
-
-def commutator_depth(f, g, cap):
-    """Filtration depth of [f, g] without forming the commutator.
-
-    [f,g] lies in M(k) iff fg and gf induce the same action on the
-    class-(k) nilpotent quotient, i.e. iff their truncated actions on
-    Z<<X>> / (deg > k) agree (Magnus).  Commuting classes give the
-    identity, decided exactly by mcg.commutes; otherwise the actions are
-    composed from those of f and g, one cap at a time
-    (_commutator_depth).  Raises SeriesTermLimit when a series passes
-    MAX_SERIES_TERMS.
-    """
-    if cap < 1:
-        raise PreconditionError("cap must be >= 1")
-    if commutes(f, g):
-        return JFDepth("identity")
-    return _commutator_depth(
-        lambda c: TruncatedAction.of(f, c),
-        lambda c: TruncatedAction.of(g, c),
-        1,
-        cap,
-    )
 
 
 @dataclass(frozen=True)
@@ -411,19 +298,35 @@ def _separating_term(d1, d2):
 def _pair_depth(d1, d2, algebraic, cap):
     """Filtration depth of [t_a, t_b] for crossing curves a and b.
 
-    The loop (_commutator_depth) starts at _pair_start.  With a
-    separating curve, that start is 3 or 5 and the pair's leading term
+    [t_a, t_b] lies in M(k) iff t_a t_b and t_b t_a act alike on
+    Z<<X>> / (deg > k) (Magnus), so the actions of the two twists
+    (CurveData.action) are composed both ways at caps c = start,
+    start + 1, ... and compared by action_depth, and neither product is
+    built.  The degree-d part of an action does not depend on the cap
+    above d, and substitution is exact modulo degree > c, so the first
+    cap c at which the products differ finds the difference in degree c,
+    and the depth is exact(c - 1), or not_in_m1 at c = 1.  No difference
+    through the cap gives at_least(cap).  start is _pair_start.  With a
+    separating curve that start is 3 or 5 and the pair's leading term
     decides the degree first: a nonzero term gives exact(start - 1) with
     nothing expanded but the base twists at cap 3, and a zero one puts
     the commutator in M(start), so the loop starts one degree later.
-    Below that start the cap is reached with nothing read.
+    Below that start the cap is reached with nothing read.  The work at
+    a cap grows geometrically with it, so the loop costs a small
+    multiple of the work at the cap it stops at.  Raises SeriesTermLimit
+    when a series passes MAX_SERIES_TERMS.
     """
     start = _pair_start(d1, d2, algebraic)
     if start > 2 and cap >= start:
         if _separating_term(d1, d2):
             return JFDepth("exact", start - 1)
         start += 1
-    return _commutator_depth(d1.action, d2.action, start, cap)
+    for c in range(start, cap + 1):
+        a, b = d1.action(c), d2.action(c)
+        depth = action_depth(a.compose(b), b.compose(a))
+        if depth.kind != "at_least":
+            return depth
+    return JFDepth("at_least", cap)
 
 
 def classify_pair(c1, c2, cap, check=True):
@@ -476,30 +379,3 @@ def classify_pair(c1, c2, cap, check=True):
     if check:
         check_consistency(report)
     return report
-
-
-def johnson_leading_term(f, k):
-    """Degree-(k+1) parts of the generator displacements of f in M(k).
-
-    Returns one {monomial tuple: coefficient} table per generator; all
-    tables are zero iff f also lies in M(k+1).  With d_i = f(x_i) x_i^-1,
-    M(f(x_i)) = M(d_i)(1 + X_i) and M(d_i) - 1 starts in degree k+1 >= 2,
-    so the degree-(k+1) part of M(f(x_i)) is that of M(d_i): the value
-    D_f(X_i) of the leading term of f (magnus.Derivation), read from the
-    action of f at cap k + 1, which raises SeriesTermLimit when a series
-    passes MAX_SERIES_TERMS.
-    """
-    if not in_Mk(f, k):
-        raise PreconditionError(f"automorphism is not in M({k})")
-    return Derivation.leading(TruncatedAction.of(f, k + 1)).parts()
-
-
-def morita_check(f, g, kf, kg):
-    """Check [f, g] lands in M(kf+kg); a False return is an implementation bug."""
-    if not in_Mk(f, kf):
-        raise PreconditionError(f"first argument is not in M({kf})")
-    if not in_Mk(g, kg):
-        raise PreconditionError(f"second argument is not in M({kg})")
-    # at cap kf+kg an exact depth is at most kf+kg-1, so only the
-    # identity and an exhausted cap certify membership in M(kf+kg)
-    return commutator_depth(f, g, kf + kg).kind in ("identity", "at_least")

@@ -360,14 +360,6 @@ class Derivation:
     def __bool__(self):
         return any(self.values)
 
-    def parts(self):
-        """The values D(X_i) as {unpacked monomial tuple: coefficient}."""
-        base, d = 2 * self.genus, self.degree + 1
-        return [
-            {_unpack(key, d, base): c for key, c in v.items()}
-            for v in self.values
-        ]
-
     def _apply_into(self, out, poly, n, sign):
         """Add sign * D(poly) to `out`, for poly homogeneous of degree n.
 

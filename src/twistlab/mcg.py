@@ -211,19 +211,6 @@ class FreeAutomorphism:
         return f"<auto g={self.genus}: {imgs}>"
 
 
-def commutes(f, g):
-    """Does f g = g f?
-
-    Compares f(g(x_i)) with g(f(x_i)) one generator at a time and stops
-    at the first difference; neither product is built as an automorphism.
-    """
-    if f.genus != g.genus:
-        raise GenusMismatch("automorphisms of different genus")
-    return all(
-        f(u).letters == g(v).letters for u, v in zip(g.images, f.images)
-    )
-
-
 # -- generator tables ------------------------------------------------
 
 

@@ -217,12 +217,6 @@ class Word:
 # -- free functions ---------------------------------------------------
 
 
-def commutator(u, v):
-    """[u, v] = u v u^-1 v^-1, freely reduced."""
-    u._check_genus(v)
-    return u * v * u.inverse() * v.inverse()
-
-
 def abelianized(w):
     """Exponent vector of a word in the abelianization."""
     v = [0] * (2 * w.genus)

@@ -4,22 +4,19 @@ import json
 from itertools import groupby, islice
 from pathlib import Path
 
-from twistlab import mcg
+from twistlab import curve, mcg
 from twistlab.curve import (
     distinct_separating_curves,
+    enumerate_curve_specs,
     parse_curve_spec,
     resolve,
     symplectic_pairing,
 )
-from twistlab.errors import PreconditionError, WordLengthLimit
-from twistlab.foxrep import LaurentPoly
-from twistlab.jfilt import (
-    JFDepth,
-    _commutator_depth,
-    action_depth,
-)
-from twistlab.magnus import TruncatedAction, TruncatedSeries
-from twistlab.mcg import homology_action
+from twistlab.errors import GenusMismatch, PreconditionError, WordLengthLimit
+from twistlab.foxrep import LaurentPoly, fox_jacobian
+from twistlab.jfilt import JFDepth, action_depth
+from twistlab.magnus import Derivation, TruncatedAction, TruncatedSeries, _unpack
+from twistlab.mcg import FreeAutomorphism, homology_action, identity_matrix
 from twistlab.word import Word, abelianized
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -102,16 +99,16 @@ def power_by_squaring(f, k):
 
 
 def is_central_by_commutes(f):
-    """mcg.is_central as it was: f commutes with every chain twist."""
+    """is_central as it was: f commutes with every chain twist."""
     table = mcg.builtin_table(f.genus)
-    return all(mcg.commutes(f, table.twist(n)) for n in table.chain_names)
+    return all(commutes(f, table.twist(n)) for n in table.chain_names)
 
 
 def fact5_instance_by_commutes(f, budget):
-    """jfilt.fact5_instance as it was: f moves a separating curve iff it
+    """fact5_instance as it was: f moves a separating curve iff it
     fails to commute with the twist along it."""
     for d, data in islice(distinct_separating_curves(f.genus), budget):
-        if not mcg.commutes(f, data.twist):
+        if not commutes(f, data.twist):
             return d
     return None
 
@@ -262,3 +259,236 @@ def rep_mul_by_products(a, b):
         )
         for i in range(n)
     )
+
+
+# -- readers that no command runs --------------------------------------
+#
+# The depth of one class and of the commutator of two classes, membership
+# in M(k) and leading terms, centrality and the curve searches, single
+# free derivatives and the commutator of two words.  The package reads
+# depths on curve pairs only (jfilt._pair_depth); tests compare it, and
+# the laws of the paper, against these.
+
+
+def commutator(u, v):
+    """[u, v] = u v u^-1 v^-1, freely reduced."""
+    u._check_genus(v)
+    return u * v * u.inverse() * v.inverse()
+
+
+def commutes(f, g):
+    """Does f g = g f?
+
+    Compares f(g(x_i)) with g(f(x_i)) one generator at a time and stops
+    at the first difference; neither product is built as an automorphism.
+    """
+    if f.genus != g.genus:
+        raise GenusMismatch("automorphisms of different genus")
+    return all(
+        f(u).letters == g(v).letters for u, v in zip(g.images, f.images)
+    )
+
+
+def in_Mk(f, k):
+    """Does f act trivially on the free group mod its (k+1)-st term?"""
+    if k < 1:
+        raise PreconditionError("filtration level must be >= 1")
+    return johnson_depth(f, k).kind in ("identity", "at_least")
+
+
+def _depth(actions, start, cap):
+    """Filtration depth read from pairs of actions at caps start..cap.
+
+    actions(c) returns two TruncatedActions at cap c that agree below
+    degree start.  The degree-d part of an action does not depend on the
+    cap above d, and substitution is exact modulo degree > c, so the
+    first cap c at which action_depth finds a difference finds it in
+    degree c, and the depth is exact(c - 1), or not_in_m1 at c = 1.  No
+    difference through the cap gives at_least(cap), and a start above
+    the cap expands nothing.  start is 1 for the commutator of two
+    classes, and 2 for one class, whose agreement in degree 1 homology
+    decides.
+    """
+    for c in range(start, cap + 1):
+        depth = action_depth(*actions(c))
+        if depth.kind != "at_least":
+            return depth
+    return JFDepth("at_least", cap)
+
+
+def johnson_depth(f, cap):
+    """Certified filtration depth of f using degree-cap expansions.
+
+    f lies in M(k) iff the expansions of f(x_i) and x_i agree through
+    degree k.  Degree 1 of an expansion is the word's exponent sum, so
+    the homology action decides degree 1 with nothing expanded, and the
+    actions of f and the identity are compared from cap 2 (_depth).
+    Raises SeriesTermLimit when a series passes MAX_SERIES_TERMS.
+    """
+    if cap < 1:
+        raise PreconditionError("cap must be >= 1")
+    if f.is_identity():
+        return JFDepth("identity")
+    if homology_action(f) != identity_matrix(f.genus):
+        return JFDepth("not_in_m1")
+    one = FreeAutomorphism.identity(f.genus)
+    return _depth(
+        lambda c: (TruncatedAction.of(f, c), TruncatedAction.of(one, c)), 2, cap
+    )
+
+
+def _commutator_depth(act_f, act_g, start, cap):
+    """Filtration depth of [f, g] for classes f and g that do not commute.
+
+    act_f and act_g map a cap c to the TruncatedAction of f and of g at
+    c: TruncatedAction.of for plain automorphisms, CurveData.action for
+    curve twists.  The actions are composed both ways at caps start,
+    start + 1, ... (_depth), so neither fg nor gf is built.  start is 1,
+    or the first degree in which fg and gf can differ when they are
+    known to agree below it.
+    """
+
+    def products(c):
+        a, b = act_f(c), act_g(c)
+        return a.compose(b), b.compose(a)
+
+    return _depth(products, start, cap)
+
+
+def commutator_depth(f, g, cap):
+    """Filtration depth of [f, g] without forming the commutator.
+
+    [f,g] lies in M(k) iff fg and gf induce the same action on the
+    class-(k) nilpotent quotient, i.e. iff their truncated actions on
+    Z<<X>> / (deg > k) agree (Magnus).  Commuting classes give the
+    identity, decided exactly by commutes; otherwise the actions are
+    composed from those of f and g, one cap at a time
+    (_commutator_depth).  Raises SeriesTermLimit when a series passes
+    MAX_SERIES_TERMS.
+    """
+    if cap < 1:
+        raise PreconditionError("cap must be >= 1")
+    if commutes(f, g):
+        return JFDepth("identity")
+    return _commutator_depth(
+        lambda c: TruncatedAction.of(f, c),
+        lambda c: TruncatedAction.of(g, c),
+        1,
+        cap,
+    )
+
+
+def derivation_parts(derivation):
+    """The values D(X_i) of a magnus.Derivation as {unpacked monomial
+    tuple: coefficient}."""
+    base, d = 2 * derivation.genus, derivation.degree + 1
+    return [
+        {_unpack(key, d, base): c for key, c in v.items()}
+        for v in derivation.values
+    ]
+
+
+def johnson_leading_term(f, k):
+    """Degree-(k+1) parts of the generator displacements of f in M(k).
+
+    Returns one {monomial tuple: coefficient} table per generator; all
+    tables are zero iff f also lies in M(k+1).  With d_i = f(x_i) x_i^-1,
+    M(f(x_i)) = M(d_i)(1 + X_i) and M(d_i) - 1 starts in degree k+1 >= 2,
+    so the degree-(k+1) part of M(f(x_i)) is that of M(d_i): the value
+    D_f(X_i) of the leading term of f (magnus.Derivation), read from the
+    action of f at cap k + 1, which raises SeriesTermLimit when a series
+    passes MAX_SERIES_TERMS.
+    """
+    if not in_Mk(f, k):
+        raise PreconditionError(f"automorphism is not in M({k})")
+    return derivation_parts(Derivation.leading(TruncatedAction.of(f, k + 1)))
+
+
+def morita_check(f, g, kf, kg):
+    """Check [f, g] lands in M(kf+kg); a False return is an implementation bug."""
+    if not in_Mk(f, kf):
+        raise PreconditionError(f"first argument is not in M({kf})")
+    if not in_Mk(g, kg):
+        raise PreconditionError(f"second argument is not in M({kg})")
+    # at cap kf+kg an exact depth is at most kf+kg-1, so only the
+    # identity and an exhausted cap certify membership in M(kf+kg)
+    return commutator_depth(f, g, kf + kg).kind in ("identity", "at_least")
+
+
+def curves_equal(c1, c2):
+    """Exact isotopy test: the curves agree iff their classes do."""
+    if c1.genus != c2.genus:
+        raise GenusMismatch("curve specs of different genus")
+    return resolve(c1).pi1_class == resolve(c2).pi1_class
+
+
+def distinguishing_witness(c1, c2, budget):
+    """Search for a curve meeting exactly one of two distinct curves.
+
+    Enumerates candidate specs (skipping those isotopic to either
+    input, by class) and returns the first d whose curve crosses one
+    input and not the other, read on the curves (CurveData.crosses), so
+    no twist and no conjugator is built.  None after `budget` candidates
+    is not a disproof.
+    """
+    if curves_equal(c1, c2):
+        raise PreconditionError("inputs are the same curve")
+    d1, d2 = resolve(c1), resolve(c2)
+    candidates = enumerate_curve_specs(c1.genus)
+    for d in islice(candidates, max(budget, 0)):
+        dd = resolve(d)
+        if dd.pi1_class in (d1.pi1_class, d2.pi1_class):
+            continue
+        if d1.crosses(dd) != d2.crosses(dd):
+            return d
+    return None
+
+
+def fact5_instance(f, budget):
+    """The spec of the first sampled separating curve moved by f, or None.
+
+    Central classes fix every curve, so for them this is always None;
+    for non-central classes a moved separating curve exists, and the
+    sampler returns the first one found within budget.
+    f commutes with the twist along d iff f fixes d's class, since
+    f t_d f^-1 = t_{f(d)} (see the curve module), so each curve costs
+    one application of f to its class (curve._fixes), and no twist is
+    built.
+    """
+    if f.genus < 2:
+        raise PreconditionError(
+            "no essential separating curves exist at genus 1"
+        )
+    curves = distinct_separating_curves(f.genus)
+    for d, data in islice(curves, max(budget, 0)):
+        if not curve._fixes(f, data.pi1_class):
+            return d
+    return None
+
+
+def is_central(f):
+    """Centrality test: fixes every chain curve.
+
+    A mapping class commutes with the twist along a curve c iff it fixes
+    c up to isotopy, since f t_c f^-1 = t_{f(c)} (Farb-Margalit, Primer,
+    ch. 3), and freely homotopic essential simple closed curves are
+    isotopic, so that is read on the class of c (curve._fixes) and no
+    twist is applied.  Sufficient as well as necessary: a class fixing
+    every chain curve commutes with every chain twist, and the chain
+    fills the surface, so by the Alexander method the class is a power
+    of the boundary twist.
+    """
+    table = mcg.builtin_table(f.genus)
+    chain = (table.entry(n).base_word for n in table.chain_names)
+    return all(curve._fixes(f, c.canonical_cyclic()) for c in chain)
+
+
+def fox_derivative(w, i):
+    """Abelianized free derivative of w with respect to x_i, i in 1..2g:
+    one column of foxrep.fox_jacobian."""
+    if not 1 <= i <= 2 * w.genus:
+        raise PreconditionError(
+            f"generator index {i} out of range for genus {w.genus}"
+            f" (generators are 1..{2 * w.genus})"
+        )
+    return fox_jacobian(w)[0][i - 1]

@@ -14,29 +14,10 @@ import time
 import pytest
 
 from twistlab.cli import main
-from twistlab.curve import (
-    CurveSpec,
-    distinguishing_witness,
-    fact5_instance,
-    is_central,
-    parse_curve_spec,
-    resolve,
-)
+from twistlab.curve import CurveSpec, parse_curve_spec, resolve
 from twistlab.errors import ConsistencyViolation
-from twistlab.foxrep import (
-    LaurentPoly,
-    fox_derivative,
-    magnus_rep,
-    rep_identity,
-    rep_mul,
-)
-from twistlab.jfilt import (
-    classify_pair,
-    check_consistency,
-    in_Mk,
-    johnson_depth,
-    morita_check,
-)
+from twistlab.foxrep import LaurentPoly, magnus_rep, rep_identity, rep_mul
+from twistlab.jfilt import classify_pair, check_consistency
 from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
@@ -45,7 +26,16 @@ from twistlab.mcg import (
 )
 from twistlab.word import Word, abelianized
 
-from references import commutator_auto
+from references import (
+    commutator_auto,
+    distinguishing_witness,
+    fact5_instance,
+    fox_derivative,
+    in_Mk,
+    is_central,
+    johnson_depth,
+    morita_check,
+)
 
 
 class Timer:

@@ -7,11 +7,7 @@ from twistlab import curve, word
 from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
-    curves_equal,
-    distinguishing_witness,
     enumerate_curve_specs,
-    fact5_instance,
-    is_central,
     parse_curve_spec,
     resolve,
     symplectic_pairing,
@@ -36,7 +32,11 @@ from twistlab.mcg import (
 from twistlab.word import Word
 
 from references import (
+    curves_equal,
+    distinguishing_witness,
+    fact5_instance,
     golden_pairs,
+    is_central,
     mat_mul,
     pool_pairs,
     resolve_eagerly,

@@ -8,7 +8,6 @@ from twistlab.curve import enumerate_curve_specs, resolve
 from twistlab.errors import GenusMismatch, PreconditionError
 from twistlab.foxrep import (
     LaurentPoly,
-    fox_derivative,
     fox_jacobian,
     magnus_rep,
     rep_as_json,
@@ -16,13 +15,15 @@ from twistlab.foxrep import (
     rep_mul,
     suzuki_scan,
 )
-from twistlab.jfilt import in_Mk
-from twistlab.mcg import FreeAutomorphism, builtin_table, commutes, evaluate
+from twistlab.mcg import FreeAutomorphism, builtin_table, evaluate
 from twistlab.word import Word, abelianized
 
 from references import (
     commutator_auto,
+    commutes,
+    fox_derivative,
     fox_derivative_by_letters,
+    in_Mk,
     rep_mul_by_products,
 )
 

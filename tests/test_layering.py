@@ -1,12 +1,21 @@
 """The package's modules form one chain of layers: each imports only the
-modules before it, at module level or inside functions."""
+modules before it, at module level or inside functions.  And the package
+keeps only what its commands run."""
 
 import ast
+import contextlib
+import importlib
+import inspect
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
 import twistlab
+from twistlab.cli import main
+
+from test_golden import CASES
 
 CHAIN = ("word", "magnus", "mcg", "curve", "jfilt", "foxrep", "cli")
 # errors may be imported anywhere, and __init__ may import anything
@@ -54,13 +63,10 @@ def defined_names(path):
     }
 
 
-# the curve searches and centrality, read on curve classes
+# the curve searches, read on curve classes
 CURVE_FACTS = (
     "enumerate_curve_specs",
     "distinct_separating_curves",
-    "distinguishing_witness",
-    "fact5_instance",
-    "is_central",
 )
 
 
@@ -75,3 +81,85 @@ def test_curve_facts_are_defined_in_curve_only(name):
     for module in ("jfilt", "mcg"):
         assert name not in defined_names(PACKAGE / f"{module}.py")
     assert getattr(curve, name).__module__ == "twistlab.curve"
+
+
+# readers that no command runs; tests compare the package against them
+REFERENCE_READERS = (
+    "commutator",
+    "commutes",
+    "in_Mk",
+    "johnson_depth",
+    "commutator_depth",
+    "johnson_leading_term",
+    "morita_check",
+    "curves_equal",
+    "distinguishing_witness",
+    "fact5_instance",
+    "is_central",
+    "fox_derivative",
+)
+
+
+@pytest.mark.parametrize("name", REFERENCE_READERS)
+def test_reference_readers_are_defined_in_tests_only(name):
+    import references
+
+    for module in MODULES:
+        assert name not in defined_names(PACKAGE / f"{module}.py")
+    assert getattr(references, name).__module__ == "references"
+
+
+# public functions that no golden command enters, each with its reason
+UNRUN = (
+    # the public reader of the mapping-class-word grammar; the commands
+    # read the same grammar inside curve specs, through its scanner
+    "mcg.parse_mcw",
+)
+
+
+def package_modules():
+    return [importlib.import_module(f"twistlab.{stem}") for stem in sorted(MODULES)]
+
+
+def public_functions():
+    """(module.name, code object) of every public module-level function."""
+    found = {}
+    for module in package_modules():
+        stem = module.__name__.rsplit(".", 1)[1]
+        for name, value in vars(module).items():
+            fn = inspect.unwrap(value)
+            if (
+                not name.startswith("_")
+                and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+            ):
+                found[f"{stem}.{name}"] = fn.__code__
+    return found
+
+
+def test_every_public_function_runs_under_a_golden_command():
+    # the caches are cleared first, so that a cached function is entered
+    # by the commands themselves and not skipped on an earlier test's hit
+    for module in package_modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    root = str(PACKAGE)
+    entered = set()
+
+    def tracer(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            entered.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for argv in CASES.values():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+    finally:
+        sys.settrace(previous)
+    functions = public_functions()
+    assert set(UNRUN) <= set(functions)
+    unrun = {name for name, code in functions.items() if code not in entered}
+    assert unrun == set(UNRUN)

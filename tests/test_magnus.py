@@ -8,9 +8,9 @@ from twistlab.curve import parse_curve_spec, resolve
 from twistlab.errors import SeriesTermLimit
 from twistlab.magnus import TruncatedAction, TruncatedSeries, magnus_expand
 from twistlab.mcg import builtin_table, evaluate
-from twistlab.word import Word, commutator
+from twistlab.word import Word
 
-from references import magnus_expand_by_groupby
+from references import commutator, magnus_expand_by_groupby
 
 
 # -- independent dense oracle -----------------------------------------

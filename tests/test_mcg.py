@@ -7,7 +7,6 @@ import pytest
 
 from twistlab import mcg
 from twistlab.cli import main
-from twistlab.curve import is_central
 from twistlab.errors import (
     UnknownTwistName,
     UnsupportedGenus,
@@ -19,7 +18,6 @@ from twistlab.mcg import (
     FreeAutomorphism,
     TwistTable,
     builtin_table,
-    commutes,
     evaluate,
     _twist_power,
     format_mcw,
@@ -32,7 +30,13 @@ from twistlab.mcg import (
 )
 from twistlab.word import Word, abelianized, boundary_word
 
-from references import apply_letterwise, pool_pairs, power_by_squaring
+from references import (
+    apply_letterwise,
+    commutes,
+    is_central,
+    pool_pairs,
+    power_by_squaring,
+)
 
 #: every genus with a built-in table
 GENERA = list(mcg._SUPPORTED_GENERA)
@@ -78,7 +82,6 @@ def test_validate_relations_neither_composes_nor_compares_by_commutes(
 
     mcg._twist_power.cache_clear()
     monkeypatch.setattr(FreeAutomorphism, "compose", refuse)
-    monkeypatch.setattr(mcg, "commutes", refuse)
     assert validate_relations(genus).all_passed
 
 

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from twistlab.errors import GenusMismatch, WordParseError
-from twistlab.word import Word, boundary_word, commutator
+from twistlab.word import Word, boundary_word
+
+from references import commutator
 
 
 def naive_reduce(letters):
