@@ -342,13 +342,14 @@ def cmd_foxcheck(args):
                 f = f.compose(rng.choice(torelli))
             if not f.is_identity():
                 torelli.append(f)
+        # each pool element's matrix once; the composed side is the
+        # thing the check tests, so it is built for every drawn pair
+        pool = [(f, magnus_rep(f)) for f in torelli]
         ok = True
         for _ in range(args.torelli_pairs):
-            f = rng.choice(torelli)
-            g = rng.choice(torelli)
-            ok = ok and magnus_rep(f.compose(g)) == rep_mul(
-                magnus_rep(f), magnus_rep(g)
-            )
+            f, rf = rng.choice(pool)
+            g, rg = rng.choice(pool)
+            ok = ok and magnus_rep(f.compose(g)) == rep_mul(rf, rg)
         checks["multiplicativity"] = ok
 
     results.update(checks)

@@ -24,7 +24,10 @@ identity matrix iff r(fg) == r(gf).  A hit of suzuki_scan is a pair of
 separating twists that do not commute (the curves cross, read on their
 classes as classify_pair reads it) with r(fg) == r(gf) (the
 representation does not see it), the phenomenon Suzuki exhibited for
-the Magnus representation of the Torelli group.
+the Magnus representation of the Torelli group.  Column j of r(fg) is
+the Jacobian of f(g(x_j)), so _same_matrix compares r(fg) with r(gf)
+one column at a time and stops at the first column that differs; the
+scan composes neither product.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from operator import add
 
 from .curve import distinct_separating_curves
 from .errors import GenusMismatch, PreconditionError
+from .mcg import homology_action, identity_matrix
 
 
 class LaurentPoly:
@@ -156,6 +160,12 @@ def fox_jacobian(w):
 # -- matrices ----------------------------------------------------------
 
 
+_NOT_TORELLI = (
+    "the Magnus representation is defined on homologically trivial "
+    "classes only"
+)
+
+
 def magnus_rep(f):
     """Matrix (d f(x_j) / d x_i)_{ij} for a homologically trivial class.
 
@@ -169,12 +179,24 @@ def magnus_rep(f):
     for j, image in enumerate(f.images):
         column, ab = fox_jacobian(image)
         if ab != tuple(int(i == j) for i in range(n)):
-            raise PreconditionError(
-                "the Magnus representation is defined on homologically "
-                "trivial classes only"
-            )
+            raise PreconditionError(_NOT_TORELLI)
         columns.append(column)
     return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+
+
+def _same_matrix(f, g):
+    """Is magnus_rep(f.compose(g)) == magnus_rep(g.compose(f))?
+
+    Column j of r(fg) is fox_jacobian of f(g(x_j)), the very image that
+    f.compose(g) would hold, so the matrices are compared one column at
+    a time, from the images of x_j alone, and the first column that
+    differs decides: neither product is built.  f and g must be Torelli
+    classes; nothing here checks it.
+    """
+    return all(
+        fox_jacobian(f(u))[0] == fox_jacobian(g(v))[0]
+        for u, v in zip(g.images, f.images)
+    )
 
 
 def rep_identity(genus):
@@ -221,15 +243,17 @@ def suzuki_scan(genus, budget):
     For each pair of distinct separating curves, whether the twists f, g
     commute is read on the curves' classes (CurveData.crosses), as
     classify_pair reads it, so a commuting pair is skipped with nothing
-    composed.  For a crossing pair the products fg and gf are built once,
-    for their Magnus matrices, and the pair is a hit when
-    magnus_rep(fg) == magnus_rep(gf).  Both products lie in the Torelli
-    group, where magnus_rep is multiplicative, so r([f, g]) =
-    r(fg) r(gf)^-1, and a hit certifies a nontrivial commutator [f, g]
-    with identity Magnus matrix, returned as the pair (c1, c2) of the
-    curves' spec texts.  The commutator itself, a product of
-    four twists, is never formed: its images can pass the letter cap
-    while those of fg and gf stay short.
+    composed.  A crossing pair is a hit when magnus_rep(fg) ==
+    magnus_rep(gf), which _same_matrix decides one column at a time from
+    the images of f and g, stopping at the first column that differs, so
+    no product is built.  Each twist is checked to be Torelli the first
+    time the scan reads it, and fg and gf, products of Torelli classes,
+    lie in the Torelli group, where magnus_rep is multiplicative: r([f,
+    g]) = r(fg) r(gf)^-1, and a hit certifies a nontrivial commutator
+    [f, g] with identity Magnus matrix, returned as the pair (c1, c2) of
+    the curves' spec texts.  The commutator itself, a product of four
+    twists, is never formed: its images can pass the letter cap while
+    those of fg and gf stay short.
 
     Best effort within the pair budget; an empty result is not a
     disproof.
@@ -244,13 +268,20 @@ def suzuki_scan(genus, budget):
             distinct_separating_curves(genus), max(3, budget // 2)
         )
     )
+    identity = identity_matrix(genus)
+    checked = set()
+
+    def torelli_twist(c):
+        t = c.twist
+        if id(c) not in checked:
+            if homology_action(t) != identity:
+                raise PreconditionError(_NOT_TORELLI)
+            checked.add(id(c))
+        return t
 
     hits = []
     pairs = itertools.islice(itertools.combinations(specs, 2), budget)
     for (da, a), (db, b) in pairs:
-        if not a.crosses(b):
-            continue
-        ta, tb = a.twist, b.twist
-        if magnus_rep(ta.compose(tb)) == magnus_rep(tb.compose(ta)):
+        if a.crosses(b) and _same_matrix(torelli_twist(a), torelli_twist(b)):
             hits.append((da.to_text(), db.to_text()))
     return hits

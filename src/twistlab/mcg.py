@@ -420,19 +420,23 @@ def _twist_power(genus, name, k):
     )
 
 
-def _apply_factors(genus, factors, words, cyclic=False):
+def _apply_factors(genus, factors, words, cyclic=False, limit=None):
     """Images of `words` under the product of `factors`, leftmost applied
     last, built from the inside out: each factor's short images
     substitute into the words built so far.  With cyclic=True each word
     is stripped to its cyclically reduced core after each factor, which
     keeps its conjugacy class, since an automorphism carries conjugates
     to conjugates, and keeps the words from carrying conjugators that
-    later factors would only lengthen.  Nothing is rotated."""
+    later factors would only lengthen.  Nothing is rotated.  With a
+    limit, a word longer than `limit` letters after any factor raises
+    WordLengthLimit."""
     for name, k in reversed(factors):
         p = _twist_power(genus, name, k)
         words = tuple(p(w) for w in words)
         if cyclic:
             words = tuple(w.cyclic_reduce() for w in words)
+        if limit is not None and any(len(w) > limit for w in words):
+            raise WordLengthLimit(f"a fold passed {limit} letters")
     return words
 
 
@@ -558,6 +562,14 @@ class RelationReport:
         return [c for c in self.checks if not c.passed]
 
 
+#: Letter bound of the relation folds of validate_relations.  The true
+#: tables (genus 1..6) fold every relation through words of at most 10
+#: letters at genus 1 and 16g - 7 above it, 89 at genus 6, so a fold
+#: past this bound means a wrong table; without it, a wrong table's
+#: folds can grow to images of 10^5-10^6 letters before they compare.
+RELATION_FOLD_LETTERS = 4096
+
+
 def validate_relations(genus):
     """Run the relation suite that pins the generator table.
 
@@ -571,22 +583,25 @@ def validate_relations(genus):
     (t_C1 ... t_C{2J})^{4J+2} = t_SepJ for each separating twist, (d)
     centrality of Delta, and (e) that separating twists act trivially
     on homology, read from homology_matrix.  Failures are report
-    entries, not errors: a side whose fold passes the letter cap fails
-    its relation.
+    entries, not errors: a side whose fold passes RELATION_FOLD_LETTERS
+    (or the letter cap) fails its relation.
     """
     table = builtin_table(genus)
     gens = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
     names = table.chain_names
     checks = []
 
+    def fold(word):
+        factors = [(n, 1) for n in word]
+        return _apply_factors(genus, factors, gens, limit=RELATION_FOLD_LETTERS)
+
     def holds(u, v):
         try:
-            return _apply_factors(genus, [(n, 1) for n in u], gens) == (
-                _apply_factors(genus, [(n, 1) for n in v], gens)
-            )
+            return fold(u) == fold(v)
         except WordLengthLimit:
-            # a side whose fold passes the letter cap is not established,
-            # so the relation fails rather than stopping the suite
+            # a side whose fold passes the letter bound is not
+            # established, so the relation fails rather than stopping
+            # the suite
             return False
 
     def check(kind, description, *identities):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twistlab import foxrep, jfilt, mcg
+from twistlab import curve, foxrep, jfilt, mcg
 from twistlab.curve import enumerate_curve_specs, resolve
 from twistlab.errors import GenusMismatch, PreconditionError
 from twistlab.foxrep import (
@@ -321,7 +321,7 @@ def _scan_pairs(genus, budget):
 @pytest.mark.parametrize("genus,budget", [(2, 20), (3, 10)])
 def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
     # the scan skips pairs whose curves do not cross and compares r(fg)
-    # with r(gf); the reference forms [f, g] = fg f^-1 g^-1
+    # with r(gf); the reference forms fg, gf and [f, g] = fg f^-1 g^-1
     identity = rep_identity(genus)
     expected, crossing = [], set()
     for (da, ta), (db, tb) in _scan_pairs(genus, budget):
@@ -337,16 +337,21 @@ def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
             expected.append((da.to_text(), db.to_text()))
     if genus == 3:
         assert len(crossing) < 2 * budget  # some tested pairs commute
-    # crossing is read on the curves' classes (CurveData.crosses), so fg
-    # and gf are composed once for exactly the crossing pairs, for their
-    # matrices, and no two automorphisms are compared to decide it:
-    # mcg.commutes and FreeAutomorphism.__eq__ are not called
-    composed = []
+    # crossing is read on the curves' classes (CurveData.crosses), so the
+    # matrices are compared, column by column, for exactly the crossing
+    # pairs; no product is composed and no two automorphisms are
+    # compared: mcg.commutes and FreeAutomorphism.__eq__ are not called
+    composed, compared = [], []
     compose = FreeAutomorphism.compose
+    same_matrix = foxrep._same_matrix
 
     def recording_compose(f, g):
         composed.append((id(f), id(g)))
         return compose(f, g)
+
+    def recording_same_matrix(f, g):
+        compared.append((id(f), id(g)))
+        return same_matrix(f, g)
 
     def no_commutes(f, g):
         raise AssertionError("suzuki_scan called mcg.commutes")
@@ -356,9 +361,43 @@ def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
 
     monkeypatch.setattr(FreeAutomorphism, "compose", recording_compose)
     monkeypatch.setattr(FreeAutomorphism, "__eq__", no_eq)
+    monkeypatch.setattr(foxrep, "_same_matrix", recording_same_matrix)
     for module in (mcg, jfilt, foxrep):
         monkeypatch.setattr(module, "commutes", no_commutes, raising=False)
     assert suzuki_scan(genus, budget) == expected
-    assert sorted(composed) == sorted(crossing)
+    assert composed == []
+    assert sorted(compared + [(g, f) for f, g in compared]) == sorted(crossing)
     # classify_pair reads the same method; jfilt keeps no copy of it
     assert not hasattr(jfilt, "_crosses")
+
+
+@pytest.mark.parametrize("genus,budget", [(2, 60), (3, 20)])
+def test_same_matrix_is_the_full_matrix_comparison(genus, budget):
+    # every scanned pair, commuting pairs included; at genus 3, 11 of the
+    # 20 commute, so all 2g columns agree, the branch no scan budget of
+    # the goldens reaches
+    commuting = 0
+    for (_, f), (_, g) in _scan_pairs(genus, budget):
+        fg, gf = f.compose(g), g.compose(f)
+        assert foxrep._same_matrix(f, g) == (magnus_rep(fg) == magnus_rep(gf))
+        commuting += fg == gf
+    assert commuting == (11 if genus == 3 else 0)
+
+
+def test_suzuki_scan_rejects_a_twist_that_is_not_torelli(monkeypatch):
+    # the scan checks each twist it reads once, with magnus_rep's message;
+    # here the first separating curve's twist is replaced by t_C1
+    first = next(curve.distinct_separating_curves(2))[1]
+    chain = builtin_table(2).twist("C1")
+    twist = curve.CurveData.twist
+
+    def swapped(c):
+        return chain if c is first else twist.func(c)
+
+    monkeypatch.setattr(curve.CurveData, "twist", property(swapped))
+    with pytest.raises(
+        PreconditionError,
+        match="^the Magnus representation is defined on homologically "
+        "trivial classes only$",
+    ):
+        suzuki_scan(2, 20)

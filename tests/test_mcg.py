@@ -91,14 +91,10 @@ WRONG_TWISTS = {
     "identity": lambda t: FreeAutomorphism.identity(t.genus),
 }
 
-#: (genus, twist, how it is wrong): every twist inverted at genus 1 and
-#: 2, and each SepJ also squared and removed.  At genus 3, inverting
-#: C2..C6 is left out: the braid rows catch those tables, but the folds
-#: of the Delta and Sep2 chain words then grow to images of 10^4-10^6
-#: letters, at 0.2-1.7 s per table.
+#: (genus, twist, how it is wrong): every twist inverted at genus 1, 2
+#: and 3, and each SepJ also squared and removed.
 WRONG_TABLES = (
-    [(g, n, "inverse") for g in (1, 2) for n in builtin_table(g).names()]
-    + [(3, n, "inverse") for n in ("C1", "C7", "Sep1", "Sep2", "Delta")]
+    [(g, n, "inverse") for g in (1, 2, 3) for n in builtin_table(g).names()]
     + [
         (g, s, how)
         for g in (2, 3)
@@ -161,6 +157,32 @@ def test_a_relation_past_the_letter_cap_fails_instead_of_raising(
     failures = [c.description for c in validate_relations(3).failures()]
     assert "(t_C1 t_C2 t_C3 t_C4)^10 = t_Sep2" in failures
     assert main(["validate", "--genus", "3"]) == 1
+
+
+@pytest.mark.parametrize("genus", GENERA)
+def test_true_tables_fold_far_under_the_relation_bound(genus, monkeypatch):
+    # the longest word of any relation fold of a true table is 10 letters
+    # at genus 1 and 16g - 7 above it: the suite passes with exactly that
+    # bound and fails with one letter less
+    peak = 10 if genus == 1 else 16 * genus - 7
+    assert 8 * peak < mcg.RELATION_FOLD_LETTERS
+    monkeypatch.setattr(mcg, "RELATION_FOLD_LETTERS", peak)
+    assert validate_relations(genus).all_passed
+    monkeypatch.setattr(mcg, "RELATION_FOLD_LETTERS", peak - 1)
+    assert not validate_relations(genus).all_passed
+
+
+def test_a_wrong_table_fold_stops_at_the_relation_bound(
+    monkeypatch, fresh_table_caches
+):
+    # with C2 inverted, the Sep2 word's fold passes the relation bound,
+    # far below the letter cap
+    _use_wrong_table(monkeypatch, 3, "C2", "inverse")
+    gens = tuple(Word.generator(3, i) for i in range(1, 7))
+    sep2_word = [(f"C{i}", 1) for i in range(1, 5)] * 10
+    limit = mcg.RELATION_FOLD_LETTERS
+    with pytest.raises(WordLengthLimit, match=f"passed {limit} letters"):
+        mcg._apply_factors(3, sep2_word, gens, limit=limit)
 
 
 def test_unsupported_genus():

@@ -38,6 +38,7 @@ def test_bench_kernels_reports_the_class_and_action_kernels(monkeypatch, capsys)
         "magnus.lead_bracket.g2",
         "magnus.lead_bracket.g3",
         "foxrep.jacobian.g2",
+        "foxrep.same_matrix.g2",
         "foxrep.rep_mul.g2",
     ):
         assert kernels[name]["calls"] > 0, name

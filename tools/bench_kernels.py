@@ -44,11 +44,13 @@ magnus.lead_bracket.g{2,3} brackets t_Sep1's term with the moved one
 (Derivation.bracket), each LEAD_CALLS times a replay.  The Fox kernels of foxcheck's Magnus checks
 run on fixed calls too, since a pair-scan pass makes none:
 foxrep.jacobian.g2 is magnus_rep of t_Sep1 and of fg for the crossing
-pairs among the first FOX_CURVES separating curves at genus 2, the
-products the Suzuki scan builds, FOX_CALLS times a replay, and
-foxrep.rep_mul.g2 multiplies each of those matrices by the next, once a
-replay, since a product of two such matrices takes as long as about 50
-of the matrices.
+pairs (f, g) among the first FOX_CURVES separating curves at genus 2,
+FOX_CALLS times a replay; foxrep.same_matrix.g2 is the Suzuki scan's
+comparison of r(fg) with r(gf), foxrep._same_matrix, on the same pairs
+both ways round, FOX_CALLS times a replay; and foxrep.rep_mul.g2
+multiplies each of the matrices of foxrep.jacobian.g2 by the next, once
+a replay, since a product of two such matrices takes as long as about
+50 of the matrices.
 """
 
 from __future__ import annotations
@@ -151,17 +153,22 @@ FOX_CALLS = 10
 
 def fox_calls():
     """The Fox kernels on fixed arguments, at genus 2."""
-    classes = [mcg.builtin_table(2).twist("Sep1")]
     curves = itertools.islice(curve.distinct_separating_curves(2), FOX_CURVES)
-    for (_, a), (_, b) in itertools.combinations(curves, 2):
-        if a.crosses(b):
-            classes.append(a.twist.compose(b.twist))
+    crossing = [
+        (a.twist, b.twist)
+        for (_, a), (_, b) in itertools.combinations(curves, 2)
+        if a.crosses(b)
+    ]
+    classes = [mcg.builtin_table(2).twist("Sep1")]
+    classes += [f.compose(g) for f, g in crossing]
     matrices = [foxrep.magnus_rep(f) for f in classes]
     products = list(zip(matrices, matrices[1:] + matrices[:1]))
+    both_ways = crossing + [(g, f) for f, g in crossing]
     return {
         "foxrep.jacobian.g2": (
             foxrep.magnus_rep, [(f,) for f in classes] * FOX_CALLS
         ),
+        "foxrep.same_matrix.g2": (foxrep._same_matrix, both_ways * FOX_CALLS),
         "foxrep.rep_mul.g2": (foxrep.rep_mul, products),
     }
 
