@@ -9,14 +9,13 @@ for concurrent use.
 __version__ = "0.1.0"
 
 from .word import Word, boundary_word
-from .magnus import TruncatedSeries, magnus_expand
+from .magnus import magnus_expand
 from .mcg import (
     FreeAutomorphism,
     builtin_table,
     evaluate,
     homology_action,
     validate_relations,
-    parse_mcw,
 )
 from .curve import CurveSpec, CurveData, parse_curve_spec, resolve
 from .jfilt import JFDepth, PairReport, classify_pair

@@ -43,10 +43,10 @@ its leading term does not decide it.  The twist itself
 that need the automorphism.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.  The
-bracketed word is read by mcg's scanner, in the grammar of
-mcg.parse_mcw, and homology matrices are mcg's too (homology_action,
-homology_matrix); this module keeps the pairing of curves' homology
-vectors (symplectic_pairing).
+bracketed word is a mapping class word, read by mcg's scanner, and
+homology matrices are mcg's too (homology_action, homology_matrix);
+this module keeps the pairing of curves' homology vectors
+(symplectic_pairing).
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class CurveSpec:
         if not self.conjugator:
             return self.base
         return f"{self.base} @ [{format_mcw(self.conjugator)}]"
-
-    def __str__(self):
-        return self.to_text()
 
 
 @dataclass(frozen=True)
@@ -175,8 +172,8 @@ class CurveData:
 
 
 def parse_curve_spec(genus, text):
-    """Parse  NAME ('@' '[' word ']')?, the word in mcg.parse_mcw's grammar."""
-    base, pos = _scan_name(text, 0, SpecParseError)
+    """Parse  NAME ('@' '[' word ']')?, the word a mapping class word."""
+    base, pos = _scan_name(text, 0)
     factors = ()
     pos = _skip_space(text, pos)
     if pos < len(text):
@@ -185,7 +182,7 @@ def parse_curve_spec(genus, text):
             if not text.startswith(ch, pos):
                 raise SpecParseError(f"expected {ch!r}", position=pos)
             pos += 1
-        factors, pos = _scan_mcw(text, pos, SpecParseError, closed=True)
+        factors, pos = _scan_mcw(text, pos)
         pos = _skip_space(text, pos)
         if pos != len(text):
             raise SpecParseError("trailing input", position=pos)

@@ -61,9 +61,6 @@ class LaurentPoly:
     def monomial(cls, genus, exps):
         return cls(genus, {tuple(exps): 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def _check(self, other):
         if self.genus != other.genus:
             raise GenusMismatch("polynomials of different genus")
@@ -89,25 +86,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.genus == other.genus and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.genus, tuple(sorted(self.terms.items()))))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            mono = " ".join(
-                f"t{i+1}^{e}" if e != 1 else f"t{i+1}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            body = mono if mono else "1"
-            chunks.append(f"{'+' if c > 0 else '-'} {abs(c)}*{body}")
-        out = " ".join(chunks)
-        return out[2:] if out.startswith("+ ") else out
 
     def as_json(self):
         return [

@@ -59,11 +59,14 @@ it iff they are equal, iff the curves' classes are; crossing twists
 only if |algebraic| = 1.  For those, the relation reads
 (t1 t2) t1 (t1 t2)^-1 = t2, that is, the twist along t1 t2 (c1) is the
 twist along c2, so the flag holds iff t1 t2 maps the class of c1 to
-that of c2 (see the curve module).  Each twist t_{h(c)} = h t_c h^-1
-is the mapping class word h (c, 1) h^-1 (CurveData.twist_word), so
-that class is read by folding the factors of the two words, one after
-the other, over the class of c1 (mcg.class_image), and neither the
-product t1 t2 nor either twist is built.
+that of c2 (see the curve module), iff t2 maps the class of c1 to
+t1^-1 of the class of c2.  Each twist t_{h(c)} = h t_c h^-1 is the
+mapping class word h (c, 1) h^-1 (CurveData.twist_word), so the two
+sides meet in the middle: t2's word is folded over the class of c1 and
+the inverse of t1's over that of c2 (mcg.class_image), and neither the
+product t1 t2 nor either twist is built.  Each side folds one twist
+word, so it stays short where the fold of both words over one class can
+pass the letter cap.
 """
 
 from __future__ import annotations
@@ -346,23 +349,26 @@ def classify_pair(c1, c2, cap, check=True):
     # shortcut is needed as well as fast: for C3 @ [C3^2 Sep1^-2 Sep1^-2
     # Sep1^-2] and Sep1, with algebraic 0, the image of the class of c1
     # under fg passes the letter cap.  Otherwise fgf = gfg iff
-    # fg f (fg)^-1 = g, which holds iff f(g(c1)) is the class of c2 (see
-    # the module docstring), folded from the two twists' words
-    # (CurveData.twist_word), so no twist is built.  The depth starts at
-    # the first degree in which fg and gf can differ (_pair_start).  With
-    # a separating curve that degree is read from leading terms, so no
-    # conjugator is built unless the term is zero; other pairs, and pairs
-    # above a zero term, compose the actions of each curve's h and
-    # t_c h^-1 (CurveData.action, _pair_depth).
+    # fg f (fg)^-1 = g, which holds iff g(c1) is the class of f^-1(c2)
+    # (see the module docstring), each folded from one twist's word
+    # (CurveData.twist_word), so no twist is built.  Cyclically reduced
+    # length is a conjugacy invariant, so lengths are compared before
+    # canonical forms.  The depth starts at the first degree in which fg
+    # and gf can differ (_pair_start).  With a separating curve that
+    # degree is read from leading terms, so no conjugator is built unless
+    # the term is zero; other pairs, and pairs above a zero term, compose
+    # the actions of each curve's h and t_c h^-1 (CurveData.action,
+    # _pair_depth).
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
-        fg = d1.twist_word + d2.twist_word
-        braid = (
-            abs(algebraic) == 1
-            and class_image(fg, c1.genus, d1.pi1_class).canonical_cyclic()
-            == d2.pi1_class
-        )
+        braid = False
+        if abs(algebraic) == 1:
+            u = class_image(d2.twist_word, c1.genus, d1.pi1_class)
+            v = class_image(inverse_mcw(d1.twist_word), c1.genus, d2.pi1_class)
+            braid = len(u) == len(v) and (
+                u.canonical_cyclic() == v.canonical_cyclic()
+            )
         depth = _pair_depth(d1, d2, algebraic, cap)
     report = PairReport(
         genus=c1.genus,

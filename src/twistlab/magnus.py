@@ -32,15 +32,6 @@ def _term_limit(limit, what):
     )
 
 
-def _unpack(key, d, base):
-    """The letters (1-based) of a packed degree-d monomial."""
-    digits = []
-    for _ in range(d):
-        key, digit = divmod(key, base)
-        digits.append(digit + 1)
-    return tuple(reversed(digits))
-
-
 def _mul_into(out, a, b, base, limit):
     """Add the product of two series, given as degree-indexed dicts of
     packed keys, to `out`, truncated above degree len(out) - 1.
@@ -69,61 +60,17 @@ def _mul_into(out, a, b, base, limit):
 
 
 class TruncatedSeries:
-    """Integer power series truncated above a fixed degree cap."""
+    """The expansion of a word through a cap: degrees[d] maps the packed
+    degree-d monomials to their coefficients, for d = 0..cap."""
 
-    __slots__ = ("genus", "cap", "degrees")
+    __slots__ = ("degrees",)
 
-    def __init__(self, genus, cap):
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        self.genus = genus
-        self.cap = cap
-        self.degrees = [dict() for _ in range(cap + 1)]
-
-    @classmethod
-    def one(cls, genus, cap):
-        s = cls(genus, cap)
-        s.degrees[0][0] = 1
-        return s
-
-    def homogeneous_part(self, d):
-        """Degree-d terms as {unpacked monomial tuple: coefficient}."""
-        base = 2 * self.genus
-        return {_unpack(key, d, base): c for key, c in self.degrees[d].items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.genus == other.genus
-            and self.cap == other.cap
-            and self.degrees == other.degrees
-        )
-
-    def __str__(self):
-        parts = []
-        for d, terms in enumerate(self.degrees):
-            for key in sorted(terms):
-                c = terms[key]
-                mono = "".join(f"X{i}" for i in _unpack(key, d, 2 * self.genus))
-                if d == 0:
-                    parts.append((("+ " if c > 0 else "- "), f"{abs(c)}"))
-                else:
-                    parts.append(
-                        (("+ " if c > 0 else "- "), f"{abs(c)}·{mono}")
-                    )
-        if not parts:
-            body = "0"
-        else:
-            sign, first = parts[0]
-            body = ("-" if sign == "- " else "") + first
-            for sign, chunk in parts[1:]:
-                body += f" {sign.strip()} {chunk}"
-        return f"{body} + O(deg {self.cap + 1})"
+    def __init__(self, degrees):
+        self.degrees = degrees
 
 
 def magnus_expand(w, cap):
-    """Expand a word at the given degree cap.
+    """Expand a word at the given degree cap, as a TruncatedSeries.
 
     Multiplicative: the expansion of u*v is the truncated product of
     those of u and v.  Runs of a single generator are folded into one
@@ -151,8 +98,7 @@ def magnus_expand(w, cap):
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    out = TruncatedSeries.one(w.genus, cap)
-    degrees = out.degrees
+    degrees = [{0: 1}] + [{} for _ in range(cap)]
     # a Word is freely reduced, so a run repeats one signed letter
     letters = w.letters
     n, pos = len(letters), 0
@@ -172,7 +118,7 @@ def magnus_expand(w, cap):
                 target[key] = nc
             else:
                 del target[key]
-        return out
+        return TruncatedSeries(degrees)
     base = 2 * w.genus
     shifts = [base**j for j in range(cap + 1)]
     memo = {}
@@ -213,7 +159,7 @@ def magnus_expand(w, cap):
                         target[nk] = nc
                     else:
                         del target[nk]
-    return out
+    return TruncatedSeries(degrees)
 
 
 def _substitute(degrees, subs, top, base, limit):

@@ -24,8 +24,8 @@ would flip every twist at once and change nothing downstream (all
 detectors depend only on commutators and filtration membership).
 
 Mapping class words, such as `C1 C2^-3 Sep1 Delta^2`, are owned here.
-One scanner reads their grammar, NAME ('^' INT)? factors, for
-parse_mcw and for the conjugators of curve specs (curve.parse_curve_spec).
+One scanner reads their grammar, NAME ('^' INT)? factors, for the
+conjugators of curve specs (curve.parse_curve_spec).
 Their folds are here too: evaluate builds the automorphism, class_image
 its value on a conjugacy class, and homology_matrix its action on
 homology, whose convention homology_action fixes for any automorphism.
@@ -39,12 +39,12 @@ from functools import lru_cache
 
 from .errors import (
     GenusMismatch,
+    SpecParseError,
     UnknownTwistName,
     UnsupportedGenus,
     WordLengthLimit,
-    WordParseError,
 )
-from .word import Word, _parse_int, abelianized, boundary_word
+from .word import Word, abelianized, boundary_word
 
 #: Hard cap on automorphism image length; compositions past this abort.
 MAX_IMAGE_LETTERS = 10**6
@@ -100,11 +100,6 @@ class FreeAutomorphism:
                         "images and inverse_images do not define inverse "
                         "automorphisms"
                     )
-
-    @classmethod
-    def identity(cls, genus):
-        gens = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
-        return cls(genus, gens, gens, _check=False)
 
     # -- action --------------------------------------------------------
 
@@ -207,7 +202,9 @@ class FreeAutomorphism:
         return self._hash
 
     def __repr__(self):
-        imgs = ", ".join(f"x{i}->{w}" for i, w in enumerate(self.images, 1))
+        imgs = ", ".join(
+            f"x{i}->{w.letters}" for i, w in enumerate(self.images, 1)
+        )
         return f"<auto g={self.genus}: {imgs}>"
 
 
@@ -338,50 +335,48 @@ def _skip_space(text, pos):
     return pos
 
 
-def _scan_name(text, pos, error):
+def _scan_name(text, pos):
     """The twist name after the blanks at text[pos:], and the position
     after it."""
     pos = _skip_space(text, pos)
     m = _NAME.match(text, pos)
     if not m:
-        raise error("expected a twist name", position=pos)
+        raise SpecParseError("expected a twist name", position=pos)
     return m.group(0), m.end()
 
 
-def _scan_mcw(text, pos, error, closed=False):
+def _scan_mcw(text, pos):
     """The factors NAME ('^' INT)? of the mapping class word at text[pos:],
-    and the position after it.
+    and the position after the ']' that closes it.
 
-    Blanks may stand between tokens but not after '^'.  The word runs to
-    the end of the text or, when closed, to a ']', which is read too.
-    Errors are raised as `error`, with their position in the text.
+    Blanks may stand between tokens but not after '^'.  Errors are
+    raised as SpecParseError, with their position in the text.
     """
     factors = []
     while True:
         pos = _skip_space(text, pos)
-        if closed and text.startswith("]", pos):
+        if text.startswith("]", pos):
             return tuple(factors), pos + 1
         if pos == len(text):
-            if closed:
-                raise error("unterminated conjugator", position=pos)
-            return tuple(factors), pos
-        name, pos = _scan_name(text, pos, error)
+            raise SpecParseError("unterminated conjugator", position=pos)
+        name, pos = _scan_name(text, pos)
         k = 1
         pos = _skip_space(text, pos)
         if text.startswith("^", pos):
             m = _EXPONENT.match(text, pos + 1)
             if not m:
-                raise error("expected an exponent", position=pos + 1)
-            k = _parse_int(m.group(0), pos + 1, error)
+                raise SpecParseError("expected an exponent", position=pos + 1)
+            try:
+                k = int(m.group(0))
+            except ValueError:
+                # past Python's limit on the digits int() converts
+                raise SpecParseError(
+                    "number too long", position=pos + 1
+                ) from None
             pos = m.end()
             if k == 0:
-                raise error("zero exponent", position=pos)
+                raise SpecParseError("zero exponent", position=pos)
         factors.append((name, k))
-
-
-def parse_mcw(text):
-    """Parse `C1 C2^-3 Sep1 Delta^2` into ((name, exponent), ...)."""
-    return _scan_mcw(text, 0, WordParseError)[0]
 
 
 def format_mcw(mcw):

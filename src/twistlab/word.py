@@ -6,27 +6,13 @@ product of commutators [x1,x2][x3,x4]...[x{2g-1},x{2g}].  A letter is a
 nonzero signed integer: +i stands for x_i, -i for its inverse.  Words
 are kept freely reduced at all times and are immutable, so values may
 be shared between threads without locking.
-
-Text form: whitespace-separated tokens `x3` or `x3^-2`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from .errors import GenusMismatch, WordParseError
-
-_TOKEN = re.compile(r"x([0-9]+)(?:\^(-?[0-9]+))?$")
-
-
-def _parse_int(digits, position, error=WordParseError):
-    """int(digits), or a parse error at the position of the digits when
-    they pass Python's limit on the digits int() converts."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise error("number too long", position=position) from None
+from .errors import GenusMismatch
 
 
 def _reduced(letters):
@@ -92,60 +78,14 @@ class Word:
         return w
 
     @classmethod
-    def identity(cls, genus):
-        return cls(genus, ())
-
-    @classmethod
     def generator(cls, genus, i, power=1):
         sign = 1 if power > 0 else -1
         return cls(genus, (sign * i,) * abs(power))
 
-    @classmethod
-    def from_text(cls, genus, text):
-        """Parse `x1 x2^-1 x1`; exponents expand to letter runs."""
-        letters = []
-        end = 0
-        for tok in text.split():
-            start = text.find(tok, end)
-            end = start + len(tok)
-            m = _TOKEN.match(tok)
-            if not m:
-                raise WordParseError(f"bad word token {tok!r}")
-            i = _parse_int(m.group(1), start + 1)
-            k = _parse_int(m.group(2), start + m.start(2)) if m.group(2) else 1
-            if i < 1 or i > 2 * genus:
-                raise WordParseError(
-                    f"generator x{i} out of range for genus {genus}"
-                )
-            if k == 0:
-                raise WordParseError(f"zero exponent in token {tok!r}")
-            letters.extend([i if k > 0 else -i] * abs(k))
-        return cls(genus, tuple(letters))
-
     # -- queries -----------------------------------------------------
-
-    def is_identity(self):
-        return not self.letters
 
     def __len__(self):
         return len(self.letters)
-
-    def to_text(self):
-        if not self.letters:
-            return "1"
-        parts = []
-        run_letter, run = self.letters[0], 0
-        for ell in self.letters + (0,):
-            if ell == run_letter:
-                run += 1
-                continue
-            i, k = abs(run_letter), run * (1 if run_letter > 0 else -1)
-            parts.append(f"x{i}" if k == 1 else f"x{i}^{k}")
-            run_letter, run = ell, 1
-        return " ".join(parts)
-
-    def __str__(self):
-        return self.to_text()
 
     # -- group operations --------------------------------------------
 
@@ -169,11 +109,6 @@ class Word:
         if k < 0:
             return self.inverse() ** (-k)
         return Word(self.genus, self.letters * k)
-
-    def conjugate(self, g):
-        """g * self * g^-1."""
-        self._check_genus(g)
-        return g * self * g.inverse()
 
     # -- cyclic structure --------------------------------------------
 

@@ -15,8 +15,8 @@ from twistlab.curve import (
 from twistlab.errors import GenusMismatch, PreconditionError, WordLengthLimit
 from twistlab.foxrep import LaurentPoly, fox_jacobian
 from twistlab.jfilt import JFDepth, action_depth
-from twistlab.magnus import Derivation, TruncatedAction, TruncatedSeries, _unpack
-from twistlab.mcg import FreeAutomorphism, homology_action, identity_matrix
+from twistlab.magnus import Derivation, TruncatedAction, TruncatedSeries
+from twistlab.mcg import evaluate, homology_action, identity_matrix
 from twistlab.word import Word, abelianized
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -75,6 +75,18 @@ def pair_depth_from_homology_start(c1, c2, cap):
     return _commutator_depth(d1.action, d2.action, start, cap)
 
 
+def braid_by_whole_word(c1, c2):
+    """The braid label of a crossing pair with |algebraic| = 1 as
+    classify_pair read it before its two sides met in the middle: the
+    words of t1 and t2 folded, one after the other, over the class of c1
+    and compared with the class of c2.  Raises WordLengthLimit when the
+    fold passes the letter cap."""
+    d1, d2 = resolve(c1), resolve(c2)
+    fg = d1.twist_word + d2.twist_word
+    image = mcg.class_image(fg, c1.genus, d1.pi1_class)
+    return image.canonical_cyclic() == d2.pi1_class
+
+
 def commutator_auto(f, g):
     """[f, g] = f g f^-1 g^-1 as a mapping class."""
     return f.compose(g).compose(f.inverse()).compose(g.inverse())
@@ -88,7 +100,7 @@ def power_by_squaring(f, k):
         return power_by_squaring(f.inverse(), -k)
     if k == 1:
         return f
-    result = mcg.FreeAutomorphism.identity(f.genus)
+    result = evaluate((), f.genus)
     square = f
     while k:
         if k & 1:
@@ -198,8 +210,7 @@ def magnus_expand_by_groupby(w, cap):
     if cap < 1:
         raise ValueError("cap must be >= 1")
     base = 2 * w.genus
-    out = TruncatedSeries.one(w.genus, cap)
-    degrees = out.degrees
+    degrees = [{0: 1}] + [{} for _ in range(cap)]
     shifts = [base**j for j in range(cap + 1)]
     for ell, run in groupby(w.letters):
         i, m = abs(ell), len(list(run))
@@ -225,7 +236,7 @@ def magnus_expand_by_groupby(w, cap):
                         target[nk] = nc
                     else:
                         del target[nk]
-    return out
+    return TruncatedSeries(degrees)
 
 
 def fox_derivative_by_letters(w, i):
@@ -331,7 +342,7 @@ def johnson_depth(f, cap):
         return JFDepth("identity")
     if homology_action(f) != identity_matrix(f.genus):
         return JFDepth("not_in_m1")
-    one = FreeAutomorphism.identity(f.genus)
+    one = evaluate((), f.genus)
     return _depth(
         lambda c: (TruncatedAction.of(f, c), TruncatedAction.of(one, c)), 2, cap
     )
@@ -376,6 +387,22 @@ def commutator_depth(f, g, cap):
         1,
         cap,
     )
+
+
+def _unpack(key, d, base):
+    """The letters (1-based) of a packed degree-d monomial."""
+    digits = []
+    for _ in range(d):
+        key, digit = divmod(key, base)
+        digits.append(digit + 1)
+    return tuple(reversed(digits))
+
+
+def homogeneous_part(series, d, genus):
+    """The degree-d terms of a magnus.TruncatedSeries of the given genus,
+    as {unpacked monomial tuple: coefficient}."""
+    base = 2 * genus
+    return {_unpack(key, d, base): c for key, c in series.degrees[d].items()}
 
 
 def derivation_parts(derivation):

@@ -152,6 +152,19 @@ def test_scan_deterministic(capsys):
     assert out1 == out2  # byte-identical
 
 
+def test_long_conjugator_scan_at_genus_2_exits_0(capsys):
+    # its pair 696 once passed the letter cap in the braid label's fold
+    # of the words of t1 and t2 over the class of c1
+    rc, out = run(
+        capsys, "scan", "--genus", "2", "--cap", "5", "--samples", "1000",
+        "--seed", "11", "--max-conjugator-len", "8",
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["summary"]["violations"] == 0
+    assert len(doc["results"]) == 1000
+
+
 def test_scan_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--genus", "2", "--samples", "4"])

@@ -27,7 +27,6 @@ from twistlab.mcg import (
     homology_action,
     homology_matrix,
     identity_matrix,
-    parse_mcw,
 )
 from twistlab.word import Word
 
@@ -92,20 +91,14 @@ def test_parse_errors_carry_positions(text, pos):
     assert err.value.position == pos
 
 
-def parse_both(text):
-    """The word read as a spec's conjugator and by parse_mcw: each a
-    tuple of factors, or the error's position in the text."""
+def parse_conjugator(text):
+    """The word read as a spec's conjugator: a tuple of factors, or the
+    error's position in the word."""
     prefix = "Sep1 @ ["
-    outcomes = []
-    for parse, offset in (
-        (lambda: spec(2, f"{prefix}{text}]").conjugator, len(prefix)),
-        (lambda: parse_mcw(text), 0),
-    ):
-        try:
-            outcomes.append(parse())
-        except WordParseError as err:
-            outcomes.append(("error at", err.position - offset))
-    return outcomes
+    try:
+        return spec(2, f"{prefix}{text}]").conjugator
+    except WordParseError as err:
+        return ("error at", err.position - len(prefix))
 
 
 @pytest.mark.parametrize(
@@ -121,7 +114,7 @@ def parse_both(text):
     ],
 )
 def test_specs_and_mcws_share_one_grammar(text, expected):
-    assert parse_both(text) == [expected, expected]
+    assert parse_conjugator(text) == expected
 
 
 def test_formatted_words_parse_back_alike():
@@ -132,7 +125,7 @@ def test_formatted_words_parse_back_alike():
             (rng.choice(names), rng.choice((1, -1)) * rng.choice((1, 2, 9, 10**20)))
             for _ in range(rng.randrange(6))
         )
-        assert parse_both(format_mcw(mcw)) == [mcw, mcw], mcw
+        assert parse_conjugator(format_mcw(mcw)) == mcw, mcw
 
 
 @pytest.mark.parametrize("genus", [2, 3])

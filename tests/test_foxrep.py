@@ -47,7 +47,7 @@ def t_mono(genus, i, power=1):
 
 def test_derivative_of_generator():
     assert fox_derivative(Word.generator(1, 1), 1) == LaurentPoly.one(1)
-    assert fox_derivative(Word.generator(1, 1), 2).is_zero()
+    assert not fox_derivative(Word.generator(1, 1), 2).terms
 
 
 def test_derivative_of_inverse_generator():
@@ -79,7 +79,7 @@ def test_fundamental_identity():
 
 def test_derivative_rejects_generator_index_out_of_range():
     w = Word(2, (1, 2, -1))
-    assert fox_derivative(w, 4).is_zero()
+    assert not fox_derivative(w, 4).terms
     for i in (5, 0, -1):
         with pytest.raises(PreconditionError, match="out of range"):
             fox_derivative(w, i)
@@ -125,9 +125,7 @@ def test_jacobian_matches_the_letterwise_derivatives():
 
 
 def test_identity_matrix():
-    from twistlab.mcg import FreeAutomorphism
-
-    m = magnus_rep(FreeAutomorphism.identity(2))
+    m = magnus_rep(evaluate((), 2))
     assert m == rep_identity(2)
 
 
@@ -276,12 +274,6 @@ def test_matrix_json_form():
     assert len(doc) == 4 and len(doc[0]) == 4
     entry = doc[0][0]
     assert {"exponents": [0, 0, 0, 0], "coeff": "2"} in entry
-
-
-def test_poly_str():
-    p = t_mono(1, 1) - LaurentPoly.one(1)
-    assert "t1" in str(p)
-    assert str(LaurentPoly.zero(1)) == "0"
 
 
 # -- kernel scan ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from twistlab import curve, jfilt, mcg
+from twistlab import curve, jfilt, magnus, mcg
 from twistlab.cli import _random_spec
 from twistlab.curve import (
     CurveSpec,
@@ -13,6 +13,7 @@ from twistlab.curve import (
     enumerate_curve_specs,
     parse_curve_spec,
     resolve,
+    symplectic_pairing,
 )
 from twistlab.errors import (
     ConsistencyViolation,
@@ -30,7 +31,6 @@ from twistlab.jfilt import (
 from twistlab.magnus import (
     Derivation,
     TruncatedAction,
-    TruncatedSeries,
     magnus_expand,
 )
 from twistlab.mcg import (
@@ -43,6 +43,7 @@ from twistlab.mcg import (
 from twistlab.word import Word
 
 from references import (
+    braid_by_whole_word,
     commutator,
     commutator_auto,
     commutator_depth,
@@ -51,6 +52,7 @@ from references import (
     fact5_instance,
     fact5_instance_by_commutes,
     golden_pairs,
+    homogeneous_part,
     in_Mk,
     is_central,
     is_central_by_commutes,
@@ -82,7 +84,7 @@ def sep_twist(genus=2):
 
 
 def test_identity_in_every_level():
-    f = FreeAutomorphism.identity(2)
+    f = evaluate((), 2)
     for k in (1, 2, 3, 5):
         assert in_Mk(f, k)
 
@@ -103,7 +105,7 @@ def test_johnson_depth_examples():
     assert d.kind == "not_in_m1"
     d = johnson_depth(sep_twist(), 3)
     assert (d.kind, d.level) == ("exact", 2)
-    d = johnson_depth(FreeAutomorphism.identity(2), 3)
+    d = johnson_depth(evaluate((), 2), 3)
     assert d.kind == "identity"
 
 
@@ -363,6 +365,41 @@ def test_formerly_failing_pairs_classify(genus, a, b, commuting, algebraic, labe
     assert r.as_dict()["ijf_label"] == label
 
 
+def test_braid_label_matches_the_whole_word_fold():
+    # the label compares t2(c1) with t1^-1(c2); the reference folds the
+    # words of t1 and t2 over c1.  Crossing pairs with |algebraic| = 1
+    # from the goldens, the benchmark's pool and scans at conjugator
+    # length 8; a pair whose whole-word fold passes the letter cap has
+    # no reference
+    pairs, scans = golden_pairs() + pool_pairs(), {}
+    for genus in (2, 3, 4):
+        table = builtin_table(genus)
+        rng = random.Random(11)
+        scans[genus] = [
+            (_random_spec(rng, genus, table, 8), _random_spec(rng, genus, table, 8))
+            for _ in range(1000)
+        ]
+        pairs += scans[genus]
+    verdicts, skipped = [], []
+    for a, b in pairs:
+        d1, d2 = resolve(a), resolve(b)
+        algebraic = symplectic_pairing(d1.homology, d2.homology)
+        if abs(algebraic) != 1 or not d1.crosses(d2):
+            continue
+        try:
+            full = braid_by_whole_word(a, b)
+        except WordLengthLimit:
+            skipped.append((a, b))
+            continue
+        assert classify_pair(a, b, 1).braid == full, (a, b)
+        verdicts.append(full)
+    assert len(verdicts) >= 500
+    assert True in verdicts and False in verdicts
+    # the pair that once stopped `scan --genus 2 --cap 5 --samples 1000
+    # --seed 11 --max-conjugator-len 8` with exit 2
+    assert skipped == [scans[2][696]]
+
+
 # -- differential test: commutation on curves against the twists -------------
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -450,7 +487,7 @@ def test_commuting_pair_builds_no_twist(monkeypatch):
 
 
 def test_braid_label_composes_only_the_curves_twists(monkeypatch):
-    # the braid label reads t1(t2(c1)) on classes, so the only
+    # the braid label reads t2(c1) and t1^-1(c2) on classes, so the only
     # compositions are the inner factors t_c h^-1 that the depth's
     # actions expand; no twist h (t_c h^-1) is built
     doc, c1, c2 = _golden_pair("pair_g3_c4_braid_cap3.json")
@@ -495,7 +532,7 @@ def test_no_pair_builds_a_twist():
 
 
 def test_leading_term_identity_is_zero():
-    tables = johnson_leading_term(FreeAutomorphism.identity(2), 2)
+    tables = johnson_leading_term(evaluate((), 2), 2)
     assert all(not t for t in tables)
 
 
@@ -545,7 +582,7 @@ def sample_torelli_words(rng, genus, count):
     names = table.chain_names + table.sep_names
     out = []
     while len(out) < count:
-        f = FreeAutomorphism.identity(genus)
+        f = evaluate((), genus)
         for _ in range(rng.randrange(1, 3)):
             conj = tuple(
                 (rng.choice(names), rng.choice((-1, 1)))
@@ -613,7 +650,7 @@ def test_witness_budget_exhaustion_returns_none():
 
 def test_fact5_central_fixes_all():
     assert fact5_instance(evaluate((("Delta", 1),), 2), 50) is None
-    assert fact5_instance(FreeAutomorphism.identity(2), 50) is None
+    assert fact5_instance(evaluate((), 2), 50) is None
 
 
 def test_fact5_twist_moves_a_separating_curve():
@@ -688,7 +725,7 @@ def test_fact5_and_centrality_match_commutation_with_twists(genus):
     classes += [power_by_squaring(delta, k) for k in (-2, 2, 3)]
     classes += [_random_curve_twist(rng, genus) for _ in range(10)]
     classes += [delta.compose(f) for f in classes[-3:]]
-    classes.append(FreeAutomorphism.identity(genus))
+    classes.append(evaluate((), genus))
     verdicts = set()
     for f in classes:
         central = is_central(f)
@@ -774,7 +811,7 @@ def _shear(genus, moves):
     images, inverse = [], []
     for i in range(1, 2 * genus + 1):
         x = Word.generator(genus, i)
-        w = Word.from_text(genus, moves.get(i, ""))
+        w = Word(genus, moves.get(i, ()))
         images.append(x * w)
         inverse.append(x * w.inverse())
     return FreeAutomorphism(genus, images, inverse)
@@ -783,14 +820,14 @@ def _shear(genus, moves):
 # Images that differ in a lower degree after one that differs one degree
 # higher: x1 is displaced in degree 3 and x2 in degree 2; for the pair,
 # the images of x1 differ in degree 2 and those of x2 in degree 1.
-SHEAR_CLASS = {1: "x3 x4 x3^-1 x4^-1 x3 x4 x3 x4^-1 x3^-1 x3^-1", 2: "x3 x4 x3^-1 x4^-1"}
-SHEAR_PAIR = ({1: "x3 x4 x3^-1 x4^-1", 2: "x4"}, {4: "x2"})
+SHEAR_CLASS = {1: (3, 4, -3, -4, 3, 4, 3, -4, -3, -3), 2: (3, 4, -3, -4)}
+SHEAR_PAIR = ({1: (3, 4, -3, -4), 2: (4,)}, {4: (2,)})
 
 
 def _single_classes(genus, rng):
     """Random classes, conjugated separating twists and their products,
     the corollary's w_1, and a shear (see above)."""
-    out = [FreeAutomorphism.identity(genus)]
+    out = [evaluate((), genus)]
     out += [_random_class(rng, genus, rng.randrange(1, 4)) for _ in range(6)]
     if genus == 1:
         # no separating curves: the boundary twist is the Torelli sample
@@ -828,7 +865,7 @@ def _class_pairs(genus, rng):
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_single_class_depths_match_full_expansions(genus):
     rng = random.Random(97 + genus)
-    ident = Word.identity(genus)
+    ident = Word(genus)
     for f in _single_classes(genus, rng):
         disp = _displacements(f)
         ref = _reference_depths([(w, ident) for w in disp], f.is_identity())
@@ -841,7 +878,10 @@ def test_single_class_depths_match_full_expansions(genus):
                 with pytest.raises(PreconditionError):
                     johnson_leading_term(f, k)
                 continue
-            full = [magnus_expand(w, TOP_CAP).homogeneous_part(k + 1) for w in disp]
+            full = [
+                homogeneous_part(magnus_expand(w, TOP_CAP), k + 1, genus)
+                for w in disp
+            ]
             assert johnson_leading_term(f, k) == full, (f, k)
 
 
@@ -854,7 +894,7 @@ def _deep_shear(genus):
     x3, w = Word.generator(genus, 3), Word.generator(genus, 4)
     for _ in range(6):
         w = commutator(x3, w)
-    return _shear(genus, {1: str(w)})
+    return _shear(genus, {1: w.letters})
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -863,7 +903,7 @@ def test_johnson_depth_matches_the_two_class_reader(genus):
     # reader that compares the whole actions of f and the identity at
     # the cap, at caps 1-7
     rng = random.Random(97 + genus)
-    one = FreeAutomorphism.identity(genus)
+    one = evaluate((), genus)
     classes = _single_classes(genus, rng)
     if genus > 1:
         classes.append(_deep_shear(genus))
@@ -1050,7 +1090,7 @@ def test_separating_starts_give_the_depths_of_the_homology_start():
     assert len(pairs) > 80
     assert sum(resolve(a).separating and resolve(b).separating
                for a, b in pairs) > 5
-    names = {(str(a), str(b)) for a, b in pairs}
+    names = {(a.to_text(), b.to_text()) for a, b in pairs}
     assert {(a, b) for _, a, b, _ in ZERO_TERM_PAIRS} <= names
     assert _loop_mismatches(pairs, (3, 4, 5, 6)) == []
     for genus, a, b, depth in ZERO_TERM_PAIRS:
@@ -1091,16 +1131,16 @@ def test_long_conjugator_separating_pairs_build_no_conjugator():
 
 
 def test_non_torelli_classes_are_decided_on_homology_at_every_cap(monkeypatch):
-    # every expansion starts from TruncatedSeries.one, whichever module
-    # it is called through
+    # every action is expanded by TruncatedAction.of, through
+    # magnus.magnus_expand
     expansions = []
-    one = TruncatedSeries.one
+    expand = magnus.magnus_expand
 
-    def recording_one(genus, cap):
+    def recording_expand(w, cap):
         expansions.append(cap)
-        return one(genus, cap)
+        return expand(w, cap)
 
-    monkeypatch.setattr(TruncatedSeries, "one", staticmethod(recording_one))
+    monkeypatch.setattr(magnus, "magnus_expand", recording_expand)
     rng = random.Random(113)
     f = _random_class(rng, 2, 3)
     while homology_action(f) == identity_matrix(2):
@@ -1283,7 +1323,7 @@ def test_nested_commutators_track_each_inverse():
     # cap 5 its action is the identity's and would show no error
     t_a, t_b = _corollary_twists(2)
     cap = 5
-    one = TruncatedAction.of(FreeAutomorphism.identity(2), cap)
+    one = TruncatedAction.of(evaluate((), 2), cap)
     rows = nested_commutators(t_a, t_b, cap)
     for m, w in enumerate((t_b, commutator_auto(t_a, t_b))):
         _, act, act_inv = next(rows)
@@ -1321,7 +1361,7 @@ def test_brackets_are_the_leading_parts_of_the_actions(genus, cap, count):
         _, action, _ = next(rows)
         lead = next(leads)
         top = _truncated(action, lead.degree + 1)
-        one = TruncatedAction.of(FreeAutomorphism.identity(genus), top.cap)
+        one = TruncatedAction.of(evaluate((), genus), top.cap)
         assert action_depth(top, one) == JFDepth("exact", lead.degree), m
         assert lead == Derivation.leading(top), (genus, m)
 
@@ -1357,7 +1397,7 @@ def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus)
     # degree-3 parts as its degree-5 part, zero or not, and nothing between
     rng = random.Random(113 + genus)
     classes = sample_torelli_words(rng, genus, 3) + list(_corollary_twists(genus))
-    one = TruncatedAction.of(FreeAutomorphism.identity(genus), 5)
+    one = TruncatedAction.of(evaluate((), genus), 5)
     kinds = set()
     for f, g in itertools.combinations(classes, 2):
         lead_f = Derivation.leading(TruncatedAction.of(f, 3))

@@ -7,6 +7,7 @@ import pytest
 
 from twistlab import mcg
 from twistlab.cli import main
+from twistlab.curve import parse_curve_spec
 from twistlab.errors import (
     UnknownTwistName,
     UnsupportedGenus,
@@ -25,7 +26,6 @@ from twistlab.mcg import (
     homology_matrix,
     identity_matrix,
     inverse_mcw,
-    parse_mcw,
     validate_relations,
 )
 from twistlab.word import Word, abelianized, boundary_word
@@ -43,7 +43,7 @@ GENERA = list(mcg._SUPPORTED_GENERA)
 
 
 def test_identity_automorphism():
-    f = FreeAutomorphism.identity(2)
+    f = evaluate((), 2)
     assert f.is_identity()
     w = Word(2, (1, -3, 2))
     assert f(w) == w
@@ -88,7 +88,7 @@ def test_validate_relations_neither_composes_nor_compares_by_commutes(
 WRONG_TWISTS = {
     "inverse": lambda t: t.inverse(),
     "square": lambda t: t.compose(t),
-    "identity": lambda t: FreeAutomorphism.identity(t.genus),
+    "identity": lambda t: evaluate((), t.genus),
 }
 
 #: (genus, twist, how it is wrong): every twist inverted at genus 1, 2
@@ -303,7 +303,7 @@ def test_delta_is_conjugation_by_boundary():
 
 def test_sep_twist_formula_genus2():
     sep = builtin_table(2).twist("Sep1")
-    d = Word.from_text(2, "x1 x2 x1^-1 x2^-1")
+    d = Word(2, (1, 2, -1, -2))
     for i in (1, 2):
         x = Word.generator(2, i)
         assert sep(x) == d * x * d.inverse()
@@ -322,7 +322,7 @@ def test_sep_twists_equal_subchain_powers(genus, subchain, power):
         target = table.twist("Delta")
     else:
         target = table.twist(f"Sep{j}")
-    prod = FreeAutomorphism.identity(genus)
+    prod = evaluate((), genus)
     for i in range(1, subchain + 1):
         prod = prod.compose(table.twist(f"C{i}"))
     assert power_by_squaring(prod, power) == target
@@ -373,7 +373,7 @@ def test_evaluate_unknown_name():
 
 
 def test_is_central():
-    assert is_central(FreeAutomorphism.identity(2))
+    assert is_central(evaluate((), 2))
     assert is_central(evaluate((("Delta", 1),), 2))
     assert is_central(evaluate((("Delta", -3),), 2))
     assert not is_central(evaluate((("C1", 1),), 2))
@@ -382,8 +382,8 @@ def test_is_central():
 
 def test_compose_with_identity():
     f = evaluate((("C1", 1), ("C3", -2)), 2)
-    assert f.compose(FreeAutomorphism.identity(2)) == f
-    assert FreeAutomorphism.identity(2).compose(f) == f
+    assert f.compose(evaluate((), 2)) == f
+    assert evaluate((), 2).compose(f) == f
 
 
 def test_product_inverse_images_invert_the_product():
@@ -393,7 +393,7 @@ def test_product_inverse_images_invert_the_product():
     table = builtin_table(2)
     names = table.names()
     for _ in range(20):
-        f = FreeAutomorphism.identity(2)
+        f = evaluate((), 2)
         for _ in range(rng.randrange(1, 5)):
             f = f.compose(
                 power_by_squaring(table.twist(rng.choice(names)), rng.choice((-3, 2)))
@@ -407,7 +407,7 @@ def _left_fold_evaluate(mcw, genus):
     # the reference evaluate: fold the word from the left, composing the
     # product so far with each factor's power
     table = builtin_table(genus)
-    acc = FreeAutomorphism.identity(genus)
+    acc = evaluate((), genus)
     for name, k in mcw:
         acc = acc.compose(power_by_squaring(table.twist(name), k))
     return acc
@@ -469,7 +469,7 @@ def test_inverse_of_a_deep_product_chain():
     # one product per factor, nested far deeper than the recursion limit
     t = builtin_table(1).twist("C1")
     t_inv = t.inverse()
-    f = FreeAutomorphism.identity(1)
+    f = evaluate((), 1)
     for _ in range(3000):
         f = f.compose(t).compose(t_inv)
     assert f.inverse().is_identity()
@@ -483,7 +483,7 @@ def test_apply_matches_letterwise_substitution():
             rng.choice([1, -1]) * rng.randrange(1, 5) for _ in range(rng.randrange(8))
         ]
         w = Word(2, tuple(letters))
-        expect = Word.identity(2)
+        expect = Word(2)
         for ell in letters:
             img = f(Word.generator(2, abs(ell)))
             expect = expect * (img if ell > 0 else img.inverse())
@@ -589,19 +589,25 @@ def test_call_raises_the_letter_limit_where_the_letterwise_reduction_does(
 
 
 def test_mcw_parse_and_format():
-    mcw = parse_mcw("C1 C2^-3 Sep1 Delta^2")
+    # mapping class words are read as the conjugators of curve specs
+    prefix = "Sep1 @ ["
+
+    def parse(text):
+        return parse_curve_spec(2, f"{prefix}{text}]").conjugator
+
+    mcw = parse("C1 C2^-3 Sep1 Delta^2")
     assert mcw == (("C1", 1), ("C2", -3), ("Sep1", 1), ("Delta", 2))
     assert format_mcw(mcw) == "C1 C2^-3 Sep1 Delta^2"
-    with pytest.raises(WordParseError):
-        parse_mcw("C1^0")
-    with pytest.raises(WordParseError):
-        parse_mcw("C1^^2")
-    with pytest.raises(WordParseError):
-        parse_mcw("C1 C2^\uff13")
     # int() refuses more than 4300 digits by default, with a ValueError
-    with pytest.raises(WordParseError) as err:
-        parse_mcw("C1 C2^" + "1" * 5000)
-    assert err.value.position == 6
+    for text, pos in (
+        ("C1^0", 4),
+        ("C1^^2", 3),
+        ("C1 C2^\uff13", 6),
+        ("C1 C2^" + "1" * 5000, 6),
+    ):
+        with pytest.raises(WordParseError) as err:
+            parse(text)
+        assert err.value.position == len(prefix) + pos, text
 
 
 def test_image_length_cap(monkeypatch):

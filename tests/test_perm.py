@@ -21,7 +21,7 @@ import pytest
 
 from twistlab.curve import CurveSpec
 from twistlab.jfilt import nested_leading_terms
-from twistlab.mcg import FreeAutomorphism, evaluate
+from twistlab.mcg import evaluate
 
 from references import commutator_auto
 
@@ -121,7 +121,7 @@ def test_points_cover_every_homomorphism_once_x1_fastest():
 
 
 def test_identity_fixes_every_point():
-    one = FreeAutomorphism.identity(2)
+    one = evaluate((), 2)
     assert all(act(phi, one) == phi for phi in points(2))
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistlab.errors import GenusMismatch, WordParseError
+from twistlab.errors import GenusMismatch
 from twistlab.word import Word, boundary_word
 
 from references import commutator
@@ -27,7 +27,7 @@ def random_letters(rng, genus, n):
 
 
 def test_cancellation_to_identity():
-    assert Word(1, (1, -1)).is_identity()
+    assert not Word(1, (1, -1)).letters
 
 
 def test_inner_cancellation():
@@ -39,10 +39,10 @@ def test_word_times_formal_inverse_is_identity():
     for _ in range(200):
         letters = random_letters(rng, 2, rng.randrange(0, 30))
         w = Word(2, tuple(letters))
-        assert (w * w.inverse()).is_identity()
+        assert not (w * w.inverse()).letters
         # raw concatenation with the formal inverse also reduces to nothing
         raw = letters + [-l for l in reversed(letters)]
-        assert Word(2, tuple(raw)).is_identity()
+        assert not Word(2, tuple(raw)).letters
 
 
 def test_reduce_matches_naive_oracle():
@@ -89,8 +89,8 @@ def test_commutator_basics():
     x2 = Word.generator(1, 2)
     assert commutator(x1, x2).letters == (1, 2, -1, -2)
     u = Word(2, (1, 2, -3))
-    assert commutator(u, u).is_identity()
-    assert commutator(u, Word.identity(2)).is_identity()
+    assert not commutator(u, u).letters
+    assert not commutator(u, Word(2)).letters
 
 
 def test_commutator_trivial_iff_commuting():
@@ -98,12 +98,12 @@ def test_commutator_trivial_iff_commuting():
     for _ in range(150):
         u = Word(2, tuple(random_letters(rng, 2, rng.randrange(0, 8))))
         v = Word(2, tuple(random_letters(rng, 2, rng.randrange(0, 8))))
-        assert commutator(u, v).is_identity() == (u * v == v * u)
+        assert (not commutator(u, v).letters) == (u * v == v * u)
 
 
 def test_conjugate_by_identity():
-    u = Word(2, (1, 2, 3))
-    assert u.conjugate(Word.identity(2)) == u
+    u, g = Word(2, (1, 2, 3)), Word(2)
+    assert g * u * g.inverse() == u
 
 
 def test_inverse_antihomomorphism():
@@ -137,7 +137,7 @@ def test_cyclic_reduce_already_reduced():
     u = Word(2, (1, 2))
     core = u.cyclic_reduce()
     assert core == u
-    assert stripped_prefix(u, core).is_identity()
+    assert not stripped_prefix(u, core).letters
 
 
 def test_cyclic_reduce_nested_conjugation():
@@ -192,8 +192,8 @@ def test_cyclic_reduce_matches_rotation_search():
             for _ in range(rng.randrange(0, 9))
         ))
         g = Word(genus, tuple(random_letters(rng, genus, rng.randrange(0, 4))))
-        words.append(u.conjugate(g))
-        words.append((u ** rng.randrange(2, 5)).conjugate(g))
+        words.append(g * u * g.inverse())
+        words.append(g * u ** rng.randrange(2, 5) * g.inverse())
     for w in words:
         # the oracle's decomposition is the core rotated by r, with the
         # first r letters of the core moved into the conjugator
@@ -218,29 +218,6 @@ def test_canonical_cyclic_rotation_deterministic():
         w.canonical_cyclic(),
     }
     assert len(forms) == 1
-
-
-def test_text_roundtrip():
-    w = Word(2, (1, 1, -3, 2))
-    assert Word.from_text(2, w.to_text()) == w
-    assert Word.from_text(2, "x1 x2^-1 x1").letters == (1, -2, 1)
-    assert Word.from_text(2, "x3^2").letters == (3, 3)
-    with pytest.raises(WordParseError):
-        Word.from_text(1, "x5")
-    with pytest.raises(WordParseError):
-        Word.from_text(1, "q1")
-    with pytest.raises(WordParseError):
-        Word.from_text(1, "x1^0")
-    # generators and exponents are ASCII digits only
-    for text in ("x\uff11 x\u0662^\u0663", "x\uff11", "x2^\u0663"):
-        with pytest.raises(WordParseError):
-            Word.from_text(2, text)
-    # int() refuses more than 4300 digits by default, with a ValueError
-    digits = "1" * 5000
-    for text, pos in ((f"x1 x2^{digits}", 6), (f"x{digits}", 1)):
-        with pytest.raises(WordParseError) as err:
-            Word.from_text(2, text)
-        assert err.value.position == pos
 
 
 def test_boundary_word():
