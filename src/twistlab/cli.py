@@ -18,7 +18,7 @@ import random
 import sys
 
 from . import __version__
-from .curve import CurveSpec, parse_curve_spec, resolve
+from .curve import CurveSpec, parse_curve_spec
 from .errors import (
     ConsistencyViolation,
     PreconditionError,
@@ -27,7 +27,6 @@ from .errors import (
     UnknownTwistName,
     UnsupportedGenus,
     WordLengthLimit,
-    WordParseError,
 )
 from .foxrep import (
     LaurentPoly,
@@ -43,7 +42,7 @@ from .jfilt import (
     classify_pair,
     nested_leading_terms,
 )
-from .mcg import builtin_table, validate_relations
+from .mcg import builtin_table, evaluate, inverse_mcw, validate_relations
 from .word import Word, abelianized
 
 SCHEMA = 1
@@ -321,35 +320,37 @@ def cmd_foxcheck(args):
 
     results = {}
     if genus >= 2:
-        sep = table.twist("Sep1")
-        sep_matrix = magnus_rep(sep)
+        sep_matrix = magnus_rep(table.twist("Sep1"))
         results["sep_twist_matrix"] = rep_as_json(sep_matrix)
         checks["sep_twist_matrix_nontrivial"] = sep_matrix != rep_identity(genus)
-        # homologically trivial sample pool: conjugated separating
-        # twists and short products of them, all Torelli by
-        # construction; magnus_rep rejects any class that is not
+        # homologically trivial sample pool, kept as mapping class words:
+        # conjugated separating twists h Sep1 h^-1 and short products of
+        # them, all Torelli by construction; magnus_rep rejects any class
+        # that is not.  A word is inverted by inverse_mcw, multiplied by
+        # concatenation and read through evaluate
         names = table.chain_names + table.sep_names
-        torelli = [sep, sep.inverse()]
+        sep = (("Sep1", 1),)
+        torelli = [sep, inverse_mcw(sep)]
         while len(torelli) < 8:
             conj = tuple(
                 (rng.choice(names), rng.choice((-1, 1)))
                 for _ in range(rng.randrange(3))
             )
-            f = resolve(CurveSpec(genus, "Sep1", conj)).twist
+            f = conj + sep + inverse_mcw(conj)
             if rng.choice((-1, 1)) < 0:
-                f = f.inverse()
+                f = inverse_mcw(f)
             if rng.random() < 0.5:
-                f = f.compose(rng.choice(torelli))
-            if not f.is_identity():
+                f += rng.choice(torelli)
+            if not evaluate(f, genus).is_identity():
                 torelli.append(f)
-        # each pool element's matrix once; the composed side is the
-        # thing the check tests, so it is built for every drawn pair
-        pool = [(f, magnus_rep(f)) for f in torelli]
+        # each pool element's matrix once; the product is the thing the
+        # check tests, so it is evaluated for every drawn pair
+        pool = [(f, magnus_rep(evaluate(f, genus))) for f in torelli]
         ok = True
         for _ in range(args.torelli_pairs):
             f, rf = rng.choice(pool)
             g, rg = rng.choice(pool)
-            ok = ok and magnus_rep(f.compose(g)) == rep_mul(rf, rg)
+            ok = ok and magnus_rep(evaluate(f + g, genus)) == rep_mul(rf, rg)
         checks["multiplicativity"] = ok
 
     results.update(checks)
@@ -448,7 +449,7 @@ def main(argv=None):
     except ConsistencyViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    except (SpecParseError, WordParseError) as exc:
+    except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (

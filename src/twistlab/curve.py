@@ -39,8 +39,9 @@ composed with that of t_c h^-1 (CurveData.action), so a pair's depth
 builds only h, evaluated from its word (mcg.evaluate, which caches it
 by word), and t_c h^-1 (CurveData.inner), on first read, and only when
 its leading term does not decide it.  The twist itself
-(CurveData.twist), whose images grow with h, is built only for callers
-that need the automorphism.
+(CurveData.twist), whose images grow with h, is evaluated from its word
+like any other mapping class, and only for callers that need the
+automorphism.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.  The
 bracketed word is a mapping class word, read by mcg's scanner, and
@@ -90,16 +91,16 @@ class CurveData:
     h (c, 1) h^-1 of the twist along the curve.
 
     Resolving reads the class alone (mcg.class_image), so the twist
-    h (t_c h^-1) along the curve and its inner factor t_c h^-1 are built
-    on first access, with h evaluated from its word (mcg.evaluate, which
-    caches it by word).  A pair reads the twist on classes (crosses,
-    moves, and class_image of twist_word) and its depth from leading
-    terms and homology matrices folded from the words when a curve is
-    separating, or else from the actions of h and t_c h^-1 (action), so
-    it never builds the twist, and a pair that its leading term decides
-    builds neither h nor t_c h^-1; callers that need the automorphism
-    itself, such as foxcheck and suzuki_scan, read it.  A concurrent
-    first access only repeats work.
+    along the curve, evaluated from twist_word, and the inner factor
+    t_c h^-1, composed with h evaluated from its word, are built on
+    first access (mcg.evaluate caches both by word).  A pair reads the
+    twist on classes (crosses, moves, and class_image of twist_word) and
+    its depth from leading terms and homology matrices folded from the
+    words when a curve is separating, or else from the actions of h and
+    t_c h^-1 (action), so it never builds the twist, and a pair that its
+    leading term decides builds neither h nor t_c h^-1; callers that
+    need the automorphism itself, such as suzuki_scan, read it.  A
+    concurrent first access only repeats work.
     """
 
     pi1_class: Word
@@ -118,10 +119,9 @@ class CurveData:
 
     @cached_property
     def twist(self):
-        """The twist h t_c h^-1 along the curve, built on first access."""
-        # only this outer compose applies a long map
-        h = evaluate(self.conjugator_word, self.base_twist.genus)
-        return h.compose(self.inner)
+        """The twist h t_c h^-1 along the curve, evaluated from its word
+        (twist_word) on first access."""
+        return evaluate(self.twist_word, self.base_twist.genus)
 
     def moves(self, other):
         """Does the twist along this curve move the curve of other?

@@ -13,18 +13,15 @@ class UnknownTwistName(ValueError):
     """A twist name is not present in the generator table."""
 
 
-class WordParseError(ValueError):
-    """Malformed word or mapping-class-word text."""
+class SpecParseError(ValueError):
+    """Malformed curve-spec text, its conjugator's mapping class word
+    included."""
 
     def __init__(self, message, position=None):
         self.position = position
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
-
-
-class SpecParseError(WordParseError):
-    """Malformed curve-spec text."""
 
 
 class WordLengthLimit(RuntimeError):

@@ -59,28 +59,27 @@ class FreeAutomorphism:
 
     Stored as the images of the generators under the map and under its
     inverse; construction verifies both round trips, which guarantees
-    the endomorphism is an automorphism.  A product made by compose
-    keeps its two factors instead and builds its inverse images from
-    them on first access, and the letter table that applying the map
-    reads is built on the first call, so products that are only
-    compared pay for neither.  Instances are immutable.
+    the endomorphism is an automorphism.  The inverse images may instead
+    be given as a zero-argument callable, which builds them on their
+    first read and at no other time: evaluate folds them from the
+    inverse word, and compose from its two factors' inverses.  The
+    letter table that applying the map reads is built on the first call
+    too, so automorphisms that are only compared, or only applied, pay
+    for neither.  Instances are immutable.
     """
 
     __slots__ = (
-        "genus", "images", "_inverse_images", "_factors", "_letter_images",
-        "_hash",
+        "genus", "images", "_inverse_images", "_build_inverse",
+        "_letter_images", "_hash",
     )
 
-    def __init__(self, genus, images, inverse_images, _check=True, _factors=None):
-        # inverse_images is None exactly when _factors holds the pair
-        # (f, g) this automorphism is the product f.compose(g) of
+    def __init__(self, genus, images, inverse_images, _check=True):
         images = tuple(images)
-        words = images
-        if _factors is None:
-            inverse_images = tuple(inverse_images)
-            words += inverse_images
         n = 2 * genus
-        if len(images) != n or len(words) != (n if _factors else 2 * n):
+        build = inverse_images if callable(inverse_images) else None
+        inverse_images = None if build else tuple(inverse_images)
+        words = images + (inverse_images or ())
+        if len(images) != n or len(words) != (n if build else 2 * n):
             raise ValueError(f"expected {n} generator images")
         for w in words:
             if w.genus != genus:
@@ -88,7 +87,7 @@ class FreeAutomorphism:
         self.genus = genus
         self.images = images
         self._inverse_images = inverse_images
-        self._factors = _factors
+        self._build_inverse = build
         self._letter_images = None
         self._hash = None
         if _check:
@@ -145,43 +144,25 @@ class FreeAutomorphism:
 
     @property
     def inverse_images(self):
-        if self._factors is not None:
-            self._build_inverse_images()
+        # the builder is read once and _inverse_images is set before it
+        # is cleared, so a concurrent first read only repeats work
+        build = self._build_inverse
+        if build is not None:
+            self._inverse_images = tuple(build())
+            self._build_inverse = None
         return self._inverse_images
-
-    def _build_inverse_images(self):
-        # (f g)^-1 = g^-1 f^-1, so the inverse images of a product are
-        # g^-1 applied to the inverse images of f.  A chain of compose
-        # calls (a power, or a caller's own fold) nests products as deep
-        # as it is long, so the pending factors are ordered on an
-        # explicit stack (factors before products) instead of by
-        # recursion.
-        # Each step reads _factors once and sets _inverse_images before
-        # clearing it, so a concurrent first access only repeats work.
-        order, stack, done = [], [(self, False)], set()
-        while stack:
-            f, factors_queued = stack.pop()
-            factors = f._factors
-            if factors is None or id(f) in done:
-                continue
-            if factors_queued:
-                done.add(id(f))
-                order.append((f, factors))
-            else:
-                stack.append((f, True))
-                stack.extend((g, False) for g in factors)
-        for f, (left, right) in order:
-            right_inv = right.inverse()
-            f._inverse_images = tuple(right_inv(w) for w in left.inverse_images)
-            f._factors = None
 
     def compose(self, other):
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if other.genus != self.genus:
             raise GenusMismatch("automorphisms of different genus")
         images = tuple(self(w) for w in other.images)
+        # (f g)^-1 = g^-1 f^-1, applied to the inverse images of f
         return FreeAutomorphism(
-            self.genus, images, None, _check=False, _factors=(self, other)
+            self.genus,
+            images,
+            lambda: tuple(map(other.inverse(), self.inverse_images)),
+            _check=False,
         )
 
     # -- comparison ----------------------------------------------------
@@ -456,7 +437,7 @@ def _evaluate_cached(genus, mcw):
     return FreeAutomorphism(
         genus,
         _apply_factors(genus, mcw, gens),
-        _apply_factors(genus, inverse_mcw(mcw), gens),
+        lambda: _apply_factors(genus, inverse_mcw(mcw), gens),
         _check=False,
     )
 
@@ -466,11 +447,11 @@ def evaluate(mcw, genus):
 
     evaluate(((A,1),(B,1))) sends w to t_A(t_B(w)).  The images are
     built from the inside out, by applying each table-twist power to the
-    images of the factors right of it, and the inverse images the same
-    way from the inverse factors in reverse order.  A table twist's
-    images are short, so every step substitutes short words into long
-    ones, and the result is one flat automorphism with no pending
-    factors.
+    images of the factors right of it.  A table twist's images are
+    short, so every step substitutes short words into long ones, and the
+    result is one flat automorphism.  Its inverse images are folded the
+    same way from the inverse word (inverse_mcw) on their first read, so
+    a caller that never inverts the class pays only for its images.
     """
     return _evaluate_cached(genus, _checked_mcw(mcw, genus))
 

@@ -87,6 +87,14 @@ def braid_by_whole_word(c1, c2):
     return image.canonical_cyclic() == d2.pi1_class
 
 
+def twist_by_composition(data):
+    """The twist h (t_c h^-1) along a resolved curve, h evaluated from
+    its word and composed with CurveData.inner, as CurveData.twist was
+    built before it was evaluated from its word."""
+    h = evaluate(data.conjugator_word, data.base_twist.genus)
+    return h.compose(data.inner)
+
+
 def commutator_auto(f, g):
     """[f, g] = f g f^-1 g^-1 as a mapping class."""
     return f.compose(g).compose(f.inverse()).compose(g.inverse())

@@ -205,16 +205,22 @@ def test_foxcheck_with_suzuki_budget(capsys):
 
 
 @pytest.mark.parametrize("genus", ["2", "3"])
-def test_foxcheck_checks_torelli_once_and_evaluates_nothing(
+def test_foxcheck_checks_torelli_once_and_composes_nothing(
     capsys, monkeypatch, genus
 ):
     # the pool is Torelli by construction and magnus_rep rejects any
-    # class that is not, so no in_Mk guard; t_Sep1 is the table's twist
+    # class that is not, so no in_Mk guard; the pool is kept as words,
+    # inverted and multiplied as words and read through evaluate, and
+    # the Suzuki scan evaluates each twist from its word, so no
+    # automorphism is composed or inverted
     def forbidden(*args):
         raise AssertionError("called")
 
-    assert not hasattr(cli, "in_Mk") and not hasattr(cli, "evaluate")
-    monkeypatch.setattr(mcg, "evaluate", forbidden)
+    assert not hasattr(cli, "in_Mk") and not hasattr(cli, "resolve")
+    # building the table checks each twist against its inverse
+    mcg.builtin_table(int(genus))
+    monkeypatch.setattr(mcg.FreeAutomorphism, "compose", forbidden)
+    monkeypatch.setattr(mcg.FreeAutomorphism, "inverse", forbidden)
     rc, doc = run_json(
         capsys, "foxcheck", "--genus", genus, "--samples", "5",
         "--torelli-pairs", "6", "--seed", "3", "--suzuki-budget", "6",

@@ -16,7 +16,6 @@ from twistlab.errors import (
     GenusMismatch,
     SpecParseError,
     UnknownTwistName,
-    WordParseError,
 )
 from twistlab.foxrep import suzuki_scan
 from twistlab.magnus import TruncatedAction
@@ -40,6 +39,7 @@ from references import (
     pool_pairs,
     resolve_eagerly,
     transvection,
+    twist_by_composition,
 )
 
 
@@ -97,7 +97,7 @@ def parse_conjugator(text):
     prefix = "Sep1 @ ["
     try:
         return spec(2, f"{prefix}{text}]").conjugator
-    except WordParseError as err:
+    except SpecParseError as err:
         return ("error at", err.position - len(prefix))
 
 
@@ -166,8 +166,9 @@ def test_class_only_resolve_matches_the_evaluated_conjugator():
 
 
 def test_resolve_builds_no_conjugator(monkeypatch):
-    # the curve keeps h's word; inner and twist evaluate it on first
-    # access (mcg.evaluate caches it by word), and resolving does not
+    # the curve keeps h's word; inner evaluates it and twist evaluates
+    # the twist word on first access (mcg.evaluate caches both by word),
+    # and resolving evaluates neither
     evaluated = []
 
     def recording_evaluate(mcw, genus):
@@ -182,7 +183,19 @@ def test_resolve_builds_no_conjugator(monkeypatch):
     h = evaluate((("C3", 2), ("C4", -1)), 2)
     assert data.inner == data.base_twist.compose(h.inverse())
     assert data.twist == h.compose(data.inner)
-    assert evaluated == [data.conjugator_word] * 2
+    assert evaluated == [data.conjugator_word, data.twist_word]
+
+
+def test_evaluated_twist_matches_the_composed_conjugation():
+    # the twist evaluated from its word h (c, 1) h^-1 against h composed
+    # with t_c h^-1, images and inverse images, on every golden curve
+    specs = dict.fromkeys(c for pair in golden_pairs() for c in pair)
+    assert len(specs) > 100
+    for s in specs:
+        data = resolve(s)
+        reference = twist_by_composition(data)
+        assert data.twist == reference, s
+        assert data.twist.inverse_images == reference.inverse_images, s
 
 
 def test_class_folds_strip_and_only_canonical_forms_rotate(monkeypatch):

@@ -119,7 +119,7 @@ EXEMPT = (
     # pytest's failure messages print automorphisms
     "mcg.FreeAutomorphism.__repr__",
     # these run only on inputs that exit 2; the goldens exit 0
-    "errors.WordParseError.__init__",
+    "errors.SpecParseError.__init__",
     "magnus._term_limit",
 )
 
@@ -165,19 +165,29 @@ def package_functions():
     return found
 
 
-def test_every_function_runs_under_a_golden_command():
-    # the caches are cleared first, so that a cached function is entered
-    # by the commands themselves and not skipped on an earlier test's hit
+@pytest.fixture(scope="module")
+def golden_trace():
+    """The code objects of the package that the golden argvs enter, and
+    the package functions that call FreeAutomorphism.compose, each as
+    module.qualname.
+
+    The caches are cleared first, so that a cached function is entered
+    by the commands themselves and not skipped on an earlier test's
+    hit."""
     for module in package_modules():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     root = str(PACKAGE)
-    entered = set()
+    compose = twistlab.FreeAutomorphism.compose.__code__
+    entered, callers = set(), set()
 
     def tracer(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(root):
             entered.add(frame.f_code)
+            caller = frame.f_back.f_code
+            if frame.f_code is compose and caller.co_filename.startswith(root):
+                callers.add(f"{Path(caller.co_filename).stem}.{caller.co_qualname}")
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -187,7 +197,19 @@ def test_every_function_runs_under_a_golden_command():
                 assert main(argv) == 0, argv
     finally:
         sys.settrace(previous)
+    return entered, callers
+
+
+def test_every_function_runs_under_a_golden_command(golden_trace):
+    entered, _ = golden_trace
     functions = package_functions()
     assert set(EXEMPT) <= set(functions)
     unrun = {name for name, code in functions.items() if code not in entered}
     assert unrun == set(EXEMPT)
+
+
+def test_only_the_inner_factor_composes_automorphisms(golden_trace):
+    # every other composite is evaluated from its mapping class word;
+    # the inner factor t_c h^-1 of a curve's twist is the one left
+    _, callers = golden_trace
+    assert callers == {"curve.CurveData.inner"}

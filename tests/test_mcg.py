@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -9,10 +11,10 @@ from twistlab import mcg
 from twistlab.cli import main
 from twistlab.curve import parse_curve_spec
 from twistlab.errors import (
+    SpecParseError,
     UnknownTwistName,
     UnsupportedGenus,
     WordLengthLimit,
-    WordParseError,
 )
 from twistlab.mcg import (
     MAX_IMAGE_LETTERS,
@@ -387,8 +389,8 @@ def test_compose_with_identity():
 
 
 def test_product_inverse_images_invert_the_product():
-    # products keep their factors and build inverse images on demand;
-    # constructing with _check verifies both round trips
+    # a product builds its inverse images from its factors' on first
+    # read; constructing with _check verifies both round trips
     rng = random.Random(43)
     table = builtin_table(2)
     names = table.names()
@@ -440,6 +442,56 @@ def test_inside_out_evaluate_matches_the_left_fold(genus):
             assert h(h_inv(x)) == x == h_inv(h(x)), mcw
 
 
+def test_evaluate_folds_the_inverse_word_once_on_first_read(
+    monkeypatch, fresh_table_caches
+):
+    folded = []
+    apply_factors = mcg._apply_factors
+
+    def spy(genus, factors, words, **kwargs):
+        folded.append(tuple(factors))
+        return apply_factors(genus, factors, words, **kwargs)
+
+    monkeypatch.setattr(mcg, "_apply_factors", spy)
+    w = (("C1", 2), ("Sep1", -1), ("C3", 1))
+    f = evaluate(w, 2)
+    assert f.images and folded == [w]
+    first = f.inverse_images
+    assert folded == [w, inverse_mcw(w)]
+    assert f.inverse_images is first and folded == [w, inverse_mcw(w)]
+    assert first == _left_fold_evaluate(w, 2).inverse_images
+
+
+def test_concurrent_first_reads_of_inverse_images_agree(fresh_table_caches):
+    # the builder is cleared only after the images are stored, so a
+    # reader racing the first read repeats the fold or reads its result,
+    # never an empty slot
+    w = (("C2", 3), ("Sep1", -2), ("C3", 1), ("C4", -2))
+    expected = _left_fold_evaluate(w, 2).inverse_images
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            mcg._evaluate_cached.cache_clear()
+            f = evaluate(w, 2)
+            barrier = threading.Barrier(4)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                seen.append(f.inverse_images)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _conjugated_twist(genus, rng):
     table = builtin_table(genus)
     h = evaluate(_random_mcw(rng, table.names()), genus)
@@ -463,16 +515,6 @@ def test_commutes_matches_comparing_the_products(genus):
         assert commutes(f, g) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
-
-
-def test_inverse_of_a_deep_product_chain():
-    # one product per factor, nested far deeper than the recursion limit
-    t = builtin_table(1).twist("C1")
-    t_inv = t.inverse()
-    f = evaluate((), 1)
-    for _ in range(3000):
-        f = f.compose(t).compose(t_inv)
-    assert f.inverse().is_identity()
 
 
 def test_apply_matches_letterwise_substitution():
@@ -605,7 +647,7 @@ def test_mcw_parse_and_format():
         ("C1 C2^\uff13", 6),
         ("C1 C2^" + "1" * 5000, 6),
     ):
-        with pytest.raises(WordParseError) as err:
+        with pytest.raises(SpecParseError) as err:
             parse(text)
         assert err.value.position == len(prefix) + pos, text
 
