@@ -312,7 +312,7 @@ def cmd_foxcheck(args):
     for _ in range(args.samples):
         w = random_word()
         dw, _ = fox_jacobian(w)
-        acc = LaurentPoly.zero(genus)
+        acc = LaurentPoly(genus)
         for d, factor in zip(dw, factors):
             acc = acc + d * factor
         ok = ok and acc == LaurentPoly.monomial(genus, abelianized(w)) - one
@@ -320,7 +320,7 @@ def cmd_foxcheck(args):
 
     results = {}
     if genus >= 2:
-        sep_matrix = magnus_rep(table.twist("Sep1"))
+        sep_matrix = magnus_rep(table.entry("Sep1").twist)
         results["sep_twist_matrix"] = rep_as_json(sep_matrix)
         checks["sep_twist_matrix_nontrivial"] = sep_matrix != rep_identity(genus)
         # homologically trivial sample pool, kept as mapping class words:

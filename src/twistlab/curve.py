@@ -23,10 +23,11 @@ t_a(b) = b, iff the twist along a fixes the class of b
 (CurveData.moves, and CurveData.crosses, which every caller that asks
 whether two twists commute reads).  More generally a mapping class f
 commutes with t_c iff f fixes the class of c, since f t_c f^-1 =
-t_{f(c)} (Primer, ch. 3).  One reader, _fixes, asks whether a class
-fixes a curve's class, so crossing asks whether a twist fixes the other
-curve's class, not whether the two twists commute, and builds neither
-twist nor either conjugator.
+t_{f(c)} (Primer, ch. 3).  One reader, same_class, compares two
+classes, and _fixes asks with it whether a class fixes a curve's class,
+so crossing asks whether a twist fixes the other curve's class, not
+whether the two twists commute, and builds neither twist nor either
+conjugator.
 
 The twist along h(c) is h t_c h^-1 by the conjugation law, so it is
 the mapping class word h (c, 1) h^-1 (CurveData.twist_word), which mcg
@@ -36,12 +37,13 @@ homology, as a separating curve's leading term does.  The expansion is
 a ring homomorphism (Magnus-Karrass-Solitar, ch. 5), so the truncated
 Magnus action (magnus.TruncatedAction) of the twist is that of h
 composed with that of t_c h^-1 (CurveData.action), so a pair's depth
-builds only h, evaluated from its word (mcg.evaluate, which caches it
-by word), and t_c h^-1 (CurveData.inner), on first read, and only when
-its leading term does not decide it.  The twist itself
-(CurveData.twist), whose images grow with h, is evaluated from its word
-like any other mapping class, and only for callers that need the
-automorphism.
+builds only h and t_c h^-1 (CurveData.inner), on first read, and only
+when its leading term does not decide it.  h is evaluated from its word
+and h^-1 from the inverse word (mcg.evaluate, which caches both by
+word; mcg.inverse_mcw), so no automorphism is inverted.  The twist
+itself (CurveData.twist), whose images grow with h, is evaluated from
+its word like any other mapping class, and only for callers that need
+the automorphism.
 
 Spec text form: `Sep1 @ [C3 C4^-1]`, with `@ [...]` optional.  The
 bracketed word is a mapping class word, read by mcg's scanner, and
@@ -92,15 +94,15 @@ class CurveData:
 
     Resolving reads the class alone (mcg.class_image), so the twist
     along the curve, evaluated from twist_word, and the inner factor
-    t_c h^-1, composed with h evaluated from its word, are built on
-    first access (mcg.evaluate caches both by word).  A pair reads the
-    twist on classes (crosses, moves, and class_image of twist_word) and
-    its depth from leading terms and homology matrices folded from the
-    words when a curve is separating, or else from the actions of h and
-    t_c h^-1 (action), so it never builds the twist, and a pair that its
-    leading term decides builds neither h nor t_c h^-1; callers that
-    need the automorphism itself, such as suzuki_scan, read it.  A
-    concurrent first access only repeats work.
+    t_c h^-1, t_c composed with h^-1 evaluated from the inverse word,
+    are built on first access (mcg.evaluate caches both words).  A pair
+    reads the twist on classes (crosses, moves, and class_image of
+    twist_word) and its depth from leading terms and homology matrices
+    folded from the words when a curve is separating, or else from the
+    actions of h and t_c h^-1 (action), so it never builds the twist,
+    and a pair that its leading term decides builds neither h nor
+    t_c h^-1; callers that need the automorphism itself, such as
+    suzuki_scan, read it.  A concurrent first access only repeats work.
     """
 
     pi1_class: Word
@@ -113,9 +115,10 @@ class CurveData:
     @cached_property
     def inner(self):
         """t_c h^-1, the inner factor of the twist h (t_c h^-1)."""
-        # t_c's short images substitute into those of h^-1
-        h = evaluate(self.conjugator_word, self.base_twist.genus)
-        return self.base_twist.compose(h.inverse())
+        # t_c's short images substitute into those of h^-1, evaluated
+        # from the inverse word
+        back = evaluate(inverse_mcw(self.conjugator_word), self.base_twist.genus)
+        return self.base_twist.compose(back)
 
     @cached_property
     def twist(self):
@@ -232,17 +235,22 @@ def symplectic_pairing(u, v):
 # -- fixed classes -----------------------------------------------------
 
 
-def _fixes(f, u):
-    """Does the automorphism f fix the conjugacy class of the cyclically
-    reduced word u, up to inversion?
+def same_class(u, v):
+    """Are the cyclically reduced words u and v one curve class, that is,
+    conjugate up to inversion?
 
-    Cyclically reduced length is a conjugacy invariant, so f(u) is
-    reduced to its core and the lengths are compared first; cores of
-    equal length are compared by their canonical forms, which forget the
-    base point and the orientation, as an unoriented curve class does.
+    Cyclically reduced length is a conjugacy invariant, so the lengths
+    are compared first; words of equal length are compared by their
+    canonical forms, which forget the base point and the orientation, as
+    an unoriented curve class does.
     """
-    v = f(u).cyclic_reduce()
     return len(u) == len(v) and u.canonical_cyclic() == v.canonical_cyclic()
+
+
+def _fixes(f, u):
+    """Does the automorphism f fix the class of the cyclically reduced
+    word u (same_class)?"""
+    return same_class(u, f(u).cyclic_reduce())
 
 
 # -- curve searches ----------------------------------------------------

@@ -50,10 +50,6 @@ class LaurentPoly:
         self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls, genus):
-        return cls(genus)
-
-    @classmethod
     def one(cls, genus):
         return cls(genus, {(0,) * (2 * genus): 1})
 
@@ -181,7 +177,7 @@ def rep_identity(genus):
     n = 2 * genus
     return tuple(
         tuple(
-            LaurentPoly.one(genus) if i == j else LaurentPoly.zero(genus)
+            LaurentPoly.one(genus) if i == j else LaurentPoly(genus)
             for j in range(n)
         )
         for i in range(n)

@@ -74,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .curve import resolve, symplectic_pairing
+from .curve import resolve, same_class, symplectic_pairing
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import Derivation, TruncatedAction
 from .mcg import class_image, homology_matrix, inverse_mcw
@@ -351,14 +351,13 @@ def classify_pair(c1, c2, cap, check=True):
     # under fg passes the letter cap.  Otherwise fgf = gfg iff
     # fg f (fg)^-1 = g, which holds iff g(c1) is the class of f^-1(c2)
     # (see the module docstring), each folded from one twist's word
-    # (CurveData.twist_word), so no twist is built.  Cyclically reduced
-    # length is a conjugacy invariant, so lengths are compared before
-    # canonical forms.  The depth starts at the first degree in which fg
-    # and gf can differ (_pair_start).  With a separating curve that
-    # degree is read from leading terms, so no conjugator is built unless
-    # the term is zero; other pairs, and pairs above a zero term, compose
-    # the actions of each curve's h and t_c h^-1 (CurveData.action,
-    # _pair_depth).
+    # (CurveData.twist_word), so no twist is built, and compared as
+    # curve classes (same_class).  The depth starts at the first degree
+    # in which fg and gf can differ (_pair_start).  With a separating
+    # curve that degree is read from leading terms, so no conjugator is
+    # built unless the term is zero; other pairs, and pairs above a zero
+    # term, compose the actions of each curve's h and t_c h^-1
+    # (CurveData.action, _pair_depth).
     if commuting:
         braid, depth = d1.pi1_class == d2.pi1_class, JFDepth("identity")
     else:
@@ -366,9 +365,7 @@ def classify_pair(c1, c2, cap, check=True):
         if abs(algebraic) == 1:
             u = class_image(d2.twist_word, c1.genus, d1.pi1_class)
             v = class_image(inverse_mcw(d1.twist_word), c1.genus, d2.pi1_class)
-            braid = len(u) == len(v) and (
-                u.canonical_cyclic() == v.canonical_cyclic()
-            )
+            braid = same_class(u, v)
         depth = _pair_depth(d1, d2, algebraic, cap)
     report = PairReport(
         genus=c1.genus,

@@ -55,50 +55,31 @@ _SUPPORTED_GENERA = range(1, 7)
 
 
 class FreeAutomorphism:
-    """An automorphism of the rank-2g free group, with its inverse.
+    """An automorphism of the rank-2g free group, stored as the images of
+    the generators.
 
-    Stored as the images of the generators under the map and under its
-    inverse; construction verifies both round trips, which guarantees
-    the endomorphism is an automorphism.  The inverse images may instead
-    be given as a zero-argument callable, which builds them on their
-    first read and at no other time: evaluate folds them from the
-    inverse word, and compose from its two factors' inverses.  The
-    letter table that applying the map reads is built on the first call
-    too, so automorphisms that are only compared, or only applied, pay
-    for neither.  Instances are immutable.
+    Every automorphism the package builds is a word in the table twists,
+    each checked against its inverse when the table is built
+    (builtin_table), so the images are not checked here; the inverse of
+    a class is the class of its inverse word (inverse_mcw).  The letter
+    table that applying the map reads is built on the first call, so
+    automorphisms that are only compared pay nothing for it.  Instances
+    are immutable.
     """
 
-    __slots__ = (
-        "genus", "images", "_inverse_images", "_build_inverse",
-        "_letter_images", "_hash",
-    )
+    __slots__ = ("genus", "images", "_letter_images", "_hash")
 
-    def __init__(self, genus, images, inverse_images, _check=True):
+    def __init__(self, genus, images):
         images = tuple(images)
-        n = 2 * genus
-        build = inverse_images if callable(inverse_images) else None
-        inverse_images = None if build else tuple(inverse_images)
-        words = images + (inverse_images or ())
-        if len(images) != n or len(words) != (n if build else 2 * n):
-            raise ValueError(f"expected {n} generator images")
-        for w in words:
+        if len(images) != 2 * genus:
+            raise ValueError(f"expected {2 * genus} generator images")
+        for w in images:
             if w.genus != genus:
                 raise GenusMismatch("image word of wrong genus")
         self.genus = genus
         self.images = images
-        self._inverse_images = inverse_images
-        self._build_inverse = build
         self._letter_images = None
         self._hash = None
-        if _check:
-            inv = self.inverse()
-            for i in range(1, n + 1):
-                x = Word.generator(genus, i)
-                if self(inv(x)) != x or inv(self(x)) != x:
-                    raise ValueError(
-                        "images and inverse_images do not define inverse "
-                        "automorphisms"
-                    )
 
     # -- action --------------------------------------------------------
 
@@ -137,33 +118,11 @@ class FreeAutomorphism:
         # from images that were checked when the table was made
         return Word._trusted(self.genus, tuple(out))
 
-    def inverse(self):
-        return FreeAutomorphism(
-            self.genus, self.inverse_images, self.images, _check=False
-        )
-
-    @property
-    def inverse_images(self):
-        # the builder is read once and _inverse_images is set before it
-        # is cleared, so a concurrent first read only repeats work
-        build = self._build_inverse
-        if build is not None:
-            self._inverse_images = tuple(build())
-            self._build_inverse = None
-        return self._inverse_images
-
     def compose(self, other):
         """self after other: (self.compose(other))(w) = self(other(w))."""
         if other.genus != self.genus:
             raise GenusMismatch("automorphisms of different genus")
-        images = tuple(self(w) for w in other.images)
-        # (f g)^-1 = g^-1 f^-1, applied to the inverse images of f
-        return FreeAutomorphism(
-            self.genus,
-            images,
-            lambda: tuple(map(other.inverse(), self.inverse_images)),
-            _check=False,
-        )
+        return FreeAutomorphism(self.genus, tuple(self(w) for w in other.images))
 
     # -- comparison ----------------------------------------------------
 
@@ -194,7 +153,8 @@ class FreeAutomorphism:
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One named twist: its automorphism and its curve's invariants.
+    """One named twist: its automorphism and inverse, and its curve's
+    invariants.
 
     form holds (a, b) for each generator x_i: the twist sends x_i to
     c^a x_i c^b, for c the base word, which it fixes letter for letter.
@@ -204,6 +164,7 @@ class TableEntry:
     role: str  # "chain" | "sep" | "boundary"
     index: int  # chain position, or J for SepJ; 0 for Delta
     twist: FreeAutomorphism
+    inverse: FreeAutomorphism
     base_word: Word
     form: tuple[tuple[int, int], ...]
     separating: bool
@@ -231,9 +192,6 @@ class TwistTable:
             raise UnknownTwistName(
                 f"unknown twist {name!r} at genus {self.genus}"
             ) from None
-
-    def twist(self, name):
-        return self.entry(name).twist
 
     def essential_base_names(self):
         return tuple(e.name for e in self.entries.values() if e.essential)
@@ -280,7 +238,13 @@ def _form_images(genus, c, form, k):
 
 @lru_cache(maxsize=None)
 def builtin_table(genus):
-    """The twist table of a supported genus, built from its closed forms."""
+    """The twist table of a supported genus, built from its closed forms.
+
+    Each twist t and its inverse are read from the form, and the table
+    checks both round trips, t(t^-1(x_i)) = x_i = t^-1(t(x_i)) for every
+    generator, which makes t an automorphism: it raises ValueError for a
+    form that fails them.  Every other class is a word in these twists.
+    """
     if genus not in _SUPPORTED_GENERA:
         raise UnsupportedGenus(
             f"no built-in table for genus {genus}; supported: "
@@ -290,14 +254,16 @@ def builtin_table(genus):
     for name, role, index, letters, shifts in _twist_forms(genus):
         c = Word(genus, letters)
         form = tuple(shifts.get(i, (0, 0)) for i in range(1, 2 * genus + 1))
-        twist = FreeAutomorphism(
-            genus,
-            _form_images(genus, c, form, 1),
-            _form_images(genus, c, form, -1),
-        )
+        twist = FreeAutomorphism(genus, _form_images(genus, c, form, 1))
+        inverse = FreeAutomorphism(genus, _form_images(genus, c, form, -1))
+        for i in range(1, 2 * genus + 1):
+            x = Word.generator(genus, i)
+            if twist(inverse(x)) != x or inverse(twist(x)) != x:
+                raise ValueError(f"the closed form of {name} is not invertible")
         entries.append(TableEntry(
-            name=name, role=role, index=index, twist=twist, base_word=c,
-            form=form, separating=role != "chain", essential=role != "boundary",
+            name=name, role=role, index=index, twist=twist, inverse=inverse,
+            base_word=c, form=form, separating=role != "chain",
+            essential=role != "boundary",
         ))
     return TwistTable(genus, entries)
 
@@ -371,29 +337,24 @@ def _twist_power(genus, name, k):
     nothing is composed, and a power past the letter cap fails before an
     image is built."""
     entry = builtin_table(genus).entry(name)
-    if k == 1:
-        # a factor of a folded word is the table twist itself
-        return entry.twist
+    # a +-1 factor of a folded word is the table twist or its inverse
+    unit = entry.twist if k > 0 else entry.inverse
+    if abs(k) == 1:
+        return unit
     c, form = entry.base_word, entry.form
     # t^k(x_i) = c^(ak) x_i c^(bk) loses as many letters to free
     # cancellation as t^(+-1)(x_i) does (tested at every supported
     # genus), so the length of its longest image is known before any
     # image is built
-    unit = entry.twist.images if k > 0 else entry.twist.inverse_images
     longest = max(
         len(w) + (abs(k) - 1) * (abs(a) + abs(b)) * len(c)
-        for w, (a, b) in zip(unit, form)
+        for w, (a, b) in zip(unit.images, form)
     )
     if longest > MAX_IMAGE_LETTERS:
         raise WordLengthLimit(
             f"{name}^{k} has an image of more than {MAX_IMAGE_LETTERS} letters"
         )
-    return FreeAutomorphism(
-        genus,
-        _form_images(genus, c, form, k),
-        _form_images(genus, c, form, -k),
-        _check=False,
-    )
+    return FreeAutomorphism(genus, _form_images(genus, c, form, k))
 
 
 def _apply_factors(genus, factors, words, cyclic=False, limit=None):
@@ -434,12 +395,7 @@ def inverse_mcw(mcw):
 @lru_cache(maxsize=8192)
 def _evaluate_cached(genus, mcw):
     gens = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
-    return FreeAutomorphism(
-        genus,
-        _apply_factors(genus, mcw, gens),
-        lambda: _apply_factors(genus, inverse_mcw(mcw), gens),
-        _check=False,
-    )
+    return FreeAutomorphism(genus, _apply_factors(genus, mcw, gens))
 
 
 def evaluate(mcw, genus):
@@ -449,9 +405,8 @@ def evaluate(mcw, genus):
     built from the inside out, by applying each table-twist power to the
     images of the factors right of it.  A table twist's images are
     short, so every step substitutes short words into long ones, and the
-    result is one flat automorphism.  Its inverse images are folded the
-    same way from the inverse word (inverse_mcw) on their first read, so
-    a caller that never inverts the class pays only for its images.
+    result is one flat automorphism.  The inverse class is evaluated
+    from the inverse word (inverse_mcw), and cached under it.
     """
     return _evaluate_cached(genus, _checked_mcw(mcw, genus))
 
@@ -486,7 +441,7 @@ def identity_matrix(genus):
 def _homology_step(genus, name):
     """The nonzero entries (i, j, m) of T - I, for T the homology matrix
     of a table twist."""
-    t = homology_action(builtin_table(genus).twist(name))
+    t = homology_action(builtin_table(genus).entry(name).twist)
     return tuple(
         (i, j, m - (i == j))
         for i, row in enumerate(t)

@@ -16,7 +16,7 @@ from twistlab.errors import GenusMismatch, PreconditionError, WordLengthLimit
 from twistlab.foxrep import LaurentPoly, fox_jacobian
 from twistlab.jfilt import JFDepth, action_depth
 from twistlab.magnus import Derivation, TruncatedAction, TruncatedSeries
-from twistlab.mcg import evaluate, homology_action, identity_matrix
+from twistlab.mcg import evaluate, homology_action, identity_matrix, inverse_mcw
 from twistlab.word import Word, abelianized
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,9 +59,9 @@ def resolve_eagerly(spec):
 
 def moves_by_conjugator(d, other):
     """CurveData.moves as it was: h^-1 applied to the other curve's class
-    as an automorphism, built from h's word."""
-    h = mcg.evaluate(d.conjugator_word, d.base_twist.genus)
-    u = h.inverse()(other.pi1_class).cyclic_reduce()
+    as an automorphism, built from the inverse of h's word."""
+    back = left_fold_evaluate(inverse_mcw(d.conjugator_word), d.base_twist.genus)
+    u = back(other.pi1_class).cyclic_reduce()
     v = d.base_twist(u).cyclic_reduce()
     return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
 
@@ -95,17 +95,17 @@ def twist_by_composition(data):
     return h.compose(data.inner)
 
 
-def commutator_auto(f, g):
-    """[f, g] = f g f^-1 g^-1 as a mapping class."""
-    return f.compose(g).compose(f.inverse()).compose(g.inverse())
+def commutator_mcw(u, v):
+    """[u, v] = u v u^-1 v^-1 as a mapping class word."""
+    return u + v + inverse_mcw(u) + inverse_mcw(v)
 
 
 def power_by_squaring(f, k):
-    """f^k by square-and-multiply, as FreeAutomorphism.power built twist
-    powers before mcg read them from their closed forms.  The power 1 is
-    f itself."""
-    if k < 0:
-        return power_by_squaring(f.inverse(), -k)
+    """f^k for k >= 1 by square-and-multiply, as FreeAutomorphism.power
+    built twist powers before mcg read them from their closed forms.  The
+    power 1 is f itself."""
+    if k < 1:
+        raise ValueError("power_by_squaring takes k >= 1")
     if k == 1:
         return f
     result = evaluate((), f.genus)
@@ -118,10 +118,27 @@ def power_by_squaring(f, k):
     return result
 
 
+def table_power(genus, name, k):
+    """t^k for the table twist t called name, by squaring t for k > 0
+    and its inverse (TableEntry.inverse) for k < 0."""
+    entry = mcg.builtin_table(genus).entry(name)
+    return power_by_squaring(entry.twist if k > 0 else entry.inverse, abs(k))
+
+
+def left_fold_evaluate(mcw, genus):
+    """evaluate without its inside-out fold: the product so far composed
+    with each factor's power (table_power), from the left.  The inverse
+    of a class is this fold of its inverse word (inverse_mcw)."""
+    acc = evaluate((), genus)
+    for name, k in mcw:
+        acc = acc.compose(table_power(genus, name, k))
+    return acc
+
+
 def is_central_by_commutes(f):
     """is_central as it was: f commutes with every chain twist."""
     table = mcg.builtin_table(f.genus)
-    return all(commutes(f, table.twist(n)) for n in table.chain_names)
+    return all(commutes(f, table.entry(n).twist) for n in table.chain_names)
 
 
 def fact5_instance_by_commutes(f, budget):

@@ -22,18 +22,20 @@ from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
     evaluate,
+    inverse_mcw,
     validate_relations,
 )
 from twistlab.word import Word, abelianized
 
 from references import (
-    commutator_auto,
+    commutator_mcw,
     distinguishing_witness,
     fact5_instance,
     fox_derivative,
     in_Mk,
     is_central,
     johnson_depth,
+    left_fold_evaluate,
     morita_check,
 )
 
@@ -71,9 +73,10 @@ def test_criterion_02_disjointness_commutator_fixtures():
     with Timer(5) as t:
         for genus in (1, 2, 3):
             table = builtin_table(genus)
-            chain = [table.twist(n) for n in table.chain_names]
+            chain = [((n, 1),) for n in table.chain_names]
             for i, j in itertools.combinations(range(len(chain)), 2):
-                comm_trivial = commutator_auto(chain[i], chain[j]).is_identity()
+                comm = left_fold_evaluate(commutator_mcw(chain[i], chain[j]), genus)
+                comm_trivial = comm.is_identity()
                 if j == i + 1:
                     assert not comm_trivial, (genus, i, j)
                 else:
@@ -97,9 +100,9 @@ def _corollary_doc(cap, capsys):
 
 def test_criterion_04_deep_commutator_exhibit(capsys):
     with Timer(120) as t:
-        t_a = resolve(parse_curve_spec(2, "Sep1")).twist
-        t_b = resolve(parse_curve_spec(2, "Sep1 @ [C3]")).twist
-        comm = commutator_auto(t_a, t_b)
+        d_a = resolve(parse_curve_spec(2, "Sep1"))
+        d_b = resolve(parse_curve_spec(2, "Sep1 @ [C3]"))
+        comm = evaluate(commutator_mcw(d_a.twist_word, d_b.twist_word), 2)
         assert not comm.is_identity()
         assert in_Mk(comm, 4)  # in M(k) for every k <= 4
         doc = _corollary_doc(4, capsys)
@@ -133,8 +136,8 @@ def test_criterion_06_morita_inclusion():
                 (rng.choice(names), rng.choice((-1, 1)))
                 for _ in range(rng.randrange(3))
             )
-            g = evaluate(conj, 2)
-            return g.compose(sep).compose(g.inverse())
+            g, back = evaluate(conj, 2), left_fold_evaluate(inverse_mcw(conj), 2)
+            return g.compose(sep).compose(back)
 
         def torelli_word():
             f = conj_sep()
@@ -221,7 +224,7 @@ def test_criterion_09_fox_and_magnus_representation():
                 assert fox_derivative(u * v, i) == fox_derivative(u, i) + (
                     mono_u * fox_derivative(v, i)
                 )
-            acc = LaurentPoly.zero(2)
+            acc = LaurentPoly(2)
             for i in range(1, 5):
                 ti = [0, 0, 0, 0]
                 ti[i - 1] = 1
@@ -235,14 +238,14 @@ def test_criterion_09_fox_and_magnus_representation():
 
         table = builtin_table(2)
         names = table.chain_names + table.sep_names
-        pool = [sep, sep.inverse()]
+        pool = [sep, left_fold_evaluate((("Sep1", -1),), 2)]
         while len(pool) < 8:
             conj = tuple(
                 (rng.choice(names), rng.choice((-1, 1)))
                 for _ in range(rng.randrange(3))
             )
-            g = evaluate(conj, 2)
-            f = g.compose(sep).compose(g.inverse())
+            g, back = evaluate(conj, 2), left_fold_evaluate(inverse_mcw(conj), 2)
+            f = g.compose(sep).compose(back)
             if not f.is_identity():
                 pool.append(f)
         for _ in range(20):

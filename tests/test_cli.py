@@ -212,15 +212,13 @@ def test_foxcheck_checks_torelli_once_and_composes_nothing(
     # class that is not, so no in_Mk guard; the pool is kept as words,
     # inverted and multiplied as words and read through evaluate, and
     # the Suzuki scan evaluates each twist from its word, so no
-    # automorphism is composed or inverted
+    # automorphism is composed, and none holds an inverse
     def forbidden(*args):
         raise AssertionError("called")
 
     assert not hasattr(cli, "in_Mk") and not hasattr(cli, "resolve")
-    # building the table checks each twist against its inverse
-    mcg.builtin_table(int(genus))
+    assert not hasattr(mcg.FreeAutomorphism, "inverse")
     monkeypatch.setattr(mcg.FreeAutomorphism, "compose", forbidden)
-    monkeypatch.setattr(mcg.FreeAutomorphism, "inverse", forbidden)
     rc, doc = run_json(
         capsys, "foxcheck", "--genus", genus, "--samples", "5",
         "--torelli-pairs", "6", "--seed", "3", "--suzuki-budget", "6",
@@ -447,7 +445,7 @@ def test_corollary_evaluates_no_twist_and_expands_only_base_twists(
     rc, doc = run_json(capsys, "corollary", "--genus", "2", "--cap", "6")
     assert rc == 0 and doc["summary"]["all_rows_certified"]
     assert doc["summary"]["curves"] == {"a": "Sep1", "b": "Sep1 @ [C3]"}
-    assert expanded == [(mcg.builtin_table(2).twist("Sep1"), 3)]
+    assert expanded == [(mcg.builtin_table(2).entry("Sep1").twist, 3)]
 
 
 def test_corollary_cap15_reads_every_level_from_brackets(capsys):

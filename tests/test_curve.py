@@ -26,6 +26,7 @@ from twistlab.mcg import (
     homology_action,
     homology_matrix,
     identity_matrix,
+    inverse_mcw,
 )
 from twistlab.word import Word
 
@@ -35,6 +36,7 @@ from references import (
     fact5_instance,
     golden_pairs,
     is_central,
+    left_fold_evaluate,
     mat_mul,
     pool_pairs,
     resolve_eagerly,
@@ -149,7 +151,7 @@ def test_resolve_rejects_unknown_base():
 
 def test_resolve_identity_conjugator():
     data = resolve(spec(2, "C1"))
-    assert data.twist == builtin_table(2).twist("C1")
+    assert data.twist == builtin_table(2).entry("C1").twist
     assert data.homology == (1, 0, 0, 0)
     assert not data.separating
 
@@ -166,9 +168,9 @@ def test_class_only_resolve_matches_the_evaluated_conjugator():
 
 
 def test_resolve_builds_no_conjugator(monkeypatch):
-    # the curve keeps h's word; inner evaluates it and twist evaluates
-    # the twist word on first access (mcg.evaluate caches both by word),
-    # and resolving evaluates neither
+    # the curve keeps h's word; inner evaluates its inverse word and
+    # twist evaluates the twist word on first access (mcg.evaluate
+    # caches both by word), and resolving evaluates neither
     evaluated = []
 
     def recording_evaluate(mcw, genus):
@@ -181,21 +183,20 @@ def test_resolve_builds_no_conjugator(monkeypatch):
     assert not hasattr(curve.CurveData, "conjugator")
     assert not {"inner", "twist"} & set(vars(data)) and evaluated == []
     h = evaluate((("C3", 2), ("C4", -1)), 2)
-    assert data.inner == data.base_twist.compose(h.inverse())
+    back = left_fold_evaluate((("C4", 1), ("C3", -2)), 2)
+    assert data.inner == data.base_twist.compose(back)
     assert data.twist == h.compose(data.inner)
-    assert evaluated == [data.conjugator_word, data.twist_word]
+    assert evaluated == [inverse_mcw(data.conjugator_word), data.twist_word]
 
 
 def test_evaluated_twist_matches_the_composed_conjugation():
     # the twist evaluated from its word h (c, 1) h^-1 against h composed
-    # with t_c h^-1, images and inverse images, on every golden curve
+    # with t_c h^-1, on every golden curve
     specs = dict.fromkeys(c for pair in golden_pairs() for c in pair)
     assert len(specs) > 100
     for s in specs:
         data = resolve(s)
-        reference = twist_by_composition(data)
-        assert data.twist == reference, s
-        assert data.twist.inverse_images == reference.inverse_images, s
+        assert data.twist == twist_by_composition(data), s
 
 
 def test_class_folds_strip_and_only_canonical_forms_rotate(monkeypatch):
@@ -249,8 +250,9 @@ def test_resolve_separating_base():
 def test_resolve_conjugated_twist_genus1():
     data = resolve(spec(1, "C1 @ [C2]"))
     f = evaluate((("C2", 1),), 1)
-    base = builtin_table(1).twist("C1")
-    assert data.twist == f.compose(base).compose(f.inverse())
+    base = builtin_table(1).entry("C1").twist
+    back = left_fold_evaluate((("C2", -1),), 1)
+    assert data.twist == f.compose(base).compose(back)
     m = homology_action(f)
     assert data.homology == tuple(m[i][0] for i in range(2))
 
@@ -266,7 +268,8 @@ def test_conjugation_law_as_executable_identity():
         plain = resolve(CurveSpec(2, base, conj))
         moved = resolve(CurveSpec(2, base, (extra,) + conj))
         g = evaluate((extra,), 2)
-        assert moved.twist == g.compose(plain.twist).compose(g.inverse())
+        back = left_fold_evaluate(inverse_mcw((extra,)), 2)
+        assert moved.twist == g.compose(plain.twist).compose(back)
 
 
 def test_separating_iff_zero_homology_on_samples():
@@ -297,9 +300,8 @@ def test_transvection_is_the_twist_on_homology_on_the_pool():
             continue
         checked += 1
         assert transvection(d.homology) == twist, c
-        assert transvection(d.homology, -1) == homology_action(
-            d.twist.inverse()
-        ), c
+        inverse = left_fold_evaluate(inverse_mcw(d.twist_word), c.genus)
+        assert transvection(d.homology, -1) == homology_action(inverse), c
         assert transvection(d.homology, 3) == mat_mul(
             twist, mat_mul(twist, twist)
         ), c
@@ -348,7 +350,7 @@ def test_homology_action_symplectic():
 
 
 def test_transvection_genus1():
-    m = homology_action(builtin_table(1).twist("C1"))
+    m = homology_action(builtin_table(1).entry("C1").twist)
     # fixes e1, moves e2 by -e1 under this handedness convention
     assert tuple(m[i][0] for i in range(2)) == (1, 0)
     assert tuple(m[i][1] for i in range(2)) in ((-1, 1), (1, 1))

@@ -15,15 +15,16 @@ from twistlab.foxrep import (
     rep_mul,
     suzuki_scan,
 )
-from twistlab.mcg import FreeAutomorphism, builtin_table, evaluate
+from twistlab.mcg import FreeAutomorphism, builtin_table, evaluate, inverse_mcw
 from twistlab.word import Word, abelianized
 
 from references import (
-    commutator_auto,
+    commutator_mcw,
     commutes,
     fox_derivative,
     fox_derivative_by_letters,
     in_Mk,
+    left_fold_evaluate,
     rep_mul_by_products,
 )
 
@@ -71,7 +72,7 @@ def test_fundamental_identity():
     rng = random.Random(101)
     for _ in range(120):
         w = random_word(rng, 2)
-        acc = LaurentPoly.zero(2)
+        acc = LaurentPoly(2)
         for i in range(1, 5):
             acc = acc + fox_derivative(w, i) * (t_mono(2, i) - LaurentPoly.one(2))
         assert acc == LaurentPoly.monomial(2, abelianized(w)) - LaurentPoly.one(2)
@@ -118,7 +119,7 @@ def test_jacobian_matches_the_letterwise_derivatives():
     # x1 c x1^-1 with c a commutator avoiding x1: the +1 of x1 and the -1
     # of x1^-1 fall on one key and leave no term
     assert fox_jacobian(Word(2, (1, 2, 3, -2, -3, -1)))[0][0].terms == {}
-    assert fox_jacobian(Word(1, ()))[0] == (LaurentPoly.zero(1),) * 2
+    assert fox_jacobian(Word(1, ()))[0] == (LaurentPoly(1),) * 2
 
 
 # -- the representation ----------------------------------------------------
@@ -195,21 +196,21 @@ def test_magnus_rep_reads_homology_from_its_own_scans(monkeypatch):
 
 
 def _torelli_samples(rng, genus, count):
-    """Conjugated separating twists and short products of them."""
+    """The words of conjugated separating twists and short products of
+    them."""
     table = builtin_table(genus)
     names = table.chain_names + table.sep_names
-    out = [evaluate((("Sep1", 1),), genus), evaluate((("Sep1", -1),), genus)]
+    out = [(("Sep1", 1),), (("Sep1", -1),)]
     while len(out) < count:
         conj = tuple(
             (rng.choice(names), rng.choice((-1, 1))) for _ in range(rng.randrange(3))
         )
-        g = evaluate(conj, genus)
-        s = evaluate((("Sep1", rng.choice((-1, 1))),), genus)
-        f = g.compose(s).compose(g.inverse())
+        word = conj + (("Sep1", rng.choice((-1, 1))),) + inverse_mcw(conj)
         if rng.random() < 0.5:
-            f = f.compose(rng.choice(out))
+            word += rng.choice(out)
+        f = evaluate(word, genus)
         if not f.is_identity() and in_Mk(f, 1):
-            out.append(f)
+            out.append(word)
     return out
 
 
@@ -217,8 +218,8 @@ def test_multiplicative_on_torelli_pairs():
     rng = random.Random(103)
     samples = _torelli_samples(rng, 2, 8)
     for _ in range(20):
-        f = rng.choice(samples)
-        g = rng.choice(samples)
+        f = evaluate(rng.choice(samples), 2)
+        g = evaluate(rng.choice(samples), 2)
         assert magnus_rep(f.compose(g)) == rep_mul(
             magnus_rep(f), magnus_rep(g)
         )
@@ -229,7 +230,9 @@ def test_rep_mul_matches_the_sum_of_products(genus):
     # one dict per entry gives the matrix that summed a LaurentPoly
     # product per k
     rng = random.Random(127)
-    matrices = [magnus_rep(f) for f in _torelli_samples(rng, genus, 6)]
+    matrices = [
+        magnus_rep(evaluate(w, genus)) for w in _torelli_samples(rng, genus, 6)
+    ]
     for a in matrices:
         for b in matrices:
             product = rep_mul(a, b)
@@ -241,8 +244,9 @@ def test_rep_mul_matches_the_sum_of_products(genus):
 
 def test_inverse_pairs_multiply_to_identity():
     rng = random.Random(107)
-    for f in _torelli_samples(rng, 2, 6):
-        prod = rep_mul(magnus_rep(f), magnus_rep(f.inverse()))
+    for w in _torelli_samples(rng, 2, 6):
+        inverse = left_fold_evaluate(inverse_mcw(w), 2)
+        prod = rep_mul(magnus_rep(evaluate(w, 2)), magnus_rep(inverse))
         assert prod == rep_identity(2)
 
 
@@ -252,9 +256,10 @@ def test_conjugation_consistency_two_code_paths():
     rng = random.Random(109)
     samples = _torelli_samples(rng, 2, 4)
     table = builtin_table(2)
-    for f in samples:
-        g = evaluate(((rng.choice(table.chain_names), 1),), 2)
-        conj = g.compose(f).compose(g.inverse())
+    for w in samples:
+        name = rng.choice(table.chain_names)
+        g, back = evaluate(((name, 1),), 2), left_fold_evaluate(((name, -1),), 2)
+        conj = g.compose(evaluate(w, 2)).compose(back)
         if not in_Mk(conj, 1):
             continue
         direct = magnus_rep(conj)
@@ -289,9 +294,8 @@ def test_suzuki_scan_small_budget_runs_clean():
     for c1, c2 in hits:
         from twistlab.curve import parse_curve_spec, resolve
 
-        t1 = resolve(parse_curve_spec(2, c1)).twist
-        t2 = resolve(parse_curve_spec(2, c2)).twist
-        comm = commutator_auto(t1, t2)
+        d1, d2 = (resolve(parse_curve_spec(2, c)) for c in (c1, c2))
+        comm = evaluate(commutator_mcw(d1.twist_word, d2.twist_word), 2)
         assert not comm.is_identity()
         assert magnus_rep(comm) == rep_identity(2)
 
@@ -318,7 +322,8 @@ def test_suzuki_scan_matches_the_commutator_rule(genus, budget, monkeypatch):
     expected, crossing = [], set()
     for (da, ta), (db, tb) in _scan_pairs(genus, budget):
         fg, gf = ta.compose(tb), tb.compose(ta)
-        comm = commutator_auto(ta, tb)
+        words = (resolve(d).twist_word for d in (da, db))
+        comm = evaluate(commutator_mcw(*words), genus)
         crosses = resolve(da).crosses(resolve(db))
         assert (fg == gf) == comm.is_identity() == commutes(ta, tb) != crosses
         if crosses:
@@ -380,7 +385,7 @@ def test_suzuki_scan_rejects_a_twist_that_is_not_torelli(monkeypatch):
     # the scan checks each twist it reads once, with magnus_rep's message;
     # here the first separating curve's twist is replaced by t_C1
     first = next(curve.distinct_separating_curves(2))[1]
-    chain = builtin_table(2).twist("C1")
+    chain = builtin_table(2).entry("C1").twist
     twist = curve.CurveData.twist
 
     def swapped(c):

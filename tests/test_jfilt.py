@@ -39,14 +39,15 @@ from twistlab.mcg import (
     evaluate,
     homology_action,
     identity_matrix,
+    inverse_mcw,
 )
 from twistlab.word import Word
 
 from references import (
     braid_by_whole_word,
     commutator,
-    commutator_auto,
     commutator_depth,
+    commutator_mcw,
     commutes,
     distinguishing_witness,
     fact5_instance,
@@ -58,11 +59,12 @@ from references import (
     is_central_by_commutes,
     johnson_depth,
     johnson_leading_term,
+    left_fold_evaluate,
     morita_check,
     moves_by_conjugator,
     pair_depth_from_homology_start,
     pool_pairs,
-    power_by_squaring,
+    table_power,
     two_class_depth,
 )
 
@@ -116,8 +118,8 @@ def test_johnson_depth_conjugation_invariant():
     t = sep_twist()
     for _ in range(12):
         mcw = tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(3))
-        g = evaluate(mcw, 2)
-        conj = g.compose(t).compose(g.inverse())
+        g, back = evaluate(mcw, 2), left_fold_evaluate(inverse_mcw(mcw), 2)
+        conj = g.compose(t).compose(back)
         a, b = johnson_depth(t, 3), johnson_depth(conj, 3)
         assert (a.kind, a.level) == (b.kind, b.level)
 
@@ -127,10 +129,10 @@ def test_commutator_depth_matches_direct_computation():
     table = builtin_table(2)
     names = table.chain_names + table.sep_names
     for _ in range(15):
-        f = evaluate(tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(2)), 2)
-        g = evaluate(tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(2)), 2)
-        via_pair = commutator_depth(f, g, 3)
-        comm = commutator_auto(f, g)
+        u, v = (tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(2))
+                for _ in range(2))
+        via_pair = commutator_depth(evaluate(u, 2), evaluate(v, 2), 3)
+        comm = left_fold_evaluate(commutator_mcw(u, v), 2)
         if comm.is_identity():
             assert via_pair.kind == "identity"
         else:
@@ -495,7 +497,7 @@ def test_braid_label_composes_only_the_curves_twists(monkeypatch):
     assert classify_pair(c1, c2, doc["config"]["cap"]).as_dict() == doc["results"]
     assert abs(doc["results"]["algebraic"]) == 1 and composed
     allowed = [
-        (d.base_twist, evaluate(d.conjugator_word, d.base_twist.genus).inverse())
+        (d.base_twist, evaluate(inverse_mcw(d.conjugator_word), c1.genus))
         for d in (resolve(c1), resolve(c2))
         if d.conjugator_word
     ]
@@ -566,8 +568,8 @@ def test_morita_vacuous_pair():
 
 def test_morita_conjugate_pair():
     t = sep_twist()
-    g = evaluate((("C3", 1),), 2)
-    assert morita_check(t, g.compose(t).compose(g.inverse()), 2, 2)
+    g, back = evaluate((("C3", 1),), 2), left_fold_evaluate((("C3", -1),), 2)
+    assert morita_check(t, g.compose(t).compose(back), 2, 2)
 
 
 def test_morita_rejects_bad_preconditions():
@@ -577,30 +579,34 @@ def test_morita_rejects_bad_preconditions():
 
 
 def sample_torelli_words(rng, genus, count):
-    """Nontrivial Torelli classes: products of conjugated separating twists."""
+    """The words of nontrivial Torelli classes: products of conjugated
+    separating twists."""
     table = builtin_table(genus)
     names = table.chain_names + table.sep_names
     out = []
     while len(out) < count:
-        f = evaluate((), genus)
+        word = ()
         for _ in range(rng.randrange(1, 3)):
             conj = tuple(
                 (rng.choice(names), rng.choice((-1, 1)))
                 for _ in range(rng.randrange(3))
             )
-            g = evaluate(conj, genus)
-            s = evaluate((("Sep1", rng.choice((-1, 1))),), genus)
-            f = f.compose(g.compose(s).compose(g.inverse()))
+            word += conj + (("Sep1", rng.choice((-1, 1))),) + inverse_mcw(conj)
+        f = evaluate(word, genus)
         if not f.is_identity():
             assert in_Mk(f, 1)
-            out.append(f)
+            out.append(word)
     return out
+
+
+def sample_torelli_classes(rng, genus, count):
+    return [evaluate(w, genus) for w in sample_torelli_words(rng, genus, count)]
 
 
 def test_morita_randomized_never_false():
     rng = random.Random(89)
     t = sep_twist()
-    for f in sample_torelli_words(rng, 2, 6):
+    for f in sample_torelli_classes(rng, 2, 6):
         assert morita_check(f, t, 1, 2)
 
 
@@ -710,7 +716,7 @@ def test_fact5_centrality_and_separating_stream_build_no_twist(genus, monkeypatc
     assert fact5_instance(c1, budget) is not None
     assert fact5_instance(delta, budget) is None
     assert is_central(delta) and not is_central(c1)
-    assert not is_central(table.twist("Sep1"))
+    assert not is_central(table.entry("Sep1").twist)
     assert composed == []
     for _, data in stream:
         assert "twist" not in vars(data) and "inner" not in vars(data)
@@ -720,9 +726,9 @@ def test_fact5_centrality_and_separating_stream_build_no_twist(genus, monkeypatc
 def test_fact5_and_centrality_match_commutation_with_twists(genus):
     rng = random.Random(73 + genus)
     table = builtin_table(genus)
-    delta = table.twist("Delta")
-    classes = [table.twist(n) for n in table.names()]
-    classes += [power_by_squaring(delta, k) for k in (-2, 2, 3)]
+    delta = table.entry("Delta").twist
+    classes = [table.entry(n).twist for n in table.names()]
+    classes += [table_power(genus, "Delta", k) for k in (-2, 2, 3)]
     classes += [_random_curve_twist(rng, genus) for _ in range(10)]
     classes += [delta.compose(f) for f in classes[-3:]]
     classes.append(evaluate((), genus))
@@ -789,12 +795,18 @@ def _random_class(rng, genus, length):
     )
 
 
+#: the words of t_a and t_b of the corollary, whose commutator is its w_1
+COROLLARY_WORDS = ((("Sep1", 1),), (("C3", 1), ("Sep1", 1), ("C3", -1)))
+
+
 def _corollary_twists(genus):
-    """t_a and t_b of the corollary, whose commutator is its w_1."""
-    return (
-        evaluate((("Sep1", 1),), genus),
-        evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus),
-    )
+    """t_a and t_b of the corollary."""
+    return tuple(evaluate(w, genus) for w in COROLLARY_WORDS)
+
+
+def _corollary_w1(genus):
+    """w_1 = [t_a, t_b] of the corollary."""
+    return evaluate(commutator_mcw(*COROLLARY_WORDS), genus)
 
 
 def _corollary_curves(genus):
@@ -805,16 +817,14 @@ def _corollary_curves(genus):
 def _shear(genus, moves):
     """The automorphism x_i -> x_i w_i for i in moves, fixing the rest.
 
-    Each w_i is a word in the generators that are not moved, so
-    x_i -> x_i w_i^-1 is the inverse.
+    Each w_i is a word in the generators that are not moved, so the map
+    is an automorphism: x_i -> x_i w_i^-1 inverts it.
     """
-    images, inverse = [], []
-    for i in range(1, 2 * genus + 1):
-        x = Word.generator(genus, i)
-        w = Word(genus, moves.get(i, ()))
-        images.append(x * w)
-        inverse.append(x * w.inverse())
-    return FreeAutomorphism(genus, images, inverse)
+    images = [
+        Word.generator(genus, i) * Word(genus, moves.get(i, ()))
+        for i in range(1, 2 * genus + 1)
+    ]
+    return FreeAutomorphism(genus, images)
 
 
 # Images that differ in a lower degree after one that differs one degree
@@ -832,10 +842,10 @@ def _single_classes(genus, rng):
     if genus == 1:
         # no separating curves: the boundary twist is the Torelli sample
         delta = evaluate((("Delta", 1),), 1)
-        out += [delta, delta.inverse(), delta.compose(out[1])]
+        out += [delta, evaluate((("Delta", -1),), 1), delta.compose(out[1])]
         return out
-    out += sample_torelli_words(rng, genus, 6)
-    out.append(commutator_auto(*_corollary_twists(genus)))
+    out += sample_torelli_classes(rng, genus, 6)
+    out.append(_corollary_w1(genus))
     out.append(_shear(genus, SHEAR_CLASS))
     return out
 
@@ -854,7 +864,7 @@ def _class_pairs(genus, rng):
     out += [(_random_curve_twist(rng, genus), _random_curve_twist(rng, genus))
             for _ in range(12)]
     if genus > 1:
-        s, t, u, v = sample_torelli_words(rng, genus, 4)
+        s, t, u, v = sample_torelli_classes(rng, genus, 4)
         out += [(sep_twist(genus), s), (sep_twist(genus), t), (u, v)]
         out.append((u, _random_class(rng, genus, 1)))
         out.append(_corollary_twists(genus))
@@ -921,7 +931,7 @@ def test_johnson_depth_matches_the_two_class_reader(genus):
 def test_johnson_depth_stops_at_the_first_difference(monkeypatch):
     # w_1 is at exact level 4, so its actions first differ from the
     # identity's in degree 5: a depth at cap 7 expands at caps 2-5 only
-    w_1 = commutator_auto(*_corollary_twists(2))
+    w_1 = _corollary_w1(2)
     caps = _record_expansion_caps(monkeypatch)
     assert johnson_depth(w_1, 7) == JFDepth("exact", 4)
     assert set(caps) == {2, 3, 4, 5}
@@ -1239,8 +1249,7 @@ def test_composed_actions_match_expansions_of_products(genus):
     rng = random.Random(107 + genus)
     pairs = _class_pairs(genus, rng)
     if genus > 1:
-        t_a, t_b = _corollary_twists(genus)
-        pairs.append((t_a, commutator_auto(t_a, t_b)))
+        pairs.append((_corollary_twists(genus)[0], _corollary_w1(genus)))
     for f, g in pairs:
         _assert_actions_match_words(f, g, TOP_CAP)
 
@@ -1284,17 +1293,25 @@ def test_cap_one_pair_depth_matches_the_composed_products():
 # of nested_leading_terms is checked against it.
 
 
-def nested_commutators(a, b, cap):
-    """Depths of w_m = [a, w_{m-1}], w_0 = b, for m = 1, 2, ...
+def _actions_of_word(mcw, genus, cap):
+    """The actions at the cap of the class of mcw and of its inverse,
+    folded from the inverse word."""
+    f = evaluate(mcw, genus)
+    inverse = left_fold_evaluate(inverse_mcw(mcw), genus)
+    return TruncatedAction.of(f, cap), TruncatedAction.of(inverse, cap)
+
+
+def nested_commutators(genus, cap):
+    """Depths of the corollary's w_m = [a, w_{m-1}], w_0 = b, for
+    m = 1, 2, ..., with a and b the classes of COROLLARY_WORDS.
 
     Yields, for w = w_0, w_1, ..., the triple (depth of [a, w], action
     of w, action of w^-1) at the cap.  The depth compares a w with w a,
     and the next w is built from the same two products:
     [a, w] = ((a w) a^-1) w^-1 and [a, w]^-1 = [w, a] = ((w a) w^-1) a^-1.
     """
-    act_a = TruncatedAction.of(a, cap)
-    act_a_inv = TruncatedAction.of(a.inverse(), cap)
-    w, w_inv = TruncatedAction.of(b, cap), TruncatedAction.of(b.inverse(), cap)
+    act_a, act_a_inv = _actions_of_word(COROLLARY_WORDS[0], genus, cap)
+    w, w_inv = _actions_of_word(COROLLARY_WORDS[1], genus, cap)
     while True:
         aw, wa = act_a.compose(w), w.compose(act_a)
         yield action_depth(aw, wa), w, w_inv
@@ -1309,9 +1326,9 @@ def test_nested_commutator_depths_match_words_where_they_fit(genus):
     # rows m = 1, 2 of the corollary: [t_a, t_b] and [t_a, w_1]; the
     # words of w_2 pass a million letters
     t_a, t_b = _corollary_twists(genus)
-    w_1 = commutator_auto(t_a, t_b)
+    w_1 = _corollary_w1(genus)
     for cap in range(2, 7):
-        rows = nested_commutators(t_a, t_b, cap)
+        rows = nested_commutators(genus, cap)
         for w in (t_b, w_1):
             depth, _, _ = next(rows)
             words = two_class_depth(t_a.compose(w), w.compose(t_a), cap)
@@ -1321,23 +1338,21 @@ def test_nested_commutator_depths_match_words_where_they_fit(genus):
 def test_nested_commutators_track_each_inverse():
     # w_0 = t_b and w_1 against their words; w_2 lies in M(6), so at
     # cap 5 its action is the identity's and would show no error
-    t_a, t_b = _corollary_twists(2)
+    a, b = COROLLARY_WORDS
     cap = 5
     one = TruncatedAction.of(evaluate((), 2), cap)
-    rows = nested_commutators(t_a, t_b, cap)
-    for m, w in enumerate((t_b, commutator_auto(t_a, t_b))):
+    rows = nested_commutators(2, cap)
+    for m, w in enumerate((b, commutator_mcw(a, b))):
         _, act, act_inv = next(rows)
-        assert act == TruncatedAction.of(w, cap), m
-        assert act_inv == TruncatedAction.of(w.inverse(), cap), m
+        assert (act, act_inv) == _actions_of_word(w, 2, cap), m
         assert act.compose(act_inv) == one, m
 
 
 @pytest.mark.parametrize("genus, caps", [(2, range(4, 9)), (3, range(4, 7))])
 def test_bracket_levels_match_action_depths(genus, caps):
     # rows m = 1, 2, 3; a level at or past the cap reads at_least(cap)
-    t_a, t_b = _corollary_twists(genus)
     for cap in caps:
-        rows = nested_commutators(t_a, t_b, cap)
+        rows = nested_commutators(genus, cap)
         leads = nested_leading_terms(*_corollary_curves(genus))
         for m in range(1, 4):
             depth, _, _ = next(rows)
@@ -1353,8 +1368,7 @@ def test_bracket_levels_match_action_depths(genus, caps):
 def test_brackets_are_the_leading_parts_of_the_actions(genus, cap, count):
     # the action of w_m agrees with the identity's through degree 2m + 2,
     # and its degree-(2m + 3) part is the bracket, term for term
-    t_a, t_b = _corollary_twists(genus)
-    rows = nested_commutators(t_a, t_b, cap)
+    rows = nested_commutators(genus, cap)
     next(rows)
     leads = nested_leading_terms(*_corollary_curves(genus))
     for m in range(1, count + 1):
@@ -1396,14 +1410,15 @@ def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus)
     # f, g in M(2): the action of [f, g] at cap 5 has the bracket of their
     # degree-3 parts as its degree-5 part, zero or not, and nothing between
     rng = random.Random(113 + genus)
-    classes = sample_torelli_words(rng, genus, 3) + list(_corollary_twists(genus))
+    words = sample_torelli_words(rng, genus, 3) + list(COROLLARY_WORDS)
     one = TruncatedAction.of(evaluate((), genus), 5)
     kinds = set()
-    for f, g in itertools.combinations(classes, 2):
+    for u, v in itertools.combinations(words, 2):
+        f, g = evaluate(u, genus), evaluate(v, genus)
         lead_f = Derivation.leading(TruncatedAction.of(f, 3))
         lead_g = Derivation.leading(TruncatedAction.of(g, 3))
         bracket = lead_f.bracket(lead_g)
-        comm = TruncatedAction.of(commutator_auto(f, g), 5)
+        comm = TruncatedAction.of(evaluate(commutator_mcw(u, v), genus), 5)
         assert bracket == Derivation.leading(comm), (f, g)
         depth = action_depth(_truncated(comm, 4), _truncated(one, 4))
         assert depth.kind == "at_least", (f, g)
@@ -1438,10 +1453,10 @@ def test_conjugated_twist_terms_are_transformed_base_terms(genus, monkeypatch):
         c = rng.choice(table.sep_names)
         d = resolve(CurveSpec(genus, c, h))
         direct = Derivation.leading(TruncatedAction.of(d.twist, 3))
-        base = jfilt._base_term(table.twist(c))
+        base = jfilt._base_term(table.entry(c).twist)
         moved = base.transform(mcg.homology_matrix(h, genus))
         assert moved == direct, (c, h)
-        assert jfilt._curve_term(table.twist(c), h) == direct, (c, h)
+        assert jfilt._curve_term(table.entry(c).twist, h) == direct, (c, h)
         assert folded == [h]
         folded.clear()
         nonzero += moved != base
@@ -1454,7 +1469,7 @@ def test_transform_is_an_action_that_keeps_brackets():
     table = builtin_table(genus)
     rng = random.Random(223)
     names = table.chain_names
-    d = jfilt._base_term(table.twist("Sep1"))
+    d = jfilt._base_term(table.entry("Sep1").twist)
     one = identity_matrix(genus)
     assert d.transform(one) == d
     for _ in range(10):

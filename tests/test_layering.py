@@ -168,8 +168,8 @@ def package_functions():
 @pytest.fixture(scope="module")
 def golden_trace():
     """The code objects of the package that the golden argvs enter, and
-    the package functions that call FreeAutomorphism.compose, each as
-    module.qualname.
+    the package functions that call FreeAutomorphism.compose and those
+    that call FreeAutomorphism.__init__, each as module.qualname.
 
     The caches are cleared first, so that a cached function is entered
     by the commands themselves and not skipped on an earlier test's
@@ -179,15 +179,19 @@ def golden_trace():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     root = str(PACKAGE)
-    compose = twistlab.FreeAutomorphism.compose.__code__
-    entered, callers = set(), set()
+    callers = {
+        twistlab.FreeAutomorphism.compose.__code__: set(),
+        twistlab.FreeAutomorphism.__init__.__code__: set(),
+    }
+    entered = set()
 
     def tracer(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(root):
             entered.add(frame.f_code)
             caller = frame.f_back.f_code
-            if frame.f_code is compose and caller.co_filename.startswith(root):
-                callers.add(f"{Path(caller.co_filename).stem}.{caller.co_qualname}")
+            if frame.f_code in callers and caller.co_filename.startswith(root):
+                name = f"{Path(caller.co_filename).stem}.{caller.co_qualname}"
+                callers[frame.f_code].add(name)
 
     previous = sys.gettrace()
     sys.settrace(tracer)
@@ -197,11 +201,12 @@ def golden_trace():
                 assert main(argv) == 0, argv
     finally:
         sys.settrace(previous)
-    return entered, callers
+    composers, builders = callers.values()
+    return entered, composers, builders
 
 
 def test_every_function_runs_under_a_golden_command(golden_trace):
-    entered, _ = golden_trace
+    entered, _, _ = golden_trace
     functions = package_functions()
     assert set(EXEMPT) <= set(functions)
     unrun = {name for name, code in functions.items() if code not in entered}
@@ -211,5 +216,18 @@ def test_every_function_runs_under_a_golden_command(golden_trace):
 def test_only_the_inner_factor_composes_automorphisms(golden_trace):
     # every other composite is evaluated from its mapping class word;
     # the inner factor t_c h^-1 of a curve's twist is the one left
-    _, callers = golden_trace
-    assert callers == {"curve.CurveData.inner"}
+    _, composers, _ = golden_trace
+    assert composers == {"curve.CurveData.inner"}
+
+
+def test_only_mcg_builds_automorphisms(golden_trace):
+    # the table twists and their closed-form powers, evaluated words and
+    # products: every automorphism is built in mcg from generator images
+    _, _, builders = golden_trace
+    assert {name.split(".")[0] for name in builders} == {"mcg"}
+    assert builders == {
+        "mcg.builtin_table",
+        "mcg._twist_power",
+        "mcg._evaluate_cached",
+        "mcg.FreeAutomorphism.compose",
+    }

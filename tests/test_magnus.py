@@ -7,10 +7,15 @@ from twistlab import magnus
 from twistlab.curve import parse_curve_spec, resolve
 from twistlab.errors import SeriesTermLimit
 from twistlab.magnus import TruncatedAction, magnus_expand
-from twistlab.mcg import builtin_table, evaluate
+from twistlab.mcg import builtin_table, evaluate, inverse_mcw
 from twistlab.word import Word
 
-from references import commutator, homogeneous_part, magnus_expand_by_groupby
+from references import (
+    commutator,
+    homogeneous_part,
+    left_fold_evaluate,
+    magnus_expand_by_groupby,
+)
 
 
 # -- independent dense oracle -----------------------------------------
@@ -188,12 +193,10 @@ def test_expand_matches_the_groupby_kernel_on_twist_images(genus):
     names = builtin_table(genus).names()
     words = []
     for _ in range(8):
-        f = evaluate(
-            tuple((rng.choice(names), rng.choice((1, -1)) * rng.randrange(1, 10))
-                  for _ in range(rng.randrange(1, 4))),
-            genus,
-        )
-        words += f.images + f.inverse_images
+        mcw = tuple((rng.choice(names), rng.choice((1, -1)) * rng.randrange(1, 10))
+                    for _ in range(rng.randrange(1, 4)))
+        words += evaluate(mcw, genus).images
+        words += left_fold_evaluate(inverse_mcw(mcw), genus).images
     for cap in range(1, 5):
         for w in words:
             _assert_expansions_match_groupby_kernel(w, cap)

@@ -1,8 +1,6 @@
 import hashlib
 import json
 import random
-import sys
-import threading
 from dataclasses import replace
 
 import pytest
@@ -36,8 +34,10 @@ from references import (
     apply_letterwise,
     commutes,
     is_central,
+    left_fold_evaluate,
     pool_pairs,
     power_by_squaring,
+    table_power,
 )
 
 #: every genus with a built-in table
@@ -51,21 +51,30 @@ def test_identity_automorphism():
     assert f(w) == w
 
 
-def test_construction_rejects_non_automorphism():
-    # x1 -> x1 x2, x2 -> x2 with a wrong claimed inverse
-    g = 1
-    imgs = (Word(g, (1, 2)), Word(g, (2,)))
-    bad_inv = (Word(g, (1,)), Word(g, (2,)))
-    with pytest.raises(ValueError):
-        FreeAutomorphism(g, imgs, bad_inv)
+def _build_genus1_table_with_c1(monkeypatch, letters, shifts):
+    # builtin_table's body is called past its cache, which keeps the
+    # true tables
+    forms = mcg._twist_forms(1)
+    forged = [("C1", "chain", 1, letters, shifts)] + forms[1:]
+    monkeypatch.setattr(mcg, "_twist_forms", lambda g: forged)
+    try:
+        with pytest.raises(ValueError, match="C1"):
+            builtin_table.__wrapped__(1)
+    finally:
+        monkeypatch.undo()
+    assert builtin_table.__wrapped__(1).entry("C1") == builtin_table(1).entry("C1")
 
 
-def test_construction_rejects_non_bijective_images():
-    g = 1
-    # x1 and x2 both map to x1: not injective, no inverse can exist
-    imgs = (Word(g, (1,)), Word(g, (1,)))
-    with pytest.raises(ValueError):
-        FreeAutomorphism(g, imgs, imgs)
+def test_construction_rejects_non_automorphism(monkeypatch):
+    # x1 -> x1 c with c = x1 x2 does not fix c, so c^-1 does not undo
+    # it: x1 -> x1 c^-1 is no inverse, and the table refuses the form
+    _build_genus1_table_with_c1(monkeypatch, (1, 2), {1: (0, 1)})
+
+
+def test_construction_rejects_non_bijective_images(monkeypatch):
+    # x1 -> c^-1 x1 with c = x1 sends x1 to the empty word: the map is
+    # not injective, no inverse can exist, and the table refuses the form
+    _build_genus1_table_with_c1(monkeypatch, (1,), {1: (-1, 0)})
 
 
 @pytest.mark.parametrize("genus", GENERA)
@@ -88,9 +97,9 @@ def test_validate_relations_neither_composes_nor_compares_by_commutes(
 
 
 WRONG_TWISTS = {
-    "inverse": lambda t: t.inverse(),
-    "square": lambda t: t.compose(t),
-    "identity": lambda t: evaluate((), t.genus),
+    "inverse": lambda e: e.inverse,
+    "square": lambda e: e.twist.compose(e.twist),
+    "identity": lambda e: evaluate((), e.twist.genus),
 }
 
 #: (genus, twist, how it is wrong): every twist inverted at genus 1, 2
@@ -124,7 +133,7 @@ def _use_wrong_table(monkeypatch, genus, name, wrong):
     forged = TwistTable(
         genus,
         [
-            replace(e, twist=WRONG_TWISTS[wrong](e.twist)) if e.name == name
+            replace(e, twist=WRONG_TWISTS[wrong](e)) if e.name == name
             else e
             for e in table.entries.values()
         ],
@@ -209,7 +218,7 @@ def test_every_twist_fixes_boundary_word(genus):
     table = builtin_table(genus)
     d = boundary_word(genus)
     for name in table.names():
-        assert table.twist(name)(d) == d, name
+        assert table.entry(name).twist(d) == d, name
 
 
 @pytest.mark.parametrize("genus", GENERA)
@@ -251,7 +260,8 @@ def test_homology_matrix_matches_the_evaluated_conjugators_of_the_pool():
         folded = homology_matrix(mcw, genus)
         assert folded == homology_action(evaluate(mcw, genus)), mcw
         back = homology_matrix(inverse_mcw(mcw), genus)
-        assert back == homology_action(evaluate(mcw, genus).inverse()), mcw
+        inverse = left_fold_evaluate(inverse_mcw(mcw), genus)
+        assert back == homology_action(inverse), mcw
 
 
 def test_inverse_homology_matrix_is_read_from_the_intersection_form():
@@ -287,24 +297,24 @@ def test_inverse_homology_matrix_is_read_from_the_intersection_form():
 
 def test_genus1_candidate_images():
     table = builtin_table(1)
-    c1 = table.twist("C1")
+    c1 = table.entry("C1").twist
     assert c1(Word.generator(1, 1)) == Word.generator(1, 1)
     assert c1(Word.generator(1, 2)) == Word(1, (2, -1))
-    c2 = table.twist("C2")
+    c2 = table.entry("C2").twist
     assert c2(Word.generator(1, 1)) == Word(1, (1, 2))
 
 
 def test_delta_is_conjugation_by_boundary():
     for genus in (1, 2, 3):
         d = boundary_word(genus)
-        delta = builtin_table(genus).twist("Delta")
+        delta = builtin_table(genus).entry("Delta").twist
         for i in range(1, 2 * genus + 1):
             x = Word.generator(genus, i)
             assert delta(x) == d * x * d.inverse()
 
 
 def test_sep_twist_formula_genus2():
-    sep = builtin_table(2).twist("Sep1")
+    sep = builtin_table(2).entry("Sep1").twist
     d = Word(2, (1, 2, -1, -2))
     for i in (1, 2):
         x = Word.generator(2, i)
@@ -321,12 +331,12 @@ def test_sep_twists_equal_subchain_powers(genus, subchain, power):
     table = builtin_table(genus)
     j = subchain // 2
     if j >= genus:
-        target = table.twist("Delta")
+        target = table.entry("Delta").twist
     else:
-        target = table.twist(f"Sep{j}")
+        target = table.entry(f"Sep{j}").twist
     prod = evaluate((), genus)
     for i in range(1, subchain + 1):
-        prod = prod.compose(table.twist(f"C{i}"))
+        prod = prod.compose(table.entry(f"C{i}").twist)
     assert power_by_squaring(prod, power) == target
 
 
@@ -360,12 +370,15 @@ def test_evaluate_is_monoid_homomorphism():
 def test_twist_powers_cancel():
     table = builtin_table(2)
     for name in table.names():
-        t = table.twist(name)
-        # a folded word's +-1 factors are the table twist itself
-        assert power_by_squaring(t, 1) is t
+        entry = table.entry(name)
+        t = entry.twist
+        # a folded word's +-1 factors are the table twist and its inverse
+        assert _twist_power(2, name, 1) is t
+        assert _twist_power(2, name, -1) is entry.inverse
+        assert entry.inverse.compose(t).is_identity()
         for k in (1, 2, 5):
             assert power_by_squaring(t, k).compose(
-                power_by_squaring(t, -k)
+                power_by_squaring(entry.inverse, k)
             ).is_identity()
 
 
@@ -388,33 +401,6 @@ def test_compose_with_identity():
     assert evaluate((), 2).compose(f) == f
 
 
-def test_product_inverse_images_invert_the_product():
-    # a product builds its inverse images from its factors' on first
-    # read; constructing with _check verifies both round trips
-    rng = random.Random(43)
-    table = builtin_table(2)
-    names = table.names()
-    for _ in range(20):
-        f = evaluate((), 2)
-        for _ in range(rng.randrange(1, 5)):
-            f = f.compose(
-                power_by_squaring(table.twist(rng.choice(names)), rng.choice((-3, 2)))
-            )
-        f = f.compose(f) if rng.random() < 0.5 else f  # a shared factor
-        FreeAutomorphism(2, f.images, f.inverse_images)
-        assert f.compose(f.inverse()).is_identity()
-
-
-def _left_fold_evaluate(mcw, genus):
-    # the reference evaluate: fold the word from the left, composing the
-    # product so far with each factor's power
-    table = builtin_table(genus)
-    acc = evaluate((), genus)
-    for name, k in mcw:
-        acc = acc.compose(power_by_squaring(table.twist(name), k))
-    return acc
-
-
 def _random_mcw(rng, names):
     mcw = []
     for _ in range(rng.randrange(7)):
@@ -433,78 +419,30 @@ def test_inside_out_evaluate_matches_the_left_fold(genus):
     n = 2 * genus
     for mcw in words:
         h = evaluate(mcw, genus)
-        ref = _left_fold_evaluate(mcw, genus)
-        assert h.images == ref.images, mcw
-        assert h.inverse_images == ref.inverse_images, mcw
-        h_inv = h.inverse()
+        assert h.images == left_fold_evaluate(mcw, genus).images, mcw
+        # a class is inverted by evaluating its inverse word
+        h_inv = evaluate(inverse_mcw(mcw), genus)
+        ref = left_fold_evaluate(inverse_mcw(mcw), genus)
+        assert h_inv.images == ref.images, mcw
         for i in range(1, n + 1):
             x = Word.generator(genus, i)
             assert h(h_inv(x)) == x == h_inv(h(x)), mcw
 
 
-def test_evaluate_folds_the_inverse_word_once_on_first_read(
-    monkeypatch, fresh_table_caches
-):
-    folded = []
-    apply_factors = mcg._apply_factors
-
-    def spy(genus, factors, words, **kwargs):
-        folded.append(tuple(factors))
-        return apply_factors(genus, factors, words, **kwargs)
-
-    monkeypatch.setattr(mcg, "_apply_factors", spy)
-    w = (("C1", 2), ("Sep1", -1), ("C3", 1))
-    f = evaluate(w, 2)
-    assert f.images and folded == [w]
-    first = f.inverse_images
-    assert folded == [w, inverse_mcw(w)]
-    assert f.inverse_images is first and folded == [w, inverse_mcw(w)]
-    assert first == _left_fold_evaluate(w, 2).inverse_images
-
-
-def test_concurrent_first_reads_of_inverse_images_agree(fresh_table_caches):
-    # the builder is cleared only after the images are stored, so a
-    # reader racing the first read repeats the fold or reads its result,
-    # never an empty slot
-    w = (("C2", 3), ("Sep1", -2), ("C3", 1), ("C4", -2))
-    expected = _left_fold_evaluate(w, 2).inverse_images
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            mcg._evaluate_cached.cache_clear()
-            f = evaluate(w, 2)
-            barrier = threading.Barrier(4)
-            seen = []
-
-            def read():
-                barrier.wait(timeout=10)
-                seen.append(f.inverse_images)
-
-            threads = [threading.Thread(target=read) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads)
-            assert seen == [expected] * 4
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def _conjugated_twist(genus, rng):
     table = builtin_table(genus)
-    h = evaluate(_random_mcw(rng, table.names()), genus)
-    base = table.twist(rng.choice(table.essential_base_names()))
-    return h.compose(base).compose(h.inverse())
+    mcw = _random_mcw(rng, table.names())
+    h, back = evaluate(mcw, genus), left_fold_evaluate(inverse_mcw(mcw), genus)
+    base = table.entry(rng.choice(table.essential_base_names())).twist
+    return h.compose(base).compose(back)
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 def test_commutes_matches_comparing_the_products(genus):
     table = builtin_table(genus)
-    twists = [table.twist(n) for n in table.names()]
+    twists = [table.entry(n).twist for n in table.names()]
     pairs = [(f, g) for f in twists for g in twists]  # relation-suite pairs
-    delta = table.twist("Delta")
+    delta = table.entry("Delta").twist
     rng = random.Random(59 + genus)
     for _ in range(20):
         f, g = _conjugated_twist(genus, rng), _conjugated_twist(genus, rng)
@@ -558,18 +496,16 @@ def test_images_need_no_reduction_or_range_check(genus):
 
 
 def _heavy_products(genus, rng, count):
-    """Products of one or two table-twist powers with |k| up to 9.
+    """The words of products of one or two table-twist powers with |k| up
+    to 9.
 
     Their images are long, and applying one to another's images, or to
-    its own inverse images, cancels most of what it appends.
+    the images of its inverse, cancels most of what it appends.
     """
     names = builtin_table(genus).names()
     return [
-        evaluate(
-            tuple((rng.choice(names), rng.choice((1, -1)) * rng.randrange(1, 10))
-                  for _ in range(rng.randrange(1, 3))),
-            genus,
-        )
+        tuple((rng.choice(names), rng.choice((1, -1)) * rng.randrange(1, 10))
+              for _ in range(rng.randrange(1, 3)))
         for _ in range(count)
     ]
 
@@ -583,8 +519,10 @@ def test_block_cancelling_call_matches_the_letterwise_reduction(genus):
     n = 2 * genus
     products = _heavy_products(genus, rng, 8)
     cancelled = 0
-    for f in products:
-        words = list(f.inverse_images) + list(rng.choice(products).images)
+    for mcw in products:
+        f = evaluate(mcw, genus)
+        words = list(left_fold_evaluate(inverse_mcw(mcw), genus).images)
+        words += evaluate(rng.choice(products), genus).images
         words += [
             Word(genus, tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1)
                               for _ in range(rng.randrange(40))))
@@ -604,13 +542,15 @@ def test_call_raises_the_letter_limit_where_the_letterwise_reduction_does(
 ):
     # the limit is checked after each letter's image: with a limit below
     # the longest partial image, both kernels raise, and at or above it
-    # both return the same image.  On f's own inverse images the partial
-    # images are far longer than the generator they end at.
+    # both return the same image.  On the images of f's inverse the
+    # partial images are far longer than the generator they end at.
     import twistlab.mcg as mcg
 
     rng = random.Random(67 + genus)
-    f, g = _heavy_products(genus, rng, 2)
-    words = g.images + f.inverse_images
+    u, v = _heavy_products(genus, rng, 2)
+    f = evaluate(u, genus)
+    words = evaluate(v, genus).images
+    words += left_fold_evaluate(inverse_mcw(u), genus).images
     peaks = [
         max(
             len(apply_letterwise(f, Word(genus, w.letters[:k])))
@@ -671,7 +611,7 @@ def test_twist_powers_have_an_image_longer_than_the_exponent(genus):
     table = builtin_table(genus)
     for name in table.names():
         for sign in (1, -1):
-            step = power = power_by_squaring(table.twist(name), sign)
+            step = power = table_power(genus, name, sign)
             lengths = []
             for k in range(1, 65):
                 if k > 1:
@@ -691,7 +631,7 @@ def test_sep_homology_trivial():
     for genus in GENERA[1:]:
         table = builtin_table(genus)
         for name in table.sep_names:
-            assert homology_action(table.twist(name)) == identity_matrix(genus)
+            assert homology_action(table.entry(name).twist) == identity_matrix(genus)
 
 
 #: SHA-256 of the genus 1..3 tables as the text fixtures they were once
@@ -705,7 +645,7 @@ def _table_rows(genus):
     return [
         [genus, e.name, e.role, e.index, list(e.base_word.letters),
          [list(w.letters) for w in e.twist.images],
-         [list(w.letters) for w in e.twist.inverse_images]]
+         [list(w.letters) for w in e.inverse.images]]
         for e in builtin_table(genus).entries.values()
     ]
 
@@ -736,9 +676,7 @@ def test_twist_power_matches_the_power_by_squaring(genus):
         entry = table.entry(name)
         for k in [s * m for m in range(1, 9) for s in (1, -1)]:
             power = _twist_power(genus, name, k)
-            reference = power_by_squaring(entry.twist, k)
-            assert power.images == reference.images, (name, k)
-            assert power.inverse_images == reference.inverse_images, (name, k)
+            assert power.images == table_power(genus, name, k).images, (name, k)
             unit = _twist_power(genus, name, 1 if k > 0 else -1)
             for w, one, (a, b) in zip(power.images, unit.images, entry.form):
                 spread = (abs(a) + abs(b)) * len(entry.base_word)

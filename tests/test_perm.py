@@ -21,9 +21,9 @@ import pytest
 
 from twistlab.curve import CurveSpec
 from twistlab.jfilt import nested_leading_terms
-from twistlab.mcg import evaluate
+from twistlab.mcg import evaluate, inverse_mcw
 
-from references import commutator_auto
+from references import commutator_mcw, left_fold_evaluate
 
 
 @lru_cache(maxsize=None)
@@ -58,17 +58,19 @@ def act(phi, f):
 
 
 class NestedCommutatorAction:
-    """phi -> phi o w_m for w_0 = b and w_m = [a, w_{m-1}] = a w a^-1 w^-1.
+    """phi -> phi o w_m for w_0 = b and w_m = [a, w_{m-1}] = a w a^-1 w^-1,
+    for a and b the classes of two mapping class words.
 
     Each point is evaluated through the commutator recursion,
     phi o w_m = (((phi o a) o w_{m-1}) o a^-1) o w_{m-1}^-1 and
     phi o w_m^-1 = (((phi o w_{m-1}) o a) o w_{m-1}^-1) o a^-1,
-    with a memo per (m, sign), so w_m is never built as a word.
+    with a memo per (m, sign), so w_m is never built as a word.  a^-1
+    and b^-1 are folded from the inverse words.
     """
 
-    def __init__(self, a, b):
-        self._gens = {1: a, -1: a.inverse()}
-        self._base = {1: b, -1: b.inverse()}
+    def __init__(self, a, b, genus):
+        self._gens = {1: evaluate(a, genus), -1: _inverse(a, genus)}
+        self._base = {1: evaluate(b, genus), -1: _inverse(b, genus)}
         self._memo = {}
 
     def _a(self, phi, sign):
@@ -102,15 +104,16 @@ class NestedCommutatorAction:
         return None
 
 
-def corollary_twists(genus):
-    return (
-        evaluate((("Sep1", 1),), genus),
-        evaluate((("C3", 1), ("Sep1", 1), ("C3", -1)), genus),
-    )
+def _inverse(mcw, genus):
+    return left_fold_evaluate(inverse_mcw(mcw), genus)
+
+
+#: the words of the corollary's twists t_a and t_b
+COROLLARY_WORDS = ((("Sep1", 1),), (("C3", 1), ("Sep1", 1), ("C3", -1)))
 
 
 def corollary_curves(genus):
-    """The curves whose twists are corollary_twists(genus)."""
+    """The curves whose twists are those of COROLLARY_WORDS."""
     return CurveSpec(genus, "Sep1"), CurveSpec(genus, "Sep1", (("C3", 1),))
 
 
@@ -126,11 +129,12 @@ def test_identity_fixes_every_point():
 
 
 def test_action_is_a_right_action():
-    f = evaluate((("C1", 1), ("Sep1", -1)), 2)
+    u = (("C1", 1), ("Sep1", -1))
+    f, f_inv = evaluate(u, 2), _inverse(u, 2)
     g = evaluate((("C3", 1), ("C2", 1)), 2)
     for phi in points(2):
         assert act(act(phi, f), g) == act(phi, f.compose(g))
-        assert act(act(phi, f), f.inverse()) == phi
+        assert act(act(phi, f), f_inv) == phi
 
 
 def test_braid_and_commutation_relations_hold_in_the_action():
@@ -148,10 +152,9 @@ def test_braid_and_commutation_relations_hold_in_the_action():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_recursion_matches_the_direct_action_of_w1(sign):
-    t_a, t_b = corollary_twists(2)
-    w_1 = commutator_auto(t_a, t_b)
-    direct = w_1 if sign == 1 else w_1.inverse()
-    action = NestedCommutatorAction(t_a, t_b)
+    w_1 = commutator_mcw(*COROLLARY_WORDS)
+    direct = evaluate(w_1, 2) if sign == 1 else _inverse(w_1, 2)
+    action = NestedCommutatorAction(*COROLLARY_WORDS, 2)
     for phi in points(2):
         assert action.image(phi, 1, sign) == act(phi, direct)
 
@@ -160,8 +163,7 @@ def test_recursion_matches_the_direct_action_of_w1(sign):
 def test_nested_commutators_move_a_point(genus):
     # the S3 witness agrees with the bracket certificate the corollary
     # reads: both say w_m != 1 for every m checked
-    t_a, t_b = corollary_twists(genus)
-    action = NestedCommutatorAction(t_a, t_b)
+    action = NestedCommutatorAction(*COROLLARY_WORDS, genus)
     leads = nested_leading_terms(*corollary_curves(genus))
     for m in range(1, 6):
         phi = action.moved_point(m)
@@ -173,19 +175,17 @@ def test_nested_commutators_move_a_point(genus):
 
 def test_identity_classes_are_never_certified():
     # [t_a, t_a] = 1, and twists along disjoint curves commute
-    t_a = evaluate((("Sep1", 1),), 2)
-    c1 = evaluate((("C1", 1),), 2)
+    t_a, c1 = (("Sep1", 1),), (("C1", 1),)
     for a, b in ((t_a, t_a), (t_a, c1)):
-        assert commutator_auto(a, b).is_identity()
-        action = NestedCommutatorAction(a, b)
+        assert evaluate(commutator_mcw(a, b), 2).is_identity()
+        action = NestedCommutatorAction(a, b, 2)
         for m in (1, 2):
             assert action.moved_point(m) is None
 
 
 def test_moved_point_is_the_first_in_order():
-    t_a, t_b = corollary_twists(2)
-    action = NestedCommutatorAction(t_a, t_b)
+    action = NestedCommutatorAction(*COROLLARY_WORDS, 2)
     phi = action.moved_point(1)
-    w_1 = commutator_auto(t_a, t_b)
+    w_1 = evaluate(commutator_mcw(*COROLLARY_WORDS), 2)
     before = itertools.takewhile(lambda p: p != phi, points(2))
     assert all(act(p, w_1) == p for p in before)

@@ -133,7 +133,7 @@ def lead_term_calls():
         table = mcg.builtin_table(genus)
         chain = table.chain_names
         word = tuple((n, 1) for n in chain) + tuple((n, 2) for n in reversed(chain))
-        twist = table.twist("Sep1")
+        twist = table.entry("Sep1").twist
         term = jfilt._base_term(twist)
         moved = jfilt._curve_term(twist, word)
         calls[f"magnus.lead_transform.g{genus}"] = (
@@ -159,7 +159,7 @@ def fox_calls():
         for (_, a), (_, b) in itertools.combinations(curves, 2)
         if a.crosses(b)
     ]
-    classes = [mcg.builtin_table(2).twist("Sep1")]
+    classes = [mcg.builtin_table(2).entry("Sep1").twist]
     classes += [f.compose(g) for f, g in crossing]
     matrices = [foxrep.magnus_rep(f) for f in classes]
     products = list(zip(matrices, matrices[1:] + matrices[:1]))
