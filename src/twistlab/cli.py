@@ -149,8 +149,9 @@ def _corollary_rows(genus, cap):
     Each w_m is carried as its leading term only
     (jfilt.nested_leading_terms): the bracket chain D_{w_m} =
     [D_a, D_{w_{m-1}}], whose degree is w_m's level, started from the
-    terms of the two curves of COROLLARY_CURVES, which are read from
-    their words, so no twist is evaluated.  A nonzero bracket proves
+    terms of the two curves of COROLLARY_CURVES, each a closed form in
+    the homology matrix of its curve's word, so no twist is evaluated
+    and nothing is expanded.  A nonzero bracket proves
     w_m != 1 at that exact level, reported clipped at the cap as a depth
     read at the cap would be: exact below it, at least the cap from it
     on.  A zero bracket proves only the level above; that row,

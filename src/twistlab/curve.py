@@ -61,7 +61,7 @@ from functools import cached_property, lru_cache
 from .errors import SpecParseError, UnknownTwistName
 from .magnus import TruncatedAction
 from .mcg import (
-    FreeAutomorphism,
+    TableEntry,
     _scan_mcw,
     _scan_name,
     _skip_space,
@@ -89,8 +89,10 @@ class CurveSpec:
 @dataclass(frozen=True)
 class CurveData:
     """Resolved curve h(c): its class, homology and separating flag,
-    with the word of the conjugator h, the base twist t_c and the word
-    h (c, 1) h^-1 of the twist along the curve.
+    with the word of the conjugator h, the table entry of the base
+    curve c (base: the twist t_c, and for c = SepJ the J that a
+    separating curve's leading term reads) and the word h (c, 1) h^-1
+    of the twist along the curve.
 
     Resolving reads the class alone (mcg.class_image), so the twist
     along the curve, evaluated from twist_word, and the inner factor
@@ -109,7 +111,7 @@ class CurveData:
     homology: tuple[int, ...]
     separating: bool
     conjugator_word: tuple[tuple[str, int], ...]
-    base_twist: FreeAutomorphism
+    base: TableEntry
     twist_word: tuple[tuple[str, int], ...]
 
     @cached_property
@@ -117,14 +119,14 @@ class CurveData:
         """t_c h^-1, the inner factor of the twist h (t_c h^-1)."""
         # t_c's short images substitute into those of h^-1, evaluated
         # from the inverse word
-        back = evaluate(inverse_mcw(self.conjugator_word), self.base_twist.genus)
-        return self.base_twist.compose(back)
+        back = evaluate(inverse_mcw(self.conjugator_word), self.base.twist.genus)
+        return self.base.twist.compose(back)
 
     @cached_property
     def twist(self):
         """The twist h t_c h^-1 along the curve, evaluated from its word
         (twist_word) on first access."""
-        return evaluate(self.twist_word, self.base_twist.genus)
+        return evaluate(self.twist_word, self.base.twist.genus)
 
     def moves(self, other):
         """Does the twist along this curve move the curve of other?
@@ -140,8 +142,8 @@ class CurveData:
         a.moves(b) == b.moves(a).
         """
         back = inverse_mcw(self.conjugator_word)
-        u = class_image(back, self.base_twist.genus, other.pi1_class)
-        return not _fixes(self.base_twist, u)
+        u = class_image(back, self.base.twist.genus, other.pi1_class)
+        return not _fixes(self.base.twist, u)
 
     def crosses(self, other):
         """Do the twists along this curve and other fail to commute?
@@ -167,8 +169,8 @@ class CurveData:
         MAX_SERIES_TERMS.
         """
         if not self.conjugator_word:
-            return TruncatedAction.of(self.base_twist, cap)
-        h = evaluate(self.conjugator_word, self.base_twist.genus)
+            return TruncatedAction.of(self.base.twist, cap)
+        h = evaluate(self.conjugator_word, self.base.twist.genus)
         return TruncatedAction.of(h, cap).compose(
             TruncatedAction.of(self.inner, cap)
         )
@@ -210,7 +212,7 @@ def _resolve_cached(spec):
         homology=hom,
         separating=all(c == 0 for c in hom),
         conjugator_word=h,
-        base_twist=entry.twist,
+        base=entry,
         # t_{h(c)} = h t_c h^-1 (Farb-Margalit, Primer, ch. 3)
         twist_word=h + ((spec.base, 1),) + inverse_mcw(h),
     )

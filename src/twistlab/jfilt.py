@@ -21,25 +21,24 @@ agree in degree 1.  A twist along a separating curve lies in M(2),
 which is normal, so with one separating curve the commutator lies in
 M(2); with two it lies in [M(2), M(2)], inside M(4) (Morita), so below
 cap 3 or cap 5 such a pair expands nothing.  Its degree 3 or 5 is then
-read from leading terms, not from actions: the term of a conjugated
-separating twist is its base twist's term moved by the conjugator's
-homology matrix (Johnson), read by one reader from the curve's words
-(_curve_term), so the pair's term costs one cap-3 expansion per
-separating base twist and a few integer matrices, and no conjugator is
-built.  A nonzero term gives exact(2) or exact(4); a zero one starts
-the loop at cap 4 or 6.  The actions of fg and gf at each cap are
-composed from those of f and g, and the long images of fg and gf are
-never built for a depth.  The action of a curve twist h (t_c h^-1) is
-itself composed from those of its two factors (CurveData.action), so
-no pair builds a twist.
+read from leading terms, not from actions: the term of the twist along
+a separating curve h(c) is a closed form in the homology matrix of h
+(Morita), read by one reader from the curve's words (_curve_term), so
+the pair's term costs a few integer matrices, nothing is expanded and
+no conjugator is built.  A nonzero term gives exact(2) or exact(4); a
+zero one starts the loop at cap 4 or 6.  The actions of fg and gf at
+each cap are composed from those of f and g, and the long images of fg
+and gf are never built for a depth.  The action of a curve twist
+h (t_c h^-1) is itself composed from those of its two factors
+(CurveData.action), so no pair builds a twist.
 Nested commutators, whose actions pass the term budget at high caps,
 are read from leading terms instead: the leading term of a class in
 M(k) is a derivation (magnus.Derivation), and the leading term of
 [f, g] is the bracket of those of f and g (Morita), so
 nested_leading_terms gives the exact levels of nested commutators of
 two separating twists from their curves' terms, read from words by the
-same reader as a pair's, so no twist is evaluated and only base twists
-are expanded, at cap 3.
+same reader as a pair's, so no twist is evaluated and nothing is
+expanded.
 
 The depth of a curve pair is the depth of the commutator of the two
 twists (PairReport.depth).  The JSON reports write it as the pair's
@@ -72,11 +71,10 @@ pass the letter cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .curve import resolve, same_class, symplectic_pairing
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
-from .magnus import Derivation, TruncatedAction
+from .magnus import Derivation
 from .mcg import class_image, homology_matrix, inverse_mcw
 
 
@@ -121,14 +119,14 @@ def nested_leading_terms(a, b):
     (magnus.Derivation), so w_m lies in M(2m+2) and D_{w_m} =
     [D_a, D_{w_{m-1}}] is its degree-(2m+2) leading term.  A nonzero one
     proves that w_m is not in M(2m+3), so not the identity; a zero one
-    proves w_m in M(2m+3) and no more.  No twist is evaluated, and only
-    base twists are expanded, at cap 3.  Raises SeriesTermLimit when a
-    bracket passes MAX_SERIES_TERMS.
+    proves w_m in M(2m+3) and no more.  No twist is evaluated and
+    nothing is expanded.  Raises SeriesTermLimit when a bracket passes
+    MAX_SERIES_TERMS.
     """
     leads = []
     for spec in (a, b):
         d = resolve(spec)
-        term = d.separating and _curve_term(d.base_twist, d.conjugator_word)
+        term = d.separating and _curve_term(d, d.conjugator_word)
         if not term:
             raise ConsistencyViolation(
                 "a nested commutator factor is not at exact level 2"
@@ -253,24 +251,18 @@ def _pair_start(d1, d2, algebraic):
     return 2
 
 
-@lru_cache(maxsize=None)
-def _base_term(twist):
-    """D_c, the leading term of a separating table twist t_c in M(2)."""
-    return Derivation.leading(TruncatedAction.of(twist, 3))
-
-
-def _curve_term(twist, word):
+def _curve_term(d, word):
     """D_{h(c)}, the leading term of the twist along the separating
-    curve h(c), for the table twist t_c and the word h.
+    curve h(c), for the resolved curve d with base c = SepJ and the
+    word h.
 
-    Leading terms are equivariant: with H the homology matrix of h,
-    D_{h(c)} = H·D_c (Johnson, Math. Ann. 249, 1980; Morita, Duke
-    Math. J. 70, 1993; magnus.Derivation.transform), so the term is read
-    from the base twist's and one matrix folded from the word h
-    (mcg.homology_matrix); H preserves the intersection form, so the
-    transform reads H^-1 from H.  No conjugator and no twist is built.
+    The term is a closed form in H, the homology matrix of h
+    (magnus.Derivation.separating; Morita, Topology 28, 1989), and H is
+    folded from the word h (mcg.homology_matrix), so nothing is expanded
+    and no conjugator and no twist is built.
     """
-    return _base_term(twist).transform(homology_matrix(word, twist.genus))
+    genus = d.base.twist.genus
+    return Derivation.separating(genus, d.base.index, homology_matrix(word, genus))
 
 
 def _separating_term(d1, d2):
@@ -280,22 +272,21 @@ def _separating_term(d1, d2):
     Conjugating by h_a^-1 carries [t_a, t_b] to [t_{c_a}, t_{b'}], with
     b' = h_a^-1(b), and its leading term to that term moved by H_a^-1,
     which is zero iff the term is.  So the term is read in that frame,
-    where D_{c_a} needs no transform and one curve's term is moved
-    (_curve_term).  When b is not separating, the level-2 term is
+    where D_{c_a} is read at the identity matrix, and each term from a
+    word (_curve_term).  When b is not separating, the level-2 term is
     D_{c_a} - D', with D' the term of t_{b'} t_{c_a} t_{b'}^-1, the
     twist along the curve h_a^-1 t_b h_a (c_a), with t_b's word
     h_b (c_b, 1) h_b^-1 (CurveData.twist_word).  When b = h_b(c_b) is
     separating too, the level-4 term is [D_{c_a}, D_{b'}] (Morita).  No
-    conjugator and no twist is built.
+    conjugator and no twist is built, and nothing is expanded.
     """
     if not d1.separating:
         d1, d2 = d2, d1
-    twist, h = d1.base_twist, d1.conjugator_word
-    back, term = inverse_mcw(h), _base_term(twist)
+    h = d1.conjugator_word
+    back, term = inverse_mcw(h), _curve_term(d1, ())
     if d2.separating:
-        other = _curve_term(d2.base_twist, back + d2.conjugator_word)
-        return bool(term.bracket(other))
-    return term != _curve_term(twist, back + d2.twist_word + h)
+        return bool(term.bracket(_curve_term(d2, back + d2.conjugator_word)))
+    return term != _curve_term(d1, back + d2.twist_word + h)
 
 
 def _pair_depth(d1, d2, algebraic, cap):
@@ -312,8 +303,8 @@ def _pair_depth(d1, d2, algebraic, cap):
     through the cap gives at_least(cap).  start is _pair_start.  With a
     separating curve that start is 3 or 5 and the pair's leading term
     decides the degree first: a nonzero term gives exact(start - 1) with
-    nothing expanded but the base twists at cap 3, and a zero one puts
-    the commutator in M(start), so the loop starts one degree later.
+    nothing expanded, and a zero one puts the commutator in M(start),
+    so the loop starts one degree later.
     Below that start the cap is reached with nothing read.  The work at
     a cap grows geometrically with it, so the loop costs a small
     multiple of the work at the cap it stops at.  Raises SeriesTermLimit

@@ -284,10 +284,9 @@ class Derivation:
     is [D_f, D_g] = D_f D_g - D_g D_f, and D_f = 0 iff f lies in M(k+1)
     (Morita, Duke Math. J. 70, 1993).  So a chain of brackets reads exact
     filtration levels from leading terms alone, whose terms are a small
-    share of those of the actions through the same degree.  Leading
-    terms are also equivariant: conjugating f by a class h with homology
-    matrix H moves D_f to H·D_f (transform), so the term of a conjugated
-    twist is read from its base twist's and an integer matrix.
+    share of those of the actions through the same degree.  The terms
+    the package starts from are those of separating twists, each a
+    closed form in the homology matrix of its conjugator (separating).
     """
 
     __slots__ = ("genus", "degree", "values")
@@ -298,10 +297,49 @@ class Derivation:
         self.values = tuple(values)
 
     @classmethod
-    def leading(cls, action):
-        """D_f from the action of f at cap k + 1, for f in M(k)."""
-        top = action.cap
-        return cls(action.genus, top - 1, (s[top] for s in action.series))
+    def separating(cls, genus, j, matrix):
+        """D_{h(c)}, the leading term of the twist along h(c) for
+        c = SepJ, from H = matrix, the homology matrix of h.
+
+        SepJ sends x_i to c x_i c^-1 for i <= 2J and fixes the other
+        generators, and M(c) = 1 + ω + (degree > 2) with
+        ω = sum_{k <= J} [X_{2k-1}, X_{2k}], so D_c(X_i) = ωX_i - X_iω
+        for i <= 2J and 0 otherwise.  Conjugating a class by h moves its
+        leading term to L_H ∘ D ∘ L_H^-1, with L_H the ring automorphism
+        X_k -> sum_l H[l][k] X_l (Johnson, Math. Ann. 249, 1980; Morita,
+        Duke Math. J. 70, 1993).  So D_{h(c)}(X_i) = W q_i - q_i W, with
+        W = L_H(ω), read from columns 2k - 1 and 2k of H, and
+        q_i = sum_{m <= 2J} H^-1[m][i] L_H(X_m), a linear form: the whole
+        term is read from H, and nothing is expanded.  H preserves the
+        intersection form <e_{2i-1}, e_{2i}> = 1, as the homology matrix
+        of every class does, so H^-1 = -Ω H^T Ω: entry (m, i) of H^-1
+        is s_i s_m H[i^1][m^1], with s_k = (-1)^k for 0-based k.
+        """
+        base = 2 * genus
+        w = {}
+        for k in range(0, 2 * j, 2):
+            u = [row[k] for row in matrix]
+            v = [row[k + 1] for row in matrix]
+            for a in range(base):
+                for b in range(base):
+                    c = u[a] * v[b] - v[a] * u[b]
+                    if c:
+                        w[a * base + b] = w.get(a * base + b, 0) + c
+        w = _nonzero(w)
+        high, values = base**2, []
+        for i in range(base):
+            # H^-1[m][i], read from H
+            inverse = [(-1) ** (i + m) * matrix[i ^ 1][m ^ 1] for m in range(2 * j)]
+            q = [sum(h * r for h, r in zip(row, inverse)) for row in matrix]
+            out = {}
+            for key, c in w.items():
+                for x, r in enumerate(q):
+                    if r:
+                        right, left = key * base + x, x * high + key
+                        out[right] = out.get(right, 0) + c * r
+                        out[left] = out.get(left, 0) - c * r
+            values.append(_nonzero(out))
+        return cls(genus, 2, values)
 
     def __bool__(self):
         return any(self.values)
@@ -333,56 +371,6 @@ class Derivation:
                         out[nk] = out.get(nk, 0) + c * cv
                 tail += j * low
                 low *= base
-
-    def transform(self, matrix):
-        """H·D = L_H ∘ D ∘ L_H^-1, for H = matrix.
-
-        H is a 2g x 2g integer matrix whose column k is the image of
-        e_k, as a class acts on homology, and L_H is the ring
-        automorphism of Z<X> with X_k -> sum_l H[l][k] X_l.  So
-        (H·D)(X_i) = sum_j H^-1[j][i] L_H(D(X_j)).  H must preserve the
-        intersection form <e_{2i-1}, e_{2i}> = 1, as the homology matrix
-        of every mapping class does; then H^-1 = -Ω H^T Ω, so entry
-        (j, i) of H^-1 is s_i s_j H[i^1][j^1], with s_k = (-1)^k for
-        0-based k.  For f in M(k)
-        with leading term D_f and a class h acting on homology by H, the
-        leading term of h f h^-1 is H·D_f (Johnson, Math. Ann. 249, 1980;
-        Morita, Duke Math. J. 70, 1993), so a conjugated separating
-        twist's term is read from its base twist's and a matrix.  L_H
-        substitutes one letter position at a time, so a value costs its
-        terms times the columns' nonzero entries per position, not a
-        (2g)^(k+1)-term product per monomial.
-        """
-        base, e = 2 * self.genus, self.degree + 1
-        columns = [
-            [(i, row[k]) for i, row in enumerate(matrix) if row[k]]
-            for k in range(base)
-        ]
-        images = []
-        for value in self.values:
-            for p in range(e):
-                shift, out = base**p, {}
-                for key, c in value.items():
-                    k = key // shift % base
-                    rest = key - k * shift
-                    for i, m in columns[k]:
-                        nk = rest + i * shift
-                        out[nk] = out.get(nk, 0) + c * m
-                value = _nonzero(out)
-            images.append(value)
-        values = []
-        for i in range(base):
-            out = {}
-            for j, image in enumerate(images):
-                # H^-1[j][i], read from H
-                c = matrix[i ^ 1][j ^ 1]
-                if c:
-                    if (i ^ j) & 1:
-                        c = -c
-                    for key, v in image.items():
-                        out[key] = out.get(key, 0) + c * v
-            values.append(_nonzero(out))
-        return Derivation(self.genus, self.degree, values)
 
     def bracket(self, other):
         """[self, other] = self other - other self, of degree k + l.

@@ -67,7 +67,7 @@ class FreeAutomorphism:
     are immutable.
     """
 
-    __slots__ = ("genus", "images", "_letter_images", "_hash")
+    __slots__ = ("genus", "images", "_letter_images")
 
     def __init__(self, genus, images):
         images = tuple(images)
@@ -79,7 +79,6 @@ class FreeAutomorphism:
         self.genus = genus
         self.images = images
         self._letter_images = None
-        self._hash = None
 
     # -- action --------------------------------------------------------
 
@@ -135,11 +134,6 @@ class FreeAutomorphism:
         if not isinstance(other, FreeAutomorphism):
             return NotImplemented
         return self.genus == other.genus and self.images == other.images
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.genus,) + tuple(w.letters for w in self.images))
-        return self._hash
 
     def __repr__(self):
         imgs = ", ".join(

@@ -16,7 +16,13 @@ from twistlab.errors import GenusMismatch, PreconditionError, WordLengthLimit
 from twistlab.foxrep import LaurentPoly, fox_jacobian
 from twistlab.jfilt import JFDepth, action_depth
 from twistlab.magnus import Derivation, TruncatedAction, TruncatedSeries
-from twistlab.mcg import evaluate, homology_action, identity_matrix, inverse_mcw
+from twistlab.mcg import (
+    evaluate,
+    homology_action,
+    homology_matrix,
+    identity_matrix,
+    inverse_mcw,
+)
 from twistlab.word import Word, abelianized
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -60,9 +66,9 @@ def resolve_eagerly(spec):
 def moves_by_conjugator(d, other):
     """CurveData.moves as it was: h^-1 applied to the other curve's class
     as an automorphism, built from the inverse of h's word."""
-    back = left_fold_evaluate(inverse_mcw(d.conjugator_word), d.base_twist.genus)
+    back = left_fold_evaluate(inverse_mcw(d.conjugator_word), d.base.twist.genus)
     u = back(other.pi1_class).cyclic_reduce()
-    v = d.base_twist(u).cyclic_reduce()
+    v = d.base.twist(u).cyclic_reduce()
     return len(u) != len(v) or u.canonical_cyclic() != v.canonical_cyclic()
 
 
@@ -91,7 +97,7 @@ def twist_by_composition(data):
     """The twist h (t_c h^-1) along a resolved curve, h evaluated from
     its word and composed with CurveData.inner, as CurveData.twist was
     built before it was evaluated from its word."""
-    h = evaluate(data.conjugator_word, data.base_twist.genus)
+    h = evaluate(data.conjugator_word, data.base.twist.genus)
     return h.compose(data.inner)
 
 
@@ -440,6 +446,71 @@ def derivation_parts(derivation):
     ]
 
 
+def leading(action):
+    """D_f from the action of f at cap k + 1, for f in M(k): the
+    degree-(k+1) parts of its series (magnus.Derivation)."""
+    top = action.cap
+    return Derivation(action.genus, top - 1, (s[top] for s in action.series))
+
+
+def transform(derivation, matrix):
+    """H·D = L_H ∘ D ∘ L_H^-1, for H = matrix, as magnus.Derivation
+    moved a base twist's expanded term before the term of a separating
+    twist was read in closed form.
+
+    H is a 2g x 2g integer matrix whose column k is the image of e_k, as
+    a class acts on homology, and L_H is the ring automorphism of Z<X>
+    with X_k -> sum_l H[l][k] X_l.  So (H·D)(X_i) =
+    sum_j H^-1[j][i] L_H(D(X_j)).  H must preserve the intersection form
+    <e_{2i-1}, e_{2i}> = 1, as the homology matrix of every mapping class
+    does; then H^-1 = -Ω H^T Ω, so entry (j, i) of H^-1 is
+    s_i s_j H[i^1][j^1], with s_k = (-1)^k for 0-based k.  For f in M(k)
+    with leading term D_f and a class h acting on homology by H, the
+    leading term of h f h^-1 is H·D_f (Johnson, Math. Ann. 249, 1980;
+    Morita, Duke Math. J. 70, 1993).
+    """
+    base, e = 2 * derivation.genus, derivation.degree + 1
+    columns = [
+        [(i, row[k]) for i, row in enumerate(matrix) if row[k]]
+        for k in range(base)
+    ]
+    images = []
+    for value in derivation.values:
+        for p in range(e):
+            shift, out = base**p, {}
+            for key, c in value.items():
+                k = key // shift % base
+                rest = key - k * shift
+                for i, m in columns[k]:
+                    nk = rest + i * shift
+                    out[nk] = out.get(nk, 0) + c * m
+            value = {key: c for key, c in out.items() if c}
+        images.append(value)
+    values = []
+    for i in range(base):
+        out = {}
+        for j, image in enumerate(images):
+            # H^-1[j][i], read from H
+            c = matrix[i ^ 1][j ^ 1]
+            if c:
+                if (i ^ j) & 1:
+                    c = -c
+                for key, v in image.items():
+                    out[key] = out.get(key, 0) + c * v
+        values.append({key: c for key, c in out.items() if c})
+    return Derivation(derivation.genus, derivation.degree, values)
+
+
+def separating_term_by_transform(d, mcw):
+    """D_{h(c)} for the resolved separating curve d with base c and the
+    mapping class word h, as jfilt read it before its closed form: the
+    leading term of the table twist t_c, expanded at cap 3, moved by the
+    homology matrix of h (transform)."""
+    genus = d.base.twist.genus
+    base = leading(TruncatedAction.of(d.base.twist, 3))
+    return transform(base, homology_matrix(mcw, genus))
+
+
 def johnson_leading_term(f, k):
     """Degree-(k+1) parts of the generator displacements of f in M(k).
 
@@ -453,7 +524,7 @@ def johnson_leading_term(f, k):
     """
     if not in_Mk(f, k):
         raise PreconditionError(f"automorphism is not in M({k})")
-    return derivation_parts(Derivation.leading(TruncatedAction.of(f, k + 1)))
+    return derivation_parts(leading(TruncatedAction.of(f, k + 1)))
 
 
 def morita_check(f, g, kf, kg):

@@ -422,30 +422,33 @@ def test_corollary_factor_outside_level_two_is_a_violation(capsys, monkeypatch):
 def test_corollary_evaluates_no_twist_and_expands_only_base_twists(
     capsys, monkeypatch
 ):
-    # the corollary's terms are read from the curves' words: the base
-    # twists' terms at cap 3, moved by homology matrices
-    from twistlab import curve, jfilt, mcg
+    # the corollary's terms are read from the curves' words: each is a
+    # closed form in a homology matrix, so no twist is evaluated, no
+    # action is built and nothing is expanded
+    from twistlab import curve, jfilt, magnus, mcg
     from twistlab.magnus import TruncatedAction
 
     def no_evaluate(mcw, genus):
         raise AssertionError(f"corollary evaluated {mcw}")
 
-    expanded = []
-    of = TruncatedAction.of.__func__
+    def no_action(cls, f, cap):
+        raise AssertionError(f"corollary built the action of {f} at cap {cap}")
 
-    def recording_of(cls, f, cap):
-        expanded.append((f, cap))
-        return of(cls, f, cap)
+    def no_expand(w, cap):
+        raise AssertionError(f"corollary expanded {w} at cap {cap}")
 
     for module in (mcg, curve, jfilt, twistlab.cli):
         monkeypatch.setattr(module, "evaluate", no_evaluate, raising=False)
-    monkeypatch.setattr(TruncatedAction, "of", classmethod(recording_of))
-    curve._resolve_cached.cache_clear()
-    jfilt._base_term.cache_clear()
-    rc, doc = run_json(capsys, "corollary", "--genus", "2", "--cap", "6")
-    assert rc == 0 and doc["summary"]["all_rows_certified"]
+    monkeypatch.setattr(TruncatedAction, "of", classmethod(no_action))
+    monkeypatch.setattr(magnus, "magnus_expand", no_expand)
+    for genus, caps in ((2, range(4, 10)), (3, (5,))):
+        for cap in caps:
+            curve._resolve_cached.cache_clear()
+            rc, doc = run_json(
+                capsys, "corollary", "--genus", str(genus), "--cap", str(cap)
+            )
+            assert rc == 0 and doc["summary"]["all_rows_certified"], (genus, cap)
     assert doc["summary"]["curves"] == {"a": "Sep1", "b": "Sep1 @ [C3]"}
-    assert expanded == [(mcg.builtin_table(2).entry("Sep1").twist, 3)]
 
 
 def test_corollary_cap15_reads_every_level_from_brackets(capsys):

@@ -184,7 +184,7 @@ def test_resolve_builds_no_conjugator(monkeypatch):
     assert not {"inner", "twist"} & set(vars(data)) and evaluated == []
     h = evaluate((("C3", 2), ("C4", -1)), 2)
     back = left_fold_evaluate((("C4", 1), ("C3", -2)), 2)
-    assert data.inner == data.base_twist.compose(back)
+    assert data.inner == data.base.twist.compose(back)
     assert data.twist == h.compose(data.inner)
     assert evaluated == [inverse_mcw(data.conjugator_word), data.twist_word]
 
@@ -537,6 +537,6 @@ def test_identity_conjugator_expands_its_twist(monkeypatch):
             for cap in (1, 2, 3):
                 data.action(cap)
             assert [cap for _, cap in expanded] == [1, 2, 3]
-            assert all(f is data.base_twist for f, _ in expanded)
+            assert all(f is data.base.twist for f, _ in expanded)
             assert not {"conjugator", "inner", "twist"} & set(vars(data))
     assert composed == []

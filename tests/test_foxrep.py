@@ -307,8 +307,8 @@ def _scan_pairs(genus, budget):
         if len(specs) == max(3, budget // 2):
             break
         t = resolve(d).twist
-        if t not in seen:
-            seen.add(t)
+        if t.images not in seen:
+            seen.add(t.images)
             specs.append((d, t))
     pairs = itertools.combinations(specs, 2)
     return list(itertools.islice(pairs, budget))

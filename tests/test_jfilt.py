@@ -28,11 +28,7 @@ from twistlab.jfilt import (
     classify_pair,
     nested_leading_terms,
 )
-from twistlab.magnus import (
-    Derivation,
-    TruncatedAction,
-    magnus_expand,
-)
+from twistlab.magnus import TruncatedAction, magnus_expand
 from twistlab.mcg import (
     FreeAutomorphism,
     builtin_table,
@@ -59,12 +55,15 @@ from references import (
     is_central_by_commutes,
     johnson_depth,
     johnson_leading_term,
+    leading,
     left_fold_evaluate,
     morita_check,
     moves_by_conjugator,
     pair_depth_from_homology_start,
     pool_pairs,
+    separating_term_by_transform,
     table_power,
+    transform,
     two_class_depth,
 )
 
@@ -497,7 +496,7 @@ def test_braid_label_composes_only_the_curves_twists(monkeypatch):
     assert classify_pair(c1, c2, doc["config"]["cap"]).as_dict() == doc["results"]
     assert abs(doc["results"]["algebraic"]) == 1 and composed
     allowed = [
-        (d.base_twist, evaluate(inverse_mcw(d.conjugator_word), c1.genus))
+        (d.base.twist, evaluate(inverse_mcw(d.conjugator_word), c1.genus))
         for d in (resolve(c1), resolve(c2))
         if d.conjugator_word
     ]
@@ -693,8 +692,8 @@ def test_distinct_separating_curves_keep_the_first_spec_of_each_curve(genus):
         d = next(specs)
         drawn += 1
         t = resolve(d).twist
-        if t not in seen:
-            seen.add(t)
+        if t.images not in seen:
+            seen.add(t.images)
             expected.append((d, t))
     assert drawn > len(expected)  # some curves are reached twice
     assert [(d, data.twist) for d, data in got] == expected
@@ -976,6 +975,20 @@ def _record_expansion_caps(monkeypatch):
     return caps
 
 
+def _record_action_caps(monkeypatch):
+    """The caps of every TruncatedAction.of call from now on, in call
+    order."""
+    caps = []
+    of = TruncatedAction.of.__func__
+
+    def recording_of(cls, f, cap):
+        caps.append(cap)
+        return of(cls, f, cap)
+
+    monkeypatch.setattr(TruncatedAction, "of", classmethod(recording_of))
+    return caps
+
+
 def test_degree_one_is_read_without_expanding(monkeypatch):
     # a single class decides degree 1 on its homology action, so the
     # Torelli test in_Mk(f, 1) and a depth at cap 1 expand nothing
@@ -1017,21 +1030,20 @@ def test_pair_depths_expand_no_higher_than_the_cap_they_stop_at(monkeypatch):
     assert report.depth == JFDepth("not_in_m1")
     assert set(caps) == {1}
     # with one separating curve the commutator lies in M(2), and its
-    # degree-3 term is read from the leading term of the base twist
-    # t_Sep1, whose four images are expanded at cap 3, and from homology
-    # matrices: nothing is expanded at caps 1 and 2, and neither curve
-    # builds its conjugator or the inner factor of its twist
+    # degree-3 term is read in closed form from homology matrices: no
+    # action is built, nothing is expanded, and neither curve builds its
+    # conjugator or the inner factor of its twist
+    actions = _record_action_caps(monkeypatch)
     for c1, c2 in (
         ("C3", "Sep1 @ [C4^-1]"),
         ("C3 @ [C3^2 Sep1^-2 Sep1^-2 Sep1^-2]", "Sep1"),
     ):
         c1, c2 = spec(2, c1), spec(2, c2)
         curve._resolve_cached.cache_clear()
-        jfilt._base_term.cache_clear()
         caps.clear()
         report = classify_pair(c1, c2, 5)
         assert (report.algebraic, report.depth) == (0, JFDepth("exact", 2))
-        assert caps == [3] * 4
+        assert caps == [] and actions == []
         for c in (c1, c2):
             assert not {"conjugator", "inner"} & set(vars(resolve(c)))
 
@@ -1042,21 +1054,21 @@ def test_separating_pair_below_cap_five_expands_nothing(monkeypatch):
     # builds no twist or conjugator
     c1, c2 = spec(2, "Sep1"), spec(2, "Sep1 @ [C3]")
     curve._resolve_cached.cache_clear()
-    jfilt._base_term.cache_clear()
     caps = _record_expansion_caps(monkeypatch)
+    actions = _record_action_caps(monkeypatch)
     report = classify_pair(c1, c2, 4)
     assert (report.commuting, report.algebraic) == (False, 0)
     assert report.depth == JFDepth("at_least", 4)
-    assert caps == []
+    assert caps == [] and actions == []
     built = {"twist", "inner", "conjugator"}
     for c in (c1, c2):
         assert not built & set(vars(resolve(c)))
-    # at cap 5 the bracket of the two leading terms reads exact(4) from
-    # the base twist's term, expanded at cap 3, and still nothing is
-    # built
+    # at cap 5 the bracket of the two leading terms, each read in
+    # closed form from a homology matrix, reads exact(4), and still
+    # nothing is expanded or built
     report = classify_pair(c1, c2, 5)
     assert report.depth == JFDepth("exact", 4)
-    assert caps == [3] * 4
+    assert caps == [] and actions == []
     for c in (c1, c2):
         assert not built & set(vars(resolve(c)))
 
@@ -1377,7 +1389,7 @@ def test_brackets_are_the_leading_parts_of_the_actions(genus, cap, count):
         top = _truncated(action, lead.degree + 1)
         one = TruncatedAction.of(evaluate((), genus), top.cap)
         assert action_depth(top, one) == JFDepth("exact", lead.degree), m
-        assert lead == Derivation.leading(top), (genus, m)
+        assert lead == leading(top), (genus, m)
 
 
 def test_corollary_curves_carry_the_corollary_twists():
@@ -1415,11 +1427,11 @@ def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus)
     kinds = set()
     for u, v in itertools.combinations(words, 2):
         f, g = evaluate(u, genus), evaluate(v, genus)
-        lead_f = Derivation.leading(TruncatedAction.of(f, 3))
-        lead_g = Derivation.leading(TruncatedAction.of(g, 3))
+        lead_f = leading(TruncatedAction.of(f, 3))
+        lead_g = leading(TruncatedAction.of(g, 3))
         bracket = lead_f.bracket(lead_g)
         comm = TruncatedAction.of(evaluate(commutator_mcw(u, v), genus), 5)
-        assert bracket == Derivation.leading(comm), (f, g)
+        assert bracket == leading(comm), (f, g)
         depth = action_depth(_truncated(comm, 4), _truncated(one, 4))
         assert depth.kind == "at_least", (f, g)
         kinds.add(bool(bracket))
@@ -1433,9 +1445,9 @@ def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus)
 def test_conjugated_twist_terms_are_transformed_base_terms(genus, monkeypatch):
     # D_{h(c)} = H·D_c for the homology matrix H of h: 40 random (h, c)
     # per genus against the leading term of the expanded twist, for the
-    # transform written out and for the reader that pairs and the
-    # corollary share, which folds the one matrix of h, since the
-    # transform reads H^-1 from H
+    # reference transform of the base twist's expanded term and for the
+    # reader that pairs and the corollary share, which folds the one
+    # matrix of h and reads the term from it in closed form
     folded = []
 
     def spy(mcw, g):
@@ -1452,11 +1464,11 @@ def test_conjugated_twist_terms_are_transformed_base_terms(genus, monkeypatch):
                   for _ in range(rng.randrange(1, 4)))
         c = rng.choice(table.sep_names)
         d = resolve(CurveSpec(genus, c, h))
-        direct = Derivation.leading(TruncatedAction.of(d.twist, 3))
-        base = jfilt._base_term(table.entry(c).twist)
-        moved = base.transform(mcg.homology_matrix(h, genus))
+        direct = leading(TruncatedAction.of(d.twist, 3))
+        base = leading(TruncatedAction.of(table.entry(c).twist, 3))
+        moved = transform(base, mcg.homology_matrix(h, genus))
         assert moved == direct, (c, h)
-        assert jfilt._curve_term(table.entry(c).twist, h) == direct, (c, h)
+        assert jfilt._curve_term(d, h) == direct, (c, h)
         assert folded == [h]
         folded.clear()
         nonzero += moved != base
@@ -1469,17 +1481,110 @@ def test_transform_is_an_action_that_keeps_brackets():
     table = builtin_table(genus)
     rng = random.Random(223)
     names = table.chain_names
-    d = jfilt._base_term(table.entry("Sep1").twist)
+    d = leading(TruncatedAction.of(table.entry("Sep1").twist, 3))
     one = identity_matrix(genus)
-    assert d.transform(one) == d
+    assert transform(d, one) == d
     for _ in range(10):
         h, k = (tuple((rng.choice(names), rng.choice((-1, 1))) for _ in range(3))
                 for _ in range(2))
         matrix = {w: mcg.homology_matrix(w, genus) for w in (h, k, h + k)}
-        assert d.transform(matrix[h + k]) == d.transform(matrix[k]).transform(
-            matrix[h]
+        assert transform(d, matrix[h + k]) == transform(
+            transform(d, matrix[k]), matrix[h]
         )
-        e = d.transform(matrix[k])
-        assert d.bracket(e).transform(matrix[h]) == d.transform(
-            matrix[h]
-        ).bracket(e.transform(matrix[h]))
+        e = transform(d, matrix[k])
+        assert transform(d.bracket(e), matrix[h]) == transform(
+            d, matrix[h]
+        ).bracket(transform(e, matrix[h]))
+
+
+def _separating_curves():
+    """The resolved separating curves of the pool, the pair and scan
+    goldens and the corollary."""
+    specs = {c for pair in pool_pairs() + golden_pairs() for c in pair}
+    specs.update(c for genus in (2, 3) for c in _corollary_curves(genus))
+    return [d for d in map(resolve, sorted(specs, key=str)) if d.separating]
+
+
+def test_separating_terms_match_the_transformed_base_terms():
+    # the closed form against the base twist's term expanded at cap 3
+    # and moved by the reference transform: on every separating curve
+    # the package reads, by its own conjugator, and on 2,000 seeded
+    # (SepJ, word) draws at genus 2-6, with Delta among the letters
+    curves = _separating_curves()
+    assert len(curves) > 200
+    for d in curves:
+        word = d.conjugator_word
+        assert jfilt._curve_term(d, word) == separating_term_by_transform(
+            d, word
+        ), word
+    rng = random.Random(227)
+    nonzero = 0
+    for n in range(2000):
+        genus = 2 + n % 5
+        table = builtin_table(genus)
+        d = resolve(CurveSpec(genus, rng.choice(table.sep_names)))
+        word = tuple((rng.choice(table.names()), rng.choice((-2, -1, 1, 2)))
+                     for _ in range(rng.randrange(6)))
+        term = jfilt._curve_term(d, word)
+        assert term == separating_term_by_transform(d, word), (d.base, word)
+        assert term.degree == 2 and term
+        nonzero += term != jfilt._curve_term(d, ())
+    assert nonzero > 300
+
+
+def _stays_split(a, b):
+    """For a = h_a(SepJ) separating and b not: is v = H_a^-1[b], the
+    class of h_a^-1(b), supported in e_1..e_{2J} alone or outside them
+    alone?"""
+    genus = a.base.twist.genus
+    back = mcg.homology_matrix(inverse_mcw(a.conjugator_word), genus)
+    v = [sum(m * x for m, x in zip(row, b.homology)) for row in back]
+    split = 2 * a.base.index
+    return not any(v[split:]) or not any(v[:split])
+
+
+# The one-separating law: for a crossing pair with a = h_a(SepJ)
+# separating and b not, the term of t_a vanishes exactly on V^⊥, and W
+# depends only on V = H_a V_J, with V_J the span of e_1..e_{2J}; so
+# D_{c_a} equals the term of t_{b'} t_{c_a} t_{b'}^-1, for
+# b' = h_a^-1(b), iff the transvection along v = H_a^-1[b] keeps V_J,
+# iff v lies in V_J or in its complement (_stays_split).
+
+
+def test_one_separating_term_is_zero_iff_the_other_curve_stays_split_on_the_pool():
+    kinds = set()
+    for c1, c2 in _separating_crossing_pairs():
+        a, b = resolve(c1), resolve(c2)
+        if a.separating == b.separating:
+            continue
+        if not a.separating:
+            a, b = b, a
+        kept = _stays_split(a, b)
+        assert jfilt._separating_term(a, b) != kept, (c1, c2)
+        kinds.add(kept)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_one_separating_term_is_zero_iff_the_other_curve_stays_split(genus):
+    # 700 seeded crossing pairs per genus, in both orders
+    rng = random.Random(229 + genus)
+    table = builtin_table(genus)
+    names = table.chain_names + table.sep_names
+    kinds, pairs = set(), 0
+    while pairs < 700:
+        h_a, h_b = (
+            tuple((rng.choice(names), rng.choice((-2, -1, 1, 2)))
+                  for _ in range(rng.randrange(4)))
+            for _ in range(2)
+        )
+        a = resolve(CurveSpec(genus, rng.choice(table.sep_names), h_a))
+        b = resolve(CurveSpec(genus, rng.choice(table.chain_names), h_b))
+        if not a.crosses(b):
+            continue
+        pairs += 1
+        kept = _stays_split(a, b)
+        assert jfilt._separating_term(a, b) != kept, (a.base, h_a, h_b)
+        assert jfilt._separating_term(b, a) != kept
+        kinds.add(kept)
+    assert kinds == {True, False}

@@ -92,6 +92,8 @@ REFERENCE_READERS = (
     "johnson_depth",
     "commutator_depth",
     "johnson_leading_term",
+    "leading",
+    "transform",
     "morita_check",
     "curves_equal",
     "distinguishing_witness",

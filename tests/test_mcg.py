@@ -266,7 +266,7 @@ def test_homology_matrix_matches_the_evaluated_conjugators_of_the_pool():
 
 def test_inverse_homology_matrix_is_read_from_the_intersection_form():
     # every class preserves <e_{2i-1}, e_{2i}> = 1, so H^-1 = -Ω H^T Ω,
-    # which magnus.Derivation.transform reads instead of taking H^-1
+    # which magnus.Derivation.separating reads instead of taking H^-1
     rng = random.Random(331)
     for n in range(500):
         genus = 1 + n % 3

@@ -39,9 +39,10 @@ replayed on fixed calls, not recorded ones, since a pair-scan pass makes
 only a few: magnus.lead_transform.g{2,3} reads the leading term of the
 twist along Sep1 moved by a word with a dense homology matrix, with the
 reader that pairs and the corollary share (jfilt._curve_term: one folded
-matrix and Derivation.transform, which reads its inverse from it), and
-magnus.lead_bracket.g{2,3} brackets t_Sep1's term with the moved one
-(Derivation.bracket), each LEAD_CALLS times a replay.  The Fox kernels of foxcheck's Magnus checks
+matrix and the closed form Derivation.separating, which reads the whole
+term from it), and magnus.lead_bracket.g{2,3} brackets t_Sep1's term
+with the moved one (Derivation.bracket), each LEAD_CALLS times a
+replay.  The Fox kernels of foxcheck's Magnus checks
 run on fixed calls too, since a pair-scan pass makes none:
 foxrep.jacobian.g2 is magnus_rep of t_Sep1 and of fg for the crossing
 pairs (f, g) among the first FOX_CURVES separating curves at genus 2,
@@ -133,11 +134,11 @@ def lead_term_calls():
         table = mcg.builtin_table(genus)
         chain = table.chain_names
         word = tuple((n, 1) for n in chain) + tuple((n, 2) for n in reversed(chain))
-        twist = table.entry("Sep1").twist
-        term = jfilt._base_term(twist)
-        moved = jfilt._curve_term(twist, word)
+        d = curve.resolve(curve.CurveSpec(genus, "Sep1"))
+        term = jfilt._curve_term(d, ())
+        moved = jfilt._curve_term(d, word)
         calls[f"magnus.lead_transform.g{genus}"] = (
-            jfilt._curve_term, [(twist, word)] * LEAD_CALLS
+            jfilt._curve_term, [(d, word)] * LEAD_CALLS
         )
         calls[f"magnus.lead_bracket.g{genus}"] = (
             magnus.Derivation.bracket, [(term, moved)] * LEAD_CALLS
