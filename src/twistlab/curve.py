@@ -55,13 +55,12 @@ this module keeps the pairing of curves' homology vectors
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import SpecParseError, UnknownTwistName
 from .magnus import TruncatedAction
 from .mcg import (
-    TableEntry,
     _scan_mcw,
     _scan_name,
     _skip_space,
@@ -71,14 +70,11 @@ from .mcg import (
     format_mcw,
     inverse_mcw,
 )
-from .word import Word, abelianized
+from .word import abelianized
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    genus: int
-    base: str
-    conjugator: tuple[tuple[str, int], ...] = ()
+class CurveSpec(namedtuple("CurveSpec", "genus base conjugator", defaults=((),))):
+    __slots__ = ()
 
     def to_text(self):
         if not self.conjugator:
@@ -86,8 +82,12 @@ class CurveSpec:
         return f"{self.base} @ [{format_mcw(self.conjugator)}]"
 
 
-@dataclass(frozen=True)
-class CurveData:
+class CurveData(
+    namedtuple(
+        "CurveData",
+        "pi1_class homology separating conjugator_word base twist_word",
+    )
+):
     """Resolved curve h(c): its class, homology and separating flag,
     with the word of the conjugator h, the table entry of the base
     curve c (base: the twist t_c, and for c = SepJ the J that a
@@ -105,14 +105,12 @@ class CurveData:
     and a pair that its leading term decides builds neither h nor
     t_c h^-1; callers that need the automorphism itself, such as
     suzuki_scan, read it.  A concurrent first access only repeats work.
+    The cached automorphisms live in the instance's __dict__, which is
+    why the record has one.  It holds the base curve's automorphisms,
+    which are not hashable, so neither is the record.
     """
 
-    pi1_class: Word
-    homology: tuple[int, ...]
-    separating: bool
-    conjugator_word: tuple[tuple[str, int], ...]
-    base: TableEntry
-    twist_word: tuple[tuple[str, int], ...]
+    __hash__ = None
 
     @cached_property
     def inner(self):

@@ -9,7 +9,9 @@ and gf act differently on Z<<X>> / (deg > cap) (Magnus-Karrass-Solitar,
 Combinatorial Group Theory, ch. 5).  Whether f and g commute is decided
 first and exactly, and commuting twists get the identity: t_a and t_b
 commute iff t_a(b) = b (CurveData.crosses; see the curve module), so a
-commuting pair builds neither twist nor either conjugator.  For a
+commuting pair builds neither twist nor either conjugator, and curves
+with nonzero algebraic intersection meet, so their twists never commute
+and that is read from homology alone.  For a
 crossing pair one loop, _pair_depth, reads the depth: it compares the
 truncated actions (magnus.TruncatedAction) of fg and gf with
 action_depth at caps c = start, start + 1, ... and returns at the first
@@ -24,8 +26,9 @@ cap 3 or cap 5 such a pair expands nothing.  Its degree 3 or 5 is then
 read from leading terms, not from actions: the term of the twist along
 a separating curve h(c) is a closed form in the homology matrix of h
 (Morita), read by one reader from the curve's words (_curve_term), so
-the pair's term costs a few integer matrices, nothing is expanded and
-no conjugator is built.  A nonzero term gives exact(2) or exact(4); a
+the pair's term costs a few integer matrices, and with one separating
+curve whether it is zero is read from one homology vector
+(_separating_term): nothing is expanded and no conjugator is built.  A nonzero term gives exact(2) or exact(4); a
 zero one starts the loop at cap 4 or 6.  The actions of fg and gf at
 each cap are composed from those of f and g, and the long images of fg
 and gf are never built for a depth.  The action of a curve twist
@@ -70,24 +73,23 @@ pass the letter cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .curve import resolve, same_class, symplectic_pairing
 from .errors import ConsistencyViolation, GenusMismatch, PreconditionError
 from .magnus import Derivation
-from .mcg import class_image, homology_matrix, inverse_mcw
+from .mcg import class_image, homology_images, homology_matrix, inverse_mcw
 
 
-@dataclass(frozen=True)
-class JFDepth:
+class JFDepth(namedtuple("JFDepth", "kind level", defaults=(None,))):
     """Filtration depth of a mapping class, or of a commutator, up to a cap.
 
     kind: "identity" | "not_in_m1" | "exact" | "at_least".
     exact(k): in M(k) and not in M(k+1); at_least(k): in M(k), cap hit.
+    level is k, and None for identity and not_in_m1.
     """
 
-    kind: str
-    level: int | None = None
+    __slots__ = ()
 
 
 def action_depth(f, g):
@@ -138,26 +140,23 @@ def nested_leading_terms(a, b):
         yield lead
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(
+    namedtuple(
+        "PairReport",
+        "genus c1 c2 commuting braid algebraic depth depth_cap"
+        " c1_separating c2_separating",
+    )
+):
     """Full classification of a curve pair at a given depth cap.
 
-    depth is the depth of the twist commutator; as_dict writes it as the
-    pair's ijf value, one above its level (see the module docstring).
+    depth is the depth of the twist commutator, a JFDepth; as_dict
+    writes it as the pair's ijf value, one above its level (see the
+    module docstring).  c1_separating and c2_separating are read by the
+    separating-pair law of check_consistency; as_dict leaves them out,
+    so the JSON reports do not depend on them.
     """
 
-    genus: int
-    c1: str
-    c2: str
-    commuting: bool
-    braid: bool
-    algebraic: int
-    depth: JFDepth
-    depth_cap: int
-    # read by the separating-pair law of check_consistency; as_dict
-    # leaves them out, so the JSON reports do not depend on them
-    c1_separating: bool
-    c2_separating: bool
+    __slots__ = ()
 
     def as_dict(self):
         kind, level = self.depth.kind, self.depth.level
@@ -271,22 +270,29 @@ def _separating_term(d1, d2):
 
     Conjugating by h_a^-1 carries [t_a, t_b] to [t_{c_a}, t_{b'}], with
     b' = h_a^-1(b), and its leading term to that term moved by H_a^-1,
-    which is zero iff the term is.  So the term is read in that frame,
-    where D_{c_a} is read at the identity matrix, and each term from a
-    word (_curve_term).  When b is not separating, the level-2 term is
-    D_{c_a} - D', with D' the term of t_{b'} t_{c_a} t_{b'}^-1, the
-    twist along the curve h_a^-1 t_b h_a (c_a), with t_b's word
-    h_b (c_b, 1) h_b^-1 (CurveData.twist_word).  When b = h_b(c_b) is
-    separating too, the level-4 term is [D_{c_a}, D_{b'}] (Morita).  No
-    conjugator and no twist is built, and nothing is expanded.
+    which is zero iff the term is.  When b = h_b(c_b) is separating too,
+    the level-4 term is [D_{c_a}, D_{b'}] (Morita), each term read from
+    a word (_curve_term), D_{c_a} at the identity matrix.  When b is not
+    separating, the level-2 term is D_{c_a} - D', with D' the term of
+    the twist along t_{b'}(c_a).  The term of a twist vanishes exactly
+    on V^perp, for V its curve's span in homology, and W depends on V
+    alone (magnus.Derivation.separating), so D' = D_{c_a} iff the
+    transvection along v = H_a^-1[b] keeps V_J, the span of
+    e_1..e_{2J} for c_a = SepJ: iff v lies in V_J or in its complement.
+    So that term is nonzero iff v, b's homology folded through h_a^-1
+    (mcg.homology_images), has entries both inside coordinates 1..2J and
+    outside them.  No conjugator and no twist is built, and nothing is
+    expanded.
     """
     if not d1.separating:
         d1, d2 = d2, d1
-    h = d1.conjugator_word
-    back, term = inverse_mcw(h), _curve_term(d1, ())
+    back = inverse_mcw(d1.conjugator_word)
     if d2.separating:
+        term = _curve_term(d1, ())
         return bool(term.bracket(_curve_term(d2, back + d2.conjugator_word)))
-    return term != _curve_term(d1, back + d2.twist_word + h)
+    (v,) = homology_images(back, d1.base.twist.genus, (d2.homology,))
+    split = 2 * d1.base.index
+    return any(v[:split]) and any(v[split:])
 
 
 def _pair_depth(d1, d2, algebraic, cap):
@@ -330,11 +336,13 @@ def classify_pair(c1, c2, cap, check=True):
     if cap < 1:
         raise PreconditionError("cap must be >= 1")
     d1, d2 = resolve(c1), resolve(c2)
-    commuting = not d1.crosses(d2)
     algebraic = symplectic_pairing(d1.homology, d2.homology)
-    # Commuting is read on one curve's class (CurveData.crosses), so a
-    # commuting pair builds neither twist: commuting twists braid iff equal
-    # (f^2 g = g^2 f forces f = g), iff the curves' classes are.
+    commuting = not algebraic and not d1.crosses(d2)
+    # Curves with nonzero algebraic intersection meet, so their twists
+    # do not commute and no class is folded for that.  Otherwise
+    # commuting is read on one curve's class (CurveData.crosses), so a
+    # commuting pair builds neither twist: commuting twists braid iff
+    # equal (f^2 g = g^2 f forces f = g), iff the curves' classes are.
     # Crossing twists braid only along curves meeting once, which forces
     # |algebraic| = 1, so the classes are folded only for those.  That
     # shortcut is needed as well as fast: for C3 @ [C3^2 Sep1^-2 Sep1^-2

@@ -15,6 +15,8 @@ like (2g)^D, which callers must be able to see.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .errors import GenusMismatch, SeriesTermLimit
 
 #: Hard cap on the terms in one degree of a series of a TruncatedAction;
@@ -273,7 +275,7 @@ class TruncatedAction:
         )
 
 
-class Derivation:
+class Derivation(namedtuple("Derivation", "genus degree values")):
     """The leading term of a class in M(k), as a derivation of Z<X>.
 
     For f in M(k), M(f(x_i)) = 1 + X_i + D(X_i) + (degree > k + 1), and
@@ -289,12 +291,10 @@ class Derivation:
     closed form in the homology matrix of its conjugator (separating).
     """
 
-    __slots__ = ("genus", "degree", "values")
+    __slots__ = ()
 
-    def __init__(self, genus, degree, values):
-        self.genus = genus
-        self.degree = degree
-        self.values = tuple(values)
+    def __new__(cls, genus, degree, values):
+        return tuple.__new__(cls, (genus, degree, tuple(values)))
 
     @classmethod
     def separating(cls, genus, j, matrix):
@@ -393,9 +393,3 @@ class Derivation:
                 raise _term_limit(limit, "bracket")
             values.append(out)
         return Derivation(self.genus, self.degree + other.degree, values)
-
-    def __eq__(self, other):
-        return isinstance(other, Derivation) and (
-            (self.genus, self.degree, self.values)
-            == (other.genus, other.degree, other.values)
-        )

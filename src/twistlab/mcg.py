@@ -27,14 +27,15 @@ Mapping class words, such as `C1 C2^-3 Sep1 Delta^2`, are owned here.
 One scanner reads their grammar, NAME ('^' INT)? factors, for the
 conjugators of curve specs (curve.parse_curve_spec).
 Their folds are here too: evaluate builds the automorphism, class_image
-its value on a conjugacy class, and homology_matrix its action on
-homology, whose convention homology_action fixes for any automorphism.
+its value on a conjugacy class, homology_images its values on homology
+classes and homology_matrix its action on homology, whose convention
+homology_action fixes for any automorphism.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -145,24 +146,24 @@ class FreeAutomorphism:
 # -- generator tables ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(
+    namedtuple(
+        "TableEntry",
+        "name role index twist inverse base_word form separating essential",
+    )
+):
     """One named twist: its automorphism and inverse, and its curve's
     invariants.
 
-    form holds (a, b) for each generator x_i: the twist sends x_i to
-    c^a x_i c^b, for c the base word, which it fixes letter for letter.
+    role is "chain", "sep" or "boundary"; index is the chain position,
+    or J for SepJ, and 0 for Delta.  form holds (a, b) for each
+    generator x_i: the twist sends x_i to c^a x_i c^b, for c the base
+    word, which it fixes letter for letter.  An entry holds
+    automorphisms, which are not hashable, so neither is the entry.
     """
 
-    name: str
-    role: str  # "chain" | "sep" | "boundary"
-    index: int  # chain position, or J for SepJ; 0 for Delta
-    twist: FreeAutomorphism
-    inverse: FreeAutomorphism
-    base_word: Word
-    form: tuple[tuple[int, int], ...]
-    separating: bool
-    essential: bool
+    __slots__ = ()
+    __hash__ = None
 
 
 class TwistTable:
@@ -444,40 +445,39 @@ def _homology_step(genus, name):
     )
 
 
-def homology_matrix(mcw, genus):
-    """The homology matrix of evaluate(mcw, genus); column j is the
-    image of e_j, as in homology_action.
+def homology_images(mcw, genus, vectors):
+    """The images of the homology classes in vectors under
+    evaluate(mcw, genus), as lists.
 
-    Folded over the columns from the inside out, like class_image, so no
-    image is built.  A twist acts on homology as a transvection or as
-    the identity, so its T has (T - I)^2 = 0 and T^k = I + k (T - I):
-    a factor costs the few nonzero entries of T - I per column, whatever
-    its exponent.
+    Folded from the inside out, like class_image, so no image is built.
+    A twist acts on homology as a transvection or as the identity, so
+    its T has (T - I)^2 = 0 and T^k = I + k (T - I): a factor costs the
+    few nonzero entries of T - I per vector, whatever its exponent.
     """
-    columns = [list(e) for e in identity_matrix(genus)]
+    columns = [list(v) for v in vectors]
     for name, k in reversed(_checked_mcw(mcw, genus)):
         step = _homology_step(genus, name)
         for x in columns:
             delta = [(i, k * m * x[j]) for i, j, m in step]
-            for i, v in delta:
-                x[i] += v
-    return tuple(zip(*columns))
+            for i, d in delta:
+                x[i] += d
+    return columns
+
+
+def homology_matrix(mcw, genus):
+    """The homology matrix of evaluate(mcw, genus); column j is the
+    image of e_j (homology_images), as in homology_action."""
+    return tuple(zip(*homology_images(mcw, genus, identity_matrix(genus))))
 
 
 # -- relation validation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    kind: str
-    description: str
-    passed: bool
+RelationCheck = namedtuple("RelationCheck", "kind description passed")
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    genus: int
-    checks: tuple[RelationCheck, ...]
+class RelationReport(namedtuple("RelationReport", "genus checks")):
+    __slots__ = ()
 
     @property
     def all_passed(self):

@@ -10,7 +10,7 @@ be shared between threads without locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import GenusMismatch
 
@@ -46,36 +46,31 @@ def _least_rotation(letters):
     return start
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "genus letters")):
     """A freely reduced word; the empty word is the identity."""
 
-    genus: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError(f"genus must be >= 1, got {self.genus}")
-        n = 2 * self.genus
-        letters = tuple(self.letters)
+    def __new__(cls, genus, letters=()):
+        if genus < 1:
+            raise ValueError(f"genus must be >= 1, got {genus}")
+        n = 2 * genus
+        letters = tuple(letters)
         for ell in letters:
             if not isinstance(ell, int) or ell == 0 or abs(ell) > n:
                 raise ValueError(
-                    f"letter {ell!r} out of range for genus {self.genus}"
+                    f"letter {ell!r} out of range for genus {genus}"
                     f" (generators are 1..{n}, signed)"
                 )
-        object.__setattr__(self, "letters", _reduced(letters))
+        return tuple.__new__(cls, (genus, _reduced(letters)))
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def _trusted(cls, genus, letters):
         """A Word from a tuple of letters already in range and freely
-        reduced, without the range check and reduction of __post_init__."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "genus", genus)
-        object.__setattr__(w, "letters", letters)
-        return w
+        reduced, without the range check and reduction of __new__."""
+        return tuple.__new__(cls, (genus, letters))
 
     @classmethod
     def generator(cls, genus, i, power=1):

@@ -213,9 +213,41 @@ def test_classify_separating_pair():
     assert r.depth == JFDepth("at_least", 4)
 
 
+def test_nonzero_algebraic_intersection_forces_crossing():
+    # classify_pair reads such a pair as crossing from homology alone;
+    # the fold of one curve's class through the other's twist agrees
+    rng = random.Random(41)
+    pairs = pool_pairs() + golden_pairs()
+    for genus in (2, 3):
+        table = builtin_table(genus)
+        pairs += [
+            (_random_spec(rng, genus, table, 4), _random_spec(rng, genus, table, 4))
+            for _ in range(200)
+        ]
+    count = 0
+    for a, b in pairs:
+        d1, d2 = resolve(a), resolve(b)
+        if symplectic_pairing(d1.homology, d2.homology):
+            assert d1.crosses(d2) and d2.crosses(d1), (a, b)
+            count += 1
+    assert count > 300
+
+
+def test_records_hash_unless_they_hold_automorphisms():
+    spec = CurveSpec(2, "Sep1", (("C3", 1),))
+    report = classify_pair(spec, CurveSpec(2, "C1"), 3)
+    for record in (Word(2, (1, 2)), spec, report.depth, report):
+        assert hash(record) == hash(type(record)(*record))
+    assert hash(Word(2, (1, 2))) == hash((2, (1, 2)))
+    for record in (resolve(spec), builtin_table(2).entry("Sep1")):
+        name = type(record).__name__
+        with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+            hash(record)
+
+
 def test_consistency_checker_rejects_bad_report():
     r = classify_pair(spec(2, "C1"), spec(2, "C3"), 3)
-    broken = type(r)(**{**r.__dict__, "commuting": False})
+    broken = r._replace(commuting=False)
     with pytest.raises(ConsistencyViolation):
         check_consistency(broken)
 
@@ -242,7 +274,7 @@ def test_consistency_messages_name_each_law_in_levels():
          "in M(2): "),
     ]
     for r, fields, message in forged:
-        broken = type(r)(**{**r.__dict__, **fields})
+        broken = r._replace(**fields)
         with pytest.raises(ConsistencyViolation) as caught:
             check_consistency(broken)
         assert str(caught.value) == message + repr(broken)
@@ -256,15 +288,13 @@ def test_consistency_checker_rejects_shallow_separating_crossing_pair():
     assert r.c1_separating and r.c2_separating
     assert r.depth == JFDepth("exact", 4)
     check_consistency(r)
-    check_consistency(type(r)(**{**r.__dict__, "depth": JFDepth("at_least", 2)}))
+    check_consistency(r._replace(depth=JFDepth("at_least", 2)))
     for forged in (JFDepth("exact", 3), JFDepth("exact", 1)):
-        broken = type(r)(**{**r.__dict__, "depth": forged})
+        broken = r._replace(depth=forged)
         with pytest.raises(ConsistencyViolation, match="separating"):
             check_consistency(broken)
     # the same depth is lawful when one curve is not separating
-    check_consistency(
-        type(r)(**{**r.__dict__, "depth": JFDepth("exact", 3), "c2_separating": False})
-    )
+    check_consistency(r._replace(depth=JFDepth("exact", 3), c2_separating=False))
     assert "c1_separating" not in r.as_dict()
 
 
@@ -276,12 +306,12 @@ def test_consistency_checker_rejects_shallow_pair_with_one_separating_curve():
     assert r.depth == JFDepth("exact", 2)
     check_consistency(r)
     shallow = JFDepth("at_least", 1)
-    check_consistency(type(r)(**{**r.__dict__, "depth": shallow}))
-    broken = type(r)(**{**r.__dict__, "depth": JFDepth("exact", 1)})
+    check_consistency(r._replace(depth=shallow))
+    broken = r._replace(depth=JFDepth("exact", 1))
     with pytest.raises(ConsistencyViolation, match="one separating curve"):
         check_consistency(broken)
     # the same depth is lawful when neither curve is separating
-    check_consistency(type(r)(**{**broken.__dict__, "c2_separating": False}))
+    check_consistency(broken._replace(c2_separating=False))
 
 
 def test_random_pair_reports_consistent():
@@ -1532,15 +1562,13 @@ def test_separating_terms_match_the_transformed_base_terms():
     assert nonzero > 300
 
 
-def _stays_split(a, b):
-    """For a = h_a(SepJ) separating and b not: is v = H_a^-1[b], the
-    class of h_a^-1(b), supported in e_1..e_{2J} alone or outside them
-    alone?"""
-    genus = a.base.twist.genus
-    back = mcg.homology_matrix(inverse_mcw(a.conjugator_word), genus)
-    v = [sum(m * x for m, x in zip(row, b.homology)) for row in back]
-    split = 2 * a.base.index
-    return not any(v[split:]) or not any(v[:split])
+def _one_separating_term_by_fold(a, b):
+    """For a = h_a(SepJ) separating and b not: does D_{c_a} differ from
+    the term of the twist along t_{b'}(c_a), b' = h_a^-1(b), each read
+    from the homology matrix of its whole word (jfilt._curve_term)?"""
+    h = a.conjugator_word
+    back = inverse_mcw(h)
+    return jfilt._curve_term(a, ()) != jfilt._curve_term(a, back + b.twist_word + h)
 
 
 # The one-separating law: for a crossing pair with a = h_a(SepJ)
@@ -1548,7 +1576,8 @@ def _stays_split(a, b):
 # depends only on V = H_a V_J, with V_J the span of e_1..e_{2J}; so
 # D_{c_a} equals the term of t_{b'} t_{c_a} t_{b'}^-1, for
 # b' = h_a^-1(b), iff the transvection along v = H_a^-1[b] keeps V_J,
-# iff v lies in V_J or in its complement (_stays_split).
+# iff v lies in V_J or in its complement.  _separating_term reads that
+# support test; the reference folds the twist's word and compares terms.
 
 
 def test_one_separating_term_is_zero_iff_the_other_curve_stays_split_on_the_pool():
@@ -1559,9 +1588,9 @@ def test_one_separating_term_is_zero_iff_the_other_curve_stays_split_on_the_pool
             continue
         if not a.separating:
             a, b = b, a
-        kept = _stays_split(a, b)
-        assert jfilt._separating_term(a, b) != kept, (c1, c2)
-        kinds.add(kept)
+        nonzero = _one_separating_term_by_fold(a, b)
+        assert jfilt._separating_term(a, b) == nonzero, (c1, c2)
+        kinds.add(nonzero)
     assert kinds == {True, False}
 
 
@@ -1583,8 +1612,8 @@ def test_one_separating_term_is_zero_iff_the_other_curve_stays_split(genus):
         if not a.crosses(b):
             continue
         pairs += 1
-        kept = _stays_split(a, b)
-        assert jfilt._separating_term(a, b) != kept, (a.base, h_a, h_b)
-        assert jfilt._separating_term(b, a) != kept
-        kinds.add(kept)
+        nonzero = _one_separating_term_by_fold(a, b)
+        assert jfilt._separating_term(a, b) == nonzero, (a.base.name, h_a, h_b)
+        assert jfilt._separating_term(b, a) == nonzero
+        kinds.add(nonzero)
     assert kinds == {True, False}

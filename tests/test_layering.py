@@ -7,6 +7,7 @@ import contextlib
 import importlib
 import inspect
 import io
+import subprocess
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -42,6 +43,21 @@ def imported_modules(path):
             continue
         found.update(d.split(".")[1] for d in dotted if d.startswith("twistlab."))
     return found & MODULES
+
+
+def test_the_cli_imports_no_introspection_modules():
+    # a fresh interpreter pays for every module the CLI imports; -S keeps
+    # the site module and the preloads of the interpreter's .pth files
+    # out of the check
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import twistlab.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == []
 
 
 def test_every_module_has_a_layer():
@@ -148,8 +164,8 @@ def class_functions(cls):
 def package_functions():
     """(module.qualname, code object) of every module-level function and
     every function of a class whose code is in the package.  Methods
-    that dataclass generates have their code elsewhere and are left
-    out."""
+    that collections.namedtuple generates have their code in the
+    standard library and are left out."""
     root = str(PACKAGE)
     found = {}
     for module in package_modules():

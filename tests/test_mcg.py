@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -133,7 +132,7 @@ def _use_wrong_table(monkeypatch, genus, name, wrong):
     forged = TwistTable(
         genus,
         [
-            replace(e, twist=WRONG_TWISTS[wrong](e)) if e.name == name
+            e._replace(twist=WRONG_TWISTS[wrong](e)) if e.name == name
             else e
             for e in table.entries.values()
         ],
