@@ -6,12 +6,19 @@ and emits JSON (schema 1) or CSV; outputs embed the full configuration
 so a report is reproducible from its own header.  Exit codes: 0 on
 success, 1 when a property violation is found, 2 on usage, parse or
 budget errors.
+
+The argument parser is built once per process (build_parser), on the
+first call of main: a one-shot `twistlab ...` process builds it once as
+before, and a caller that runs several commands in one process, such as
+the test suite or a benchmark, builds it once for all of them.  Each
+call reads the subcommand's handler, cmd_<command>, by name when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -61,7 +68,7 @@ def _report(args, results, csv_rows, summary=None):
         config = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("command", "func", "format", "output")
+            if k not in ("command", "format", "output")
         }
         doc = {
             "schema": SCHEMA,
@@ -385,7 +392,10 @@ def _positive_int(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="twistlab",
         description="Exact intersection detectors for curves on a "
@@ -406,14 +416,12 @@ def build_parser():
 
     p = sub.add_parser("validate", help="run the generator-table relation suite")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pair", help="classify a pair of curve specs")
     common(p)
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", required=True)
     p.add_argument("--cap", type=_positive_int, default=3)
-    p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser(
         "corollary",
@@ -421,7 +429,6 @@ def build_parser():
     )
     common(p, genus_default=2)
     p.add_argument("--cap", type=_positive_int, default=4)
-    p.set_defaults(func=cmd_corollary)
 
     p = sub.add_parser("scan", help="randomized pair scan with law checking")
     common(p)
@@ -429,7 +436,6 @@ def build_parser():
     p.add_argument("--samples", type=_nonnegative_int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-conjugator-len", type=_nonnegative_int, default=4)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("foxcheck", help="free-derivative identity checks")
     common(p)
@@ -437,16 +443,15 @@ def build_parser():
     p.add_argument("--torelli-pairs", type=_nonnegative_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suzuki-budget", type=_nonnegative_int, default=0)
-    p.set_defaults(func=cmd_foxcheck)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up by name on each call, so the parser holds no handler
+        return globals()[f"cmd_{args.command}"](args)
     except ConsistencyViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1

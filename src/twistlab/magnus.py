@@ -344,28 +344,42 @@ class Derivation(namedtuple("Derivation", "genus degree values")):
     def __bool__(self):
         return any(self.values)
 
-    def _apply_into(self, out, poly, n, sign):
-        """Add sign * D(poly) to `out`, for poly homogeneous of degree n.
+    def _tables(self, n):
+        """How D acts on polynomials of degree n, for _apply_into: per
+        p < n, the weight base^(e + p) of the letters before a replaced
+        letter with p letters after it, and the values shifted p digits
+        left, e being the degree of a value.
 
-        D replaces each letter of a monomial in turn by its value.  With
-        p letters after the replaced one, the value is shifted p digits
-        left, so the shifted values are built once per (p, letter).
-        Zero coefficients are left in place.
+        They depend on D and n alone, so a bracket builds them once per
+        factor and reads them for each of the 2g values it forms.
         """
         base, e = 2 * self.genus, self.degree + 1
-        shifted = [
-            [[(kv * base**p, cv) for kv, cv in v.items()] for v in self.values]
-            for p in range(n)
-        ]
-        highs = [base ** (e + p) for p in range(n)]
+        # p = 0 reads the values' own items: no copy of them
+        tables = [(base**e, [v.items() for v in self.values])]
+        for p in range(1, n):
+            shift = base**p
+            tables.append((
+                base ** (e + p),
+                [[(kv * shift, cv) for kv, cv in v.items()] for v in self.values],
+            ))
+        return tables
+
+    def _apply_into(self, out, poly, tables, sign):
+        """Add sign * D(poly) to `out`, for poly homogeneous of degree n
+        and tables = self._tables(n).
+
+        D replaces each letter of a monomial in turn by its value, shifted
+        left by the letters after it.  Zero coefficients are left in place.
+        """
+        base = 2 * self.genus
         for key, c in poly.items():
             c *= sign
             head, tail, low = key, 0, 1
-            for p in range(n):
+            for high, shifted in tables:
                 head, j = divmod(head, base)
-                terms = shifted[p][j]
+                terms = shifted[j]
                 if terms:
-                    hk = head * highs[p] + tail
+                    hk = head * high + tail
                     for kv, cv in terms:
                         nk = hk + kv
                         out[nk] = out.get(nk, 0) + c * cv
@@ -384,10 +398,12 @@ class Derivation(namedtuple("Derivation", "genus degree values")):
         if other.genus != self.genus:
             raise GenusMismatch("derivations of different genus")
         limit, values = MAX_SERIES_TERMS, []
+        mine = self._tables(other.degree + 1)
+        theirs = other._tables(self.degree + 1)
         for u, v in zip(self.values, other.values):
             out = {}
-            self._apply_into(out, v, other.degree + 1, 1)
-            other._apply_into(out, u, self.degree + 1, -1)
+            self._apply_into(out, v, mine, 1)
+            other._apply_into(out, u, theirs, -1)
             out = _nonzero(out)
             if len(out) > limit:
                 raise _term_limit(limit, "bracket")

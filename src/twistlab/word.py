@@ -47,7 +47,14 @@ def _least_rotation(letters):
 
 
 class Word(namedtuple("Word", "genus letters")):
-    """A freely reduced word; the empty word is the identity."""
+    """A freely reduced word; the empty word is the identity.
+
+    len(word) is its number of letters, not of fields, so the
+    namedtuple methods _make and _replace are unsupported: they check
+    that length against the two fields and raise TypeError, and for a
+    two-letter result they return a Word that skipped the checks and
+    the reduction of __new__.  Build words with Word(genus, letters).
+    """
 
     __slots__ = ()
 

@@ -446,6 +446,34 @@ def derivation_parts(derivation):
     ]
 
 
+def apply_by_letters(values, poly):
+    """D(poly), for the derivation D with D(X_i) = values[i - 1] and a
+    polynomial poly, all as {unpacked monomial tuple: coefficient}: each
+    letter of each monomial replaced in turn by its value, in place."""
+    out = {}
+    for mono, c in poly.items():
+        for p, letter in enumerate(mono):
+            for value, v in values[letter - 1].items():
+                key = mono[:p] + value + mono[p + 1 :]
+                out[key] = out.get(key, 0) + c * v
+    return out
+
+
+def bracket_by_letters(d, e):
+    """The values [D, E](X_i) = D(E(X_i)) - E(D(X_i)) of the bracket of
+    two magnus.Derivations, as {unpacked monomial tuple: coefficient}
+    with no zero coefficients, each applied letter by letter
+    (apply_by_letters), with no packed keys and no shifted values."""
+    dv, ev = derivation_parts(d), derivation_parts(e)
+    values = []
+    for u, v in zip(dv, ev):
+        out = apply_by_letters(dv, v)
+        for key, c in apply_by_letters(ev, u).items():
+            out[key] = out.get(key, 0) - c
+        values.append({key: c for key, c in out.items() if c})
+    return values
+
+
 def leading(action):
     """D_f from the action of f at cap k + 1, for f in M(k): the
     degree-(k+1) parts of its series (magnus.Derivation)."""

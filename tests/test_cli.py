@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -13,6 +14,8 @@ import pytest
 import twistlab
 from twistlab import __version__, cli, magnus, mcg
 from twistlab.cli import main
+
+from test_golden import CASES, GOLDEN
 
 
 def run(capsys, *args):
@@ -632,3 +635,41 @@ def test_fuzzed_cli_calls_exit_0_or_2(capsys):
         codes[argv[0], rc] = codes.get((argv[0], rc), 0) + 1
     # every command both ran and was rejected
     assert len(codes) == 10, codes
+
+
+# one process, one parser: a run, a usage error, a pair and a foxcheck
+# golden, a run that passes the term cap, and the first run again
+REUSE_ARGVS = (
+    ["corollary", "--genus", "2", "--cap", "6"],
+    ["pair", "--genus", "2", "--c1", "Sep1"],
+    CASES["pair_g2_sep1_conj_cap5.json"],
+    CASES["foxcheck_g2_s25_t6_seed1_b3.json"],
+    ["corollary", "--genus", "2", "--cap", "16"],
+    ["corollary", "--genus", "2", "--cap", "6"],
+)
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process call of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:  # rejected by argparse
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_the_parser_is_built_once_and_carries_nothing_between_calls():
+    cli.build_parser.cache_clear()
+    reused = [_call(argv) for argv in REUSE_ARGVS]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in REUSE_ARGVS:
+        cli.build_parser.cache_clear()
+        fresh.append(_call(argv))
+    assert reused == fresh
+    assert [rc for rc, _, _ in reused] == [0, 2, 0, 0, 2, 0]
+    assert "required: --c2" in reused[1][2]
+    assert reused[2][1] == (GOLDEN / "pair_g2_sep1_conj_cap5.json").read_text()
+    assert reused[4][2].startswith("error: corollary row m=8:")

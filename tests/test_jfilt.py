@@ -41,10 +41,12 @@ from twistlab.word import Word
 
 from references import (
     braid_by_whole_word,
+    bracket_by_letters,
     commutator,
     commutator_depth,
     commutator_mcw,
     commutes,
+    derivation_parts,
     distinguishing_witness,
     fact5_instance,
     fact5_instance_by_commutes,
@@ -1466,6 +1468,49 @@ def test_brackets_of_torelli_classes_are_the_leading_parts_of_commutators(genus)
         assert depth.kind == "at_least", (f, g)
         kinds.add(bool(bracket))
     assert kinds == {True, False}
+
+
+# -- differential test: Derivation.bracket against letter-by-letter brackets --
+#
+# Derivation.bracket applies each factor through its packed values, shifted
+# once per bracket; references.bracket_by_letters replaces the letters of
+# unpacked monomials one at a time.
+
+
+@pytest.mark.parametrize("genus, count", [(2, 5), (3, 3)])
+def test_chain_brackets_match_the_letter_by_letter_bracket(genus, count):
+    # D_{w_m} = [D_a, D_{w_{m-1}}] for m = 1..count, each against the
+    # reference bracket of the two terms it is formed from
+    a, b = (resolve(c) for c in _corollary_curves(genus))
+    lead_a = jfilt._curve_term(a, a.conjugator_word)
+    lead = jfilt._curve_term(b, b.conjugator_word)
+    leads = nested_leading_terms(*_corollary_curves(genus))
+    for m in range(1, count + 1):
+        expected = bracket_by_letters(lead_a, lead)
+        lead = next(leads)
+        assert lead.degree == 2 * m + 2 and any(expected), (genus, m)
+        assert derivation_parts(lead) == expected, (genus, m)
+
+
+def test_separating_pair_brackets_match_the_letter_by_letter_bracket():
+    # the two terms _separating_term brackets, for every pool and golden
+    # pair of two separating curves, in both orders
+    kinds, pairs = set(), 0
+    for c1, c2 in pool_pairs() + golden_pairs():
+        d1, d2 = resolve(c1), resolve(c2)
+        if not (d1.separating and d2.separating):
+            continue
+        pairs += 1
+        back = inverse_mcw(d1.conjugator_word)
+        term = jfilt._curve_term(d1, ())
+        moved = jfilt._curve_term(d2, back + d2.conjugator_word)
+        for d, e in ((term, moved), (moved, term)):
+            expected = bracket_by_letters(d, e)
+            assert derivation_parts(d.bracket(e)) == expected, (c1, c2)
+        nonzero = any(expected)
+        assert jfilt._separating_term(d1, d2) == nonzero, (c1, c2)
+        kinds.add(nonzero)
+    assert pairs > 10 and kinds == {True, False}
 
 
 # -- leading terms of conjugated twists ----------------------------------------

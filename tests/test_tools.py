@@ -37,6 +37,8 @@ def test_bench_kernels_reports_the_class_and_action_kernels(monkeypatch, capsys)
         "magnus.lead_transform.g3",
         "magnus.lead_bracket.g2",
         "magnus.lead_bracket.g3",
+        "magnus.chain_bracket.g2",
+        "cli.build_parser",
         "foxrep.jacobian.g2",
         "foxrep.same_matrix.g2",
         "foxrep.rep_mul.g2",

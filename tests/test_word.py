@@ -223,3 +223,12 @@ def test_canonical_cyclic_rotation_deterministic():
 def test_boundary_word():
     assert boundary_word(1).letters == (1, 2, -1, -2)
     assert boundary_word(2).letters == (1, 2, -1, -2, 3, 4, -3, -4)
+
+
+def test_namedtuple_make_and_replace_are_unsupported():
+    # len(word) counts letters, not the two fields that both check
+    w = Word(2, (1, 2, -1))
+    with pytest.raises(TypeError, match="Expected 2 arguments, got 1"):
+        w._replace(letters=(1,))
+    with pytest.raises(TypeError, match="Expected 2 arguments, got 3"):
+        Word._make((2, (1, 2, -1)))

@@ -42,7 +42,14 @@ reader that pairs and the corollary share (jfilt._curve_term: one folded
 matrix and the closed form Derivation.separating, which reads the whole
 term from it), and magnus.lead_bracket.g{2,3} brackets t_Sep1's term
 with the moved one (Derivation.bracket), each LEAD_CALLS times a
-replay.  The Fox kernels of foxcheck's Magnus checks
+replay.  Those brackets are of degree-2 terms, too small to show
+the cost of applying a long term, so magnus.chain_bracket.g2 replays
+the corollary's own brackets: those that form the terms of w_3, w_4 and
+w_5 at genus 2 (jfilt.nested_leading_terms), of degrees 8, 10 and 12,
+CHAIN_CALLS times a replay; and cli.build_parser builds the CLI's
+argument parser, uncached, PARSER_CALLS times a replay, which is what a
+process pays once and, before the parser was cached, each call of
+cli.main paid.  The Fox kernels of foxcheck's Magnus checks
 run on fixed calls too, since a pair-scan pass makes none:
 foxrep.jacobian.g2 is magnus_rep of t_Sep1 and of fg for the crossing
 pairs (f, g) among the first FOX_CURVES separating curves at genus 2,
@@ -58,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import inspect
 import itertools
 import json
 import statistics
@@ -70,7 +78,7 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import workloads  # noqa: E402
 from worker import Speed  # noqa: E402
-from twistlab import curve, foxrep, jfilt, magnus, mcg  # noqa: E402
+from twistlab import cli, curve, foxrep, jfilt, magnus, mcg  # noqa: E402
 from twistlab.mcg import FreeAutomorphism  # noqa: E402
 from twistlab.word import Word  # noqa: E402
 
@@ -144,6 +152,31 @@ def lead_term_calls():
             magnus.Derivation.bracket, [(term, moved)] * LEAD_CALLS
         )
     return calls
+
+
+#: Passes over the chain brackets of magnus.chain_bracket.g2 in one replay.
+CHAIN_CALLS = 2
+#: Parsers built in one replay of cli.build_parser.
+PARSER_CALLS = 20
+
+
+def corollary_calls():
+    """The corollary's kernels on fixed arguments: the brackets that form
+    the leading terms of w_3, w_4 and w_5 at genus 2, each from t_a's
+    term and the term before it (jfilt.nested_leading_terms), and the
+    build of the CLI's argument parser, without the cache that keeps
+    one per process."""
+    a, b = (curve.parse_curve_spec(2, cli.COROLLARY_CURVES[k]) for k in "ab")
+    d = curve.resolve(a)
+    lead_a = jfilt._curve_term(d, d.conjugator_word)
+    leads = list(itertools.islice(jfilt.nested_leading_terms(a, b), 4))
+    return {
+        "magnus.chain_bracket.g2": (
+            magnus.Derivation.bracket,
+            [(lead_a, lead) for lead in leads[1:]] * CHAIN_CALLS,
+        ),
+        "cli.build_parser": (inspect.unwrap(cli.build_parser), [()] * PARSER_CALLS),
+    }
 
 
 #: Separating curves whose crossing pairs give the Fox kernels' classes.
@@ -222,6 +255,7 @@ def main(argv=None):
     ops = [op for op in ops if (op["genus"], op["c1"], op["c2"]) not in failed]
     calls = record(ops)
     calls.update(lead_term_calls())
+    calls.update(corollary_calls())
     calls.update(fox_calls())
 
     speed = Speed()
