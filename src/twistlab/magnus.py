@@ -182,7 +182,7 @@ def _substitute(degrees, subs, top, base, limit):
         for j, c in degrees[1].items():
             for key, v in subs[j][1].items():
                 target[key] = target.get(key, 0) + c * v
-        return [_nonzero(d) for d in out]
+        return [out[0], _nonzero(target)]
     tails = {}
     for d in range(1, min(top, len(degrees) - 1) + 1):
         shift = base ** (d - 1)

@@ -29,7 +29,11 @@ conjugators of curve specs (curve.parse_curve_spec).
 Their folds are here too: evaluate builds the automorphism, class_image
 its value on a conjugacy class, homology_images its values on homology
 classes and homology_matrix its action on homology, whose convention
-homology_action fixes for any automorphism.
+homology_action fixes for any automorphism.  One letter-substitution
+kernel (_substituted) serves every fold of words and every application
+of an automorphism: the folds behind evaluate and class_image read each
+twist power's letter table and keep their words as letter lists between
+factors, and FreeAutomorphism.__call__ runs the same kernel once.
 """
 
 from __future__ import annotations
@@ -53,6 +57,41 @@ MAX_IMAGE_LETTERS = 10**6
 # the forms hold at every genus; these are the genera the relation suite
 # and the power tests run on
 _SUPPORTED_GENERA = range(1, 7)
+
+
+def _substituted(table, letters):
+    """The letters with each letter replaced by its image in table, as
+    a freely reduced list: the one kernel of __call__ and of every fold
+    (_apply_factors).
+
+    Each image cancels its longest prefix against the end of the list
+    and the rest is appended in one block: each image is freely reduced,
+    so once img[k] fails to cancel, no later letter of it can, and the
+    list stays freely reduced.  An image whose first letter does not
+    cancel, the common case, is appended whole.  Replayed on the calls
+    of a seed-13 pair-scan pass, block cancelling takes about a quarter
+    less time than appending or popping one letter at a time
+    (BENCH_kernels.json).  A list longer than MAX_IMAGE_LETTERS after
+    any letter's image raises WordLengthLimit.
+    """
+    out = []
+    limit = MAX_IMAGE_LETTERS
+    for ell in letters:
+        img = table[ell]
+        if out and out[-1] == -img[0]:
+            out.pop()
+            k, n = 1, len(img)
+            while k < n and out and out[-1] == -img[k]:
+                out.pop()
+                k += 1
+            out.extend(img[k:])
+        else:
+            out.extend(img)
+        if len(out) > limit:
+            raise WordLengthLimit(
+                f"image exceeded {limit} letters; composition aborted"
+            )
+    return out
 
 
 class FreeAutomorphism:
@@ -83,40 +122,27 @@ class FreeAutomorphism:
 
     # -- action --------------------------------------------------------
 
-    def __call__(self, w):
-        if w.genus != self.genus:
-            raise GenusMismatch("word of wrong genus")
-        out = []
+    def _letter_table(self):
+        """letter -> image letters, for +-1..+-2g, built on first use."""
         table = self._letter_images
         if table is None:
-            # letter -> image letters, for +-1..+-2g
             table = {}
             for i, img in enumerate(self.images, start=1):
                 table[i] = img.letters
                 table[-i] = tuple(-ell for ell in reversed(img.letters))
             self._letter_images = table
-        limit = MAX_IMAGE_LETTERS
-        for ell in w.letters:
-            # cancel the longest prefix of the image against the end of
-            # `out`, then append the rest in one block: each image is
-            # freely reduced, so once img[k] fails to cancel, no later
-            # letter of it can, and `out` stays freely reduced.  Replayed
-            # on the calls of a seed-13 pair-scan pass, this takes about
-            # a quarter less time than appending or popping one letter
-            # at a time (BENCH_kernels.json)
-            img = table[ell]
-            k, n = 0, len(img)
-            while k < n and out and out[-1] == -img[k]:
-                out.pop()
-                k += 1
-            out.extend(img[k:] if k else img)
-            if len(out) > limit:
-                raise WordLengthLimit(
-                    f"image exceeded {limit} letters; composition aborted"
-                )
-        # `out` is freely reduced as it is built, and its letters come
-        # from images that were checked when the table was made
-        return Word._trusted(self.genus, tuple(out))
+        return table
+
+    def __call__(self, w):
+        """f(w), by the letter-substitution kernel that every fold of a
+        mapping class word runs too (_substituted)."""
+        if w.genus != self.genus:
+            raise GenusMismatch("word of wrong genus")
+        # the kernel's letters are freely reduced as they are built, and
+        # come from images that were checked when the table was made
+        return Word._trusted(
+            self.genus, tuple(_substituted(self._letter_table(), w.letters))
+        )
 
     def compose(self, other):
         """self after other: (self.compose(other))(w) = self(other(w))."""
@@ -160,10 +186,15 @@ class TableEntry(
     generator x_i: the twist sends x_i to c^a x_i c^b, for c the base
     word, which it fixes letter for letter.  An entry holds
     automorphisms, which are not hashable, so neither is the entry.
+    Its repr is its name and genus, so a record that holds an entry,
+    such as a resolved curve, does not print two automorphisms.
     """
 
     __slots__ = ()
     __hash__ = None
+
+    def __repr__(self):
+        return f"<TableEntry {self.name} g={self.twist.genus}>"
 
 
 class TwistTable:
@@ -355,21 +386,34 @@ def _twist_power(genus, name, k):
 def _apply_factors(genus, factors, words, cyclic=False, limit=None):
     """Images of `words` under the product of `factors`, leftmost applied
     last, built from the inside out: each factor's short images
-    substitute into the words built so far.  With cyclic=True each word
+    substitute into the words built so far (_substituted, the kernel of
+    FreeAutomorphism.__call__, on the letter table of the factor's
+    power).  Between factors each word is a plain list of letters, and
+    one Word per word is made at the end.  With cyclic=True each word
     is stripped to its cyclically reduced core after each factor, which
     keeps its conjugacy class, since an automorphism carries conjugates
     to conjugates, and keeps the words from carrying conjugators that
     later factors would only lengthen.  Nothing is rotated.  With a
     limit, a word longer than `limit` letters after any factor raises
-    WordLengthLimit."""
+    WordLengthLimit.
+    """
+    if any(w.genus != genus for w in words):
+        raise GenusMismatch("word of wrong genus")
+    words = [w.letters for w in words]
     for name, k in reversed(factors):
-        p = _twist_power(genus, name, k)
-        words = tuple(p(w) for w in words)
+        table = _twist_power(genus, name, k)._letter_table()
+        words = [_substituted(table, w) for w in words]
         if cyclic:
-            words = tuple(w.cyclic_reduce() for w in words)
+            for w in words:
+                lo, hi = 0, len(w)
+                while hi - lo >= 2 and w[lo] == -w[hi - 1]:
+                    lo += 1
+                    hi -= 1
+                if lo:
+                    del w[hi:], w[:lo]
         if limit is not None and any(len(w) > limit for w in words):
             raise WordLengthLimit(f"a fold passed {limit} letters")
-    return words
+    return tuple(Word._trusted(genus, tuple(w)) for w in words)
 
 
 def _checked_mcw(mcw, genus):
@@ -389,18 +433,25 @@ def inverse_mcw(mcw):
 
 @lru_cache(maxsize=8192)
 def _evaluate_cached(genus, mcw):
-    gens = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
-    return FreeAutomorphism(genus, _apply_factors(genus, mcw, gens))
+    if not mcw:
+        return FreeAutomorphism(
+            genus, (Word.generator(genus, i) for i in range(1, 2 * genus + 1))
+        )
+    # the innermost factor's images are its power's, so the fold starts
+    # from them
+    inner = _twist_power(genus, *mcw[-1])
+    return FreeAutomorphism(genus, _apply_factors(genus, mcw[:-1], inner.images))
 
 
 def evaluate(mcw, genus):
     """Composite of named twists, leftmost applied last.
 
     evaluate(((A,1),(B,1))) sends w to t_A(t_B(w)).  The images are
-    built from the inside out, by applying each table-twist power to the
-    images of the factors right of it.  A table twist's images are
-    short, so every step substitutes short words into long ones, and the
-    result is one flat automorphism.  The inverse class is evaluated
+    built from the inside out: they start as the innermost factor's
+    images, and each table-twist power is applied to the images of the
+    factors right of it.  A table twist's images are short, so every
+    step substitutes short words into long ones, and the result is one
+    flat automorphism.  The inverse class is evaluated
     from the inverse word (inverse_mcw), and cached under it.
     """
     return _evaluate_cached(genus, _checked_mcw(mcw, genus))

@@ -232,6 +232,33 @@ def apply_letterwise(f, w):
     return Word(f.genus, tuple(out))
 
 
+def fold_by_words(genus, factors, words, cyclic=False):
+    """The words after each factor of the fold behind mcg._apply_factors,
+    innermost factor first, one tuple of Words a factor.
+
+    Each word is rebuilt by one Word(...) reduction of its letters'
+    images under the factor's power, one letter at a time, and with
+    cyclic=True stripped to its core (Word.cyclic_reduce), as the fold
+    was run before its words were kept as letter lists.
+    """
+    steps = []
+    for name, k in reversed(factors):
+        images = mcg._twist_power(genus, name, k).images
+        words = tuple(
+            Word(genus, [
+                x
+                for ell in w.letters
+                for x in (images[ell - 1] if ell > 0
+                          else images[-ell - 1].inverse()).letters
+            ])
+            for w in words
+        )
+        if cyclic:
+            words = tuple(w.cyclic_reduce() for w in words)
+        steps.append(words)
+    return steps
+
+
 def magnus_expand_by_groupby(w, cap):
     """magnus.magnus_expand as it was before runs were scanned by index.
 

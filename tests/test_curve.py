@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -10,6 +11,7 @@ from twistlab.curve import (
     enumerate_curve_specs,
     parse_curve_spec,
     resolve,
+    same_class,
     symplectic_pairing,
 )
 from twistlab.errors import (
@@ -21,6 +23,7 @@ from twistlab.foxrep import suzuki_scan
 from twistlab.magnus import TruncatedAction
 from twistlab.mcg import (
     builtin_table,
+    class_image,
     evaluate,
     format_mcw,
     homology_action,
@@ -413,6 +416,24 @@ def test_disjoint_twist_fixes_curve():
     # C4 is disjoint from C1's curve, so conjugating does nothing
     assert curves_equal(spec(2, "C1 @ [C4]"), spec(2, "C1"))
     assert not curves_equal(spec(2, "C1 @ [C2]"), spec(2, "C1"))
+
+
+def test_fixes_matches_same_class_on_the_pool():
+    # _fixes takes an image equal to u letter for letter as fixed before
+    # it compares canonical forms; on the pull-backs of moves over the
+    # pool, each of the three outcomes occurs
+    outcomes = Counter()
+    for c1, c2 in pool_pairs():
+        d1, d2 = resolve(c1), resolve(c2)
+        for a, b in ((d1, d2), (d2, d1)):
+            t = a.base.twist
+            back = inverse_mcw(a.conjugator_word)
+            u = class_image(back, c1.genus, b.pi1_class)
+            v = t(u)
+            fixed = same_class(u, v.cyclic_reduce())
+            assert curve._fixes(t, u) is fixed, (a, b)
+            outcomes[v.letters == u.letters, fixed] += 1
+    assert set(outcomes) == {(True, True), (False, True), (False, False)}
 
 
 def test_fixed_class_questions_read_one_reader(monkeypatch):

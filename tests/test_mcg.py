@@ -6,7 +6,7 @@ import pytest
 
 from twistlab import mcg
 from twistlab.cli import main
-from twistlab.curve import parse_curve_spec
+from twistlab.curve import CurveSpec, parse_curve_spec, resolve
 from twistlab.errors import (
     SpecParseError,
     UnknownTwistName,
@@ -32,6 +32,8 @@ from twistlab.word import Word, abelianized, boundary_word
 from references import (
     apply_letterwise,
     commutes,
+    fold_by_words,
+    golden_pairs,
     is_central,
     left_fold_evaluate,
     pool_pairs,
@@ -567,6 +569,83 @@ def test_call_raises_the_letter_limit_where_the_letterwise_reduction_does(
                         apply(w)
             else:
                 assert f(w).letters == apply_letterwise(f, w).letters
+
+
+def _check_fold(genus, factors, words, cyclic):
+    """_apply_factors against the fold of Words, with and without a limit:
+    below the longest word it raises at the factor where the reference
+    first passes the limit, and the factors inside that one fold
+    without raising."""
+    steps = fold_by_words(genus, factors, words, cyclic)
+    expect = steps[-1] if steps else words
+    got = mcg._apply_factors(genus, factors, words, cyclic)
+    assert [w.letters for w in got] == [w.letters for w in expect], factors
+    peaks = [max(map(len, step)) for step in steps]
+    for limit in {peaks[0] - 1, max(peaks) - 1, max(peaks)} if peaks else ():
+        passed = [i for i, peak in enumerate(peaks) if peak > limit]
+        if not passed:
+            got = mcg._apply_factors(genus, factors, words, cyclic, limit)
+            assert [w.letters for w in got] == [w.letters for w in expect]
+            continue
+        with pytest.raises(WordLengthLimit, match=f"passed {limit} letters"):
+            mcg._apply_factors(genus, factors, words, cyclic, limit)
+        inside = factors[len(factors) - passed[0]:]
+        got = mcg._apply_factors(genus, inside, words, cyclic, limit)
+        before = steps[passed[0] - 1] if passed[0] else words
+        assert [w.letters for w in got] == [w.letters for w in before]
+
+
+def test_fold_matches_the_fold_of_words_on_every_conjugator():
+    # every golden and pool conjugator h, folded as resolve folds it
+    # (over the base curve's word), as moves pulls back the other curve
+    # (h^-1 over its class) and as evaluate folds it (over the
+    # generators)
+    folds = set()
+    for c1, c2 in golden_pairs() + pool_pairs():
+        for a, b in ((c1, c2), (c2, c1)):
+            genus, h = a.genus, a.conjugator
+            gens = tuple(Word.generator(genus, i) for i in range(1, 2 * genus + 1))
+            base = builtin_table(genus).entry(a.base).base_word
+            other = resolve(b).pi1_class
+            folds.add((genus, h, (base,), True))
+            folds.add((genus, inverse_mcw(h), (other,), True))
+            folds.add((genus, h, gens, False))
+    assert len(folds) > 1000
+    for fold in folds:
+        _check_fold(*fold)
+
+
+def test_fold_matches_the_fold_of_words_on_random_words():
+    rng = random.Random(71)
+    for i in range(2000):
+        genus = 1 + i % 6
+        mcw = _random_mcw(rng, builtin_table(genus).names())
+        n = 2 * genus
+        if i % 3:
+            words = (Word(genus, tuple(rng.choice((1, -1)) * rng.randrange(1, n + 1)
+                                       for _ in range(rng.randrange(1, 12)))),)
+        else:
+            words = tuple(Word.generator(genus, j) for j in range(1, n + 1))
+        _check_fold(genus, mcw, words, cyclic=bool(i % 2))
+
+
+@pytest.mark.parametrize("genus", GENERA)
+def test_evaluate_of_no_factor_or_one_factor_is_the_power(genus):
+    assert evaluate((), genus).is_identity()
+    for name in builtin_table(genus).names():
+        for k in (-3, -1, 1, 2):
+            power = _twist_power(genus, name, k)
+            f = evaluate(((name, k),), genus)
+            assert f.images == power.images == table_power(genus, name, k).images
+
+
+def test_table_entry_repr_is_its_name_and_genus():
+    entry = builtin_table(2).entry("Sep1")
+    assert repr(entry) == "<TableEntry Sep1 g=2>"
+    # a resolved curve shows its base entry by name, not its automorphisms
+    data = resolve(CurveSpec(2, "Sep1"))
+    assert "base=<TableEntry Sep1 g=2>" in repr(data)
+    assert "auto" not in repr(data)
 
 
 def test_mcw_parse_and_format():

@@ -31,6 +31,8 @@ def test_bench_kernels_reports_the_class_and_action_kernels(monkeypatch, capsys)
         "word.cyclic_reduce",
         "word.canonical_cyclic",
         "mcg.class_image",
+        "mcg.call",
+        "mcg.fold",
         "magnus.expand.cap1",
         "magnus.action_compose.cap3",
         "magnus.lead_transform.g2",

@@ -24,7 +24,10 @@ time over that loop's: the figure to compare between processes.  `loop`
 reports the loop's replays.
 
 The calls are those of the twistlab on the path, so a change that drops
-calls shows in the call counts.  mcg.class_image is recorded where the
+calls shows in the call counts.  mcg.call is FreeAutomorphism.__call__
+and mcg.fold is mcg._apply_factors, the fold behind evaluate,
+class_image and resolve: both run one letter-substitution kernel, so a
+fold makes no mcg.call.  mcg.class_image is recorded where the
 curve and jfilt modules call it: resolving a curve, the pull-back of
 CurveData.moves and the braid label's fold of two twist words.
 magnus_expand and TruncatedAction.compose are reported per cap, so that
@@ -91,6 +94,7 @@ def record(ops):
     calls = {}
     patches = [
         (FreeAutomorphism, "__call__", lambda args: "mcg.call"),
+        (mcg, "_apply_factors", lambda args: "mcg.fold"),
         (magnus, "magnus_expand", lambda args: f"magnus.expand.cap{args[1]}"),
         (Word, "cyclic_reduce", lambda args: "word.cyclic_reduce"),
         (Word, "canonical_cyclic", lambda args: "word.canonical_cyclic"),
@@ -102,7 +106,12 @@ def record(ops):
     originals = []
 
     def recording(fn, name_of):
-        def wrapper(*args):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            if kwargs:
+                # recorded and replayed positionally
+                args = signature.bind(*args, **kwargs).args
             name = name_of(args)
             if name not in calls:
                 calls[name] = (fn, [])
@@ -208,7 +217,12 @@ def fox_calls():
 
 
 def _letters(args):
-    return sum(len(a.letters) for a in args if isinstance(a, Word))
+    """The letters of the Words in args and in its plain tuples."""
+    return sum(
+        len(a.letters) if isinstance(a, Word)
+        else _letters(a) if type(a) is tuple else 0
+        for a in args
+    )
 
 
 #: Passes of the speed loop in one replay.
